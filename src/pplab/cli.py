@@ -51,6 +51,9 @@ from .witnesses import (
 __all__ = ["parse_and_dispatch", "load_state", "main"]
 
 REPORT_CONSISTENCY_TOL = 1e-10
+# Largest --alpha-scan grid and --t-steps count; each point is a full report.
+MAX_ALPHA_POINTS = 1000
+MAX_T_STEPS = 10000
 
 _NAMED_AXES = {
     "x": (1.0, 0.0, 0.0),
@@ -180,10 +183,17 @@ def _alpha_grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise InvalidInputError("--alpha-scan must be START:STOP:STEP")
     start, stop, step = (_float(p, "--alpha-scan") for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise InvalidInputError("--alpha-scan START, STOP and STEP must be finite")
     if step <= 0:
         raise InvalidInputError(f"--alpha-scan step must be positive, got {step}")
     if stop < start:
         raise InvalidInputError("--alpha-scan stop must be at least start")
+    # The loop below keeps floor((stop - start) / step + 1e-9) + 1 points.
+    if (stop - start) / step + 1e-9 >= MAX_ALPHA_POINTS:
+        raise ResourceLimitError(
+            f"--alpha-scan grid exceeds the cap of {MAX_ALPHA_POINTS} apertures"
+        )
     grid = []
     k = 0
     while True:
@@ -347,6 +357,8 @@ def _run_game(args: argparse.Namespace) -> object:
     steps = args.t_steps
     if steps < 1:
         raise InvalidInputError(f"--t-steps must be at least 1, got {steps}")
+    if steps > MAX_T_STEPS:
+        raise ResourceLimitError(f"--t-steps {steps} exceeds the cap of {MAX_T_STEPS}")
     if t_max < 0:
         raise InvalidInputError(f"--t-max must be non-negative, got {t_max}")
     theta = _float(args.theta, "--theta")

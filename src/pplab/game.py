@@ -148,6 +148,8 @@ def evaluate_strategy(
     p0 = np.asarray(bloch, dtype=float)
     if p0.shape != (3,):
         raise InvalidInputError(f"Bloch vector must have 3 components, got shape {p0.shape}")
+    if not np.all(np.isfinite(p0)):
+        raise InvalidInputError(f"Bloch vector is not finite: {p0.tolist()}")
     if np.linalg.norm(p0) > 1.0 + 1e-12:
         raise InvalidInputError("Bloch vector must have length at most 1")
     axis = unit_vector(hamiltonian_axis, "hamiltonian_axis")

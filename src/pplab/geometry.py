@@ -46,6 +46,8 @@ def unit_vector(v: object, name: str = "vector") -> Array:
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise InvalidInputError(f"{name} must be a real 3-vector, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError(f"{name} is not finite: {a.tolist()}")
     n = float(np.linalg.norm(a))
     if abs(n - 1.0) > UNIT_TOL:
         raise InvalidInputError(f"{name} must be unit length, |{name}| = {n:.12f}")
@@ -63,6 +65,8 @@ def bloch_state(p: object) -> DensityMatrix:
     a = np.asarray(p, dtype=float)
     if a.shape != (3,):
         raise InvalidInputError(f"Bloch vector must be a real 3-vector, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError(f"Bloch vector is not finite: {a.tolist()}")
     if np.linalg.norm(a) > 1.0 + 1e-12:
         raise InvalidInputError(f"Bloch vector must satisfy |p| <= 1, got {np.linalg.norm(a):.12f}")
     m = 0.5 * (IDENTITY_2 + a[0] * PAULI_X + a[1] * PAULI_Y + a[2] * PAULI_Z)

@@ -11,7 +11,6 @@ family, which is what the proportionality check quantifies.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -24,7 +23,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .operator_core import Array, DensityMatrix, Projector, as_complex_matrix
-from .pseudoprojection import symmetrized_pp
+from .pseudoprojection import _ordered_moments, symmetrized_pp
 
 __all__ = [
     "PointerConfig",
@@ -266,23 +265,6 @@ def simulate_pointers(
     return PointerResult(correlation, pp, ratio, estimate)
 
 
-def _subset_symmetrization(mats: list[Array], subset: tuple[int, ...]) -> Array:
-    dim = mats[0].shape[0]
-    if not subset:
-        return np.eye(dim, dtype=complex)
-    if len(subset) == 1:
-        return mats[subset[0]]
-    acc = np.zeros((dim, dim), dtype=complex)
-    count = 0
-    for order in itertools.permutations(subset):
-        prod = mats[order[0]]
-        for i in order[1:]:
-            prod = prod @ mats[i]
-        acc += prod
-        count += 1
-    return acc / count
-
-
 def perturbative_prediction(
     state: DensityMatrix,
     projectors: object,
@@ -310,17 +292,12 @@ def perturbative_prediction(
     effect = _coerce_effect(post, "post")
     den = _overlap(state, effect)
 
-    mats = [p.matrix for p in plist]
-    indices = tuple(range(len(mats)))
-    total = 0.0 + 0.0j
-    for r in range(len(mats) + 1):
-        for subset in itertools.combinations(indices, r):
-            rest = tuple(i for i in indices if i not in subset)
-            left = _subset_symmetrization(mats, subset)
-            right = _subset_symmetrization(mats, rest)
-            total += np.trace(effect @ left @ state.matrix @ right)
+    # Entry `mask` of the stack is Sym(S) for the subset S with that bit mask,
+    # so the reversed stack holds each complement Sym(~S).
+    sym = _ordered_moments([p.matrix for p in plist], "symmetrized")
+    total = np.trace(effect @ sym @ state.matrix @ sym[::-1], axis1=1, axis2=2).sum()
     gt_half = cfg.g * cfg.t / 2.0
-    return float(np.real(total)) * gt_half ** len(mats) / den
+    return float(np.real(total)) * gt_half ** len(plist) / den
 
 
 def proportionality_check(

@@ -6,10 +6,28 @@ sharing a subsystem enter through a pseudo-projection; different subsystems
 tensor together.  Entries always sum to 1, and dropping any observable
 marginalizes exactly onto the scheme of the remaining ones, with single
 surviving observables reducing to Born probabilities.
+
+Construction.  A pseudo-projection is multilinear in its projectors
+(I + s_i A_i)/2, so the whole table is the Walsh-Hadamard transform of 2^N
+ordered moments,
+
+    entry(s) = 2^-N sum_T (prod_{i in T} s_i) m_T,   m_T = Re Tr(rho M_T),
+
+with M_T the tensor product over subsystems of each group's moment of the
+observables in T (`pseudoprojection._ordered_moments`: Hermitized ascending
+product for unit, average over orderings for symmetrized, weighted
+Hermitized orderings for convex).  This is the Hermitized-product quasiprobability of Margenau and
+Hill (Prog. Theor. Phys. 26, 722, 1961).  Cost per call, for a group of k
+observables: 2^k matrix products for unit, k 2^(k-1) for symmetrized and
+2^k for each of the k!/2 orderings for convex.  Then one contraction with the
+state per subsystem and an N 2^N transform.  Each observable's two outcome
+projectors are validated once per call.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,11 +41,10 @@ from .operator_core import (
     SPECTRAL_TOL,
     STRUCTURAL_TOL,
     as_complex_matrix,
-    expectation,
     require_square,
     resolve_tolerance,
 )
-from .pseudoprojection import convex_pp, symmetrized_pp, unit_pp
+from .pseudoprojection import _convex_weights, _ordered_moments, distinct_orderings
 
 __all__ = [
     "ObservableSpec",
@@ -44,6 +61,7 @@ __all__ = [
 
 MAX_OBSERVABLES = 8
 PRESCRIPTIONS = ("unit", "symmetrized", "convex")
+_UNEQUAL_GROUPS = "convex weights require all multi-observable groups to share one size"
 
 # Accept the typographic minus on parse; always emit ASCII.
 _MINUS_CHARS = "-−"
@@ -158,6 +176,34 @@ def _subsystem_layout(observables: tuple[ObservableSpec, ...]) -> tuple[list[lis
     return groups, dims
 
 
+@functools.lru_cache(maxsize=None)
+def _outcomes(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(itertools.product((+1, -1), repeat=n))
+
+
+def _joint_moments(rho: Array, dims: list[int], stacks: list[Array]) -> Array:
+    """Re Tr(rho (M_0[t_0] x M_1[t_1] x ...)) for every index tuple, as an
+    array with one axis per subsystem."""
+    g = len(dims)
+    # Tr(rho X) = sum_ab rho[a, b] X[b, a]: pair each subsystem's (b, a)
+    # indices of rho so that one contraction per subsystem does the trace.
+    interleave = [axis for sub in range(g) for axis in (g + sub, sub)]
+    t = rho.reshape(dims + dims).transpose(interleave).reshape([d * d for d in dims])
+    for stack in stacks:
+        t = np.tensordot(t, stack.reshape(len(stack), -1), axes=([0], [1]))
+    return t.real
+
+
+def _walsh_hadamard(v: Array) -> Array:
+    """Unnormalized fast Walsh-Hadamard transform of a length-2^n vector."""
+    h = 1
+    while h < v.size:
+        pairs = v.reshape(-1, 2, h)
+        v = np.concatenate((pairs[:, :1] + pairs[:, 1:], pairs[:, :1] - pairs[:, 1:]), axis=1)
+        h *= 2
+    return v.reshape(-1)
+
+
 def build_scheme(
     state: DensityMatrix,
     observables: list[ObservableSpec] | tuple[ObservableSpec, ...],
@@ -186,27 +232,21 @@ def build_scheme(
     if weights is not None:
         sizes = {len(g) for g in groups if len(g) >= 2}
         if len(sizes) > 1:
-            raise InvalidInputError(
-                "convex weights require all multi-observable groups to share one size"
-            )
+            raise InvalidInputError(_UNEQUAL_GROUPS)
 
-    entries: dict[tuple[int, ...], float] = {}
-    for outcome in itertools.product((+1, -1), repeat=len(obs)):
-        factor_mats: list[Array] = []
-        for positions in groups:
-            projs = [obs[p].projector(outcome[p]) for p in positions]
-            if len(projs) == 1:
-                factor_mats.append(projs[0].matrix)
-            elif prescription == "unit":
-                factor_mats.append(unit_pp(projs).matrix)
-            elif prescription == "symmetrized":
-                factor_mats.append(symmetrized_pp(projs).matrix)
-            else:
-                factor_mats.append(convex_pp(projs, weights).matrix)
-        joint = factor_mats[0]
-        for m in factor_mats[1:]:
-            joint = np.kron(joint, m)
-        entries[outcome] = float(np.real(expectation(state, joint)))
+    # The moments use the observable matrices; their outcome projectors still
+    # have to pass Projector's checks (rank >= 1 rejects A = +-I).
+    for o in obs:
+        o.projector(+1)
+        o.projector(-1)
+    stacks = [_ordered_moments([obs[p].matrix for p in g], prescription, weights) for g in groups]
+    moments = _joint_moments(state.matrix, dims, stacks)
+    # Axes of `moments` run group by group, high bit first within a group;
+    # reorder them to observable order before the transform.
+    axis_of = [p for positions in groups for p in reversed(positions)]
+    moments = moments.reshape((2,) * len(obs)).transpose(np.argsort(axis_of))
+    values = _walsh_hadamard(moments.reshape(-1)) / 2 ** len(obs)
+    entries = dict(zip(_outcomes(len(obs)), values.tolist()))
     w = None if weights is None else tuple(float(x) for x in np.asarray(weights, dtype=float))
     return Scheme(observables=obs, entries=entries, prescription=prescription, weights=w)
 
@@ -231,7 +271,38 @@ def marginalize(s: Scheme, drop_index: int) -> Scheme:
             full = outcome[:drop_index] + (dropped,) + outcome[drop_index:]
             total += s.entries[full]
         entries[outcome] = total
-    return Scheme(observables=kept, entries=entries, prescription=s.prescription, weights=s.weights)
+    weights = _marginal_weights(s, drop_index)
+    return Scheme(observables=kept, entries=entries, prescription=s.prescription, weights=weights)
+
+
+def _marginal_weights(s: Scheme, drop_index: int) -> tuple[float, ...] | None:
+    """Convex weights of the scheme left after dropping one observable.
+
+    An ordering of the dropped observable's group restricts to an ordering of
+    the rest; the weights of orderings whose restrictions agree up to
+    reversal add up; a group cut down to one observable needs none.  Other
+    groups keep the parent's weights, so a marginal that needs both kinds has
+    no single weight vector.
+    """
+    if s.weights is None:
+        return None
+    sub = s.observables[drop_index].subsystem
+    sizes = Counter(o.subsystem for o in s.observables)
+    k = sizes[sub]
+    other_multi = any(size >= 2 for t, size in sizes.items() if t != sub)
+    if k == 1 or (k == 2 and other_multi):
+        return s.weights
+    if k == 2:
+        return None
+    if other_multi:
+        raise InvalidInputError(_UNEQUAL_GROUPS)
+    j = sum(o.subsystem == sub for o in s.observables[:drop_index])
+    induced: dict[tuple[int, ...], float] = {}
+    for w, order in zip(_convex_weights(k, s.weights), distinct_orderings(k)):
+        rest = tuple(i - (i > j) for i in order if i != j)
+        key = min(rest, rest[::-1])
+        induced[key] = induced.get(key, 0.0) + float(w)
+    return tuple(induced.get(order, 0.0) for order in distinct_orderings(k - 1))
 
 
 def negativity_report(s: Scheme) -> dict[str, object]:

@@ -233,3 +233,41 @@ def test_non_numeric_argument_exits_one(capsys):
 def test_unicode_minus_accepted(capsys):
     payload = _run_json(capsys, ["test", "coherence", "--bloch", "−0.8,0,0"])
     assert payload["inputs"]["state"]["bloch"][0] == pytest.approx(-0.8)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weak", "value", "--op-axis", "nan,0,0", "--pre-bloch", "0,0,1", "--post-bloch", "1,0,0"],
+        ["pp", "eig", "--axes", "nan,0,0;z+"],
+        ["test", "coherence", "--bloch", "nan,0,0"],
+        ["game", "run", "--bloch", "nan,0,0"],
+    ],
+)
+def test_non_finite_input_is_named_at_the_boundary(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "not finite" in err
+    assert "Hermitian" not in err
+
+
+def test_alpha_scan_over_cap_is_a_resource_error(capsys):
+    from pplab.cli import MAX_ALPHA_POINTS
+
+    # ten times the cap, at a step far too fine to run
+    scan = f"0.1:3.0:{2.9 / (10 * MAX_ALPHA_POINTS)}"
+    code, out, err = _run(capsys, ["test", "discord", "--werner", "1.0", "--alpha-scan", scan])
+    assert code == 2
+    assert out == ""
+    assert str(MAX_ALPHA_POINTS) in err
+
+
+def test_game_steps_over_cap_is_a_resource_error(capsys):
+    from pplab.cli import MAX_T_STEPS
+
+    argv = ["game", "run", "--bloch", "1,0,0", "--t-steps", str(MAX_T_STEPS + 1)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert str(MAX_T_STEPS) in err

@@ -125,3 +125,11 @@ def test_entanglement_geometry_rejects_non_orthonormal_frame():
     frame = [[1, 0, 0], [1, 0, 0], [0, 0, 1]]
     with pytest.raises(InvalidInputError):
         make_entanglement_geometry(1.0, a_frame=frame)
+
+
+@pytest.mark.parametrize("bad", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0]])
+def test_non_finite_vectors_are_rejected_as_such(bad):
+    with pytest.raises(InvalidInputError, match="not finite"):
+        pauli_vector(bad)
+    with pytest.raises(InvalidInputError, match="not finite"):
+        bloch_state(bad)

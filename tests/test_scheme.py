@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from pplab import (
     ObservableSpec,
     bloch_state,
     build_scheme,
+    convex_pp,
     equality_sum,
     make_doublet,
     marginalize,
@@ -21,7 +23,11 @@ from pplab import (
     qubit_projector,
     scheme_from_json,
     scheme_to_json,
+    symmetrized_pp,
+    unit_pp,
 )
+from pplab.pseudoprojection import distinct_orderings
+from pplab.scheme import MAX_OBSERVABLES
 from support import ginibre_density, random_unit_vector
 
 
@@ -184,3 +190,116 @@ def test_scheme_normalization_property(seed, n_obs):
     sch = build_scheme(rho, obs, prescription)
     assert sum(sch.entries.values()) == pytest.approx(1.0, abs=1e-10)
     assert len(sch.entries) == 2 ** n_obs
+
+
+def _ordering_sum_scheme(state, obs, prescription, weights):
+    """The definition: per entry, each subsystem's pseudo-projection of the
+    outcome projectors, tensored in subsystem order and traced with the state."""
+    n_sub = max(o.subsystem for o in obs) + 1
+    groups = [[i for i, o in enumerate(obs) if o.subsystem == sub] for sub in range(n_sub)]
+    entries = {}
+    for outcome in itertools.product((+1, -1), repeat=len(obs)):
+        joint = np.eye(1, dtype=complex)
+        for positions in groups:
+            projs = [obs[p].projector(outcome[p]) for p in positions]
+            if len(projs) == 1:
+                factor = projs[0].matrix
+            elif prescription == "unit":
+                factor = unit_pp(projs).matrix
+            elif prescription == "symmetrized":
+                factor = symmetrized_pp(projs).matrix
+            else:
+                factor = convex_pp(projs, weights).matrix
+            joint = np.kron(joint, factor)
+        entries[outcome] = float(np.real(np.trace(state.matrix @ joint)))
+    return entries
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    sizes=st.sampled_from([(1,), (2,), (3,), (4,), (5,), (1, 1), (2, 1), (1, 3), (2, 2), (3, 2)]),
+    prescription=st.sampled_from(["unit", "symmetrized", "convex"]),
+)
+def test_build_scheme_matches_ordering_sum_definition(seed, sizes, prescription):
+    rng = np.random.default_rng(seed)
+    rho = ginibre_density(rng, 2 ** len(sizes))
+    subsystems = [sub for sub, k in enumerate(sizes) for _ in range(k)]
+    rng.shuffle(subsystems)
+    obs = [_obs(sub, random_unit_vector(rng)) for sub in subsystems]
+    multi = {k for k in sizes if k >= 2}
+    weights = None
+    if prescription == "convex" and len(multi) == 1:
+        weights = rng.dirichlet(np.ones(len(distinct_orderings(multi.pop()))))
+    sch = build_scheme(rho, obs, prescription, weights)
+    reference = _ordering_sum_scheme(rho, obs, prescription, weights)
+    assert list(sch.entries) == list(reference)
+    for key, value in reference.items():
+        assert abs(sch.entries[key] - value) <= 1e-12
+
+
+def test_build_scheme_still_validates_outcome_projectors():
+    rho = bloch_state([0.1, 0.2, 0.3])
+    identity = ObservableSpec(0, matrix=np.eye(2, dtype=complex))
+    with pytest.raises(InvalidInputError, match="rank"):
+        build_scheme(rho, [identity, _obs(0, [0, 0, 1])], "symmetrized")
+
+
+def test_max_observables_symmetrized_marginals_are_born():
+    rng = np.random.default_rng(61)
+    rho = ginibre_density(rng, 2)
+    axes = [random_unit_vector(rng) for _ in range(MAX_OBSERVABLES)]
+    sch = build_scheme(rho, [_obs(0, a) for a in axes], "symmetrized")
+    assert len(sch.entries) == 2 ** MAX_OBSERVABLES
+    for keep, axis in enumerate(axes):
+        single = sch
+        for drop in reversed(range(MAX_OBSERVABLES)):
+            if drop != keep:
+                single = marginalize(single, drop)
+        for s in (+1, -1):
+            born = float(np.real(np.trace(rho.matrix @ qubit_projector(axis, s).matrix)))
+            assert single.entry((s,)) == pytest.approx(born, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_convex_marginal_carries_induced_weights(n):
+    rng = np.random.default_rng(67 + n)
+    rho = ginibre_density(rng, 2)
+    obs = [_obs(0, random_unit_vector(rng)) for _ in range(n)]
+    weights = rng.dirichlet(np.ones(len(distinct_orderings(n))))
+    sch = build_scheme(rho, obs, "convex", weights)
+    for drop in range(n):
+        m = marginalize(sch, drop)
+        assert len(m.weights) == len(distinct_orderings(n - 1))
+        rebuilt = build_scheme(rho, m.observables, "convex", m.weights)
+        for key, value in m.entries.items():
+            assert rebuilt.entries[key] == pytest.approx(value, abs=1e-12)
+
+
+def test_convex_marginal_of_three_needs_one_weight():
+    rho = bloch_state([0.2, -0.1, 0.5])
+    obs = [_obs(0, [0, 0, 1]), _obs(0, [1, 0, 0]), _obs(0, [0, 1, 0])]
+    m = marginalize(build_scheme(rho, obs, "convex", [0.5, 0.3, 0.2]), 0)
+    assert m.weights == pytest.approx((1.0,))
+    assert marginalize(m, 0).weights is None
+
+
+def test_convex_marginal_refuses_two_weight_vectors():
+    rng = np.random.default_rng(71)
+    rho = ginibre_density(rng, 4)
+    obs = [_obs(sub, random_unit_vector(rng)) for sub in (0, 0, 0, 1, 1, 1)]
+    sch = build_scheme(rho, obs, "convex", rng.dirichlet(np.ones(3)))
+    with pytest.raises(InvalidInputError, match="share one size"):
+        marginalize(sch, 0)
+
+
+def test_convex_marginal_from_a_pair_keeps_the_other_groups_weights():
+    rng = np.random.default_rng(73)
+    rho = ginibre_density(rng, 4)
+    obs = [_obs(sub, random_unit_vector(rng)) for sub in (0, 0, 1, 1)]
+    sch = build_scheme(rho, obs, "convex", [1.0])
+    m = marginalize(sch, 1)
+    assert m.weights == (1.0,)
+    rebuilt = build_scheme(rho, m.observables, "convex", m.weights)
+    for key, value in m.entries.items():
+        assert rebuilt.entries[key] == pytest.approx(value, abs=1e-12)
