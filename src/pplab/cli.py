@@ -8,6 +8,7 @@ from the serialized weak terms.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -394,6 +395,9 @@ def _output_parent() -> _Parser:
     return parent
 
 
+# Built once per process: parse_args keeps no state on the parser, and the
+# tree of 23 subparsers costs more to build than a whole command to parse.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pplab", description="pseudo-probability laboratory")
     out = _output_parent()

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .operator_core import Array, DensityMatrix, Projector, STRUCTURAL_TOL
+from .operator_core import Array, DensityMatrix, Projector, STRUCTURAL_TOL, _close
 
 __all__ = [
     "PAULI_X",
@@ -136,7 +136,7 @@ def _validated_frame(frame: object, name: str) -> tuple[Array, Array, Array]:
     if len(axes) != 3:
         raise InvalidInputError(f"{name} must contain exactly 3 axes")
     M = np.stack(axes)
-    if not np.allclose(M @ M.T, np.eye(3), atol=1e-10):
+    if not _close(M @ M.T, np.eye(3), 1e-10):
         raise InvalidInputError(f"{name} must be orthonormal")
     return axes[0], axes[1], axes[2]
 

@@ -46,6 +46,8 @@ def as_complex_matrix(m: object, name: str = "matrix") -> Array:
         raise InvalidInputError(f"{name} must be 2-dimensional, got ndim={a.ndim}")
     if a.shape[0] > MAX_DIM or a.shape[1] > MAX_DIM:
         raise InvalidInputError(f"{name} exceeds the supported dimension {MAX_DIM}")
+    if not np.isfinite(a).all():
+        raise InvalidInputError(f"{name} is not finite")
     return a
 
 
@@ -55,14 +57,32 @@ def require_square(m: Array, name: str = "matrix") -> Array:
     return m
 
 
+def _close(a: Array, b: Array, atol: float) -> bool:
+    """np.allclose(a, b, atol=atol) with numpy's default rtol of 1e-5.
+
+    Equal to it whenever b is finite, which every caller guarantees
+    (as_complex_matrix and unit_vector reject non-finite input); it skips
+    isclose's broadcasting, errstate and NaN handling, which dominate on 2x2
+    and 4x4 operands.
+    """
+    return bool((np.abs(a - b) <= atol + 1e-5 * np.abs(b)).all())
+
+
+def _kron(a: Array, b: Array) -> Array:
+    """np.kron for 2-d arrays: the same products, bit for bit, without its
+    generic n-d set-up."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    )
+
+
 def tensor_product(a: Array, b: Array) -> Array:
     """Kronecker product with the first argument as the slow (outer) factor."""
     a = as_complex_matrix(a, "a")
     b = as_complex_matrix(b, "b")
-    out = np.kron(a, b)
-    if out.shape[0] > MAX_DIM or out.shape[1] > MAX_DIM:
+    if a.shape[0] * b.shape[0] > MAX_DIM or a.shape[1] * b.shape[1] > MAX_DIM:
         raise InvalidInputError(f"tensor product exceeds dimension {MAX_DIM}")
-    return out
+    return _kron(a, b)
 
 
 def anticommutator(a: Array, b: Array) -> Array:
@@ -82,7 +102,7 @@ def hermitian_eigen(m: Array) -> tuple[Array, Array]:
     m == V @ diag(w) @ V.conj().T within SPECTRAL_TOL.
     """
     m = require_square(as_complex_matrix(m, "m"), "m")
-    if not np.allclose(m, m.conj().T, atol=STRUCTURAL_TOL):
+    if not _close(m, m.conj().T, STRUCTURAL_TOL):
         raise InvalidInputError("hermitian_eigen requires a Hermitian matrix")
     w, v = np.linalg.eigh(m)
     return w, v
@@ -127,7 +147,7 @@ def resolve_tolerance() -> float:
 
 def _check_density(m: Array) -> Array:
     require_square(m, "density matrix")
-    if not np.allclose(m, m.conj().T, atol=STRUCTURAL_TOL):
+    if not _close(m, m.conj().T, STRUCTURAL_TOL):
         raise InvalidInputError("density matrix invariant violated: Hermitian")
     if abs(np.trace(m) - 1.0) > STRUCTURAL_TOL:
         raise InvalidInputError("density matrix invariant violated: trace = 1")
@@ -141,14 +161,15 @@ def _check_density(m: Array) -> Array:
 
 def _check_projector(m: Array) -> int:
     require_square(m, "projector")
-    if not np.allclose(m, m.conj().T, atol=STRUCTURAL_TOL):
+    if not _close(m, m.conj().T, STRUCTURAL_TOL):
         raise InvalidInputError("projector invariant violated: Hermitian")
-    if not np.allclose(m @ m, m, atol=SPECTRAL_TOL):
+    if not _close(m @ m, m, SPECTRAL_TOL):
         raise InvalidInputError("projector invariant violated: idempotent")
-    rank = int(round(np.trace(m).real))
+    trace = np.trace(m).real
+    rank = int(round(trace))
     if rank < 1:
         raise InvalidInputError("projector invariant violated: rank >= 1")
-    if abs(np.trace(m).real - rank) > SPECTRAL_TOL:
+    if abs(trace - rank) > SPECTRAL_TOL:
         raise InvalidInputError("projector invariant violated: trace = rank")
     return rank
 

@@ -22,7 +22,7 @@ from .errors import (
     PostSelectionImpossibleError,
     ResourceLimitError,
 )
-from .operator_core import Array, DensityMatrix, Projector, as_complex_matrix
+from .operator_core import Array, DensityMatrix, Projector, _close, as_complex_matrix
 from .pseudoprojection import _ordered_moments, symmetrized_pp
 
 __all__ = [
@@ -93,7 +93,7 @@ def _coerce_effect(post: object, name: str) -> Array:
         m = as_complex_matrix(post, name)
     if m.shape != (2, 2):
         raise InvalidInputError(f"{name} must be 2x2, got {m.shape}")
-    if not np.allclose(m, m.conj().T, atol=1e-12):
+    if not _close(m, m.conj().T, 1e-12):
         raise InvalidInputError(f"{name} must be Hermitian")
     return m
 

@@ -40,6 +40,7 @@ from .operator_core import (
     Projector,
     SPECTRAL_TOL,
     STRUCTURAL_TOL,
+    _close,
     as_complex_matrix,
     require_square,
     resolve_tolerance,
@@ -90,9 +91,9 @@ class ObservableSpec:
             object.__setattr__(self, "axis", np.asarray(self.axis, dtype=float))
         else:
             m = require_square(as_complex_matrix(self.matrix, "matrix"), "matrix")
-            if not np.allclose(m, m.conj().T, atol=STRUCTURAL_TOL):
+            if not _close(m, m.conj().T, STRUCTURAL_TOL):
                 raise InvalidInputError("observable must be Hermitian")
-            if not np.allclose(m @ m, np.eye(m.shape[0]), atol=SPECTRAL_TOL):
+            if not _close(m @ m, np.eye(m.shape[0]), SPECTRAL_TOL):
                 raise InvalidInputError("observable must be dichotomic (square to identity)")
         object.__setattr__(self, "matrix", m)
         if not self.label:

@@ -24,6 +24,7 @@ from .operator_core import (
     Projector,
     SPECTRAL_TOL,
     STRUCTURAL_TOL,
+    _close,
     as_complex_matrix,
     require_square,
 )
@@ -84,7 +85,7 @@ def weak_value(
             f"pre/post overlap {overlap:.3e} vanishes; post-selection impossible"
         )
     value = complex(np.trace(rho2.matrix @ op @ rho1.matrix) / overlap)
-    if np.allclose(op, op.conj().T, atol=SPECTRAL_TOL):
+    if _close(op, op.conj().T, SPECTRAL_TOL):
         w = np.linalg.eigvalsh(0.5 * (op + op.conj().T))
         bounds = (float(w[0]), float(w[-1]))
         anomalous = bool(

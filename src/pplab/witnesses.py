@@ -33,6 +33,7 @@ from .operator_core import (
     Array,
     DensityMatrix,
     Projector,
+    _kron,
     partial_trace,
     resolve_tolerance,
 )
@@ -210,9 +211,9 @@ def _two_qubit_correlations(state: DensityMatrix, a_axis: Array, b_axis: Array) 
     """(C, A, B) = <sa x sb>, <sa x I>, <I x sb>."""
     sa = pauli_vector(a_axis)
     sb = pauli_vector(b_axis)
-    c = float(np.real(np.trace(state.matrix @ np.kron(sa, sb))))
-    a = float(np.real(np.trace(state.matrix @ np.kron(sa, IDENTITY_2))))
-    b = float(np.real(np.trace(state.matrix @ np.kron(IDENTITY_2, sb))))
+    c = float(np.real(np.trace(state.matrix @ _kron(sa, sb))))
+    a = float(np.real(np.trace(state.matrix @ _kron(sa, IDENTITY_2))))
+    b = float(np.real(np.trace(state.matrix @ _kron(IDENTITY_2, sb))))
     return c, a, b
 
 
@@ -483,15 +484,15 @@ def chsh_test(
         "A2-B1-B2+": sch2.entry((-1, -1, +1)),
     }
     terms = (
-        _pp_term(state, np.kron(proj(A1, +1), proj(B1, +1)), 1, np.kron(IDENTITY_2, proj(B2, +1)), "A1+B1+ | B2+"),
-        _pp_term(state, np.kron(proj(A1, -1), proj(B1, -1)), 1, np.kron(IDENTITY_2, proj(B2, -1)), "A1-B1- | B2-"),
-        _pp_term(state, np.kron(proj(A2, +1), proj(B1, +1)), 1, np.kron(IDENTITY_2, proj(B2, -1)), "A2+B1+ | B2-"),
-        _pp_term(state, np.kron(proj(A2, -1), proj(B1, -1)), 1, np.kron(IDENTITY_2, proj(B2, +1)), "A2-B1- | B2+"),
+        _pp_term(state, _kron(proj(A1, +1), proj(B1, +1)), 1, _kron(IDENTITY_2, proj(B2, +1)), "A1+B1+ | B2+"),
+        _pp_term(state, _kron(proj(A1, -1), proj(B1, -1)), 1, _kron(IDENTITY_2, proj(B2, -1)), "A1-B1- | B2-"),
+        _pp_term(state, _kron(proj(A2, +1), proj(B1, +1)), 1, _kron(IDENTITY_2, proj(B2, -1)), "A2+B1+ | B2-"),
+        _pp_term(state, _kron(proj(A2, -1), proj(B1, -1)), 1, _kron(IDENTITY_2, proj(B2, +1)), "A2-B1- | B2+"),
     )
 
     # Independent route: statistic = (2 + <A1(B1+B2)> + <A2(B1-B2)>)/4.
     def corr(a: ObservableSpec, b: Array) -> float:
-        return float(np.real(np.trace(state.matrix @ np.kron(a.matrix, b))))
+        return float(np.real(np.trace(state.matrix @ _kron(a.matrix, b))))
 
     chsh_value = (
         corr(A1, B1.matrix) + corr(A1, B2.matrix) + corr(A2, B1.matrix) - corr(A2, B2.matrix)
@@ -547,9 +548,9 @@ def _equality_entry_terms(
         label = f"{tag}a{amark}b1{mark}b2{mark}"
         term = _pp_term(
             state,
-            np.kron(pa.matrix, pb2.matrix),
+            _kron(pa.matrix, pb2.matrix),
             1,
-            np.kron(IDENTITY_2, pb1.matrix),
+            _kron(IDENTITY_2, pb1.matrix),
             f"{tag}a{amark}b2{mark} | b1{mark}",
             group=group,
         )
@@ -646,11 +647,11 @@ def _side_pair_term(
     d1 = qubit_projector(doublet.n1, s).matrix
     d2 = qubit_projector(doublet.n2, s).matrix
     if side == 0:
-        lead = np.kron(d1, IDENTITY_2)
-        rest = np.kron(d2, IDENTITY_2)
+        lead = _kron(d1, IDENTITY_2)
+        rest = _kron(d2, IDENTITY_2)
     else:
-        lead = np.kron(IDENTITY_2, d1)
-        rest = np.kron(IDENTITY_2, d2)
+        lead = _kron(IDENTITY_2, d1)
+        rest = _kron(IDENTITY_2, d2)
     return _pp_term(state, lead, 2, rest, label)
 
 
@@ -691,10 +692,10 @@ def nonlinear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant
             closed += (c * c / 4.0) * (c * c - C * C)
         else:
             all_terms.extend(plain_terms)
-            pa_plus = _born_only_term(state, np.kron(qubit_projector(a_axis, +1).matrix, IDENTITY_2), f"{tag}a+")
-            pa_minus = _born_only_term(state, np.kron(qubit_projector(a_axis, -1).matrix, IDENTITY_2), f"{tag}a-")
-            pb_plus = _born_only_term(state, np.kron(IDENTITY_2, qubit_projector(b_doublet.axis, +1).matrix), f"{tag}b+")
-            pb_minus = _born_only_term(state, np.kron(IDENTITY_2, qubit_projector(b_doublet.axis, -1).matrix), f"{tag}b-")
+            pa_plus = _born_only_term(state, _kron(qubit_projector(a_axis, +1).matrix, IDENTITY_2), f"{tag}a+")
+            pa_minus = _born_only_term(state, _kron(qubit_projector(a_axis, -1).matrix, IDENTITY_2), f"{tag}a-")
+            pb_plus = _born_only_term(state, _kron(IDENTITY_2, qubit_projector(b_doublet.axis, +1).matrix), f"{tag}b+")
+            pb_minus = _born_only_term(state, _kron(IDENTITY_2, qubit_projector(b_doublet.axis, -1).matrix), f"{tag}b-")
             a_pair_mm = _side_pair_term(state, a_doublet, 0, -1, f"{tag}a1-a2-")
             a_pair_pp = _side_pair_term(state, a_doublet, 0, +1, f"{tag}a1+a2+")
             b_pair_mm = _side_pair_term(state, b_doublet, 1, -1, f"{tag}b1-b2-")
@@ -779,8 +780,8 @@ def discord_test(state: DensityMatrix, alpha: float) -> TestReport:
         eq_terms, eq_entries = _equality_entry_terms(state, axis, doublet, tag, bar=False, group=group)
         all_terms.extend(eq_terms)
         entries.update(eq_entries)
-        pa_plus = _born_only_term(state, np.kron(qubit_projector(axis, +1).matrix, IDENTITY_2), f"{tag}a+")
-        pa_minus = _born_only_term(state, np.kron(qubit_projector(axis, -1).matrix, IDENTITY_2), f"{tag}a-")
+        pa_plus = _born_only_term(state, _kron(qubit_projector(axis, +1).matrix, IDENTITY_2), f"{tag}a+")
+        pa_minus = _born_only_term(state, _kron(qubit_projector(axis, -1).matrix, IDENTITY_2), f"{tag}a-")
         b_pair_mm = _side_pair_term(state, doublet, 1, -1, f"{tag}b1-b2-")
         b_pair_pp = _side_pair_term(state, doublet, 1, +1, f"{tag}b1+b2+")
         all_terms.append(_product_term(f"({pa_plus.label})*({b_pair_mm.label})", pa_plus, b_pair_mm, 1.0, group))

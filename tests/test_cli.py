@@ -271,3 +271,30 @@ def test_game_steps_over_cap_is_a_resource_error(capsys):
     assert code == 2
     assert out == ""
     assert str(MAX_T_STEPS) in err
+
+
+def test_consecutive_calls_share_the_parser_but_no_values(capsys, tmp_path):
+    from pplab.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    target = tmp_path / "report.json"
+    code, out, _ = _run(capsys, ["test", "chsh", "--werner", "1.0", "--out", str(target), "--json-indent", "0"])
+    assert code == 0 and out == ""
+    assert len(target.read_text().splitlines()) == 1
+    # --out and --json-indent left unset: stdout, indented by the default 2
+    code, out, _ = _run(capsys, ["test", "chsh", "--werner", "1.0"])
+    assert code == 0
+    assert out.startswith('{\n  "')
+    scan = _run_json(capsys, ["test", "ent-linear-1", "--werner", "0.9", "--alpha-scan", "1.0:2.0:0.5"])
+    assert isinstance(scan, list)
+    single = _run_json(capsys, ["test", "ent-linear-1", "--werner", "0.9"])
+    assert isinstance(single, dict)
+    fitted = _run_json(capsys, ["pointer", "sim", "--bloch", "0,0,0", "--couplings", "0.02,0.04,0.06"])
+    assert "proportionality" in fitted
+    plain = _run_json(capsys, ["pointer", "sim", "--bloch", "0,0,0"])
+    assert "proportionality" not in plain
+    code, out, err = _run(capsys, ["test", "chsh", "--werner", "1.0", "--no-such-flag"])
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err
+    code, out, _ = _run(capsys, ["pp", "eig", "--axes", "z+;x+"])
+    assert code == 0 and json.loads(out)

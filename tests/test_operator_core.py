@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pplab import (
     DensityMatrix,
@@ -15,6 +18,8 @@ from pplab import (
     resolve_tolerance,
     tensor_product,
 )
+from pplab import operator_core
+from pplab.operator_core import _close, _kron
 from support import ginibre_density, haar_projector
 
 
@@ -121,3 +126,69 @@ def test_density_matrix_accepts_tiny_negative_noise():
     m = np.diag([1.0 + eps, -eps]).astype(complex)
     rho = DensityMatrix(m)
     assert math.isclose(float(np.real(np.trace(rho.matrix))), 1.0, abs_tol=1e-9)
+
+
+def test_density_matrix_rejects_non_finite_entries():
+    with pytest.raises(InvalidInputError, match="density matrix is not finite"):
+        DensityMatrix([[math.nan, 0.0], [0.0, 1.0]])
+
+
+def test_projector_rejects_non_finite_entries():
+    with pytest.raises(InvalidInputError, match="projector is not finite"):
+        Projector([[math.inf, 0.0], [0.0, 0.0]])
+
+
+_CLOSE_RATIOS = (0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(1, 1), (2, 2), (3, 3), (4, 4), (8, 8), (1, 3)]),
+    atol=st.sampled_from([0.0, 1e-12, 1e-10, 1e-8, 1e-3]),
+    scale=st.sampled_from([1e-9, 1.0, 1e6]),
+    ratio=st.sampled_from(_CLOSE_RATIOS),
+)
+def test_close_matches_numpy_allclose(seed, shape, atol, scale, ratio):
+    rng = np.random.default_rng(seed)
+    b = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    # Move a random subset of entries to `ratio` times their own threshold
+    # atol + 1e-5 |b|, so draws sit just inside, on and just outside it.
+    bound = atol + 1e-5 * np.abs(b)
+    moved = rng.random(shape) < 0.5
+    phase = np.exp(2j * math.pi * rng.random(shape))
+    a = b + np.where(moved, ratio * bound * phase, 0.0)
+    assert _close(a, b, atol) == np.allclose(a, b, atol=atol)
+    assert _close(b, b, atol) == np.allclose(b, b, atol=atol)
+
+
+def test_close_decides_both_sides_of_the_threshold():
+    b = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+    assert _close(b + 0.5e-5 * np.abs(b), b, 0.0)
+    assert not _close(b + 2e-5 * np.abs(b), b, 0.0)
+    zero = np.zeros((2, 2), dtype=complex)
+    assert _close(zero + 0.5e-9, zero, 1e-9)
+    assert not _close(zero + 2e-9, zero, 1e-9)
+
+
+@pytest.mark.parametrize(
+    "shape_a,shape_b", [((2, 2), (2, 2)), ((2, 2), (4, 4)), ((4, 4), (2, 2)), ((1, 3), (3, 1))]
+)
+def test_kron_is_numpy_kron_bit_for_bit(shape_a, shape_b):
+    rng = np.random.default_rng(23)
+    a = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
+    b = rng.normal(size=shape_b) + 1j * rng.normal(size=shape_b)
+    assert np.array_equal(_kron(a, b), np.kron(a, b))
+    assert np.array_equal(_kron(a.real, b), np.kron(a.real, b))
+
+
+def test_allclose_and_kron_live_only_in_operator_core():
+    package = Path(operator_core.__file__).parent
+    offenders = [
+        f"{path.name}:{i}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "operator_core.py"
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if "np.allclose(" in line or "np.kron(" in line
+    ]
+    assert offenders == []

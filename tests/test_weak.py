@@ -8,6 +8,7 @@ import pytest
 from pplab import (
     DensityMatrix,
     FactorizationUndefinedError,
+    InvalidInputError,
     PostSelectionImpossibleError,
     bloch_state,
     hj_decompose,
@@ -141,3 +142,8 @@ def test_weak_value_pure_state_formula():
         report = weak_value(op, _pure(pre_v), _pure(post_v))
         expected = np.vdot(post_v, op @ pre_v) / np.vdot(post_v, pre_v)
         assert complex(report.value) == pytest.approx(complex(expected), abs=1e-10)
+
+
+def test_weak_value_rejects_non_finite_operator():
+    with pytest.raises(InvalidInputError, match="a is not finite"):
+        weak_value(np.array([[np.inf, 0.0], [0.0, 1.0]]), bloch_state([0, 0, 1]), bloch_state([1, 0, 0]))
