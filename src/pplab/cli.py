@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .pseudoprojection import convex_pp, min_eigen_certificate, symmetrized_pp, 
 from .scheme import ObservableSpec, build_scheme, negativity_report, scheme_to_json
 from .weak import weak_value
 from .witnesses import (
+    _APERTURE_WINDOWS,
     TestReport,
     boolean_state_dep_test,
     boolean_state_indep_test,
@@ -217,60 +219,63 @@ def _alpha_values(args: argparse.Namespace, default: float) -> tuple[list[float]
     return [default], False
 
 
-_ALPHA_DEFAULTS = {
-    "ent-linear-1": 2.0 * math.pi / 3.0,
-    "ent-linear-2": math.acos(-7.0 / 9.0),
-    "ent-nl-1": math.pi / 2.0,
-    "ent-nl-2": math.acos(-1.0 / 3.0),
-    "ent-nl-3": math.acos(-79.0 / 81.0),
-    "discord": 3.0 * math.pi / 4.0,
+def _chsh_on_axes(state: DensityMatrix, a1: object, a2: object, b1: object, b2: object) -> TestReport:
+    """chsh_test with A1, A2 on qubit 0 and B1, B2 on qubit 1."""
+    return chsh_test(
+        state,
+        ObservableSpec(0, axis=a1, label="A1"),
+        ObservableSpec(0, axis=a2, label="A2"),
+        ObservableSpec(1, axis=b1, label="B1"),
+        ObservableSpec(1, axis=b2, label="B2"),
+    )
+
+
+def _on_geometry(test: Callable[..., TestReport], variant: str) -> Callable[[DensityMatrix, float], TestReport]:
+    return lambda state, alpha: test(state, make_entanglement_geometry(alpha), variant)
+
+
+_X, _Y, _Z = _NAMED_AXES["x"], _NAMED_AXES["y"], _NAMED_AXES["z"]
+_DIAGONAL = 1.0 / math.sqrt(2.0)
+# Test name -> (witness, its axis flags with their defaults).  Every witness
+# takes the state first, except boolean-indep, which reads none.
+_AXIS_TESTS: dict[str, tuple[Callable[..., TestReport], dict[str, tuple[float, float, float]]]] = {
+    "coherence": (coherence_test, {"a1": _Z, "a2": _X}),
+    "boolean-dep": (boolean_state_dep_test, {"a1": _Z, "a2": _X}),
+    "boolean-indep": (boolean_state_indep_test, {"a1": _Z, "a2": _X}),
+    "distributivity": (distributivity_test, {"a1": _Z, "a2": _X, "a3": _X}),
+    "chsh": (
+        _chsh_on_axes,
+        {"A1": _X, "A2": _Y, "B1": (_DIAGONAL, _DIAGONAL, 0.0), "B2": (_DIAGONAL, -_DIAGONAL, 0.0)},
+    ),
+}
+# Test name -> (witness of (state, alpha), default aperture).  The default is
+# the top of the test's validity window; discord has no window.
+_APERTURE_TESTS: dict[str, tuple[Callable[[DensityMatrix, float], TestReport], float]] = {
+    "ent-linear-1": (_on_geometry(linear_ent_test, "I"), _APERTURE_WINDOWS["linear-entanglement-I"]),
+    "ent-linear-2": (_on_geometry(linear_ent_test, "II"), _APERTURE_WINDOWS["linear-entanglement-II"]),
+    "ent-nl-1": (_on_geometry(nonlinear_ent_test, "I"), _APERTURE_WINDOWS["nonlinear-entanglement-I"]),
+    "ent-nl-2": (_on_geometry(nonlinear_ent_test, "II"), _APERTURE_WINDOWS["nonlinear-entanglement-II"]),
+    "ent-nl-3": (_on_geometry(nonlinear_ent_test, "III"), _APERTURE_WINDOWS["nonlinear-entanglement-III"]),
+    "discord": (discord_test, 3.0 * math.pi / 4.0),
 }
 
 
 def _run_test(args: argparse.Namespace) -> object:
     name = args.test_name
-    if name == "boolean-indep":
-        a1 = _axis_arg(args, "a1", (0.0, 0.0, 1.0))
-        a2 = _axis_arg(args, "a2", (1.0, 0.0, 0.0))
-        return _report_payload(boolean_state_indep_test(a1, a2))
-
-    state = load_state(args)
-    if name == "coherence":
-        a1 = _axis_arg(args, "a1", (0.0, 0.0, 1.0))
-        a2 = _axis_arg(args, "a2", (1.0, 0.0, 0.0))
-        return _report_payload(coherence_test(state, a1, a2))
-    if name == "boolean-dep":
-        a1 = _axis_arg(args, "a1", (0.0, 0.0, 1.0))
-        a2 = _axis_arg(args, "a2", (1.0, 0.0, 0.0))
-        return _report_payload(boolean_state_dep_test(state, a1, a2))
-    if name == "distributivity":
-        a1 = _axis_arg(args, "a1", (0.0, 0.0, 1.0))
-        a2 = _axis_arg(args, "a2", (1.0, 0.0, 0.0))
-        a3 = _axis_arg(args, "a3", (1.0, 0.0, 0.0))
-        return _report_payload(distributivity_test(state, a1, a2, a3))
-    if name == "chsh":
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        A1 = ObservableSpec(0, axis=_axis_arg(args, "A1", (1.0, 0.0, 0.0)), label="A1")
-        A2 = ObservableSpec(0, axis=_axis_arg(args, "A2", (0.0, 1.0, 0.0)), label="A2")
-        B1 = ObservableSpec(1, axis=_axis_arg(args, "B1", (inv_sqrt2, inv_sqrt2, 0.0)), label="B1")
-        B2 = ObservableSpec(1, axis=_axis_arg(args, "B2", (inv_sqrt2, -inv_sqrt2, 0.0)), label="B2")
-        return _report_payload(chsh_test(state, A1, A2, B1, B2))
-
-    alphas, is_scan = _alpha_values(args, _ALPHA_DEFAULTS[name])
-    reports = []
-    for alpha in alphas:
-        if name == "discord":
-            report = discord_test(state, alpha)
-        else:
-            geom = make_entanglement_geometry(alpha)
-            if name.startswith("ent-linear"):
-                variant = "I" if name.endswith("1") else "II"
-                report = linear_ent_test(state, geom, variant)
-            else:
-                variant = {"1": "I", "2": "II", "3": "III"}[name[-1]]
-                report = nonlinear_ent_test(state, geom, variant)
-        reports.append(_report_payload(report))
+    state = () if name == "boolean-indep" else (load_state(args),)
+    if name in _AXIS_TESTS:
+        witness, axes = _AXIS_TESTS[name]
+        return _report_payload(witness(*state, *(_axis_arg(args, f, d) for f, d in axes.items())))
+    aperture_witness, default = _APERTURE_TESTS[name]
+    alphas, is_scan = _alpha_values(args, default)
+    reports = [_report_payload(aperture_witness(*state, alpha)) for alpha in alphas]
     return reports if is_scan else reports[0]
+
+
+def _weights(args: argparse.Namespace) -> list[float] | None:
+    if args.weights is None:
+        return None
+    return [_float(w, "--weights") for w in args.weights.split(",")]
 
 
 def _run_scheme_build(args: argparse.Namespace) -> object:
@@ -278,10 +283,7 @@ def _run_scheme_build(args: argparse.Namespace) -> object:
     default_obs = "0:z;0:x" if state.dim == 2 else "0:z;1:z"
     obs_text = args.observables if args.observables is not None else default_obs
     observables = [_parse_observable_token(t) for t in obs_text.split(";") if t.strip()]
-    weights = None
-    if args.weights is not None:
-        weights = [_float(w, "--weights") for w in args.weights.split(",")]
-    sch = build_scheme(state, observables, args.prescription, weights)
+    sch = build_scheme(state, observables, args.prescription, _weights(args))
     payload = scheme_to_json(sch)
     payload["negativity"] = negativity_report(sch)
     return payload
@@ -294,10 +296,7 @@ def _run_pp_eig(args: argparse.Namespace) -> object:
     elif args.prescription == "symmetrized":
         pp = symmetrized_pp(factors)
     else:
-        weights = None
-        if args.weights is not None:
-            weights = [_float(w, "--weights") for w in args.weights.split(",")]
-        pp = convex_pp(factors, weights)
+        pp = convex_pp(factors, _weights(args))
     value, witness = min_eigen_certificate(pp)
     return {
         "prescription": pp.prescription,
@@ -431,21 +430,12 @@ def _build_parser() -> _Parser:
 
     test = commands.add_parser("test", help="nonclassicality tests")
     test_actions = test.add_subparsers(dest="test_name", required=True)
-    single_axis_tests = {
-        "coherence": ("a1", "a2"),
-        "boolean-dep": ("a1", "a2"),
-        "boolean-indep": ("a1", "a2"),
-        "distributivity": ("a1", "a2", "a3"),
-    }
-    for name, axes in single_axis_tests.items():
+    for name, (_, axes) in _AXIS_TESTS.items():
         t = test_actions.add_parser(name, parents=[out])
         if name != "boolean-indep":
             _add_state_flags(t)
-        _add_axis_flags(t, axes)
-    chsh = test_actions.add_parser("chsh", parents=[out])
-    _add_state_flags(chsh)
-    _add_axis_flags(chsh, ("A1", "A2", "B1", "B2"))
-    for name in ("ent-linear-1", "ent-linear-2", "ent-nl-1", "ent-nl-2", "ent-nl-3", "discord"):
+        _add_axis_flags(t, tuple(axes))
+    for name in _APERTURE_TESTS:
         t = test_actions.add_parser(name, parents=[out])
         _add_state_flags(t)
         t.add_argument("--alpha", help="doublet aperture in radians")
@@ -477,20 +467,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _dispatch(args: argparse.Namespace) -> object:
-    if args.command == "scheme":
-        return _run_scheme_build(args)
-    if args.command == "pp":
-        return _run_pp_eig(args)
-    if args.command == "weak":
-        return _run_weak_value(args)
-    if args.command == "test":
-        return _run_test(args)
-    if args.command == "pointer":
-        return _run_pointer_sim(args)
-    if args.command == "game":
-        return _run_game(args)
-    raise InvalidInputError(f"unknown command {args.command!r}")
+# The parser admits only these commands.
+_RUNNERS = {
+    "scheme": _run_scheme_build,
+    "pp": _run_pp_eig,
+    "weak": _run_weak_value,
+    "test": _run_test,
+    "pointer": _run_pointer_sim,
+    "game": _run_game,
+}
 
 
 def _emit(payload: object, args: argparse.Namespace) -> None:
@@ -508,7 +493,7 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
         # Verdict tolerance from PPLAB_TOL is validated up front so a bad
         # value fails fast with exit 1.
         resolve_tolerance()
-        payload = _dispatch(args)
+        payload = _RUNNERS[args.command](args)
         _emit(payload, args)
         return 0
     except SystemExit as exc:

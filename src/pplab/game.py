@@ -145,13 +145,8 @@ def evaluate_strategy(
     scheme is rebuilt at every grid time, and the best scoring point is
     reported.
     """
+    bloch_state(bloch)  # shape, finiteness and |p| <= 1, once for the whole trajectory
     p0 = np.asarray(bloch, dtype=float)
-    if p0.shape != (3,):
-        raise InvalidInputError(f"Bloch vector must have 3 components, got shape {p0.shape}")
-    if not np.all(np.isfinite(p0)):
-        raise InvalidInputError(f"Bloch vector is not finite: {p0.tolist()}")
-    if np.linalg.norm(p0) > 1.0 + 1e-12:
-        raise InvalidInputError("Bloch vector must have length at most 1")
     axis = unit_vector(hamiltonian_axis, "hamiltonian_axis")
     if not math.isfinite(omega_L):
         raise InvalidInputError(f"omega_L must be finite, got {omega_L}")

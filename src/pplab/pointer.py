@@ -22,8 +22,10 @@ from .errors import (
     PostSelectionImpossibleError,
     ResourceLimitError,
 )
+from .geometry import PAULI_X, PAULI_Y, PAULI_Z
 from .operator_core import Array, DensityMatrix, Projector, _close, as_complex_matrix
-from .pseudoprojection import _ordered_moments, symmetrized_pp
+from .pseudoprojection import _ordered_moments
+from .weak import OVERLAP_FLOOR, _overlap
 
 __all__ = [
     "PointerConfig",
@@ -33,7 +35,6 @@ __all__ = [
     "proportionality_check",
 ]
 
-OVERLAP_FLOOR = 1e-12
 BRANCH_FLOOR = 1e-14
 MAX_AMPLITUDES = 2 ** 24
 MAX_SIM_POINTERS = 3
@@ -42,12 +43,6 @@ MAX_ANALYTIC_POINTERS = 6
 # Desk-scale grid caps per pointer count; the amplitude bound alone would
 # admit grids far beyond what the moment extraction needs.
 _GRID_CAPS = {1: 4096, 2: 128, 3: 64}
-
-_PAULIS = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 @dataclass(frozen=True)
@@ -125,27 +120,15 @@ def _check_sim_resources(n_pointers: int, grid_points: int) -> None:
         )
 
 
-def _overlap(state: DensityMatrix, effect: Array) -> float:
-    value = float(np.real(np.trace(effect @ state.matrix)))
-    if value <= OVERLAP_FLOOR:
-        raise PostSelectionImpossibleError(
-            f"post-selection overlap {value:.3e} is at or below {OVERLAP_FLOOR}"
-        )
-    return value
-
-
 def _pointer_pseudo_probability(state: DensityMatrix, projectors: list[Projector], effect: Array) -> float:
-    if len(projectors) == 1:
-        sym = projectors[0].matrix
-    else:
-        sym = symmetrized_pp(projectors).matrix
+    sym = _ordered_moments([p.matrix for p in projectors], "symmetrized")[-1]
     num = float(np.real(np.trace(effect @ sym @ state.matrix)))
-    return num / _overlap(state, effect)
+    return num / _overlap(state.matrix, effect)
 
 
 def _pauli_components(p: Projector) -> tuple[float, Array]:
     c = float(np.real(np.trace(p.matrix))) / 2.0
-    v = np.array([float(np.real(np.trace(p.matrix @ s))) / 2.0 for s in _PAULIS])
+    v = np.array([float(np.real(np.trace(p.matrix @ s))) / 2.0 for s in (PAULI_X, PAULI_Y, PAULI_Z)])
     return c, v
 
 
@@ -246,7 +229,7 @@ def simulate_pointers(
     plist = _coerce_projectors(projectors)
     effect = _coerce_effect(post, "post")
     _check_sim_resources(len(plist), cfg.grid_points)
-    _overlap(state, effect)
+    _overlap(state.matrix, effect)
 
     correlation = _correlation(state, plist, effect, cfg)
     pp = _pointer_pseudo_probability(state, plist, effect)
@@ -290,7 +273,7 @@ def perturbative_prediction(
             f"analytic prediction supports at most {MAX_ANALYTIC_POINTERS} pointers"
         )
     effect = _coerce_effect(post, "post")
-    den = _overlap(state, effect)
+    den = _overlap(state.matrix, effect)
 
     # Entry `mask` of the stack is Sym(S) for the subset S with that bit mask,
     # so the reversed stack holds each complement Sym(~S).

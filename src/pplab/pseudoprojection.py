@@ -45,13 +45,16 @@ class PseudoProjection:
         return self.matrix.shape[0]
 
 
-def _coerce_factors(factors: object, minimum: int = 2) -> tuple[Projector, ...]:
+def _factor_list(factors: object) -> list[object]:
     try:
-        items = list(factors)  # type: ignore[arg-type]
+        return list(factors)  # type: ignore[call-overload]
     except TypeError:
-        raise InvalidInputError("factors must be an ordered collection of projectors")
+        raise InvalidInputError("factors must be an ordered collection of projectors") from None
+
+
+def _coerce_factors(factors: object, minimum: int = 2) -> tuple[Projector, ...]:
     out: list[Projector] = []
-    for f in items:
+    for f in _factor_list(factors):
         out.append(f if isinstance(f, Projector) else Projector(as_complex_matrix(f, "factor")))
     if len(out) < minimum:
         raise InvalidInputError(f"need at least {minimum} factors, got {len(out)}")
@@ -95,24 +98,28 @@ def _convex_weights(n: int, weights: object | None) -> Array:
     return w
 
 
+def _ordering_sum(fs: tuple[Projector, ...], orders: object, weights: object) -> Array:
+    """sum_k w_k (1/2)(P_k + P_k^dag), P_k the product of `fs` in orders[k]:
+    every prescription below, one ordered product at a time."""
+    mats = tuple(p.matrix for p in fs)
+    acc = np.zeros_like(mats[0])
+    for wi, order in zip(weights, orders):  # type: ignore[call-overload]
+        prod = _ordered_product(mats, order)
+        acc = acc + wi * 0.5 * (prod + prod.conj().T)
+    return acc
+
+
 def unit_pp(factors: object) -> PseudoProjection:
     """(1/2)(pi_1 ... pi_N + h.c.) for one fixed factor ordering."""
     fs = _coerce_factors(factors)
-    mats = tuple(p.matrix for p in fs)
-    prod = _ordered_product(mats, tuple(range(len(fs))))
-    return PseudoProjection(0.5 * (prod + prod.conj().T), fs, "unit")
+    return PseudoProjection(_ordering_sum(fs, [tuple(range(len(fs)))], [1.0]), fs, "unit")
 
 
 def symmetrized_pp(factors: object) -> PseudoProjection:
     """Equal-weight average of unit pseudo-projections over all orderings."""
     fs = _coerce_factors(factors)
-    mats = tuple(p.matrix for p in fs)
-    orders = distinct_orderings(len(fs))
-    acc = np.zeros_like(mats[0])
-    for order in orders:
-        prod = _ordered_product(mats, order)
-        acc = acc + 0.5 * (prod + prod.conj().T)
-    return PseudoProjection(acc / len(orders), fs, "symmetrized")
+    w = _convex_weights(len(fs), None)
+    return PseudoProjection(_ordering_sum(fs, distinct_orderings(len(fs)), w), fs, "symmetrized")
 
 
 def convex_pp(factors: object, weights: object | None = None) -> PseudoProjection:
@@ -122,13 +129,8 @@ def convex_pp(factors: object, weights: object | None = None) -> PseudoProjectio
     and sum to 1; omitted weights reproduce the symmetrized prescription.
     """
     fs = _coerce_factors(factors)
-    mats = tuple(p.matrix for p in fs)
-    orders = distinct_orderings(len(fs))
     w = _convex_weights(len(fs), weights)
-    acc = np.zeros_like(mats[0])
-    for wi, order in zip(w, orders):
-        prod = _ordered_product(mats, order)
-        acc = acc + wi * 0.5 * (prod + prod.conj().T)
+    acc = _ordering_sum(fs, distinct_orderings(len(fs)), w)
     return PseudoProjection(acc, fs, "convex", weights=tuple(float(x) for x in w))
 
 
@@ -216,10 +218,7 @@ def conjunction_pp(factors: object) -> PseudoProjection:
     factor list is the flattened projector sequence.  Distinct from `unit_pp`
     for three or more factors.
     """
-    try:
-        items = list(factors)  # type: ignore[arg-type]
-    except TypeError:
-        raise InvalidInputError("factors must be an ordered collection")
+    items = _factor_list(factors)
     if len(items) < 2:
         raise InvalidInputError(f"need at least 2 factors, got {len(items)}")
     mats: list[Array] = []

@@ -23,11 +23,11 @@ from .operator_core import (
     DensityMatrix,
     Projector,
     SPECTRAL_TOL,
-    STRUCTURAL_TOL,
     _close,
     as_complex_matrix,
     require_square,
 )
+from .pseudoprojection import _coerce_factors, _factor_list, _ordered_product, unit_pp
 
 __all__ = [
     "WeakValueReport",
@@ -65,6 +65,27 @@ def _coerce_state(state: object, name: str) -> DensityMatrix:
     return DensityMatrix(as_complex_matrix(state, name))
 
 
+def _overlap(rho1: Array, rho2: Array) -> float:
+    """Tr(rho2 rho1), the post-selection probability; it must exceed OVERLAP_FLOOR."""
+    overlap = float(np.real(np.trace(rho2 @ rho1)))
+    if overlap <= OVERLAP_FLOOR:
+        raise PostSelectionImpossibleError(
+            f"pre/post overlap {overlap:.3e} vanishes; post-selection impossible"
+        )
+    return overlap
+
+
+def _post_select(op: Array, pre: object, post: object) -> tuple[DensityMatrix, DensityMatrix, float]:
+    """Coerced (pre, post) states matching the square `op`, with their overlap."""
+    rho1 = _coerce_state(pre, "pre")
+    rho2 = _coerce_state(post, "post")
+    if not (op.shape[0] == rho1.dim == rho2.dim):
+        raise InvalidInputError(
+            f"dimension mismatch: op {op.shape[0]}, pre {rho1.dim}, post {rho2.dim}"
+        )
+    return rho1, rho2, _overlap(rho1.matrix, rho2.matrix)
+
+
 def weak_value(
     a: Array,
     pre: object,
@@ -73,17 +94,7 @@ def weak_value(
 ) -> WeakValueReport:
     """Tr(rho2 A rho1) / Tr(rho2 rho1) for pre-selection rho1, post-selection rho2."""
     op = require_square(as_complex_matrix(a, "a"), "a")
-    rho1 = _coerce_state(pre, "pre")
-    rho2 = _coerce_state(post, "post")
-    if not (op.shape[0] == rho1.dim == rho2.dim):
-        raise InvalidInputError(
-            f"dimension mismatch: op {op.shape[0]}, pre {rho1.dim}, post {rho2.dim}"
-        )
-    overlap = float(np.real(np.trace(rho2.matrix @ rho1.matrix)))
-    if abs(overlap) <= OVERLAP_FLOOR:
-        raise PostSelectionImpossibleError(
-            f"pre/post overlap {overlap:.3e} vanishes; post-selection impossible"
-        )
+    rho1, rho2, overlap = _post_select(op, pre, post)
     value = complex(np.trace(rho2.matrix @ op @ rho1.matrix) / overlap)
     if _close(op, op.conj().T, SPECTRAL_TOL):
         w = np.linalg.eigvalsh(0.5 * (op + op.conj().T))
@@ -109,20 +120,25 @@ def weak_value(
 
 def real_weak_product(factors: object, pre: object, post: object) -> float:
     """Real part of the weak value of an ordered projector product."""
-    mats = [f.matrix if isinstance(f, Projector) else as_complex_matrix(f, "factor") for f in factors]  # type: ignore[arg-type]
-    if not mats:
+    items = _factor_list(factors)
+    if not items:
         raise InvalidInputError("need at least one factor")
-    prod = mats[0].copy()
-    for m in mats[1:]:
-        prod = prod @ m
-    rho1 = _coerce_state(pre, "pre")
-    rho2 = _coerce_state(post, "post")
-    overlap = float(np.real(np.trace(rho2.matrix @ rho1.matrix)))
-    if abs(overlap) <= OVERLAP_FLOOR:
-        raise PostSelectionImpossibleError(
-            f"pre/post overlap {overlap:.3e} vanishes; post-selection impossible"
-        )
+    mats = tuple(f.matrix if isinstance(f, Projector) else as_complex_matrix(f, "factor") for f in items)
+    if {m.shape for m in mats} != {(len(mats[0]),) * 2}:
+        raise InvalidInputError(f"dimension mismatch: factor shapes {[m.shape for m in mats]}")
+    prod = _ordered_product(mats, tuple(range(len(mats))))
+    rho1, rho2, overlap = _post_select(prod, pre, post)
     return float(np.real(np.trace(rho2.matrix @ prod @ rho1.matrix) / overlap))
+
+
+def _born_weak(state: DensityMatrix, lead: Array, rank: int, rest: object) -> tuple[float, float | None]:
+    """Born factor Tr(lead rho) and the real weak value of the `rest` factors
+    post-selected on lead/rank; None where that overlap, born/rank, would be
+    refused (exactly so when rank is a power of two)."""
+    born = float(np.real(np.trace(lead @ state.matrix)))
+    if born <= rank * OVERLAP_FLOOR:
+        return born, None
+    return born, real_weak_product(rest, state, DensityMatrix(lead / rank))
 
 
 def hj_decompose(product: Array) -> tuple[Array, Array]:
@@ -147,23 +163,16 @@ def pp_weak_factorization(state: object, factors: object) -> dict[str, float]:
     the reconstruction holds (machine-zero by the cyclic trace).
     """
     rho = _coerce_state(state, "state")
-    fs = [f if isinstance(f, Projector) else Projector(as_complex_matrix(f, "factor")) for f in factors]  # type: ignore[arg-type]
-    if len(fs) < 2:
-        raise InvalidInputError(f"need at least 2 factors, got {len(fs)}")
-    if any(f.dim != rho.dim for f in fs):
-        raise InvalidInputError("factor dimension mismatch with state")
-    prod = fs[0].matrix.copy()
-    for f in fs[1:]:
-        prod = prod @ f.matrix
-    pseudo = float(np.real(np.trace(rho.matrix @ (0.5 * (prod + prod.conj().T)))))
-    born = float(np.real(np.trace(rho.matrix @ fs[0].matrix)))
-    if born <= max(STRUCTURAL_TOL, fs[0].rank * OVERLAP_FLOOR):
+    fs = _coerce_factors(factors)
+    if fs[0].dim != rho.dim:
+        raise InvalidInputError(f"dimension mismatch: state {rho.dim}, factors {fs[0].dim}")
+    pseudo = float(np.real(np.trace(rho.matrix @ unit_pp(fs).matrix)))
+    born, weak = _born_weak(rho, fs[0].matrix, fs[0].rank, fs[1:])
+    if weak is None:
         raise FactorizationUndefinedError(
             f"leading Born factor {born:.3e} vanishes; pseudo-probability {pseudo:.6e}"
             " remains directly computable"
         )
-    post = DensityMatrix(fs[0].matrix / fs[0].rank)
-    weak = real_weak_product(fs[1:], rho, post)
     return {
         "pseudo_probability": pseudo,
         "born_factor": born,

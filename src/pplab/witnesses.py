@@ -21,7 +21,9 @@ import numpy as np
 from .errors import InvalidInputError
 from .geometry import (
     IDENTITY_2,
-    Doublet,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     EntanglementGeometry,
     make_doublet,
     mub_partner,
@@ -32,14 +34,19 @@ from .geometry import (
 from .operator_core import (
     Array,
     DensityMatrix,
-    Projector,
     _kron,
     partial_trace,
     resolve_tolerance,
 )
-from .pseudoprojection import conjunction_pp, distinct_orderings, symmetrized_pp, unit_pp
-from .scheme import ObservableSpec, build_scheme, equality_sum
-from .weak import real_weak_product
+from .pseudoprojection import (
+    _ordered_product,
+    conjunction_pp,
+    distinct_orderings,
+    symmetrized_pp,
+    unit_pp,
+)
+from .scheme import ObservableSpec, build_scheme, equality_sum, outcomes_to_string
+from .weak import _born_weak
 
 __all__ = [
     "WeakTerm",
@@ -55,14 +62,20 @@ __all__ = [
     "discord_test",
 ]
 
-# Born factors at or below this are exact zeros of the PSD state, and the
-# corresponding pseudo-probability vanishes with them.
-BORN_FLOOR = 1e-12
-
 RULE_SUM = "sum"
 RULE_MAX_GROUP = "max_group_sum"
 VERDICT_NEGATIVE = "negative"
 VERDICT_MAGNITUDE = "magnitude"
+
+# Upper ends of the aperture windows (0, hi] inside which separable states
+# keep each entanglement statistic non-negative, by report name.
+_APERTURE_WINDOWS = {
+    "linear-entanglement-I": 2.0 * math.pi / 3.0,
+    "linear-entanglement-II": math.acos(-7.0 / 9.0),
+    "nonlinear-entanglement-I": math.pi / 2.0,
+    "nonlinear-entanglement-II": math.acos(-1.0 / 3.0),
+    "nonlinear-entanglement-III": math.acos(-79.0 / 81.0),
+}
 
 
 @dataclass(frozen=True)
@@ -151,22 +164,58 @@ def _verdict(statistic: float, rule: str) -> tuple[float, bool]:
     raise InvalidInputError(f"unknown verdict rule {rule!r}")
 
 
+def _report(
+    name: str,
+    inputs: dict[str, object],
+    pseudo_probabilities: dict[str, float],
+    weak_terms: list[WeakTerm] | tuple[WeakTerm, ...],
+    statistic: float,
+    extras: dict[str, object],
+    *,
+    statistic_rule: str = RULE_SUM,
+    verdict_rule: str = VERDICT_NEGATIVE,
+    alpha_valid_range: tuple[float, float] = (0.0, math.pi),
+    warnings: list[str] | tuple[str, ...] = (),
+) -> TestReport:
+    """A TestReport whose threshold and verdict follow from `verdict_rule`."""
+    threshold, verdict = _verdict(statistic, verdict_rule)
+    return TestReport(
+        name, inputs, pseudo_probabilities, tuple(weak_terms), statistic, threshold, verdict,
+        alpha_valid_range, statistic_rule, verdict_rule, tuple(warnings), extras,
+    )
+
+
+def _bloch(m: Array) -> list[float]:
+    """Tr(m sigma) for sigma = X, Y, Z: the Bloch vector of a qubit state."""
+    return [float(np.real(np.trace(m @ p))) for p in (PAULI_X, PAULI_Y, PAULI_Z)]
+
+
 def _state_digest(state: DensityMatrix) -> dict[str, object]:
     digest: dict[str, object] = {
         "dim": state.dim,
         "purity": float(np.real(np.trace(state.matrix @ state.matrix))),
     }
     if state.dim == 2:
-        digest["bloch"] = [
-            float(np.real(np.trace(state.matrix @ p)))
-            for p in (pauli_vector([1, 0, 0]), pauli_vector([0, 1, 0]), pauli_vector([0, 0, 1]))
-        ]
+        digest["bloch"] = _bloch(state.matrix)
     return digest
 
 
 def _require_dim(state: DensityMatrix, dim: int, test: str) -> None:
     if state.dim != dim:
         raise InvalidInputError(f"{test} needs a {dim}x{dim} state, got {state.dim}x{state.dim}")
+
+
+_SIGN = {+1: "+", -1: "-"}
+
+
+def _projectors(axis: Array) -> dict[int, Array]:
+    """Outcome projectors of sigma . axis, keyed by outcome."""
+    return {s: qubit_projector(axis, s).matrix for s in (+1, -1)}
+
+
+def _embed(op: Array, side: int) -> Array:
+    """A qubit operator on side 0 (the outer factor) or side 1 of two qubits."""
+    return _kron(op, IDENTITY_2) if side == 0 else _kron(IDENTITY_2, op)
 
 
 def _pp_term(
@@ -179,13 +228,10 @@ def _pp_term(
     group: int = 0,
 ) -> WeakTerm:
     """Weak term for <(1/2)(lead rest + h.c.)>: Born factor of `lead` times
-    the real weak value of `rest` post-selected on lead/rank."""
-    born = float(np.real(np.trace(state.matrix @ lead)))
-    if born <= BORN_FLOOR:
-        return WeakTerm(label, born, None, 0.0, coefficient, group)
-    post = DensityMatrix(lead / lead_rank)
-    weak = real_weak_product([rest], state, post)
-    return WeakTerm(label, born, weak, born * weak, coefficient, group)
+    the real weak value of `rest` post-selected on lead/rank.  A vanishing
+    Born factor makes the pseudo-probability an exact zero."""
+    born, weak = _born_weak(state, lead, lead_rank, [rest])
+    return WeakTerm(label, born, weak, 0.0 if weak is None else born * weak, coefficient, group)
 
 
 def _product_term(label: str, t1: WeakTerm, t2: WeakTerm, coefficient: float, group: int = 0) -> WeakTerm:
@@ -197,10 +243,38 @@ def _product_term(label: str, t1: WeakTerm, t2: WeakTerm, coefficient: float, gr
     return WeakTerm(label, born, weak, t1.pseudo_probability * t2.pseudo_probability, coefficient, group)
 
 
-def _born_only_term(state: DensityMatrix, op: Array, label: str) -> WeakTerm:
-    """Plain projector probability, weak part trivially 1."""
-    born = float(np.real(np.trace(state.matrix @ op)))
-    return WeakTerm(label, born, 1.0, born, 1.0, 0)
+def _born_terms(state: DensityMatrix, proj: dict[int, Array], side: int, tag: str) -> dict[int, WeakTerm]:
+    """Plain outcome probabilities on one side, weak part trivially 1."""
+    terms = {}
+    for s, p in proj.items():
+        born = float(np.real(np.trace(state.matrix @ _embed(p, side))))
+        terms[s] = WeakTerm(f"{tag}{'ab'[side]}{_SIGN[s]}", born, 1.0, born, 1.0, 0)
+    return terms
+
+
+def _pair_terms(
+    state: DensityMatrix, p1: dict[int, Array], p2: dict[int, Array], side: int, tag: str
+) -> dict[int, WeakTerm]:
+    """Doublet-conjunction pseudo-probabilities on one side, outcomes (s, s)."""
+    x = "ab"[side]
+    return {
+        s: _pp_term(state, _embed(p1[s], side), 2, _embed(p2[s], side), f"{tag}{x}1{_SIGN[s]}{x}2{_SIGN[s]}")
+        for s in (+1, -1)
+    }
+
+
+def _opposed_products(
+    left: dict[int, WeakTerm],
+    right: dict[int, WeakTerm],
+    coefficient: float,
+    group: int = 0,
+    signs: tuple[int, int] = (+1, -1),
+) -> list[WeakTerm]:
+    """Product terms left[s] * right[-s], for s in `signs` order."""
+    return [
+        _product_term(f"({left[s].label})*({right[-s].label})", left[s], right[-s], coefficient, group)
+        for s in signs
+    ]
 
 
 def _axis_angle(a1: Array, a2: Array) -> float:
@@ -239,27 +313,16 @@ def coherence_test(state: DensityMatrix, a1: object, a2: object) -> TestReport:
     terms = (_pp_term(state, p1.matrix, 1, p2.matrix, "a1+ | a2+"),)
 
     # Independent route: (1/4)(1 + a1.a2 + p.(a1 + a2)) from the Pauli algebra.
-    bloch = np.array(_state_digest(state)["bloch"])
+    bloch = np.array(_bloch(state.matrix))
     closed = 0.25 * (1.0 + float(v1 @ v2) + float(bloch @ (v1 + v2)))
 
-    threshold, verdict = _verdict(statistic, VERDICT_NEGATIVE)
-    return TestReport(
-        name="coherence",
-        inputs={"state": _state_digest(state), "a1": v1.tolist(), "a2": v2.tolist()},
-        pseudo_probabilities={
-            "".join(("+" if s > 0 else "-") for s in k): v for k, v in sch.entries.items()
-        },
-        weak_terms=terms,
-        statistic=statistic,
-        threshold=threshold,
-        verdict=verdict,
-        alpha_valid_range=(0.0, math.pi),
-        statistic_rule=RULE_SUM,
-        verdict_rule=VERDICT_NEGATIVE,
-        extras={
-            "pauli_closed_form": closed,
-            "axis_angle": _axis_angle(v1, v2),
-        },
+    return _report(
+        "coherence",
+        {"state": _state_digest(state), "a1": v1.tolist(), "a2": v2.tolist()},
+        {outcomes_to_string(k): v for k, v in sch.entries.items()},
+        terms,
+        statistic,
+        {"pauli_closed_form": closed, "axis_angle": _axis_angle(v1, v2)},
     )
 
 
@@ -289,33 +352,24 @@ def boolean_state_dep_test(state: DensityMatrix, a1: object, a2: object) -> Test
     )
 
     k = float(v1 @ v2)
-    bloch = np.array(_state_digest(state)["bloch"])
+    bloch = np.array(_bloch(state.matrix))
     closed = 0.125 * float(bloch @ (v2 - k * v1))
 
-    threshold, verdict = _verdict(statistic, VERDICT_MAGNITUDE)
-    return TestReport(
-        name="boolean-state-dependent",
-        inputs={"state": _state_digest(state), "a1": v1.tolist(), "a2": v2.tolist()},
-        pseudo_probabilities={"nested_conjunction": statistic, "flat_unit": flat_value},
-        weak_terms=terms,
-        statistic=statistic,
-        threshold=threshold,
-        verdict=verdict,
-        alpha_valid_range=(0.0, math.pi),
-        statistic_rule=RULE_SUM,
+    return _report(
+        "boolean-state-dependent",
+        {"state": _state_digest(state), "a1": v1.tolist(), "a2": v2.tolist()},
+        {"nested_conjunction": statistic, "flat_unit": flat_value},
+        terms,
+        statistic,
+        {"pauli_closed_form": closed, "flat_to_nested_ratio": 2.0, "axis_angle": _axis_angle(v1, v2)},
         verdict_rule=VERDICT_MAGNITUDE,
-        extras={
-            "pauli_closed_form": closed,
-            "flat_to_nested_ratio": 2.0,
-            "axis_angle": _axis_angle(v1, v2),
-        },
     )
 
 
 _CANONICAL_QUBITS = (
     ("maximally-mixed", np.eye(2, dtype=complex) / 2),
-    ("x-pure", 0.5 * (IDENTITY_2 + pauli_vector([1, 0, 0]))),
-    ("z-pure", 0.5 * (IDENTITY_2 + pauli_vector([0, 0, 1]))),
+    ("x-pure", 0.5 * (IDENTITY_2 + PAULI_X)),
+    ("z-pure", 0.5 * (IDENTITY_2 + PAULI_Z)),
 )
 
 
@@ -348,14 +402,14 @@ def boolean_state_indep_test(a1: object, a2: object) -> TestReport:
     # Weak decomposition against the maximally mixed state, one term per
     # distinct ordering of the four factors.
     mixed = DensityMatrix(np.eye(2, dtype=complex) / 2)
-    mats = [p.matrix for p in ps]
-    terms = []
-    for order in distinct_orderings(4):
-        rest = mats[order[1]]
-        for i in order[2:]:
-            rest = rest @ mats[i]
-        label = "ordering " + "".join(str(i) for i in order)
-        terms.append(_pp_term(mixed, mats[order[0]], 1, rest, label, 1.0 / 12.0))
+    mats = tuple(p.matrix for p in ps)
+    terms = [
+        _pp_term(
+            mixed, mats[order[0]], 1, _ordered_product(mats, order[1:]),
+            "ordering " + "".join(str(i) for i in order), 1.0 / 12.0,
+        )
+        for order in distinct_orderings(4)
+    ]
 
     k = float(v1 @ v2)
     constructive_closed = (k * k - 1.0) / 24.0
@@ -374,19 +428,14 @@ def boolean_state_indep_test(a1: object, a2: object) -> TestReport:
             "constructive value is authoritative"
         )
 
-    threshold, verdict = _verdict(statistic, VERDICT_MAGNITUDE)
-    return TestReport(
-        name="boolean-state-independent",
-        inputs={"a1": v1.tolist(), "a2": v2.tolist()},
-        pseudo_probabilities=values,
-        weak_terms=tuple(terms),
-        statistic=statistic,
-        threshold=threshold,
-        verdict=verdict,
-        alpha_valid_range=(0.0, math.pi),
-        statistic_rule=RULE_SUM,
+    return _report(
+        "boolean-state-independent",
+        {"a1": v1.tolist(), "a2": v2.tolist()},
+        values,
+        terms,
+        statistic,
+        extras,
         verdict_rule=VERDICT_MAGNITUDE,
-        extras=extras,
     )
 
 
@@ -419,28 +468,14 @@ def distributivity_test(state: DensityMatrix, a1: object, a2: object, a3: object
         _pp_term(state, p1.matrix, 1, p3.matrix @ p2.matrix, "a1+ | a3+ a2+", -0.5),
     )
 
-    threshold, verdict = _verdict(statistic, VERDICT_MAGNITUDE)
-    return TestReport(
-        name="distributivity",
-        inputs={
-            "state": _state_digest(state),
-            "a1": v1.tolist(),
-            "a2": v2.tolist(),
-            "a3": v3.tolist(),
-        },
-        pseudo_probabilities={
-            "chained_conjunction": chained_value,
-            "factored_composite": factored_value,
-            "gap": statistic,
-        },
-        weak_terms=terms,
-        statistic=statistic,
-        threshold=threshold,
-        verdict=verdict,
-        alpha_valid_range=(0.0, math.pi),
-        statistic_rule=RULE_SUM,
+    return _report(
+        "distributivity",
+        {"state": _state_digest(state), "a1": v1.tolist(), "a2": v2.tolist(), "a3": v3.tolist()},
+        {"chained_conjunction": chained_value, "factored_composite": factored_value, "gap": statistic},
+        terms,
+        statistic,
+        {"gap_trace": float(np.real(np.trace(gap)))},
         verdict_rule=VERDICT_MAGNITUDE,
-        extras={"gap_trace": float(np.real(np.trace(gap)))},
     )
 
 
@@ -474,9 +509,7 @@ def chsh_test(
     p_second = equality_sum(sch2, "0=1=~2")
     statistic = p_first + p_second
 
-    def proj(o: ObservableSpec, s: int) -> Array:
-        return o.projector(s).matrix
-
+    pa1, pa2, pb1, pb2 = ({s: o.projector(s).matrix for s in (+1, -1)} for o in (A1, A2, B1, B2))
     entries = {
         "A1+B1+B2+": sch1.entry((+1, +1, +1)),
         "A1-B1-B2-": sch1.entry((-1, -1, -1)),
@@ -484,10 +517,10 @@ def chsh_test(
         "A2-B1-B2+": sch2.entry((-1, -1, +1)),
     }
     terms = (
-        _pp_term(state, _kron(proj(A1, +1), proj(B1, +1)), 1, _kron(IDENTITY_2, proj(B2, +1)), "A1+B1+ | B2+"),
-        _pp_term(state, _kron(proj(A1, -1), proj(B1, -1)), 1, _kron(IDENTITY_2, proj(B2, -1)), "A1-B1- | B2-"),
-        _pp_term(state, _kron(proj(A2, +1), proj(B1, +1)), 1, _kron(IDENTITY_2, proj(B2, -1)), "A2+B1+ | B2-"),
-        _pp_term(state, _kron(proj(A2, -1), proj(B1, -1)), 1, _kron(IDENTITY_2, proj(B2, +1)), "A2-B1- | B2+"),
+        _pp_term(state, _kron(pa1[+1], pb1[+1]), 1, _embed(pb2[+1], 1), "A1+B1+ | B2+"),
+        _pp_term(state, _kron(pa1[-1], pb1[-1]), 1, _embed(pb2[-1], 1), "A1-B1- | B2-"),
+        _pp_term(state, _kron(pa2[+1], pb1[+1]), 1, _embed(pb2[-1], 1), "A2+B1+ | B2-"),
+        _pp_term(state, _kron(pa2[-1], pb1[-1]), 1, _embed(pb2[+1], 1), "A2-B1- | B2+"),
     )
 
     # Independent route: statistic = (2 + <A1(B1+B2)> + <A2(B1-B2)>)/4.
@@ -499,39 +532,21 @@ def chsh_test(
     )
     closed = 0.25 * (2.0 + corr(A1, B1.matrix + B2.matrix) + corr(A2, B1.matrix - B2.matrix))
 
-    threshold, verdict = _verdict(statistic, VERDICT_NEGATIVE)
-    return TestReport(
-        name="chsh",
-        inputs={
-            "state": _state_digest(state),
-            "A1": A1.label,
-            "A2": A2.label,
-            "B1": B1.label,
-            "B2": B2.label,
-        },
-        pseudo_probabilities=entries,
-        weak_terms=terms,
-        statistic=statistic,
-        threshold=threshold,
-        verdict=verdict,
-        alpha_valid_range=(0.0, math.pi),
-        statistic_rule=RULE_SUM,
-        verdict_rule=VERDICT_NEGATIVE,
-        extras={
-            "pauli_closed_form": closed,
-            "chsh_value": chsh_value,
-        },
+    return _report(
+        "chsh",
+        {"state": _state_digest(state), "A1": A1.label, "A2": A2.label, "B1": B1.label, "B2": B2.label},
+        entries,
+        terms,
+        statistic,
+        {"pauli_closed_form": closed, "chsh_value": chsh_value},
     )
-
-
-def _b_pair_projectors(doublet: Doublet, s: int) -> tuple[Projector, Projector]:
-    return qubit_projector(doublet.n1, s), qubit_projector(doublet.n2, s)
 
 
 def _equality_entry_terms(
     state: DensityMatrix,
-    a_axis: Array,
-    doublet: Doublet,
+    pa: dict[int, Array],
+    pb1: dict[int, Array],
+    pb2: dict[int, Array],
     tag: str,
     bar: bool,
     group: int = 0,
@@ -541,26 +556,45 @@ def _equality_entry_terms(
     entries: dict[str, float] = {}
     for s in (+1, -1):
         sa = -s if bar else s
-        pa = qubit_projector(a_axis, sa)
-        pb1, pb2 = _b_pair_projectors(doublet, s)
-        mark = "+" if s > 0 else "-"
-        amark = "+" if sa > 0 else "-"
-        label = f"{tag}a{amark}b1{mark}b2{mark}"
+        mark, amark = _SIGN[s], _SIGN[sa]
         term = _pp_term(
             state,
-            _kron(pa.matrix, pb2.matrix),
+            _kron(pa[sa], pb2[s]),
             1,
-            _kron(IDENTITY_2, pb1.matrix),
+            _embed(pb1[s], 1),
             f"{tag}a{amark}b2{mark} | b1{mark}",
             group=group,
         )
         terms.append(term)
-        entries[label] = term.pseudo_probability
+        entries[f"{tag}a{amark}b1{mark}b2{mark}"] = term.pseudo_probability
     return terms, entries
 
 
-def _linear_range(variant: str) -> tuple[float, float]:
-    return (0.0, 2.0 * math.pi / 3.0) if variant == "I" else (0.0, math.acos(-7.0 / 9.0))
+def _entanglement_report(
+    name: str,
+    state: DensityMatrix,
+    geom: EntanglementGeometry,
+    n_axes: int,
+    entries: dict[str, float],
+    terms: list[WeakTerm],
+    extras: dict[str, object],
+) -> TestReport:
+    """Report of a sum-rule entanglement test, warned outside its aperture window."""
+    window = (0.0, _APERTURE_WINDOWS[name])
+    warnings: tuple[str, ...] = ()
+    if not (window[0] < geom.alpha <= window[1] + 1e-12):
+        warnings = (
+            f"alpha {geom.alpha:.6f} outside the validity window ({window[0]:.6f}, {window[1]:.6f}];"
+            " separable states may also flag",
+        )
+    inputs = {
+        "state": _state_digest(state),
+        "alpha": geom.alpha,
+        "a_axes": [a.tolist() for a in geom.a_axes[:n_axes]],
+        "b_axes": [b.tolist() for b in geom.b_axes[:n_axes]],
+    }
+    statistic = statistic_from_terms(terms, RULE_SUM)
+    return _report(name, inputs, entries, terms, statistic, extras, alpha_valid_range=window, warnings=warnings)
 
 
 def linear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant: str = "I") -> TestReport:
@@ -582,20 +616,13 @@ def linear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant: s
     for i in range(n_axes):
         a_axis = geom.a_axes[i]
         doublet = geom.b_doublets[i]
-        terms, ent = _equality_entry_terms(state, a_axis, doublet, f"[{i + 1}]", bar=False)
+        terms, ent = _equality_entry_terms(
+            state, _projectors(a_axis), _projectors(doublet.n1), _projectors(doublet.n2), f"[{i + 1}]", bar=False
+        )
         all_terms.extend(terms)
         entries.update(ent)
         C, _, _ = _two_qubit_correlations(state, a_axis, doublet.axis)
         closed += 0.5 * c * (c + C)
-    statistic = float(sum(t.coefficient * t.pseudo_probability for t in all_terms))
-
-    lo, hi = _linear_range(variant)
-    warnings: tuple[str, ...] = ()
-    if not (lo < geom.alpha <= hi + 1e-12):
-        warnings = (
-            f"alpha {geom.alpha:.6f} outside the validity window ({lo:.6f}, {hi:.6f}];"
-            " separable states may also flag",
-        )
 
     extras: dict[str, object] = {"pauli_closed_form": closed, "aperture_cos_half": c}
     if variant == "II":
@@ -605,54 +632,7 @@ def linear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant: s
             "the two-axis variant; the constructive three-axis value "
             "(1/12)(1/3 - eta) is authoritative"
         )
-
-    threshold, verdict = _verdict(statistic, VERDICT_NEGATIVE)
-    return TestReport(
-        name=f"linear-entanglement-{variant}",
-        inputs={
-            "state": _state_digest(state),
-            "alpha": geom.alpha,
-            "a_axes": [a.tolist() for a in geom.a_axes[:n_axes]],
-            "b_axes": [b.tolist() for b in geom.b_axes[:n_axes]],
-        },
-        pseudo_probabilities=entries,
-        weak_terms=tuple(all_terms),
-        statistic=statistic,
-        threshold=threshold,
-        verdict=verdict,
-        alpha_valid_range=(lo, hi),
-        statistic_rule=RULE_SUM,
-        verdict_rule=VERDICT_NEGATIVE,
-        warnings=warnings,
-        extras=extras,
-    )
-
-
-def _nonlinear_range(variant: str) -> tuple[float, float]:
-    if variant == "I":
-        return (0.0, math.pi / 2.0)
-    if variant == "II":
-        return (0.0, math.acos(-1.0 / 3.0))
-    return (0.0, math.acos(-79.0 / 81.0))
-
-
-def _side_pair_term(
-    state: DensityMatrix,
-    doublet: Doublet,
-    side: int,
-    s: int,
-    label: str,
-) -> WeakTerm:
-    """Doublet-conjunction pseudo-probability on one side, outcomes (s, s)."""
-    d1 = qubit_projector(doublet.n1, s).matrix
-    d2 = qubit_projector(doublet.n2, s).matrix
-    if side == 0:
-        lead = _kron(d1, IDENTITY_2)
-        rest = _kron(d2, IDENTITY_2)
-    else:
-        lead = _kron(IDENTITY_2, d1)
-        rest = _kron(IDENTITY_2, d2)
-    return _pp_term(state, lead, 2, rest, label)
+    return _entanglement_report(f"linear-entanglement-{variant}", state, geom, n_axes, entries, all_terms, extras)
 
 
 def nonlinear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant: str = "I") -> TestReport:
@@ -679,12 +659,13 @@ def nonlinear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant
         b_doublet = geom.b_doublets[i]
         tag = f"[{i + 1}]"
         C, A, B = _two_qubit_correlations(state, a_axis, b_doublet.axis)
+        pa, pb1, pb2 = _projectors(a_axis), _projectors(b_doublet.n1), _projectors(b_doublet.n2)
 
-        plain_terms, plain_entries = _equality_entry_terms(state, a_axis, b_doublet, tag, bar=False)
+        plain_terms, plain_entries = _equality_entry_terms(state, pa, pb1, pb2, tag, bar=False)
         entries.update(plain_entries)
 
         if variant in ("I", "II"):
-            bar_terms, bar_entries = _equality_entry_terms(state, a_axis, b_doublet, tag + "~", bar=True)
+            bar_terms, bar_entries = _equality_entry_terms(state, pa, pb1, pb2, tag + "~", bar=True)
             entries.update(bar_entries)
             for t1 in plain_terms:
                 for t2 in bar_terms:
@@ -692,57 +673,18 @@ def nonlinear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant
             closed += (c * c / 4.0) * (c * c - C * C)
         else:
             all_terms.extend(plain_terms)
-            pa_plus = _born_only_term(state, _kron(qubit_projector(a_axis, +1).matrix, IDENTITY_2), f"{tag}a+")
-            pa_minus = _born_only_term(state, _kron(qubit_projector(a_axis, -1).matrix, IDENTITY_2), f"{tag}a-")
-            pb_plus = _born_only_term(state, _kron(IDENTITY_2, qubit_projector(b_doublet.axis, +1).matrix), f"{tag}b+")
-            pb_minus = _born_only_term(state, _kron(IDENTITY_2, qubit_projector(b_doublet.axis, -1).matrix), f"{tag}b-")
-            a_pair_mm = _side_pair_term(state, a_doublet, 0, -1, f"{tag}a1-a2-")
-            a_pair_pp = _side_pair_term(state, a_doublet, 0, +1, f"{tag}a1+a2+")
-            b_pair_mm = _side_pair_term(state, b_doublet, 1, -1, f"{tag}b1-b2-")
-            b_pair_pp = _side_pair_term(state, b_doublet, 1, +1, f"{tag}b1+b2+")
-            products = [
-                (pa_plus, a_pair_mm),
-                (pa_minus, a_pair_pp),
-                (pb_plus, b_pair_mm),
-                (pb_minus, b_pair_pp),
-                (pa_plus, b_pair_mm),
-                (pa_minus, b_pair_pp),
-                (a_pair_mm, pb_plus),
-                (a_pair_pp, pb_minus),
-            ]
-            for t1, t2 in products:
-                all_terms.append(_product_term(f"({t1.label})*({t2.label})", t1, t2, 0.5))
+            a_born = _born_terms(state, pa, 0, tag)
+            b_born = _born_terms(state, _projectors(b_doublet.axis), 1, tag)
+            a_pair = _pair_terms(state, _projectors(a_doublet.n1), _projectors(a_doublet.n2), 0, tag)
+            b_pair = _pair_terms(state, pb1, pb2, 1, tag)
+            all_terms += _opposed_products(a_born, a_pair, 0.5)
+            all_terms += _opposed_products(b_born, b_pair, 0.5)
+            all_terms += _opposed_products(a_born, b_pair, 0.5)
+            all_terms += _opposed_products(a_pair, b_born, 0.5, signs=(-1, +1))
             closed += 0.5 * c * (3.0 * c + C - 0.5 * (A + B) ** 2)
 
-    statistic = statistic_from_terms(all_terms, RULE_SUM)
-    lo, hi = _nonlinear_range(variant)
-    warnings: tuple[str, ...] = ()
-    if not (lo < geom.alpha <= hi + 1e-12):
-        warnings = (
-            f"alpha {geom.alpha:.6f} outside the validity window ({lo:.6f}, {hi:.6f}];"
-            " separable states may also flag",
-        )
-
-    threshold, verdict = _verdict(statistic, VERDICT_NEGATIVE)
-    return TestReport(
-        name=f"nonlinear-entanglement-{variant}",
-        inputs={
-            "state": _state_digest(state),
-            "alpha": geom.alpha,
-            "a_axes": [a.tolist() for a in geom.a_axes[:n_axes]],
-            "b_axes": [b.tolist() for b in geom.b_axes[:n_axes]],
-        },
-        pseudo_probabilities=entries,
-        weak_terms=tuple(all_terms),
-        statistic=statistic,
-        threshold=threshold,
-        verdict=verdict,
-        alpha_valid_range=(lo, hi),
-        statistic_rule=RULE_SUM,
-        verdict_rule=VERDICT_NEGATIVE,
-        warnings=warnings,
-        extras={"pauli_closed_form": closed, "aperture_cos_half": c},
-    )
+    extras: dict[str, object] = {"pauli_closed_form": closed, "aperture_cos_half": c}
+    return _entanglement_report(f"nonlinear-entanglement-{variant}", state, geom, n_axes, entries, all_terms, extras)
 
 
 def discord_test(state: DensityMatrix, alpha: float) -> TestReport:
@@ -758,8 +700,7 @@ def discord_test(state: DensityMatrix, alpha: float) -> TestReport:
     if not (0.0 < alpha < math.pi):
         raise InvalidInputError(f"alpha must lie in (0, pi), got {alpha}")
 
-    reduced = partial_trace(state.matrix, (2, 2), 0)
-    r = np.array([float(np.real(np.trace(reduced @ pauli_vector(ax)))) for ax in ([1, 0, 0], [0, 1, 0], [0, 0, 1])])
+    r = np.array(_bloch(partial_trace(state.matrix, (2, 2), 0)))
     degenerate = bool(np.linalg.norm(r) < 1e-8)
     a1_axis = np.array([0.0, 0.0, 1.0]) if degenerate else r / np.linalg.norm(r)
     a2_axis = mub_partner(a1_axis)
@@ -777,38 +718,22 @@ def discord_test(state: DensityMatrix, alpha: float) -> TestReport:
     for group, axis in ((1, a1_axis), (2, a2_axis)):
         doublet = make_doublet(axis, alpha)
         tag = f"[{group}]"
-        eq_terms, eq_entries = _equality_entry_terms(state, axis, doublet, tag, bar=False, group=group)
-        all_terms.extend(eq_terms)
+        pa, pb1, pb2 = _projectors(axis), _projectors(doublet.n1), _projectors(doublet.n2)
+        eq_terms, eq_entries = _equality_entry_terms(state, pa, pb1, pb2, tag, bar=False, group=group)
+        cross = _opposed_products(_born_terms(state, pa, 0, tag), _pair_terms(state, pb1, pb2, 1, tag), 1.0, group)
+        all_terms += eq_terms + cross
         entries.update(eq_entries)
-        pa_plus = _born_only_term(state, _kron(qubit_projector(axis, +1).matrix, IDENTITY_2), f"{tag}a+")
-        pa_minus = _born_only_term(state, _kron(qubit_projector(axis, -1).matrix, IDENTITY_2), f"{tag}a-")
-        b_pair_mm = _side_pair_term(state, doublet, 1, -1, f"{tag}b1-b2-")
-        b_pair_pp = _side_pair_term(state, doublet, 1, +1, f"{tag}b1+b2+")
-        all_terms.append(_product_term(f"({pa_plus.label})*({b_pair_mm.label})", pa_plus, b_pair_mm, 1.0, group))
-        all_terms.append(_product_term(f"({pa_minus.label})*({b_pair_pp.label})", pa_minus, b_pair_pp, 1.0, group))
-
-        branch = sum(t.coefficient * t.pseudo_probability for t in all_terms if t.group == group)
-        branch_values[f"branch_{group}"] = float(branch)
+        branch_values[f"branch_{group}"] = statistic_from_terms(eq_terms + cross, RULE_SUM)
         C, A, B = _two_qubit_correlations(state, axis, axis)
         closed[f"branch_{group}_closed_form"] = 0.5 * c * (2.0 * c + C - A * B)
 
-    statistic = statistic_from_terms(all_terms, RULE_MAX_GROUP)
-    threshold, verdict = _verdict(statistic, VERDICT_NEGATIVE)
-    return TestReport(
-        name="discord",
-        inputs={
-            "state": _state_digest(state),
-            "alpha": alpha,
-            "branch_axes": [a1_axis.tolist(), a2_axis.tolist()],
-        },
-        pseudo_probabilities={**entries, **branch_values},
-        weak_terms=tuple(all_terms),
-        statistic=statistic,
-        threshold=threshold,
-        verdict=verdict,
-        alpha_valid_range=(0.0, math.pi),
+    return _report(
+        "discord",
+        {"state": _state_digest(state), "alpha": alpha, "branch_axes": [a1_axis.tolist(), a2_axis.tolist()]},
+        {**entries, **branch_values},
+        all_terms,
+        statistic_from_terms(all_terms, RULE_MAX_GROUP),
+        {**closed, "degenerate_marginal": degenerate},
         statistic_rule=RULE_MAX_GROUP,
-        verdict_rule=VERDICT_NEGATIVE,
-        warnings=tuple(warnings),
-        extras={**closed, "degenerate_marginal": degenerate},
+        warnings=warnings,
     )

@@ -298,3 +298,48 @@ def test_consecutive_calls_share_the_parser_but_no_values(capsys, tmp_path):
     assert "unrecognized arguments" in err
     code, out, _ = _run(capsys, ["pp", "eig", "--axes", "z+;x+"])
     assert code == 0 and json.loads(out)
+
+
+def test_rank_two_born_floor_state_exits_zero(capsys, tmp_path):
+    import numpy as np
+
+    from pplab import bloch_state, make_entanglement_geometry
+
+    n1 = make_entanglement_geometry(math.pi / 2).a_doublets[0].n1
+    rho = np.kron(bloch_state(-n1 * (1 - 3e-12)).matrix, np.eye(2) / 2)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"dim": 4, "re": rho.real.tolist(), "im": rho.imag.tolist()}))
+    payload = _run_json(capsys, ["test", "ent-nl-3", "--state", str(path), "--alpha", str(math.pi / 2)])
+    assert any(t["weak_value"] is None for t in payload["weak_terms"])
+
+
+@pytest.mark.parametrize(
+    "test, alpha",
+    [
+        ("ent-linear-1", 2.0 * math.pi / 3.0),
+        ("ent-linear-2", math.acos(-7.0 / 9.0)),
+        ("ent-nl-1", math.pi / 2.0),
+        ("ent-nl-2", math.acos(-1.0 / 3.0)),
+        ("ent-nl-3", math.acos(-79.0 / 81.0)),
+        ("discord", 3.0 * math.pi / 4.0),
+    ],
+)
+def test_aperture_defaults(capsys, test, alpha):
+    payload = _run_json(capsys, ["test", test, "--werner", "0.5"])
+    assert payload["inputs"]["alpha"] == alpha
+    if test != "discord":
+        assert payload["alpha_valid_range"] == [0.0, alpha]
+        assert payload["warnings"] == []
+
+
+def test_axis_defaults(capsys):
+    chsh = _run_json(capsys, ["test", "chsh", "--werner", "1.0"])
+    assert [chsh["inputs"][k] for k in ("A1", "A2", "B1", "B2")] == ["A1", "A2", "B1", "B2"]
+    assert chsh["extras"]["chsh_value"] == pytest.approx(-2 * math.sqrt(2), abs=1e-12)
+    for test in ("coherence", "boolean-dep", "distributivity"):
+        payload = _run_json(capsys, ["test", test, "--bloch", "0,0,0"])
+        assert payload["inputs"]["a1"] == [0.0, 0.0, 1.0]
+        assert payload["inputs"]["a2"] == [1.0, 0.0, 0.0]
+    assert payload["inputs"]["a3"] == [1.0, 0.0, 0.0]
+    indep = _run_json(capsys, ["test", "boolean-indep"])
+    assert indep["inputs"] == {"a1": [0.0, 0.0, 1.0], "a2": [1.0, 0.0, 0.0]}

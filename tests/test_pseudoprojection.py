@@ -173,3 +173,21 @@ def test_commuting_factors_give_ordinary_projector_product():
     assert np.allclose(pp.matrix, Z.matrix)
     value, _ = min_eigen_certificate(pp)
     assert value >= -1e-14
+
+
+def test_builders_do_not_use_the_subset_moments(monkeypatch):
+    # tests/test_scheme.py checks build_scheme, which runs on
+    # _ordered_moments, against these builders; that check needs them to stay
+    # an independent route.
+    from pplab import pseudoprojection
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("builder went through _ordered_moments")
+
+    monkeypatch.setattr(pseudoprojection, "_ordered_moments", refuse)
+    factors = [Z, X, qubit_projector([0, 1, 0], +1)]
+    expected = 0.5 * (Z.matrix @ X.matrix + X.matrix @ Z.matrix)
+    np.testing.assert_allclose(symmetrized_pp([Z, X]).matrix, expected, atol=1e-15)
+    np.testing.assert_allclose(convex_pp(factors).matrix, symmetrized_pp(factors).matrix, atol=1e-15)
+    unit_pp(factors)
+    convex_pp(factors, [1.0, 0.0, 0.0])

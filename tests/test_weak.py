@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from pplab import (
     unit_pp,
     weak_value,
 )
+from pplab import weak, witnesses
 from support import ginibre_density, haar_projector, haar_vector
 
 
@@ -147,3 +150,33 @@ def test_weak_value_pure_state_formula():
 def test_weak_value_rejects_non_finite_operator():
     with pytest.raises(InvalidInputError, match="a is not finite"):
         weak_value(np.array([[np.inf, 0.0], [0.0, 1.0]]), bloch_state([0, 0, 1]), bloch_state([1, 0, 0]))
+
+
+def test_real_weak_product_names_a_dimension_mismatch():
+    z, x = bloch_state([0, 0, 1]), bloch_state([1, 0, 0])
+    with pytest.raises(InvalidInputError, match="dimension mismatch"):
+        real_weak_product([np.eye(4)], z, x)
+    with pytest.raises(InvalidInputError, match="dimension mismatch"):
+        real_weak_product([qubit_projector([0, 0, 1])], z, DensityMatrix(np.eye(4) / 4))
+    with pytest.raises(InvalidInputError, match="dimension mismatch"):
+        real_weak_product([np.eye(2), np.eye(4)], z, x)
+
+
+def test_pp_weak_factorization_rejects_a_non_collection():
+    with pytest.raises(InvalidInputError, match="factors must be an ordered collection of projectors"):
+        pp_weak_factorization(bloch_state([0, 0, 1]), 5)
+
+
+def test_overlap_floor_and_pauli_matrices_have_one_home():
+    package = Path(weak.__file__).parent
+    floors, paulis = [], []
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        if re.search(r"^\s*OVERLAP_FLOOR\s*=", text, re.MULTILINE):
+            floors.append(path.name)
+        flat = re.sub(r"\s", "", text)
+        if any(m in flat for m in ("[[0,1],[1,0]]", "[[0,-1j],[1j,0]]", "[[1,0],[0,-1]]")):
+            paulis.append(path.name)
+    assert floors == ["weak.py"]
+    assert paulis == ["geometry.py"]
+    assert not hasattr(witnesses, "BORN_FLOOR")

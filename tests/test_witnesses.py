@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pplab import (
+    DensityMatrix,
     InvalidInputError,
     ObservableSpec,
     bloch_state,
@@ -372,3 +373,50 @@ def test_weak_terms_zero_born_reports_none():
         assert term.weak_value is None
         assert term.pseudo_probability == 0.0
     assert report.statistic == pytest.approx(0.0, abs=1e-14)
+
+
+# --- cross-route agreement and the rank-2 Born floor ----------------------
+
+def test_linear_dual_route_random():
+    rng = np.random.default_rng(109)
+    for _ in range(30):
+        rho = ginibre_density(rng, 4)
+        geom = make_entanglement_geometry(rng.uniform(0.2, math.pi - 0.2))
+        for variant in ("I", "II"):
+            report = linear_ent_test(rho, geom, variant)
+            _assert_dual_route(report)
+            _assert_self_consistent(report)
+
+
+def test_boolean_state_indep_dual_route_random():
+    rng = np.random.default_rng(113)
+    for _ in range(30):
+        report = boolean_state_indep_test(random_unit_vector(rng), random_unit_vector(rng))
+        _assert_dual_route(report)
+        _assert_self_consistent(report)
+        assert report.extras["state_independence_spread"] <= 1e-12
+
+
+def _born_just_above_floor(doublet, side, other):
+    """Two-qubit state whose `side` qubit has Born factor 1.5e-12 on the
+    doublet's n1 projector: above OVERLAP_FLOOR, while the rank-2 lead on two
+    qubits puts the post-selection overlap at 7.5e-13, below it."""
+    near = bloch_state(-doublet.n1 * (1 - 3e-12)).matrix
+    return DensityMatrix(np.kron(near, other) if side == 0 else np.kron(other, near))
+
+
+def test_rank_two_lead_below_the_overlap_floor_gives_a_none_term():
+    geom = make_entanglement_geometry(math.pi / 2)
+    rho = _born_just_above_floor(geom.a_doublets[0], 0, np.eye(2) / 2)
+    report = nonlinear_ent_test(rho, geom, "III")
+    vanished = [t for t in report.weak_terms if t.weak_value is None]
+    assert vanished
+    assert all(t.pseudo_probability == 0.0 for t in vanished)
+    _assert_self_consistent(report)
+    _assert_dual_route(report)
+
+    doublet = make_doublet([0.0, 0.0, 1.0], math.pi / 2)
+    rho = _born_just_above_floor(doublet, 1, bloch_state([0.0, 0.0, 0.5]).matrix)
+    report = discord_test(rho, math.pi / 2)
+    assert [t.label for t in report.weak_terms if t.weak_value is None] == ["([1]a-)*([1]b1+b2+)"]
+    _assert_self_consistent(report)
