@@ -116,8 +116,11 @@ def _state_from_file(path: str) -> DensityMatrix:
     if not isinstance(data, dict) or "dim" not in data or "re" not in data:
         raise InvalidInputError('state file must be JSON {"dim": n, "re": [[...]], "im": [[...]]}')
     dim = data["dim"]
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
+    try:
+        re = np.asarray(data["re"], dtype=float)
+        im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"state file {path}: re and im must be real numeric matrices") from None
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise InvalidInputError(
             f"state file matrices must be {dim}x{dim} to match dim, got {re.shape} and {im.shape}"

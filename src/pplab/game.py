@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import bloch_state, unit_vector
-from .operator_core import Array
+from .operator_core import Array, _sequence
 from .scheme import ObservableSpec, build_scheme
 
 __all__ = [
@@ -150,7 +150,7 @@ def evaluate_strategy(
     axis = unit_vector(hamiltonian_axis, "hamiltonian_axis")
     if not math.isfinite(omega_L):
         raise InvalidInputError(f"omega_L must be finite, got {omega_L}")
-    times = [float(t) for t in t_grid]  # type: ignore[union-attr]
+    times = _sequence(t_grid, "t_grid", "numbers", float)
     if not times:
         raise InvalidInputError("need at least one time point")
     if not all(math.isfinite(t) for t in times):
@@ -185,9 +185,10 @@ def scan_strategies(
     A plain grid scan, no search claims: returns the best (bloch, axis, time,
     score) seen.
     """
+    axes = _sequence(axis_grid, "axis_grid", "axes")
     best: dict[str, object] | None = None
-    for p in bloch_grid:  # type: ignore[union-attr]
-        for axis in axis_grid:  # type: ignore[union-attr]
+    for p in _sequence(bloch_grid, "bloch_grid", "Bloch vectors"):
+        for axis in axes:
             report = evaluate_strategy(p, axis, omega_L, t_grid, theta)
             if best is None or report.best_score > best["score"]:  # type: ignore[index,operator]
                 best = {

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .operator_core import Array, DensityMatrix, Projector, STRUCTURAL_TOL, _close
+from .operator_core import Array, DensityMatrix, Projector, STRUCTURAL_TOL, _close, _sequence
 
 __all__ = [
     "PAULI_X",
@@ -41,13 +41,22 @@ _Y = np.array([0.0, 1.0, 0.0])
 _Z = np.array([0.0, 0.0, 1.0])
 
 
-def unit_vector(v: object, name: str = "vector") -> Array:
-    """Validate a real 3-vector of unit length."""
-    a = np.asarray(v, dtype=float)
+def _vector3(v: object, name: str) -> Array:
+    """A finite real 3-vector, or InvalidInputError naming `name`."""
+    try:
+        a = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name} must be a real 3-vector") from None
     if a.shape != (3,):
         raise InvalidInputError(f"{name} must be a real 3-vector, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidInputError(f"{name} is not finite: {a.tolist()}")
+    return a
+
+
+def unit_vector(v: object, name: str = "vector") -> Array:
+    """Validate a real 3-vector of unit length."""
+    a = _vector3(v, name)
     n = float(np.linalg.norm(a))
     if abs(n - 1.0) > UNIT_TOL:
         raise InvalidInputError(f"{name} must be unit length, |{name}| = {n:.12f}")
@@ -62,11 +71,7 @@ def pauli_vector(n: object) -> Array:
 
 def bloch_state(p: object) -> DensityMatrix:
     """Qubit state (1/2)(I + sigma . p); |p| <= 1 up to tolerance."""
-    a = np.asarray(p, dtype=float)
-    if a.shape != (3,):
-        raise InvalidInputError(f"Bloch vector must be a real 3-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError(f"Bloch vector is not finite: {a.tolist()}")
+    a = _vector3(p, "Bloch vector")
     if np.linalg.norm(a) > 1.0 + 1e-12:
         raise InvalidInputError(f"Bloch vector must satisfy |p| <= 1, got {np.linalg.norm(a):.12f}")
     m = 0.5 * (IDENTITY_2 + a[0] * PAULI_X + a[1] * PAULI_Y + a[2] * PAULI_Z)
@@ -132,7 +137,7 @@ class EntanglementGeometry:
 
 
 def _validated_frame(frame: object, name: str) -> tuple[Array, Array, Array]:
-    axes = [unit_vector(v, f"{name}[{i}]") for i, v in enumerate(frame)]  # type: ignore[arg-type]
+    axes = [unit_vector(v, f"{name}[{i}]") for i, v in enumerate(_sequence(frame, name, "3-vectors"))]
     if len(axes) != 3:
         raise InvalidInputError(f"{name} must contain exactly 3 axes")
     M = np.stack(axes)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -41,7 +42,10 @@ MAX_DIM = 64
 
 def as_complex_matrix(m: object, name: str = "matrix") -> Array:
     """Coerce to a 2-d complex ndarray, rejecting anything else."""
-    a = np.asarray(m, dtype=complex)
+    try:
+        a = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name} is not a numeric matrix") from None
     if a.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-dimensional, got ndim={a.ndim}")
     if a.shape[0] > MAX_DIM or a.shape[1] > MAX_DIM:
@@ -49,6 +53,16 @@ def as_complex_matrix(m: object, name: str = "matrix") -> Array:
     if not np.isfinite(a).all():
         raise InvalidInputError(f"{name} is not finite")
     return a
+
+
+def _sequence(x: object, name: str, of: str, item: Callable | None = None) -> list:
+    """`x` as a list, `item` applied to each entry.  A non-iterable `x` or an entry
+    `item` cannot convert (TypeError, ValueError, missing key) raises "<name> must be
+    an ordered collection of <of>"; an InvalidInputError from `item` passes through."""
+    try:
+        return [item(v) for v in x] if item else list(x)  # type: ignore[attr-defined]
+    except (TypeError, ValueError, LookupError):
+        raise InvalidInputError(f"{name} must be an ordered collection of {of}") from None
 
 
 def require_square(m: Array, name: str = "matrix") -> Array:

@@ -23,8 +23,8 @@ from .errors import (
     ResourceLimitError,
 )
 from .geometry import PAULI_X, PAULI_Y, PAULI_Z
-from .operator_core import Array, DensityMatrix, Projector, _close, as_complex_matrix
-from .pseudoprojection import _ordered_moments
+from .operator_core import Array, DensityMatrix, Projector, _close, _sequence, as_complex_matrix
+from .pseudoprojection import _coerce_factors, _ordered_moments
 from .weak import OVERLAP_FLOOR, _overlap
 
 __all__ = [
@@ -80,12 +80,7 @@ class PointerResult:
 
 
 def _coerce_effect(post: object, name: str) -> Array:
-    if isinstance(post, DensityMatrix):
-        m = post.matrix
-    elif isinstance(post, Projector):
-        m = post.matrix
-    else:
-        m = as_complex_matrix(post, name)
+    m = post.matrix if isinstance(post, (DensityMatrix, Projector)) else as_complex_matrix(post, name)
     if m.shape != (2, 2):
         raise InvalidInputError(f"{name} must be 2x2, got {m.shape}")
     if not _close(m, m.conj().T, 1e-12):
@@ -93,14 +88,15 @@ def _coerce_effect(post: object, name: str) -> Array:
     return m
 
 
-def _coerce_projectors(projectors: object) -> list[Projector]:
-    plist = [p if isinstance(p, Projector) else Projector(as_complex_matrix(p, "projector")) for p in projectors]  # type: ignore[union-attr]
-    if not plist:
-        raise InvalidInputError("at least one projector is required")
-    for p in plist:
-        if p.dim != 2:
-            raise InvalidInputError("pointer simulation couples qubit projectors only")
-    return plist
+def _setup(state: DensityMatrix, projectors: object, post: object) -> tuple[tuple[Projector, ...], Array, float]:
+    """Qubit projectors and effect for a qubit `state`, with the overlap Tr(E rho)."""
+    if state.dim != 2:
+        raise InvalidInputError("pointer simulation takes a single-qubit state")
+    plist = _coerce_factors(projectors, minimum=1)
+    if plist[0].dim != 2:
+        raise InvalidInputError("pointer simulation couples qubit projectors only")
+    effect = _coerce_effect(post, "post")
+    return plist, effect, _overlap(state.matrix, effect)
 
 
 def _check_sim_resources(n_pointers: int, grid_points: int) -> None:
@@ -120,10 +116,11 @@ def _check_sim_resources(n_pointers: int, grid_points: int) -> None:
         )
 
 
-def _pointer_pseudo_probability(state: DensityMatrix, projectors: list[Projector], effect: Array) -> float:
+def _pointer_pseudo_probability(
+    state: DensityMatrix, projectors: tuple[Projector, ...], effect: Array, overlap: float
+) -> float:
     sym = _ordered_moments([p.matrix for p in projectors], "symmetrized")[-1]
-    num = float(np.real(np.trace(effect @ sym @ state.matrix)))
-    return num / _overlap(state.matrix, effect)
+    return float(np.real(np.trace(effect @ sym @ state.matrix))) / overlap
 
 
 def _pauli_components(p: Projector) -> tuple[float, Array]:
@@ -132,7 +129,7 @@ def _pauli_components(p: Projector) -> tuple[float, Array]:
     return c, v
 
 
-def _correlation(state: DensityMatrix, projectors: list[Projector], effect: Array, cfg: PointerConfig) -> float:
+def _correlation(state: DensityMatrix, projectors: tuple[Projector, ...], effect: Array, cfg: PointerConfig) -> float:
     n_pointers = len(projectors)
     n = cfg.grid_points
     half = cfg.grid_halfwidth * cfg.sigma
@@ -224,15 +221,11 @@ def simulate_pointers(
     correlation under grid refinement (doubled points when the resource caps
     allow, otherwise halved).
     """
-    if state.dim != 2:
-        raise InvalidInputError("pointer simulation takes a single-qubit state")
-    plist = _coerce_projectors(projectors)
-    effect = _coerce_effect(post, "post")
+    plist, effect, overlap = _setup(state, projectors, post)
     _check_sim_resources(len(plist), cfg.grid_points)
-    _overlap(state.matrix, effect)
 
     correlation = _correlation(state, plist, effect, cfg)
-    pp = _pointer_pseudo_probability(state, plist, effect)
+    pp = _pointer_pseudo_probability(state, plist, effect, overlap)
     gt = cfg.g * cfg.t
     scale = gt ** len(plist)
     ratio = correlation / scale if abs(scale) > 0 else math.nan
@@ -265,15 +258,11 @@ def perturbative_prediction(
     With an identity-proportional effect this collapses to
     (g t)^N * Tr[Sym rho], the pseudo-probability scaling.
     """
-    if state.dim != 2:
-        raise InvalidInputError("pointer prediction takes a single-qubit state")
-    plist = _coerce_projectors(projectors)
+    plist, effect, den = _setup(state, projectors, post)
     if len(plist) > MAX_ANALYTIC_POINTERS:
         raise ResourceLimitError(
             f"analytic prediction supports at most {MAX_ANALYTIC_POINTERS} pointers"
         )
-    effect = _coerce_effect(post, "post")
-    den = _overlap(state.matrix, effect)
 
     # Entry `mask` of the stack is Sym(S) for the subset S with that bit mask,
     # so the reversed stack holds each complement Sym(~S).
@@ -296,27 +285,20 @@ def proportionality_check(
     their relative deviation.  A through-origin least-squares fit is enough:
     the correlation is odd in g at order N.
     """
-    gs = [float(g) for g in couplings]  # type: ignore[union-attr]
+    gs = _sequence(couplings, "couplings", "numbers", float)
     if len(gs) < 3:
         raise InvalidInputError(f"need at least 3 coupling values, got {len(gs)}")
-    plist = _coerce_projectors(projectors)
-    n_pointers = len(plist)
+    plist, effect, overlap = _setup(state, projectors, post)
+    _check_sim_resources(len(plist), cfg.grid_points)
 
-    xs = []
-    ys = []
-    for g in gs:
-        run_cfg = replace(cfg, g=g)
-        result = simulate_pointers(state, plist, post, run_cfg)
-        xs.append((g * cfg.t) ** n_pointers)
-        ys.append(result.correlation)
-    x = np.array(xs)
-    y = np.array(ys)
+    x = np.array([(g * cfg.t) ** len(plist) for g in gs])
+    y = np.array([_correlation(state, plist, effect, replace(cfg, g=g)) for g in gs])
     denom = float(x @ x)
     if denom <= 0:
         raise InvalidInputError("couplings give a degenerate fit; use nonzero g values")
     slope = float(x @ y) / denom
 
-    pp = _pointer_pseudo_probability(state, plist, _coerce_effect(post, "post"))
+    pp = _pointer_pseudo_probability(state, plist, effect, overlap)
     deviation = abs(slope - pp) / max(abs(pp), 1e-12)
     return {
         "fitted_slope": slope,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .operator_core import Array, Projector, as_complex_matrix, hermitian_eigen
+from .operator_core import Array, Projector, _sequence, as_complex_matrix, hermitian_eigen
 
 __all__ = [
     "PseudoProjection",
@@ -45,17 +45,12 @@ class PseudoProjection:
         return self.matrix.shape[0]
 
 
-def _factor_list(factors: object) -> list[object]:
-    try:
-        return list(factors)  # type: ignore[call-overload]
-    except TypeError:
-        raise InvalidInputError("factors must be an ordered collection of projectors") from None
+def _projector(f: object) -> Projector:
+    return f if isinstance(f, Projector) else Projector(as_complex_matrix(f, "factor"))
 
 
 def _coerce_factors(factors: object, minimum: int = 2) -> tuple[Projector, ...]:
-    out: list[Projector] = []
-    for f in _factor_list(factors):
-        out.append(f if isinstance(f, Projector) else Projector(as_complex_matrix(f, "factor")))
+    out = _sequence(factors, "factors", "projectors", _projector)
     if len(out) < minimum:
         raise InvalidInputError(f"need at least {minimum} factors, got {len(out)}")
     dims = {p.dim for p in out}
@@ -218,22 +213,13 @@ def conjunction_pp(factors: object) -> PseudoProjection:
     factor list is the flattened projector sequence.  Distinct from `unit_pp`
     for three or more factors.
     """
-    items = _factor_list(factors)
+    items = _sequence(
+        factors, "factors", "projectors", lambda f: f if isinstance(f, PseudoProjection) else _projector(f)
+    )
     if len(items) < 2:
         raise InvalidInputError(f"need at least 2 factors, got {len(items)}")
-    mats: list[Array] = []
-    flat: list[Projector] = []
-    for f in items:
-        if isinstance(f, PseudoProjection):
-            mats.append(f.matrix)
-            flat.extend(f.factors)
-        elif isinstance(f, Projector):
-            mats.append(f.matrix)
-            flat.append(f)
-        else:
-            p = Projector(as_complex_matrix(f, "factor"))
-            mats.append(p.matrix)
-            flat.append(p)
+    mats = [f.matrix for f in items]
+    flat = [p for f in items for p in (f.factors if isinstance(f, PseudoProjection) else (f,))]
     dims = {m.shape[0] for m in mats}
     if len(dims) != 1:
         raise InvalidInputError(f"factor dimension mismatch: {sorted(dims)}")

@@ -41,6 +41,7 @@ from .operator_core import (
     SPECTRAL_TOL,
     STRUCTURAL_TOL,
     _close,
+    _sequence,
     as_complex_matrix,
     require_square,
     resolve_tolerance,
@@ -218,7 +219,9 @@ def build_scheme(
     applies only to the convex prescription and must match the ordering count
     of every multi-observable group.
     """
-    obs = tuple(observables)
+    obs = tuple(_sequence(observables, "observables", "ObservableSpec"))
+    if not all(isinstance(o, ObservableSpec) for o in obs):
+        raise InvalidInputError("observables must be an ordered collection of ObservableSpec")
     if not (1 <= len(obs) <= MAX_OBSERVABLES):
         raise InvalidInputError(f"need 1..{MAX_OBSERVABLES} observables, got {len(obs)}")
     if prescription not in PRESCRIPTIONS:
@@ -392,6 +395,13 @@ def scheme_to_json(s: Scheme) -> dict[str, object]:
     return payload
 
 
+def _spec_from_json(d: dict) -> ObservableSpec:
+    if "axis" in d:
+        return ObservableSpec(subsystem=int(d["subsystem"]), axis=np.asarray(d["axis"], dtype=float), label=str(d.get("label", "")))
+    m = np.asarray(d["matrix"]["re"], dtype=float) + 1j * np.asarray(d["matrix"]["im"], dtype=float)
+    return ObservableSpec(subsystem=int(d["subsystem"]), matrix=m, label=str(d.get("label", "")))
+
+
 def scheme_from_json(data: dict[str, object]) -> Scheme:
     """Inverse of scheme_to_json; tolerates the typographic minus sign."""
     try:
@@ -400,17 +410,7 @@ def scheme_from_json(data: dict[str, object]) -> Scheme:
         entries_in = data["entries"]
     except (KeyError, TypeError):
         raise InvalidInputError("scheme JSON needs observables, prescription, entries")
-    observables = []
-    for d in obs_in:  # type: ignore[union-attr]
-        if "axis" in d:
-            observables.append(
-                ObservableSpec(subsystem=int(d["subsystem"]), axis=np.asarray(d["axis"], dtype=float), label=str(d.get("label", "")))
-            )
-        else:
-            m = np.asarray(d["matrix"]["re"], dtype=float) + 1j * np.asarray(d["matrix"]["im"], dtype=float)
-            observables.append(
-                ObservableSpec(subsystem=int(d["subsystem"]), matrix=m, label=str(d.get("label", "")))
-            )
+    observables = _sequence(obs_in, "observables", "observable records", _spec_from_json)
     entries = {string_to_outcomes(k): float(v) for k, v in entries_in.items()}  # type: ignore[union-attr]
     weights = data.get("weights")
     w = None if weights is None else tuple(float(x) for x in weights)  # type: ignore[union-attr]

@@ -24,10 +24,11 @@ from .operator_core import (
     Projector,
     SPECTRAL_TOL,
     _close,
+    _sequence,
     as_complex_matrix,
     require_square,
 )
-from .pseudoprojection import _coerce_factors, _factor_list, _ordered_product, unit_pp
+from .pseudoprojection import _coerce_factors, _ordered_product, unit_pp
 
 __all__ = [
     "WeakValueReport",
@@ -120,10 +121,12 @@ def weak_value(
 
 def real_weak_product(factors: object, pre: object, post: object) -> float:
     """Real part of the weak value of an ordered projector product."""
-    items = _factor_list(factors)
-    if not items:
+    mats = tuple(_sequence(
+        factors, "factors", "projectors",
+        lambda f: f.matrix if isinstance(f, Projector) else as_complex_matrix(f, "factor"),
+    ))
+    if not mats:
         raise InvalidInputError("need at least one factor")
-    mats = tuple(f.matrix if isinstance(f, Projector) else as_complex_matrix(f, "factor") for f in items)
     if {m.shape for m in mats} != {(len(mats[0]),) * 2}:
         raise InvalidInputError(f"dimension mismatch: factor shapes {[m.shape for m in mats]}")
     prod = _ordered_product(mats, tuple(range(len(mats))))

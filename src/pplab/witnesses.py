@@ -35,6 +35,7 @@ from .operator_core import (
     Array,
     DensityMatrix,
     _kron,
+    _sequence,
     partial_trace,
     resolve_tolerance,
 )
@@ -144,7 +145,7 @@ def statistic_from_terms(terms: object, rule: str) -> float:
             return t.coefficient, t.pseudo_probability, t.group
         return float(t["coefficient"]), float(t["pseudo_probability"]), int(t.get("group", 0))  # type: ignore[index,union-attr]
 
-    triples = [fields(t) for t in terms]  # type: ignore[union-attr]
+    triples = _sequence(terms, "terms", "weak terms", fields)
     if rule == RULE_SUM:
         return float(sum(c * p for c, p, _ in triples))
     if rule == RULE_MAX_GROUP:
@@ -462,6 +463,10 @@ def distributivity_test(state: DensityMatrix, a1: object, a2: object, a3: object
     chained_value = float(np.real(np.trace(state.matrix @ chained.matrix)))
     factored_value = float(np.real(np.trace(state.matrix @ factored.matrix)))
 
+    # Independent route: (1/8) p.[(a1.a3) a2 + (a1.a2) a3 - 2 (a2.a3) a1] from the Pauli algebra.
+    bloch = np.array(_bloch(state.matrix))
+    closed = 0.125 * float(bloch @ (float(v1 @ v3) * v2 + float(v1 @ v2) * v3 - 2.0 * float(v2 @ v3) * v1))
+
     terms = (
         _pp_term(state, p2.matrix, 1, p1.matrix @ p3.matrix, "a2+ | a1+ a3+", 1.0),
         _pp_term(state, p1.matrix, 1, p2.matrix @ p3.matrix, "a1+ | a2+ a3+", -0.5),
@@ -474,7 +479,7 @@ def distributivity_test(state: DensityMatrix, a1: object, a2: object, a3: object
         {"chained_conjunction": chained_value, "factored_composite": factored_value, "gap": statistic},
         terms,
         statistic,
-        {"gap_trace": float(np.real(np.trace(gap)))},
+        {"pauli_closed_form": closed, "gap_trace": float(np.real(np.trace(gap)))},
         verdict_rule=VERDICT_MAGNITUDE,
     )
 

@@ -47,6 +47,16 @@ def test_state_file_with_bad_trace_names_the_invariant(capsys, tmp_path):
     assert "trace = 1" in err
 
 
+@pytest.mark.parametrize("re", ["a", [["a", 0], [0, 1]], [[0.5, 0], [0]]])
+def test_state_file_with_non_numeric_matrix_exits_one(capsys, tmp_path, re):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"dim": 2, "re": re}))
+    code, out, err = _run(capsys, ["test", "coherence", "--state", str(path)])
+    assert code == 1
+    assert out == ""
+    assert "numeric" in err
+
+
 def test_state_file_round_trip(capsys, tmp_path):
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps({"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]]}))

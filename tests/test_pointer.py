@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import pplab.pointer
 from pplab import (
     expectation,
     InvalidInputError,
@@ -186,6 +187,27 @@ def test_proportionality_needs_three_couplings():
     cfg = PointerConfig(g=0.05, t=1.0, grid_points=64)
     with pytest.raises(InvalidInputError):
         proportionality_check(X_PURE, [Z_PLUS, X_PLUS], IDENTITY, cfg, couplings=[0.02, 0.04])
+
+
+def test_proportionality_runs_the_kernel_once_per_coupling(monkeypatch):
+    cfg = PointerConfig(g=0.05, t=1.0, grid_points=64)
+    couplings = [0.02, 0.04, 0.06]
+    correlations = [
+        simulate_pointers(MIXED, [Z_PLUS, X_PLUS], IDENTITY, PointerConfig(g=g, t=1.0)).correlation
+        for g in couplings
+    ]
+    kernel = pplab.pointer._correlation
+    calls = []
+
+    def counting(*args):
+        calls.append(args[-1].g)
+        return kernel(*args)
+
+    monkeypatch.setattr(pplab.pointer, "_correlation", counting)
+    out = proportionality_check(MIXED, [Z_PLUS, X_PLUS], IDENTITY, cfg, couplings=couplings)
+    assert calls == couplings
+    x = np.array(couplings) ** 2
+    assert out["fitted_slope"] == float(x @ np.array(correlations)) / float(x @ x)
 
 
 def test_perturbative_vanishes_at_zero_coupling():

@@ -174,6 +174,17 @@ def test_distributivity_gap_is_traceless():
         _assert_self_consistent(report)
 
 
+def test_distributivity_dual_route_random():
+    rng = np.random.default_rng(79)
+    for _ in range(50):
+        rho = ginibre_density(rng, 2)
+        report = distributivity_test(
+            rho, random_unit_vector(rng), random_unit_vector(rng), random_unit_vector(rng)
+        )
+        _assert_dual_route(report)
+        _assert_self_consistent(report)
+
+
 # --- CHSH --------------------------------------------------------------------
 
 def test_chsh_werner_frozen_values():
