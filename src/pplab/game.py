@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import bloch_state, unit_vector
-from .operator_core import Array, _sequence
+from .operator_core import Array, _real, _sequence
 from .scheme import ObservableSpec, build_scheme
 
 __all__ = [
@@ -86,6 +86,7 @@ def transition_matrix(t: float) -> Array:
     go negative, which is what lets evolved schemes outscore the classical
     bound.
     """
+    t = _real(t, "t")
     if not math.isfinite(t):
         raise InvalidInputError(f"time must be finite, got {t}")
     c = math.cos(t)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .operator_core import Array, DensityMatrix, Projector, STRUCTURAL_TOL, _close, _sequence
+from .operator_core import Array, DensityMatrix, Projector, STRUCTURAL_TOL, _close, _outcome_projectors, _real, _sequence
 
 __all__ = [
     "PAULI_X",
@@ -31,6 +31,8 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
+# Row i is Pauli matrix i flattened, so that n @ _PAULIS is sigma . n flattened.
+_PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z]).reshape(3, 4)
 
 UNIT_TOL = 1e-10
 # Axis nearly parallel to the primary reference flips the azimuth reference.
@@ -65,8 +67,7 @@ def unit_vector(v: object, name: str = "vector") -> Array:
 
 def pauli_vector(n: object) -> Array:
     """sigma . n for a unit 3-vector n."""
-    a = unit_vector(n, "axis")
-    return a[0] * PAULI_X + a[1] * PAULI_Y + a[2] * PAULI_Z
+    return (unit_vector(n, "axis") @ _PAULIS).reshape(2, 2)
 
 
 def bloch_state(p: object) -> DensityMatrix:
@@ -84,6 +85,16 @@ def qubit_projector(n: object, outcome: int = +1) -> Projector:
         raise InvalidInputError(f"outcome must be +1 or -1, got {outcome!r}")
     m = 0.5 * (IDENTITY_2 + outcome * pauli_vector(n))
     return Projector(m)
+
+
+def _qubit_projectors(axes: object) -> Array:
+    """Projectors onto the +1 and -1 eigenspaces of sigma . n for each unit axis
+    n, as an (m, 2, 2, 2) stack indexed [axis, (+, -)], checked at once.  An
+    axis that is not finite or not unit length fails as in `unit_vector`."""
+    a = np.asarray(axes, dtype=float)
+    for v in a[~(np.abs(np.linalg.norm(a, axis=1) - 1.0) <= UNIT_TOL)]:
+        unit_vector(v, "axis")
+    return _outcome_projectors((a @ _PAULIS).reshape(-1, 2, 2))
 
 
 @dataclass(frozen=True)
@@ -110,6 +121,7 @@ def make_doublet(axis: object, alpha: float, azimuth_rule: str = "cross-referenc
     rule tag is supported; the tag exists so reports can echo the convention.
     """
     a = unit_vector(axis, "axis")
+    alpha = _real(alpha, "alpha")
     if not (0.0 < alpha < np.pi):
         raise InvalidInputError(f"alpha must lie in (0, pi), got {alpha}")
     if azimuth_rule != "cross-reference":
@@ -118,7 +130,7 @@ def make_doublet(axis: object, alpha: float, azimuth_rule: str = "cross-referenc
     half = 0.5 * alpha
     n1 = np.cos(half) * a + np.sin(half) * u
     n2 = np.cos(half) * a - np.sin(half) * u
-    return Doublet(n1=n1, n2=n2, axis=a, alpha=float(alpha))
+    return Doublet(n1=n1, n2=n2, axis=a, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -152,12 +164,13 @@ def make_entanglement_geometry(
     b_frame: object | None = None,
 ) -> EntanglementGeometry:
     """Build the doublet layout for both sides; frames default to (x, y, z)."""
+    alpha = _real(alpha, "alpha")
     if not (0.0 < alpha < np.pi):
         raise InvalidInputError(f"alpha must lie in (0, pi), got {alpha}")
     a_axes = _validated_frame(a_frame if a_frame is not None else (_X, _Y, _Z), "a_frame")
     b_axes = _validated_frame(b_frame if b_frame is not None else a_axes, "b_frame")
     return EntanglementGeometry(
-        alpha=float(alpha),
+        alpha=alpha,
         a_axes=a_axes,
         b_axes=b_axes,
         a_doublets=tuple(make_doublet(a, alpha) for a in a_axes),  # type: ignore[arg-type]
@@ -167,6 +180,7 @@ def make_entanglement_geometry(
 
 def werner_state(eta: float) -> DensityMatrix:
     """Singlet fraction eta mixed with white noise; -1/3 <= eta <= 1."""
+    eta = _real(eta, "eta")
     if not (-1.0 / 3.0 - STRUCTURAL_TOL <= eta <= 1.0 + STRUCTURAL_TOL):
         raise InvalidInputError(f"eta must lie in [-1/3, 1], got {eta}")
     psi = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)

@@ -65,8 +65,19 @@ def _sequence(x: object, name: str, of: str, item: Callable | None = None) -> li
         raise InvalidInputError(f"{name} must be an ordered collection of {of}") from None
 
 
+def _real(x: object, name: str) -> float:
+    """`x` as a float; a string, or anything float() refuses, raises "<name> must be a real number"."""
+    if not isinstance(x, (str, bytes)):
+        try:
+            return float(x)  # type: ignore[arg-type]
+        except (TypeError, ValueError):
+            pass
+    raise InvalidInputError(f"{name} must be a real number, got {x!r}")
+
+
 def require_square(m: Array, name: str = "matrix") -> Array:
-    if m.shape[0] != m.shape[1]:
+    """`m` if its last two axes are equal: one square matrix or a stack of them."""
+    if m.shape[-1] != m.shape[-2]:
         raise InvalidInputError(f"{name} must be square, got shape {m.shape}")
     return m
 
@@ -80,6 +91,11 @@ def _close(a: Array, b: Array, atol: float) -> bool:
     and 4x4 operands.
     """
     return bool((np.abs(a - b) <= atol + 1e-5 * np.abs(b)).all())
+
+
+def _any(flags: Array) -> bool:
+    """flags.any(), but a single check's numpy bool is read without a costly 0-d reduction."""
+    return bool(flags.any() if flags.ndim else flags)
 
 
 def _kron(a: Array, b: Array) -> Array:
@@ -160,32 +176,43 @@ def resolve_tolerance() -> float:
 
 
 def _check_density(m: Array) -> Array:
+    """`m` if it is a density matrix, or every matrix of a (..., d, d) stack is."""
     require_square(m, "density matrix")
-    if not _close(m, m.conj().T, STRUCTURAL_TOL):
+    if not _close(m, m.conj().swapaxes(-1, -2), STRUCTURAL_TOL):
         raise InvalidInputError("density matrix invariant violated: Hermitian")
-    if abs(np.trace(m) - 1.0) > STRUCTURAL_TOL:
+    if _any(abs(m.trace(axis1=-2, axis2=-1) - 1.0) > STRUCTURAL_TOL):
         raise InvalidInputError("density matrix invariant violated: trace = 1")
-    w = np.linalg.eigvalsh(m)
-    if w[0] < -SPECTRAL_TOL:
+    low = np.linalg.eigvalsh(m).T[0]  # smallest eigenvalue of each matrix, a scalar for one
+    if _any(low < -SPECTRAL_TOL):
         raise InvalidInputError(
-            f"density matrix invariant violated: positive semidefinite (min eig {w[0]:.3e})"
+            f"density matrix invariant violated: positive semidefinite (min eig {low.min():.3e})"
         )
     return m
 
 
-def _check_projector(m: Array) -> int:
+def _check_projector(m: Array) -> int | Array:
+    """Rank of the projector `m`, or the ranks of a (..., d, d) stack of them."""
     require_square(m, "projector")
-    if not _close(m, m.conj().T, STRUCTURAL_TOL):
+    if not _close(m, m.conj().swapaxes(-1, -2), STRUCTURAL_TOL):
         raise InvalidInputError("projector invariant violated: Hermitian")
     if not _close(m @ m, m, SPECTRAL_TOL):
         raise InvalidInputError("projector invariant violated: idempotent")
-    trace = np.trace(m).real
-    rank = int(round(trace))
-    if rank < 1:
+    trace = m.trace(axis1=-2, axis2=-1).real
+    rank = np.rint(trace)
+    if _any(rank < 1):
         raise InvalidInputError("projector invariant violated: rank >= 1")
-    if abs(trace - rank) > SPECTRAL_TOL:
+    if _any(abs(trace - rank) > SPECTRAL_TOL):
         raise InvalidInputError("projector invariant violated: trace = rank")
-    return rank
+    return int(rank) if m.ndim == 2 else rank.astype(int)
+
+
+def _outcome_projectors(ops: object) -> Array:
+    """(I + A)/2 and (I - A)/2 for each dichotomic A of an (m, d, d) stack, as an
+    (m, 2, d, d) stack indexed [operator, (+, -)], checked as projectors at once."""
+    a = np.asarray(ops)
+    stack = 0.5 * (np.eye(a.shape[-1]) + np.stack([a, -a], axis=1))
+    _check_projector(stack)
+    return stack
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .geometry import PAULI_X, PAULI_Y, PAULI_Z
-from .operator_core import Array, DensityMatrix, Projector, _close, _sequence, as_complex_matrix
+from .operator_core import Array, DensityMatrix, Projector, _close, _real, _sequence, as_complex_matrix
 from .pseudoprojection import _coerce_factors, _ordered_moments
 from .weak import OVERLAP_FLOOR, _overlap
 
@@ -56,6 +56,10 @@ class PointerConfig:
     grid_halfwidth: float = 7.0
 
     def __post_init__(self) -> None:
+        for name in ("g", "t", "sigma", "grid_halfwidth"):
+            _real(getattr(self, name), name)
+        if not isinstance(self.grid_points, (int, np.integer)):
+            raise InvalidInputError(f"grid_points must be an integer, got {self.grid_points!r}")
         if not (math.isfinite(self.g) and math.isfinite(self.t)):
             raise InvalidInputError("coupling and duration must be finite")
         if self.t < 0:
@@ -90,13 +94,15 @@ def _coerce_effect(post: object, name: str) -> Array:
 
 def _setup(state: DensityMatrix, projectors: object, post: object) -> tuple[tuple[Projector, ...], Array, float]:
     """Qubit projectors and effect for a qubit `state`, with the overlap Tr(E rho)."""
+    if not isinstance(state, DensityMatrix):
+        raise InvalidInputError(f"state must be a DensityMatrix, got {type(state).__name__}")
     if state.dim != 2:
         raise InvalidInputError("pointer simulation takes a single-qubit state")
     plist = _coerce_factors(projectors, minimum=1)
     if plist[0].dim != 2:
         raise InvalidInputError("pointer simulation couples qubit projectors only")
     effect = _coerce_effect(post, "post")
-    return plist, effect, _overlap(state.matrix, effect)
+    return plist, effect, float(_overlap(state.matrix, effect))
 
 
 def _check_sim_resources(n_pointers: int, grid_points: int) -> None:

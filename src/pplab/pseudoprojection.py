@@ -169,7 +169,9 @@ def _ordered_moments(mats: object, prescription: str, weights: object | None = N
     recursion M_T = (1/|T|) sum_{i in T} A_i M_{T - {i}}, which is O(k 2^k)
     products.  convex: sum over the orderings of all k operators of
     w_order Herm(product of T in that order), from per-ordering prefix
-    products; `weights` are validated as in `convex_pp`.  A single operator
+    products; `weights` are validated as in `convex_pp`.  Uniform convex
+    (`weights` None) is the symmetrized recursion, as a product of Hermitian
+    operators and its reverse share their Hermitian part.  A single operator
     has no orderings: every prescription gives (I, Herm A) and `weights` is
     not read.
     """
@@ -183,7 +185,7 @@ def _ordered_moments(mats: object, prescription: str, weights: object | None = N
         for j in range(k):
             out[1 << j : 2 << j] = out[: 1 << j] @ a[j]
         return _herm(out)
-    if prescription == "symmetrized":
+    if prescription == "symmetrized" or weights is None:
         for r, (targets, members, rests) in enumerate(_symmetrization_plan(k), start=1):
             out[targets] = (a[members] @ out[rests]).sum(axis=1) / r
         return out

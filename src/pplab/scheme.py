@@ -19,9 +19,10 @@ product for unit, average over orderings for symmetrized, weighted
 Hermitized orderings for convex).  This is the Hermitized-product quasiprobability of Margenau and
 Hill (Prog. Theor. Phys. 26, 722, 1961).  Cost per call, for a group of k
 observables: 2^k matrix products for unit, k 2^(k-1) for symmetrized and
-2^k for each of the k!/2 orderings for convex.  Then one contraction with the
-state per subsystem and an N 2^N transform.  Each observable's two outcome
-projectors are validated once per call.
+for uniform convex, and 2^k for each of the k!/2 orderings for weighted
+convex.  Then one contraction with the state per subsystem and an N 2^N
+transform.  Each group's outcome projectors are validated as one stack per
+call.
 """
 from __future__ import annotations
 
@@ -41,6 +42,8 @@ from .operator_core import (
     SPECTRAL_TOL,
     STRUCTURAL_TOL,
     _close,
+    _outcome_projectors,
+    _real,
     _sequence,
     as_complex_matrix,
     require_square,
@@ -240,9 +243,8 @@ def build_scheme(
 
     # The moments use the observable matrices; their outcome projectors still
     # have to pass Projector's checks (rank >= 1 rejects A = +-I).
-    for o in obs:
-        o.projector(+1)
-        o.projector(-1)
+    for g in groups:
+        _outcome_projectors([obs[p].matrix for p in g])
     stacks = [_ordered_moments([obs[p].matrix for p in g], prescription, weights) for g in groups]
     moments = _joint_moments(state.matrix, dims, stacks)
     # Axes of `moments` run group by group, high bit first within a group;
@@ -411,9 +413,11 @@ def scheme_from_json(data: dict[str, object]) -> Scheme:
     except (KeyError, TypeError):
         raise InvalidInputError("scheme JSON needs observables, prescription, entries")
     observables = _sequence(obs_in, "observables", "observable records", _spec_from_json)
-    entries = {string_to_outcomes(k): float(v) for k, v in entries_in.items()}  # type: ignore[union-attr]
+    if not isinstance(entries_in, dict):
+        raise InvalidInputError("entries must map outcome strings to numbers")
+    entries = {string_to_outcomes(k): _real(v, f"entry {k!r}") for k, v in entries_in.items()}
     weights = data.get("weights")
-    w = None if weights is None else tuple(float(x) for x in weights)  # type: ignore[union-attr]
+    w = None if weights is None else tuple(_sequence(weights, "weights", "numbers", float))
     return Scheme(
         observables=tuple(observables),
         entries=entries,

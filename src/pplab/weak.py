@@ -23,6 +23,8 @@ from .operator_core import (
     DensityMatrix,
     Projector,
     SPECTRAL_TOL,
+    _any,
+    _check_density,
     _close,
     _sequence,
     as_complex_matrix,
@@ -66,12 +68,12 @@ def _coerce_state(state: object, name: str) -> DensityMatrix:
     return DensityMatrix(as_complex_matrix(state, name))
 
 
-def _overlap(rho1: Array, rho2: Array) -> float:
-    """Tr(rho2 rho1), the post-selection probability; it must exceed OVERLAP_FLOOR."""
-    overlap = float(np.real(np.trace(rho2 @ rho1)))
-    if overlap <= OVERLAP_FLOOR:
+def _overlap(rho1: Array, rho2: Array) -> float | Array:
+    """Tr(rho2 rho1), the post-selection probability, for one `rho2` or a stack; it must exceed OVERLAP_FLOOR."""
+    overlap = (rho2 @ rho1).trace(axis1=-2, axis2=-1).real
+    if _any(overlap <= OVERLAP_FLOOR):
         raise PostSelectionImpossibleError(
-            f"pre/post overlap {overlap:.3e} vanishes; post-selection impossible"
+            f"pre/post overlap {overlap.min():.3e} vanishes; post-selection impossible"
         )
     return overlap
 
@@ -84,7 +86,7 @@ def _post_select(op: Array, pre: object, post: object) -> tuple[DensityMatrix, D
         raise InvalidInputError(
             f"dimension mismatch: op {op.shape[0]}, pre {rho1.dim}, post {rho2.dim}"
         )
-    return rho1, rho2, _overlap(rho1.matrix, rho2.matrix)
+    return rho1, rho2, float(_overlap(rho1.matrix, rho2.matrix))
 
 
 def weak_value(
@@ -134,14 +136,19 @@ def real_weak_product(factors: object, pre: object, post: object) -> float:
     return float(np.real(np.trace(rho2.matrix @ prod @ rho1.matrix) / overlap))
 
 
-def _born_weak(state: DensityMatrix, lead: Array, rank: int, rest: object) -> tuple[float, float | None]:
-    """Born factor Tr(lead rho) and the real weak value of the `rest` factors
-    post-selected on lead/rank; None where that overlap, born/rank, would be
-    refused (exactly so when rank is a power of two)."""
-    born = float(np.real(np.trace(lead @ state.matrix)))
-    if born <= rank * OVERLAP_FLOOR:
-        return born, None
-    return born, real_weak_product(rest, state, DensityMatrix(lead / rank))
+def _born_weak(state: DensityMatrix, leads: Array, ranks: object, rests: Array) -> tuple[list[float], list[float | None]]:
+    """Born factors Re Tr(lead rho) of a (k, d, d) stack of leading projectors and the real
+    weak values Re Tr(post rest rho) / Tr(post rho) of the matching `rests`, post = lead/rank
+    checked as one stack; None where that overlap, born/rank, would be refused (exactly so
+    when rank is a power of two)."""
+    rho = state.matrix
+    born = (leads.reshape(len(leads), -1) @ rho.T.reshape(-1)).real
+    ranks = np.asarray(ranks, dtype=float)
+    kept = born > ranks * OVERLAP_FLOOR
+    post = _check_density(leads[kept] / ranks[kept, None, None])
+    weak = np.zeros(len(born))
+    weak[kept] = (post @ rests[kept] @ rho).trace(axis1=-2, axis2=-1).real / _overlap(rho, post)
+    return born.tolist(), [w if k else None for w, k in zip(weak.tolist(), kept.tolist())]
 
 
 def hj_decompose(product: Array) -> tuple[Array, Array]:
@@ -170,7 +177,9 @@ def pp_weak_factorization(state: object, factors: object) -> dict[str, float]:
     if fs[0].dim != rho.dim:
         raise InvalidInputError(f"dimension mismatch: state {rho.dim}, factors {fs[0].dim}")
     pseudo = float(np.real(np.trace(rho.matrix @ unit_pp(fs).matrix)))
-    born, weak = _born_weak(rho, fs[0].matrix, fs[0].rank, fs[1:])
+    mats = tuple(f.matrix for f in fs)
+    rest = _ordered_product(mats, tuple(range(1, len(mats))))
+    (born,), (weak,) = _born_weak(rho, mats[0][None], [fs[0].rank], rest[None])
     if weak is None:
         raise FactorizationUndefinedError(
             f"leading Born factor {born:.3e} vanishes; pseudo-probability {pseudo:.6e}"

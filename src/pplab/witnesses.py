@@ -25,6 +25,7 @@ from .geometry import (
     PAULI_Y,
     PAULI_Z,
     EntanglementGeometry,
+    _qubit_projectors,
     make_doublet,
     mub_partner,
     pauli_vector,
@@ -35,6 +36,8 @@ from .operator_core import (
     Array,
     DensityMatrix,
     _kron,
+    _outcome_projectors,
+    _real,
     _sequence,
     partial_trace,
     resolve_tolerance,
@@ -149,6 +152,8 @@ def statistic_from_terms(terms: object, rule: str) -> float:
     if rule == RULE_SUM:
         return float(sum(c * p for c, p, _ in triples))
     if rule == RULE_MAX_GROUP:
+        if not triples:
+            raise InvalidInputError("terms must not be empty under the max_group_sum rule")
         sums: dict[int, float] = {}
         for c, p, g in triples:
             sums[g] = sums.get(g, 0.0) + c * p
@@ -206,12 +211,8 @@ def _require_dim(state: DensityMatrix, dim: int, test: str) -> None:
         raise InvalidInputError(f"{test} needs a {dim}x{dim} state, got {state.dim}x{state.dim}")
 
 
-_SIGN = {+1: "+", -1: "-"}
-
-
-def _projectors(axis: Array) -> dict[int, Array]:
-    """Outcome projectors of sigma . axis, keyed by outcome."""
-    return {s: qubit_projector(axis, s).matrix for s in (+1, -1)}
+# Outcome index o of a projector stack: 0 is the +1 outcome, 1 the -1 outcome.
+_MARK = "+-"
 
 
 def _embed(op: Array, side: int) -> Array:
@@ -219,20 +220,53 @@ def _embed(op: Array, side: int) -> Array:
     return _kron(op, IDENTITY_2) if side == 0 else _kron(IDENTITY_2, op)
 
 
-def _pp_term(
-    state: DensityMatrix,
-    lead: Array,
-    lead_rank: int,
-    rest: Array,
-    label: str,
-    coefficient: float = 1.0,
-    group: int = 0,
-) -> WeakTerm:
-    """Weak term for <(1/2)(lead rest + h.c.)>: Born factor of `lead` times
-    the real weak value of `rest` post-selected on lead/rank.  A vanishing
-    Born factor makes the pseudo-probability an exact zero."""
-    born, weak = _born_weak(state, lead, lead_rank, [rest])
-    return WeakTerm(label, born, weak, 0.0 if weak is None else born * weak, coefficient, group)
+def _pp_terms(state: DensityMatrix, specs: list[tuple]) -> list[WeakTerm]:
+    """Weak terms of `specs`, each (lead, rank, rest, label, coefficient, group) for <(1/2)(lead rest + h.c.)>:
+    the Born factor of `lead` times the real weak value of `rest` post-selected on lead/rank, evaluated
+    as one stack.  A vanishing Born factor makes the pseudo-probability an exact zero."""
+    leads, ranks, rests, labels, coefficients, groups = zip(*specs)
+    born, weak = _born_weak(state, np.array(leads), ranks, np.array(rests))
+    return [
+        WeakTerm(label, b, w, 0.0 if w is None else b * w, c, g)
+        for label, b, w, c, g in zip(labels, born, weak, coefficients, groups)
+    ]
+
+
+def _equality_specs(P: Array, tag: str, bar: bool, group: int = 0) -> list[tuple]:
+    """Specs of the two entries of P(a = b1 = b2), or of P(not-a = b1 = b2)
+    when `bar`; rows 0, 1, 2 of the projector stack P belong to a, b1, b2."""
+    return [
+        (
+            _kron(P[0, o ^ bar], P[2, o]), 1, _embed(P[1, o], 1),
+            f"{tag}a{_MARK[o ^ bar]}b2{_MARK[o]} | b1{_MARK[o]}", 1.0, group,
+        )
+        for o in (0, 1)
+    ]
+
+
+def _entries(terms: list[WeakTerm]) -> dict[str, float]:
+    """Entry values of equality terms: term "[1]a+b2+ | b1+" is entry "[1]a+b1+b2+"."""
+    out = {}
+    for t in terms:
+        head, b1 = t.label.split(" | ")
+        out[head[:-3] + b1 + head[-3:]] = t.pseudo_probability
+    return out
+
+
+def _pair_specs(p1: Array, p2: Array, side: int, tag: str) -> list[tuple]:
+    """Specs of the doublet conjunctions on one side, outcomes (s, s), from the
+    outcome stacks of the doublet's two axes."""
+    x = "ab"[side]
+    return [
+        (_embed(p1[o], side), 2, _embed(p2[o], side), f"{tag}{x}1{_MARK[o]}{x}2{_MARK[o]}", 1.0, 0)
+        for o in (0, 1)
+    ]
+
+
+def _born_terms(state: DensityMatrix, p: Array, side: int, tag: str) -> list[WeakTerm]:
+    """Plain outcome probabilities on one side, weak part trivially 1."""
+    borns = [float(np.real(np.trace(state.matrix @ _embed(q, side)))) for q in p]
+    return [WeakTerm(f"{tag}{'ab'[side]}{_MARK[o]}", b, 1.0, b, 1.0, 0) for o, b in enumerate(borns)]
 
 
 def _product_term(label: str, t1: WeakTerm, t2: WeakTerm, coefficient: float, group: int = 0) -> WeakTerm:
@@ -244,37 +278,13 @@ def _product_term(label: str, t1: WeakTerm, t2: WeakTerm, coefficient: float, gr
     return WeakTerm(label, born, weak, t1.pseudo_probability * t2.pseudo_probability, coefficient, group)
 
 
-def _born_terms(state: DensityMatrix, proj: dict[int, Array], side: int, tag: str) -> dict[int, WeakTerm]:
-    """Plain outcome probabilities on one side, weak part trivially 1."""
-    terms = {}
-    for s, p in proj.items():
-        born = float(np.real(np.trace(state.matrix @ _embed(p, side))))
-        terms[s] = WeakTerm(f"{tag}{'ab'[side]}{_SIGN[s]}", born, 1.0, born, 1.0, 0)
-    return terms
-
-
-def _pair_terms(
-    state: DensityMatrix, p1: dict[int, Array], p2: dict[int, Array], side: int, tag: str
-) -> dict[int, WeakTerm]:
-    """Doublet-conjunction pseudo-probabilities on one side, outcomes (s, s)."""
-    x = "ab"[side]
-    return {
-        s: _pp_term(state, _embed(p1[s], side), 2, _embed(p2[s], side), f"{tag}{x}1{_SIGN[s]}{x}2{_SIGN[s]}")
-        for s in (+1, -1)
-    }
-
-
 def _opposed_products(
-    left: dict[int, WeakTerm],
-    right: dict[int, WeakTerm],
-    coefficient: float,
-    group: int = 0,
-    signs: tuple[int, int] = (+1, -1),
+    left: list[WeakTerm], right: list[WeakTerm], coefficient: float, group: int = 0, outcomes: tuple[int, int] = (0, 1)
 ) -> list[WeakTerm]:
-    """Product terms left[s] * right[-s], for s in `signs` order."""
+    """Product terms left[o] * right[1 - o], for outcome indices in `outcomes` order."""
     return [
-        _product_term(f"({left[s].label})*({right[-s].label})", left[s], right[-s], coefficient, group)
-        for s in signs
+        _product_term(f"({left[o].label})*({right[1 - o].label})", left[o], right[1 - o], coefficient, group)
+        for o in outcomes
     ]
 
 
@@ -309,9 +319,8 @@ def coherence_test(state: DensityMatrix, a1: object, a2: object) -> TestReport:
     sch = build_scheme(state, obs, "unit")
     statistic = sch.entry((+1, +1))
 
-    p1 = qubit_projector(v1, +1)
-    p2 = qubit_projector(v2, +1)
-    terms = (_pp_term(state, p1.matrix, 1, p2.matrix, "a1+ | a2+"),)
+    P = _qubit_projectors([v1, v2])
+    terms = _pp_terms(state, [(P[0, 0], 1, P[1, 0], "a1+ | a2+", 1.0, 0)])
 
     # Independent route: (1/4)(1 + a1.a2 + p.(a1 + a2)) from the Pauli algebra.
     bloch = np.array(_bloch(state.matrix))
@@ -347,10 +356,10 @@ def boolean_state_dep_test(state: DensityMatrix, a1: object, a2: object) -> Test
     flat_value = float(np.real(np.trace(state.matrix @ flat.matrix)))
 
     # Nested conjunction splits into two ordered products with weight 1/2.
-    terms = (
-        _pp_term(state, p1.matrix, 1, p2.matrix @ p1bar.matrix, "a1+ | a2+ a1-", 0.5),
-        _pp_term(state, p1.matrix, 1, p1bar.matrix @ p2.matrix, "a1+ | a1- a2+", 0.5),
-    )
+    terms = _pp_terms(state, [
+        (p1.matrix, 1, p2.matrix @ p1bar.matrix, "a1+ | a2+ a1-", 0.5, 0),
+        (p1.matrix, 1, p1bar.matrix @ p2.matrix, "a1+ | a1- a2+", 0.5, 0),
+    ])
 
     k = float(v1 @ v2)
     bloch = np.array(_bloch(state.matrix))
@@ -404,13 +413,10 @@ def boolean_state_indep_test(a1: object, a2: object) -> TestReport:
     # distinct ordering of the four factors.
     mixed = DensityMatrix(np.eye(2, dtype=complex) / 2)
     mats = tuple(p.matrix for p in ps)
-    terms = [
-        _pp_term(
-            mixed, mats[order[0]], 1, _ordered_product(mats, order[1:]),
-            "ordering " + "".join(str(i) for i in order), 1.0 / 12.0,
-        )
+    terms = _pp_terms(mixed, [
+        (mats[order[0]], 1, _ordered_product(mats, order[1:]), "ordering " + "".join(map(str, order)), 1.0 / 12.0, 0)
         for order in distinct_orderings(4)
-    ]
+    ])
 
     k = float(v1 @ v2)
     constructive_closed = (k * k - 1.0) / 24.0
@@ -467,11 +473,11 @@ def distributivity_test(state: DensityMatrix, a1: object, a2: object, a3: object
     bloch = np.array(_bloch(state.matrix))
     closed = 0.125 * float(bloch @ (float(v1 @ v3) * v2 + float(v1 @ v2) * v3 - 2.0 * float(v2 @ v3) * v1))
 
-    terms = (
-        _pp_term(state, p2.matrix, 1, p1.matrix @ p3.matrix, "a2+ | a1+ a3+", 1.0),
-        _pp_term(state, p1.matrix, 1, p2.matrix @ p3.matrix, "a1+ | a2+ a3+", -0.5),
-        _pp_term(state, p1.matrix, 1, p3.matrix @ p2.matrix, "a1+ | a3+ a2+", -0.5),
-    )
+    terms = _pp_terms(state, [
+        (p2.matrix, 1, p1.matrix @ p3.matrix, "a2+ | a1+ a3+", 1.0, 0),
+        (p1.matrix, 1, p2.matrix @ p3.matrix, "a1+ | a2+ a3+", -0.5, 0),
+        (p1.matrix, 1, p3.matrix @ p2.matrix, "a1+ | a3+ a2+", -0.5, 0),
+    ])
 
     return _report(
         "distributivity",
@@ -514,19 +520,18 @@ def chsh_test(
     p_second = equality_sum(sch2, "0=1=~2")
     statistic = p_first + p_second
 
-    pa1, pa2, pb1, pb2 = ({s: o.projector(s).matrix for s in (+1, -1)} for o in (A1, A2, B1, B2))
+    P = _outcome_projectors([o.matrix for o in (A1, A2, B1, B2)])
     entries = {
         "A1+B1+B2+": sch1.entry((+1, +1, +1)),
         "A1-B1-B2-": sch1.entry((-1, -1, -1)),
         "A2+B1+B2-": sch2.entry((+1, +1, -1)),
         "A2-B1-B2+": sch2.entry((-1, -1, +1)),
     }
-    terms = (
-        _pp_term(state, _kron(pa1[+1], pb1[+1]), 1, _embed(pb2[+1], 1), "A1+B1+ | B2+"),
-        _pp_term(state, _kron(pa1[-1], pb1[-1]), 1, _embed(pb2[-1], 1), "A1-B1- | B2-"),
-        _pp_term(state, _kron(pa2[+1], pb1[+1]), 1, _embed(pb2[-1], 1), "A2+B1+ | B2-"),
-        _pp_term(state, _kron(pa2[-1], pb1[-1]), 1, _embed(pb2[+1], 1), "A2-B1- | B2+"),
-    )
+    # Rows 0-3 of P are A1, A2, B1, B2; A2's entries take B2's opposite outcome.
+    terms = _pp_terms(state, [
+        (_kron(P[a, o], P[2, o]), 1, _embed(P[3, o ^ a], 1), f"A{a + 1}{_MARK[o]}B1{_MARK[o]} | B2{_MARK[o ^ a]}", 1.0, 0)
+        for a in (0, 1) for o in (0, 1)
+    ])
 
     # Independent route: statistic = (2 + <A1(B1+B2)> + <A2(B1-B2)>)/4.
     def corr(a: ObservableSpec, b: Array) -> float:
@@ -545,34 +550,6 @@ def chsh_test(
         statistic,
         {"pauli_closed_form": closed, "chsh_value": chsh_value},
     )
-
-
-def _equality_entry_terms(
-    state: DensityMatrix,
-    pa: dict[int, Array],
-    pb1: dict[int, Array],
-    pb2: dict[int, Array],
-    tag: str,
-    bar: bool,
-    group: int = 0,
-) -> tuple[list[WeakTerm], dict[str, float]]:
-    """Entries of P(a = b1 = b2) (or the barred variant) with weak readings."""
-    terms: list[WeakTerm] = []
-    entries: dict[str, float] = {}
-    for s in (+1, -1):
-        sa = -s if bar else s
-        mark, amark = _SIGN[s], _SIGN[sa]
-        term = _pp_term(
-            state,
-            _kron(pa[sa], pb2[s]),
-            1,
-            _embed(pb1[s], 1),
-            f"{tag}a{amark}b2{mark} | b1{mark}",
-            group=group,
-        )
-        terms.append(term)
-        entries[f"{tag}a{amark}b1{mark}b2{mark}"] = term.pseudo_probability
-    return terms, entries
 
 
 def _entanglement_report(
@@ -614,20 +591,16 @@ def linear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant: s
         raise InvalidInputError(f"variant must be 'I' or 'II', got {variant!r}")
     n_axes = 2 if variant == "I" else 3
 
-    all_terms: list[WeakTerm] = []
-    entries: dict[str, float] = {}
+    specs: list[tuple] = []
     closed = 0.0
     c = math.cos(geom.alpha / 2.0)
     for i in range(n_axes):
         a_axis = geom.a_axes[i]
         doublet = geom.b_doublets[i]
-        terms, ent = _equality_entry_terms(
-            state, _projectors(a_axis), _projectors(doublet.n1), _projectors(doublet.n2), f"[{i + 1}]", bar=False
-        )
-        all_terms.extend(terms)
-        entries.update(ent)
+        specs += _equality_specs(_qubit_projectors([a_axis, doublet.n1, doublet.n2]), f"[{i + 1}]", bar=False)
         C, _, _ = _two_qubit_correlations(state, a_axis, doublet.axis)
         closed += 0.5 * c * (c + C)
+    all_terms = _pp_terms(state, specs)
 
     extras: dict[str, object] = {"pauli_closed_form": closed, "aperture_cos_half": c}
     if variant == "II":
@@ -637,7 +610,9 @@ def linear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant: s
             "the two-axis variant; the constructive three-axis value "
             "(1/12)(1/3 - eta) is authoritative"
         )
-    return _entanglement_report(f"linear-entanglement-{variant}", state, geom, n_axes, entries, all_terms, extras)
+    return _entanglement_report(
+        f"linear-entanglement-{variant}", state, geom, n_axes, _entries(all_terms), all_terms, extras
+    )
 
 
 def nonlinear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant: str = "I") -> TestReport:
@@ -654,39 +629,42 @@ def nonlinear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant
     n_axes = 2 if variant == "I" else 3
     c = math.cos(geom.alpha / 2.0)
 
-    all_terms: list[WeakTerm] = []
-    entries: dict[str, float] = {}
+    # Per axis, rows of P: a, b1, b2, then for III a1, a2 and the b bisector.
+    specs: list[tuple] = []
+    borns: list[tuple[list[WeakTerm], list[WeakTerm]]] = []
     closed = 0.0
-
     for i in range(n_axes):
-        a_axis = geom.a_axes[i]
-        a_doublet = geom.a_doublets[i]
-        b_doublet = geom.b_doublets[i]
-        tag = f"[{i + 1}]"
-        C, A, B = _two_qubit_correlations(state, a_axis, b_doublet.axis)
-        pa, pb1, pb2 = _projectors(a_axis), _projectors(b_doublet.n1), _projectors(b_doublet.n2)
-
-        plain_terms, plain_entries = _equality_entry_terms(state, pa, pb1, pb2, tag, bar=False)
-        entries.update(plain_entries)
-
+        a_doublet, b_doublet, tag = geom.a_doublets[i], geom.b_doublets[i], f"[{i + 1}]"
+        C, A, B = _two_qubit_correlations(state, geom.a_axes[i], b_doublet.axis)
+        axes = [geom.a_axes[i], b_doublet.n1, b_doublet.n2]
         if variant in ("I", "II"):
-            bar_terms, bar_entries = _equality_entry_terms(state, pa, pb1, pb2, tag + "~", bar=True)
-            entries.update(bar_entries)
-            for t1 in plain_terms:
-                for t2 in bar_terms:
-                    all_terms.append(_product_term(f"({t1.label})*({t2.label})", t1, t2, 1.0))
+            P = _qubit_projectors(axes)
+            specs += _equality_specs(P, tag, bar=False) + _equality_specs(P, tag + "~", bar=True)
             closed += (c * c / 4.0) * (c * c - C * C)
         else:
-            all_terms.extend(plain_terms)
-            a_born = _born_terms(state, pa, 0, tag)
-            b_born = _born_terms(state, _projectors(b_doublet.axis), 1, tag)
-            a_pair = _pair_terms(state, _projectors(a_doublet.n1), _projectors(a_doublet.n2), 0, tag)
-            b_pair = _pair_terms(state, pb1, pb2, 1, tag)
+            P = _qubit_projectors(axes + [a_doublet.n1, a_doublet.n2, b_doublet.axis])
+            specs += _equality_specs(P, tag, bar=False) + _pair_specs(P[3], P[4], 0, tag) + _pair_specs(P[1], P[2], 1, tag)
+            borns.append((_born_terms(state, P[0], 0, tag), _born_terms(state, P[5], 1, tag)))
+            closed += 0.5 * c * (3.0 * c + C - 0.5 * (A + B) ** 2)
+    terms = _pp_terms(state, specs)
+
+    all_terms: list[WeakTerm] = []
+    entries: dict[str, float] = {}
+    per_axis = len(specs) // n_axes
+    for i in range(n_axes):
+        chunk = terms[per_axis * i : per_axis * (i + 1)]
+        plain, rest = chunk[:2], chunk[2:]
+        entries.update(_entries(plain))
+        if variant in ("I", "II"):
+            entries.update(_entries(rest))
+            all_terms += [_product_term(f"({t1.label})*({t2.label})", t1, t2, 1.0) for t1 in plain for t2 in rest]
+        else:
+            (a_born, b_born), a_pair, b_pair = borns[i], rest[:2], rest[2:]
+            all_terms += plain
             all_terms += _opposed_products(a_born, a_pair, 0.5)
             all_terms += _opposed_products(b_born, b_pair, 0.5)
             all_terms += _opposed_products(a_born, b_pair, 0.5)
-            all_terms += _opposed_products(a_pair, b_born, 0.5, signs=(-1, +1))
-            closed += 0.5 * c * (3.0 * c + C - 0.5 * (A + B) ** 2)
+            all_terms += _opposed_products(a_pair, b_born, 0.5, outcomes=(1, 0))
 
     extras: dict[str, object] = {"pauli_closed_form": closed, "aperture_cos_half": c}
     return _entanglement_report(f"nonlinear-entanglement-{variant}", state, geom, n_axes, entries, all_terms, extras)
@@ -702,6 +680,7 @@ def discord_test(state: DensityMatrix, alpha: float) -> TestReport:
     aperture, so both branches negative witnesses discord.
     """
     _require_dim(state, 4, "discord_test")
+    alpha = _real(alpha, "alpha")
     if not (0.0 < alpha < math.pi):
         raise InvalidInputError(f"alpha must lie in (0, pi), got {alpha}")
 
@@ -714,23 +693,29 @@ def discord_test(state: DensityMatrix, alpha: float) -> TestReport:
     if degenerate:
         warnings.append("reduced state is maximally mixed; branch axis fixed to z")
 
+    # Per branch, rows of P: the branch axis, then its doublet n1, n2.
+    specs: list[tuple] = []
+    borns: list[list[WeakTerm]] = []
+    closed: dict[str, float] = {}
+    c = math.cos(alpha / 2.0)
+    for group, axis in ((1, a1_axis), (2, a2_axis)):
+        doublet, tag = make_doublet(axis, alpha), f"[{group}]"
+        P = _qubit_projectors([axis, doublet.n1, doublet.n2])
+        specs += _equality_specs(P, tag, bar=False, group=group) + _pair_specs(P[1], P[2], 1, tag)
+        borns.append(_born_terms(state, P[0], 0, tag))
+        C, A, B = _two_qubit_correlations(state, axis, axis)
+        closed[f"branch_{group}_closed_form"] = 0.5 * c * (2.0 * c + C - A * B)
+    terms = _pp_terms(state, specs)
+
     all_terms: list[WeakTerm] = []
     entries: dict[str, float] = {}
     branch_values: dict[str, float] = {}
-    closed: dict[str, float] = {}
-    c = math.cos(alpha / 2.0)
-
-    for group, axis in ((1, a1_axis), (2, a2_axis)):
-        doublet = make_doublet(axis, alpha)
-        tag = f"[{group}]"
-        pa, pb1, pb2 = _projectors(axis), _projectors(doublet.n1), _projectors(doublet.n2)
-        eq_terms, eq_entries = _equality_entry_terms(state, pa, pb1, pb2, tag, bar=False, group=group)
-        cross = _opposed_products(_born_terms(state, pa, 0, tag), _pair_terms(state, pb1, pb2, 1, tag), 1.0, group)
-        all_terms += eq_terms + cross
-        entries.update(eq_entries)
-        branch_values[f"branch_{group}"] = statistic_from_terms(eq_terms + cross, RULE_SUM)
-        C, A, B = _two_qubit_correlations(state, axis, axis)
-        closed[f"branch_{group}_closed_form"] = 0.5 * c * (2.0 * c + C - A * B)
+    for group in (1, 2):
+        equality, pair = terms[4 * group - 4 : 4 * group - 2], terms[4 * group - 2 : 4 * group]
+        branch = equality + _opposed_products(borns[group - 1], pair, 1.0, group)
+        all_terms += branch
+        entries.update(_entries(equality))
+        branch_values[f"branch_{group}"] = statistic_from_terms(branch, RULE_SUM)
 
     return _report(
         "discord",

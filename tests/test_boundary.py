@@ -14,6 +14,7 @@ from pplab import (
     PointerConfig,
     bloch_state,
     build_scheme,
+    discord_test,
     evaluate_strategy,
     make_doublet,
     make_entanglement_geometry,
@@ -24,7 +25,9 @@ from pplab import (
     scheme_from_json,
     simulate_pointers,
     statistic_from_terms,
+    transition_matrix,
     unit_pp,
+    werner_state,
 )
 
 RHO = bloch_state([0.6, 0.0, 0.0])
@@ -102,3 +105,30 @@ def test_scan_strategies_reads_an_axis_generator_for_every_state():
     generated = scan_strategies(points, (a for a in axes), 1.0, [0.0, 0.5, 1.0])
     assert listed["bloch"] == [0.6, 0.6, 0.0]
     assert generated == listed
+
+
+def _ndarray_state_simulation():
+    return simulate_pointers(RHO.matrix, PROJS, POST, CFG)
+
+
+# Each call used to escape as a Python TypeError, AttributeError or
+# ValueError; the second item is the argument the message must name.
+LEAKS = {
+    "make_doublet/alpha": (lambda: make_doublet(AXIS, "a"), "alpha"),
+    "werner_state/eta": (lambda: werner_state("a"), "eta"),
+    "discord_test/alpha": (lambda: discord_test(werner_state(1.0), "a"), "alpha"),
+    "PointerConfig/g": (lambda: PointerConfig(g="a", t=1.0), "g"),
+    "transition_matrix/t": (lambda: transition_matrix("a"), "t"),
+    "scheme_from_json/entries": (
+        lambda: scheme_from_json({"observables": [], "prescription": "unit", "entries": 5}),
+        "entries",
+    ),
+    "simulate_pointers/ndarray_state": (_ndarray_state_simulation, "state"),
+    "statistic_from_terms/empty_max_group": (lambda: statistic_from_terms([], "max_group_sum"), "terms"),
+}
+
+
+@pytest.mark.parametrize("call, name", list(LEAKS.values()), ids=list(LEAKS))
+def test_scalar_and_container_leaks_are_invalid_input(call, name):
+    with pytest.raises(InvalidInputError, match=rf"^{name} "):
+        call()

@@ -303,3 +303,29 @@ def test_convex_marginal_from_a_pair_keeps_the_other_groups_weights():
     rebuilt = build_scheme(rho, m.observables, "convex", m.weights)
     for key, value in m.entries.items():
         assert rebuilt.entries[key] == pytest.approx(value, abs=1e-12)
+
+
+def test_uniform_convex_scheme_uses_the_symmetrized_recursion(monkeypatch):
+    from pplab import pseudoprojection
+
+    calls = []
+    ordering_array = pseudoprojection._ordering_array
+    monkeypatch.setattr(
+        pseudoprojection, "_ordering_array", lambda k: calls.append(k) or ordering_array(k)
+    )
+    rng = np.random.default_rng(233)
+    rho = ginibre_density(rng, 2)
+    obs = [_obs(0, random_unit_vector(rng)) for _ in range(8)]
+    convex = build_scheme(rho, obs, "convex")
+    symmetrized = build_scheme(rho, obs, "symmetrized")
+    assert calls == []
+    assert list(convex.entries) == list(symmetrized.entries)
+    assert max(abs(convex.entries[k] - symmetrized.entries[k]) for k in convex.entries) <= 1e-12
+    assert convex.prescription == "convex" and convex.weights is None
+
+    # Weighted convex keeps the per-ordering sum; given uniform weights it
+    # agrees with the recursion.
+    explicit = build_scheme(rho, obs[:5], "convex", weights=[1 / 60] * 60)
+    assert calls == [5]
+    uniform = build_scheme(rho, obs[:5], "convex")
+    assert max(abs(uniform.entries[k] - explicit.entries[k]) for k in uniform.entries) <= 1e-12
