@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .geometry import bloch_state, unit_vector
 from .operator_core import Array, _real, _sequence
-from .scheme import ObservableSpec, build_scheme
+from .scheme import SCHEME_SUM_TOL, ObservableSpec, build_scheme
 
 __all__ = [
     "GameState",
@@ -35,8 +35,6 @@ __all__ = [
     "evaluate_strategy",
     "scan_strategies",
 ]
-
-SCHEME_SUM_TOL = 1e-10
 
 # (++, --, +-, -+) labels for the four entries.
 OUTCOME_ORDER = ((+1, +1), (-1, -1), (+1, -1), (-1, +1))
@@ -121,6 +119,9 @@ def _observable_axes(theta: float) -> tuple[Array, Array]:
 def scheme_from_state(state_bloch: object, theta: float = 0.0) -> tuple[float, float, float, float]:
     """Four pseudo-probabilities of the equatorial observable pair at angle theta."""
     rho = bloch_state(state_bloch)
+    theta = _real(theta, "theta")
+    if not math.isfinite(theta):
+        raise InvalidInputError(f"theta must be finite, got {theta}")
     m, w = _observable_axes(theta)
     sch = build_scheme(rho, [ObservableSpec(0, axis=m), ObservableSpec(0, axis=w)], "unit")
     return tuple(sch.entry(k) for k in OUTCOME_ORDER)  # type: ignore[return-value]
@@ -149,6 +150,7 @@ def evaluate_strategy(
     bloch_state(bloch)  # shape, finiteness and |p| <= 1, once for the whole trajectory
     p0 = np.asarray(bloch, dtype=float)
     axis = unit_vector(hamiltonian_axis, "hamiltonian_axis")
+    omega_L = _real(omega_L, "omega_L")
     if not math.isfinite(omega_L):
         raise InvalidInputError(f"omega_L must be finite, got {omega_L}")
     times = _sequence(t_grid, "t_grid", "numbers", float)

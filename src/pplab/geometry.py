@@ -8,7 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .operator_core import Array, DensityMatrix, Projector, STRUCTURAL_TOL, _close, _outcome_projectors, _real, _sequence
+from .operator_core import (
+    Array, DensityMatrix, Projector, STRUCTURAL_TOL, _close, _expectations, _outcome_projectors, _real, _sequence,
+)
 
 __all__ = [
     "PAULI_X",
@@ -31,8 +33,11 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
+# sigma_0 = I, sigma_1..3 = X, Y, Z; entry (mu, nu) of the pair basis is sigma_mu x sigma_nu.
+_PAULI_BASIS = np.stack([IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z])
+_PAULI_PAIRS = np.einsum("mab,ncd->mnacbd", _PAULI_BASIS, _PAULI_BASIS).reshape(4, 4, 4, 4)
 # Row i is Pauli matrix i flattened, so that n @ _PAULIS is sigma . n flattened.
-_PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z]).reshape(3, 4)
+_PAULIS = _PAULI_BASIS[1:].reshape(3, 4)
 
 UNIT_TOL = 1e-10
 # Axis nearly parallel to the primary reference flips the azimuth reference.
@@ -65,6 +70,13 @@ def unit_vector(v: object, name: str = "vector") -> Array:
     return a
 
 
+def _pauli_coordinates(m: Array) -> Array:
+    """Re Tr(m sigma_mu) for a 2x2 `m`: [1, p] for a qubit state with Bloch vector p.
+    For a 4x4 `m`, the table Re Tr(m sigma_mu x sigma_nu): [[1, b], [a, T]] for a
+    two-qubit state with local Bloch vectors a, b and correlation tensor T."""
+    return _expectations(m, _PAULI_BASIS if len(m) == 2 else _PAULI_PAIRS)
+
+
 def pauli_vector(n: object) -> Array:
     """sigma . n for a unit 3-vector n."""
     return (unit_vector(n, "axis") @ _PAULIS).reshape(2, 2)
@@ -75,7 +87,7 @@ def bloch_state(p: object) -> DensityMatrix:
     a = _vector3(p, "Bloch vector")
     if np.linalg.norm(a) > 1.0 + 1e-12:
         raise InvalidInputError(f"Bloch vector must satisfy |p| <= 1, got {np.linalg.norm(a):.12f}")
-    m = 0.5 * (IDENTITY_2 + a[0] * PAULI_X + a[1] * PAULI_Y + a[2] * PAULI_Z)
+    m = 0.5 * (IDENTITY_2 + (a @ _PAULIS).reshape(2, 2))
     return DensityMatrix(m)
 
 

@@ -147,9 +147,21 @@ def expectation(state: "DensityMatrix | Array", op: Array) -> complex:
     return complex(np.trace(rho @ op))
 
 
+def _expectations(rho: Array, ops: object) -> float | Array:
+    """Re Tr(rho X) for one operator X, or for every matrix of a (..., d, d) stack, in one contraction."""
+    x = np.asarray(ops)
+    values = (x.reshape(-1, rho.size) @ rho.T.reshape(-1)).real
+    return float(values[0]) if x.ndim == 2 else values.reshape(x.shape[:-2])
+
+
 def partial_trace(m: Array, dims: tuple[int, ...], keep: int) -> Array:
     """Trace out all tensor slots except `keep` (slot 0 is the outer factor)."""
     m = require_square(as_complex_matrix(m, "m"), "m")
+    dims = tuple(_sequence(dims, "dims", "positive integers"))
+    if not all(isinstance(d, (int, np.integer)) and d > 0 for d in dims):
+        raise InvalidInputError(f"dims must be an ordered collection of positive integers, got {dims!r}")
+    if not isinstance(keep, (int, np.integer)):
+        raise InvalidInputError(f"keep must be an integer, got {keep!r}")
     total = int(np.prod(dims))
     if m.shape[0] != total:
         raise InvalidInputError(f"dims {dims} inconsistent with shape {m.shape}")
@@ -229,6 +241,13 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _require_state(state: object) -> DensityMatrix:
+    """`state` if it is a DensityMatrix; anything else raises "state must be a DensityMatrix"."""
+    if not isinstance(state, DensityMatrix):
+        raise InvalidInputError(f"state must be a DensityMatrix, got {type(state).__name__}")
+    return state
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,10 @@ from .errors import (
     PostSelectionImpossibleError,
     ResourceLimitError,
 )
-from .geometry import PAULI_X, PAULI_Y, PAULI_Z
-from .operator_core import Array, DensityMatrix, Projector, _close, _real, _sequence, as_complex_matrix
+from .geometry import _pauli_coordinates
+from .operator_core import (
+    Array, DensityMatrix, Projector, _close, _expectations, _real, _require_state, _sequence, as_complex_matrix,
+)
 from .pseudoprojection import _coerce_factors, _ordered_moments
 from .weak import OVERLAP_FLOOR, _overlap
 
@@ -94,9 +96,7 @@ def _coerce_effect(post: object, name: str) -> Array:
 
 def _setup(state: DensityMatrix, projectors: object, post: object) -> tuple[tuple[Projector, ...], Array, float]:
     """Qubit projectors and effect for a qubit `state`, with the overlap Tr(E rho)."""
-    if not isinstance(state, DensityMatrix):
-        raise InvalidInputError(f"state must be a DensityMatrix, got {type(state).__name__}")
-    if state.dim != 2:
+    if _require_state(state).dim != 2:
         raise InvalidInputError("pointer simulation takes a single-qubit state")
     plist = _coerce_factors(projectors, minimum=1)
     if plist[0].dim != 2:
@@ -126,13 +126,7 @@ def _pointer_pseudo_probability(
     state: DensityMatrix, projectors: tuple[Projector, ...], effect: Array, overlap: float
 ) -> float:
     sym = _ordered_moments([p.matrix for p in projectors], "symmetrized")[-1]
-    return float(np.real(np.trace(effect @ sym @ state.matrix))) / overlap
-
-
-def _pauli_components(p: Projector) -> tuple[float, Array]:
-    c = float(np.real(np.trace(p.matrix))) / 2.0
-    v = np.array([float(np.real(np.trace(p.matrix @ s))) / 2.0 for s in (PAULI_X, PAULI_Y, PAULI_Z)])
-    return c, v
+    return _expectations(state.matrix, effect @ sym) / overlap
 
 
 def _correlation(state: DensityMatrix, projectors: tuple[Projector, ...], effect: Array, cfg: PointerConfig) -> float:
@@ -151,10 +145,11 @@ def _correlation(state: DensityMatrix, projectors: tuple[Projector, ...], effect
         phi = np.multiply.outer(phi, psi1)
     phik = np.fft.fftn(phi)
 
-    comps = [_pauli_components(p) for p in projectors]
+    # Each projector is c I + v . sigma with (c, v) = Tr(P sigma_mu)/2.
+    comps = [_pauli_coordinates(p.matrix) / 2.0 for p in projectors]
     kgrids = np.meshgrid(*([ks] * n_pointers), indexing="ij")
-    alpha = sum(c * kg for (c, _), kg in zip(comps, kgrids))
-    beta = [sum(v[a] * kg for (_, v), kg in zip(comps, kgrids)) for a in range(3)]
+    alpha = sum(cv[0] * kg for cv, kg in zip(comps, kgrids))
+    beta = [sum(cv[a] * kg for cv, kg in zip(comps, kgrids)) for a in (1, 2, 3)]
     bnorm = np.sqrt(beta[0] ** 2 + beta[1] ** 2 + beta[2] ** 2)
 
     gt = cfg.g * cfg.t

@@ -83,11 +83,16 @@ def _convex_weights(n: int, weights: object | None) -> Array:
     count = math.factorial(n) // 2
     if weights is None:
         return np.full(count, 1.0 / count)
-    w = np.asarray(weights, dtype=float)
+    try:
+        w = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"weights must be real numbers, got {weights!r}") from None
     if w.shape != (count,):
         raise InvalidInputError(
             f"weights must have length {count} (one per ordering), got {w.shape}"
         )
+    if not np.isfinite(w).all():
+        raise InvalidInputError(f"weights are not finite: {w.tolist()}")
     if np.any(w < -1e-14) or abs(w.sum() - 1.0) > 1e-10:
         raise InvalidInputError("weights must be non-negative and sum to 1")
     return w

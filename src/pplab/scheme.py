@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -44,6 +45,7 @@ from .operator_core import (
     _close,
     _outcome_projectors,
     _real,
+    _require_state,
     _sequence,
     as_complex_matrix,
     require_square,
@@ -65,6 +67,8 @@ __all__ = [
 ]
 
 MAX_OBSERVABLES = 8
+# A scheme's entries sum to 1 within this tolerance.
+SCHEME_SUM_TOL = 1e-10
 PRESCRIPTIONS = ("unit", "symmetrized", "convex")
 _UNEQUAL_GROUPS = "convex weights require all multi-observable groups to share one size"
 
@@ -86,6 +90,8 @@ class ObservableSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.subsystem, (int, np.integer)):
+            raise InvalidInputError(f"subsystem must be an integer, got {self.subsystem!r}")
         if self.subsystem < 0:
             raise InvalidInputError(f"subsystem index must be >= 0, got {self.subsystem}")
         if (self.axis is None) == (self.matrix is None):
@@ -147,8 +153,10 @@ class Scheme:
             raise InvalidInputError(
                 f"expected {2**n} entries for {n} observables, got {len(self.entries)}"
             )
+        if not all(map(math.isfinite, self.entries.values())):
+            raise InvalidInputError("entries are not finite")
         total = sum(self.entries.values())
-        if abs(total - 1.0) > 1e-10:
+        if abs(total - 1.0) > SCHEME_SUM_TOL:
             raise InvalidInputError(f"entries must sum to 1, got {total!r}")
 
     @property
@@ -232,7 +240,7 @@ def build_scheme(
     if weights is not None and prescription != "convex":
         raise InvalidInputError("weights are only meaningful for the convex prescription")
     groups, dims = _subsystem_layout(obs)
-    if int(np.prod(dims)) != state.dim:
+    if int(np.prod(dims)) != _require_state(state).dim:
         raise InvalidInputError(
             f"subsystem dimensions {dims} do not compose to state dimension {state.dim}"
         )
@@ -413,7 +421,7 @@ def scheme_from_json(data: dict[str, object]) -> Scheme:
     except (KeyError, TypeError):
         raise InvalidInputError("scheme JSON needs observables, prescription, entries")
     observables = _sequence(obs_in, "observables", "observable records", _spec_from_json)
-    if not isinstance(entries_in, dict):
+    if not isinstance(entries_in, dict) or not all(isinstance(k, str) for k in entries_in):
         raise InvalidInputError("entries must map outcome strings to numbers")
     entries = {string_to_outcomes(k): _real(v, f"entry {k!r}") for k, v in entries_in.items()}
     weights = data.get("weights")

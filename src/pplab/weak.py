@@ -26,6 +26,7 @@ from .operator_core import (
     _any,
     _check_density,
     _close,
+    _expectations,
     _sequence,
     as_complex_matrix,
     require_square,
@@ -142,12 +143,12 @@ def _born_weak(state: DensityMatrix, leads: Array, ranks: object, rests: Array) 
     checked as one stack; None where that overlap, born/rank, would be refused (exactly so
     when rank is a power of two)."""
     rho = state.matrix
-    born = (leads.reshape(len(leads), -1) @ rho.T.reshape(-1)).real
+    born = _expectations(rho, leads)
     ranks = np.asarray(ranks, dtype=float)
     kept = born > ranks * OVERLAP_FLOOR
     post = _check_density(leads[kept] / ranks[kept, None, None])
     weak = np.zeros(len(born))
-    weak[kept] = (post @ rests[kept] @ rho).trace(axis1=-2, axis2=-1).real / _overlap(rho, post)
+    weak[kept] = _expectations(rho, post @ rests[kept]) / _overlap(rho, post)
     return born.tolist(), [w if k else None for w, k in zip(weak.tolist(), kept.tolist())]
 
 
@@ -176,7 +177,7 @@ def pp_weak_factorization(state: object, factors: object) -> dict[str, float]:
     fs = _coerce_factors(factors)
     if fs[0].dim != rho.dim:
         raise InvalidInputError(f"dimension mismatch: state {rho.dim}, factors {fs[0].dim}")
-    pseudo = float(np.real(np.trace(rho.matrix @ unit_pp(fs).matrix)))
+    pseudo = _expectations(rho.matrix, unit_pp(fs).matrix)
     mats = tuple(f.matrix for f in fs)
     rest = _ordered_product(mats, tuple(range(1, len(mats))))
     (born,), (weak,) = _born_weak(rho, mats[0][None], [fs[0].rank], rest[None])

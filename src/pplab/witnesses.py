@@ -22,24 +22,24 @@ from .errors import InvalidInputError
 from .geometry import (
     IDENTITY_2,
     PAULI_X,
-    PAULI_Y,
     PAULI_Z,
     EntanglementGeometry,
+    _pauli_coordinates,
     _qubit_projectors,
     make_doublet,
     mub_partner,
-    pauli_vector,
     qubit_projector,
     unit_vector,
 )
 from .operator_core import (
     Array,
     DensityMatrix,
+    _expectations,
     _kron,
     _outcome_projectors,
     _real,
+    _require_state,
     _sequence,
-    partial_trace,
     resolve_tolerance,
 )
 from .pseudoprojection import (
@@ -191,23 +191,15 @@ def _report(
     )
 
 
-def _bloch(m: Array) -> list[float]:
-    """Tr(m sigma) for sigma = X, Y, Z: the Bloch vector of a qubit state."""
-    return [float(np.real(np.trace(m @ p))) for p in (PAULI_X, PAULI_Y, PAULI_Z)]
-
-
 def _state_digest(state: DensityMatrix) -> dict[str, object]:
-    digest: dict[str, object] = {
-        "dim": state.dim,
-        "purity": float(np.real(np.trace(state.matrix @ state.matrix))),
-    }
+    digest: dict[str, object] = {"dim": state.dim, "purity": _expectations(state.matrix, state.matrix)}
     if state.dim == 2:
-        digest["bloch"] = _bloch(state.matrix)
+        digest["bloch"] = _pauli_coordinates(state.matrix)[1:].tolist()
     return digest
 
 
 def _require_dim(state: DensityMatrix, dim: int, test: str) -> None:
-    if state.dim != dim:
+    if _require_state(state).dim != dim:
         raise InvalidInputError(f"{test} needs a {dim}x{dim} state, got {state.dim}x{state.dim}")
 
 
@@ -265,7 +257,7 @@ def _pair_specs(p1: Array, p2: Array, side: int, tag: str) -> list[tuple]:
 
 def _born_terms(state: DensityMatrix, p: Array, side: int, tag: str) -> list[WeakTerm]:
     """Plain outcome probabilities on one side, weak part trivially 1."""
-    borns = [float(np.real(np.trace(state.matrix @ _embed(q, side)))) for q in p]
+    borns = _expectations(state.matrix, [_embed(q, side) for q in p]).tolist()
     return [WeakTerm(f"{tag}{'ab'[side]}{_MARK[o]}", b, 1.0, b, 1.0, 0) for o, b in enumerate(borns)]
 
 
@@ -292,16 +284,6 @@ def _axis_angle(a1: Array, a2: Array) -> float:
     return float(np.arccos(np.clip(a1 @ a2, -1.0, 1.0)))
 
 
-def _two_qubit_correlations(state: DensityMatrix, a_axis: Array, b_axis: Array) -> tuple[float, float, float]:
-    """(C, A, B) = <sa x sb>, <sa x I>, <I x sb>."""
-    sa = pauli_vector(a_axis)
-    sb = pauli_vector(b_axis)
-    c = float(np.real(np.trace(state.matrix @ _kron(sa, sb))))
-    a = float(np.real(np.trace(state.matrix @ _kron(sa, IDENTITY_2))))
-    b = float(np.real(np.trace(state.matrix @ _kron(IDENTITY_2, sb))))
-    return c, a, b
-
-
 # ---------------------------------------------------------------------------
 # single-qubit tests
 # ---------------------------------------------------------------------------
@@ -323,7 +305,7 @@ def coherence_test(state: DensityMatrix, a1: object, a2: object) -> TestReport:
     terms = _pp_terms(state, [(P[0, 0], 1, P[1, 0], "a1+ | a2+", 1.0, 0)])
 
     # Independent route: (1/4)(1 + a1.a2 + p.(a1 + a2)) from the Pauli algebra.
-    bloch = np.array(_bloch(state.matrix))
+    bloch = _pauli_coordinates(state.matrix)[1:]
     closed = 0.25 * (1.0 + float(v1 @ v2) + float(bloch @ (v1 + v2)))
 
     return _report(
@@ -352,8 +334,8 @@ def boolean_state_dep_test(state: DensityMatrix, a1: object, a2: object) -> Test
 
     nested = conjunction_pp([p1, p2, p1bar])
     flat = unit_pp([p1, p2, p1bar])
-    statistic = float(np.real(np.trace(state.matrix @ nested.matrix)))
-    flat_value = float(np.real(np.trace(state.matrix @ flat.matrix)))
+    statistic = _expectations(state.matrix, nested.matrix)
+    flat_value = _expectations(state.matrix, flat.matrix)
 
     # Nested conjunction splits into two ordered products with weight 1/2.
     terms = _pp_terms(state, [
@@ -362,7 +344,7 @@ def boolean_state_dep_test(state: DensityMatrix, a1: object, a2: object) -> Test
     ])
 
     k = float(v1 @ v2)
-    bloch = np.array(_bloch(state.matrix))
+    bloch = _pauli_coordinates(state.matrix)[1:]
     closed = 0.125 * float(bloch @ (v2 - k * v1))
 
     return _report(
@@ -402,10 +384,7 @@ def boolean_state_indep_test(a1: object, a2: object) -> TestReport:
         qubit_projector(v2, -1),
     ]
     pp = symmetrized_pp(ps)
-    values = {
-        name: float(np.real(np.trace(rho @ pp.matrix) / np.trace(rho)))
-        for name, rho in _CANONICAL_QUBITS
-    }
+    values = {name: _expectations(rho, pp.matrix) for name, rho in _CANONICAL_QUBITS}
     statistic = values["maximally-mixed"]
     spread = max(values.values()) - min(values.values())
 
@@ -465,12 +444,10 @@ def distributivity_test(state: DensityMatrix, a1: object, a2: object, a3: object
     chained = unit_pp([p2, p1, p3])
     factored = conjunction_pp([p1, unit_pp([p2, p3])])
     gap = chained.matrix - factored.matrix
-    statistic = float(np.real(np.trace(state.matrix @ gap)))
-    chained_value = float(np.real(np.trace(state.matrix @ chained.matrix)))
-    factored_value = float(np.real(np.trace(state.matrix @ factored.matrix)))
+    statistic, chained_value, factored_value = _expectations(state.matrix, [gap, chained.matrix, factored.matrix]).tolist()
 
     # Independent route: (1/8) p.[(a1.a3) a2 + (a1.a2) a3 - 2 (a2.a3) a1] from the Pauli algebra.
-    bloch = np.array(_bloch(state.matrix))
+    bloch = _pauli_coordinates(state.matrix)[1:]
     closed = 0.125 * float(bloch @ (float(v1 @ v3) * v2 + float(v1 @ v2) * v3 - 2.0 * float(v2 @ v3) * v1))
 
     terms = _pp_terms(state, [
@@ -509,6 +486,8 @@ def chsh_test(
     """
     _require_dim(state, 4, "chsh_test")
     for name, o, sub in (("A1", A1, 0), ("A2", A2, 0), ("B1", B1, 1), ("B2", B2, 1)):
+        if not isinstance(o, ObservableSpec):
+            raise InvalidInputError(f"{name} must be an ObservableSpec, got {type(o).__name__}")
         if o.subsystem != sub:
             raise InvalidInputError(f"{name} must live on subsystem {sub}, got {o.subsystem}")
         if o.dim != 2:
@@ -533,14 +512,14 @@ def chsh_test(
         for a in (0, 1) for o in (0, 1)
     ])
 
-    # Independent route: statistic = (2 + <A1(B1+B2)> + <A2(B1-B2)>)/4.
-    def corr(a: ObservableSpec, b: Array) -> float:
-        return float(np.real(np.trace(state.matrix @ _kron(a.matrix, b))))
-
-    chsh_value = (
-        corr(A1, B1.matrix) + corr(A1, B2.matrix) + corr(A2, B1.matrix) - corr(A2, B2.matrix)
-    )
-    closed = 0.25 * (2.0 + corr(A1, B1.matrix + B2.matrix) + corr(A2, B1.matrix - B2.matrix))
+    # Independent route: statistic = (2 + <A1(B1+B2)> + <A2(B1-B2)>)/4.  Each
+    # observable is sigma.n with n = Tr(sigma A)/2: Hermitian, squaring to I and
+    # not +-I (its outcome projectors have rank 1) makes A traceless with |n| = 1.
+    T = _pauli_coordinates(state.matrix)[1:, 1:]
+    n1, n2, m1, m2 = (_pauli_coordinates(o.matrix)[1:] / 2.0 for o in (A1, A2, B1, B2))
+    plus, minus = float(n1 @ T @ (m1 + m2)), float(n2 @ T @ (m1 - m2))
+    chsh_value = plus + minus
+    closed = 0.25 * (2.0 + plus + minus)
 
     return _report(
         "chsh",
@@ -587,6 +566,8 @@ def linear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant: s
     aperture validity window; a negative value witnesses entanglement.
     """
     _require_dim(state, 4, "linear_ent_test")
+    if not isinstance(geom, EntanglementGeometry):
+        raise InvalidInputError(f"geom must be an EntanglementGeometry, got {type(geom).__name__}")
     if variant not in ("I", "II"):
         raise InvalidInputError(f"variant must be 'I' or 'II', got {variant!r}")
     n_axes = 2 if variant == "I" else 3
@@ -594,12 +575,12 @@ def linear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant: s
     specs: list[tuple] = []
     closed = 0.0
     c = math.cos(geom.alpha / 2.0)
+    T = _pauli_coordinates(state.matrix)[1:, 1:]
     for i in range(n_axes):
         a_axis = geom.a_axes[i]
         doublet = geom.b_doublets[i]
         specs += _equality_specs(_qubit_projectors([a_axis, doublet.n1, doublet.n2]), f"[{i + 1}]", bar=False)
-        C, _, _ = _two_qubit_correlations(state, a_axis, doublet.axis)
-        closed += 0.5 * c * (c + C)
+        closed += 0.5 * c * (c + float(a_axis @ T @ doublet.axis))
     all_terms = _pp_terms(state, specs)
 
     extras: dict[str, object] = {"pauli_closed_form": closed, "aperture_cos_half": c}
@@ -624,6 +605,8 @@ def nonlinear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant
     doublet conjunctions; its classical floor is again zero.
     """
     _require_dim(state, 4, "nonlinear_ent_test")
+    if not isinstance(geom, EntanglementGeometry):
+        raise InvalidInputError(f"geom must be an EntanglementGeometry, got {type(geom).__name__}")
     if variant not in ("I", "II", "III"):
         raise InvalidInputError(f"variant must be 'I', 'II' or 'III', got {variant!r}")
     n_axes = 2 if variant == "I" else 3
@@ -633,16 +616,19 @@ def nonlinear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant
     specs: list[tuple] = []
     borns: list[tuple[list[WeakTerm], list[WeakTerm]]] = []
     closed = 0.0
+    table = _pauli_coordinates(state.matrix)
+    a, b, T = table[1:, 0], table[0, 1:], table[1:, 1:]
     for i in range(n_axes):
         a_doublet, b_doublet, tag = geom.a_doublets[i], geom.b_doublets[i], f"[{i + 1}]"
-        C, A, B = _two_qubit_correlations(state, geom.a_axes[i], b_doublet.axis)
-        axes = [geom.a_axes[i], b_doublet.n1, b_doublet.n2]
+        a_axis, b_axis = geom.a_axes[i], b_doublet.axis
+        C, A, B = float(a_axis @ T @ b_axis), float(a @ a_axis), float(b @ b_axis)
+        axes = [a_axis, b_doublet.n1, b_doublet.n2]
         if variant in ("I", "II"):
             P = _qubit_projectors(axes)
             specs += _equality_specs(P, tag, bar=False) + _equality_specs(P, tag + "~", bar=True)
             closed += (c * c / 4.0) * (c * c - C * C)
         else:
-            P = _qubit_projectors(axes + [a_doublet.n1, a_doublet.n2, b_doublet.axis])
+            P = _qubit_projectors(axes + [a_doublet.n1, a_doublet.n2, b_axis])
             specs += _equality_specs(P, tag, bar=False) + _pair_specs(P[3], P[4], 0, tag) + _pair_specs(P[1], P[2], 1, tag)
             borns.append((_born_terms(state, P[0], 0, tag), _born_terms(state, P[5], 1, tag)))
             closed += 0.5 * c * (3.0 * c + C - 0.5 * (A + B) ** 2)
@@ -684,7 +670,8 @@ def discord_test(state: DensityMatrix, alpha: float) -> TestReport:
     if not (0.0 < alpha < math.pi):
         raise InvalidInputError(f"alpha must lie in (0, pi), got {alpha}")
 
-    r = np.array(_bloch(partial_trace(state.matrix, (2, 2), 0)))
+    table = _pauli_coordinates(state.matrix)
+    r, b, T = table[1:, 0], table[0, 1:], table[1:, 1:]
     degenerate = bool(np.linalg.norm(r) < 1e-8)
     a1_axis = np.array([0.0, 0.0, 1.0]) if degenerate else r / np.linalg.norm(r)
     a2_axis = mub_partner(a1_axis)
@@ -703,7 +690,7 @@ def discord_test(state: DensityMatrix, alpha: float) -> TestReport:
         P = _qubit_projectors([axis, doublet.n1, doublet.n2])
         specs += _equality_specs(P, tag, bar=False, group=group) + _pair_specs(P[1], P[2], 1, tag)
         borns.append(_born_terms(state, P[0], 0, tag))
-        C, A, B = _two_qubit_correlations(state, axis, axis)
+        C, A, B = float(axis @ T @ axis), float(r @ axis), float(b @ axis)
         closed[f"branch_{group}_closed_form"] = 0.5 * c * (2.0 * c + C - A * B)
     terms = _pp_terms(state, specs)
 

@@ -11,18 +11,26 @@ import pytest
 from pplab import (
     DensityMatrix,
     InvalidInputError,
+    ObservableSpec,
     PointerConfig,
     bloch_state,
     build_scheme,
+    chsh_test,
+    coherence_test,
+    convex_pp,
     discord_test,
     evaluate_strategy,
+    linear_ent_test,
     make_doublet,
     make_entanglement_geometry,
+    nonlinear_ent_test,
+    partial_trace,
     perturbative_prediction,
     proportionality_check,
     qubit_projector,
     scan_strategies,
     scheme_from_json,
+    scheme_from_state,
     simulate_pointers,
     statistic_from_terms,
     transition_matrix,
@@ -111,6 +119,15 @@ def _ndarray_state_simulation():
     return simulate_pointers(RHO.matrix, PROJS, POST, CFG)
 
 
+NAN = float("nan")
+WERNER = werner_state(0.9)
+OBS = [
+    ObservableSpec(sub, axis=axis, label=label)
+    for sub, axis, label in ((0, AXIS, "A1"), (0, [1, 0, 0], "A2"), (1, AXIS, "B1"), (1, [1, 0, 0], "B2"))
+]
+THREE_ON_ONE = [ObservableSpec(0, axis=axis) for axis in (AXIS, [1, 0, 0], [0, 1, 0])]
+
+
 # Each call used to escape as a Python TypeError, AttributeError or
 # ValueError; the second item is the argument the message must name.
 LEAKS = {
@@ -125,6 +142,37 @@ LEAKS = {
     ),
     "simulate_pointers/ndarray_state": (_ndarray_state_simulation, "state"),
     "statistic_from_terms/empty_max_group": (lambda: statistic_from_terms([], "max_group_sum"), "terms"),
+    "convex_pp/nan_weight": (lambda: convex_pp(PROJS, [NAN]), "weights"),
+    "convex_pp/string_weights": (lambda: convex_pp(PROJS, "a"), "weights"),
+    "build_scheme/nan_weight": (lambda: build_scheme(RHO, THREE_ON_ONE, "convex", [NAN, 0.5, 0.5]), "weights"),
+    "scheme_from_json/nan_entry": (
+        lambda: scheme_from_json(
+            {"observables": [{"subsystem": 0, "axis": AXIS}], "prescription": "unit", "entries": {"+": NAN, "-": 1.0}}
+        ),
+        "entries",
+    ),
+    "coherence_test/ndarray_state": (lambda: coherence_test(RHO.matrix, AXIS, [1, 0, 0]), "state"),
+    "chsh_test/ndarray_state": (lambda: chsh_test(WERNER.matrix, *OBS), "state"),
+    "linear_ent_test/ndarray_state": (
+        lambda: linear_ent_test(WERNER.matrix, make_entanglement_geometry(1.0)),
+        "state",
+    ),
+    "discord_test/ndarray_state": (lambda: discord_test(WERNER.matrix, 1.0), "state"),
+    "build_scheme/ndarray_state": (lambda: build_scheme(RHO.matrix, OBS[:1]), "state"),
+    "chsh_test/observable": (lambda: chsh_test(WERNER, 5, *OBS[1:]), "A1"),
+    "linear_ent_test/geom": (lambda: linear_ent_test(WERNER, 5), "geom"),
+    "nonlinear_ent_test/geom": (lambda: nonlinear_ent_test(WERNER, 5), "geom"),
+    "scheme_from_json/outcome_key": (
+        lambda: scheme_from_json({"observables": [], "prescription": "unit", "entries": {5: 0.5}}),
+        "entries",
+    ),
+    "ObservableSpec/string_subsystem": (lambda: ObservableSpec("a", axis=AXIS), "subsystem"),
+    "ObservableSpec/float_subsystem": (lambda: ObservableSpec(0.5, axis=AXIS), "subsystem"),
+    "evaluate_strategy/omega_L": (lambda: evaluate_strategy([1, 0, 0], AXIS, "a", [0.0]), "omega_L"),
+    "evaluate_strategy/theta": (lambda: evaluate_strategy([1, 0, 0], AXIS, 1.0, [0.0], theta="a"), "theta"),
+    "scheme_from_state/theta": (lambda: scheme_from_state([1, 0, 0], "a"), "theta"),
+    "partial_trace/dims": (lambda: partial_trace(WERNER.matrix, "ab", 0), "dims"),
+    "partial_trace/keep": (lambda: partial_trace(WERNER.matrix, (2, 2), "a"), "keep"),
 }
 
 

@@ -353,3 +353,12 @@ def test_axis_defaults(capsys):
     assert payload["inputs"]["a3"] == [1.0, 0.0, 0.0]
     indep = _run_json(capsys, ["test", "boolean-indep"])
     assert indep["inputs"] == {"a1": [0.0, 0.0, 1.0], "a2": [1.0, 0.0, 0.0]}
+
+
+def test_nan_convex_weights_exit_one(capsys):
+    argv = ["scheme", "build", "--bloch", "0,0,0.5", "--observables", "0:z;0:x;0:y",
+            "--prescription", "convex", "--weights", "nan,0.5,0.5"]
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "weights are not finite" in err
