@@ -72,22 +72,26 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInputError(f"{message}\n{self.format_usage()}".rstrip())
 
 
-def _floats(text: str, n: int, name: str) -> list[float]:
-    cleaned = text.replace("−", "-")
-    try:
-        parts = [float(p) for p in cleaned.split(",")]
-    except ValueError as exc:
-        raise InvalidInputError(f"{name} must be {n} comma-separated numbers: {exc}") from None
-    if len(parts) != n:
-        raise InvalidInputError(f"{name} must have {n} components, got {len(parts)}")
-    return parts
-
-
-def _float(text: str, name: str) -> float:
+# Flag converters, run by argparse.  A malformed value raises
+# ArgumentTypeError, reported as "argument --FLAG: ..." (exit 1); a value the
+# library refuses raises the library's own error.
+def _number(text: str) -> float:
+    """A number, accepting the typographic minus."""
     try:
         return float(text.replace("−", "-"))
-    except ValueError as exc:
-        raise InvalidInputError(f"{name} must be a number: {exc}") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+
+
+def _numbers(text: str) -> list[float]:
+    return [_number(p) for p in text.split(",")]
+
+
+def _vector(text: str) -> list[float]:
+    parts = _numbers(text)
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"{text!r} must be 3 comma-separated numbers, got {len(parts)}")
+    return parts
 
 
 def load_state(args: argparse.Namespace) -> DensityMatrix:
@@ -98,9 +102,9 @@ def load_state(args: argparse.Namespace) -> DensityMatrix:
             "exactly one state source is required: --werner ETA, --bloch X,Y,Z or --state FILE"
         )
     if args.werner is not None:
-        return werner_state(_float(args.werner, "--werner"))
+        return werner_state(args.werner)
     if args.bloch is not None:
-        return bloch_state(_floats(args.bloch, 3, "--bloch"))
+        return bloch_state(args.bloch)
     return _state_from_file(args.state)
 
 
@@ -128,49 +132,44 @@ def _state_from_file(path: str) -> DensityMatrix:
     return DensityMatrix(re + 1j * im)
 
 
-def _parse_projector_token(token: str) -> object:
+def _projector(token: str) -> object:
     """'z', 'x-', 'z+' or '0,0,1' / '0,0,1:-' to a qubit projector."""
-    token = token.strip()
-    if not token:
-        raise InvalidInputError("empty projector token")
     outcome = +1
     if "," in token:
         axis_text = token
         if ":" in token:
             axis_text, _, sign = token.rpartition(":")
             if sign not in ("+", "-"):
-                raise InvalidInputError(f"projector sign must be '+' or '-', got {sign!r}")
+                raise argparse.ArgumentTypeError(f"projector sign must be '+' or '-', got {sign!r}")
             outcome = +1 if sign == "+" else -1
-        return qubit_projector(_floats(axis_text, 3, "projector axis"), outcome)
+        return qubit_projector(_vector(axis_text), outcome)
     name = token
     if token[-1] in "+-":
         outcome = +1 if token[-1] == "+" else -1
         name = token[:-1]
     if name not in _NAMED_AXES:
-        raise InvalidInputError(f"unknown projector token {token!r}; use x/y/z with optional sign")
+        raise argparse.ArgumentTypeError(f"unknown projector token {token!r}; use x/y/z with optional sign")
     return qubit_projector(_NAMED_AXES[name], outcome)
 
 
-def _parse_observable_token(token: str) -> ObservableSpec:
+def _observable(token: str) -> ObservableSpec:
     """'SUB:x' or 'SUB:ax,ay,az' to an observable."""
-    token = token.strip()
     sub_text, sep, axis_text = token.partition(":")
     if not sep:
-        raise InvalidInputError(f"observable token {token!r} must look like SUBSYSTEM:AXIS")
+        raise argparse.ArgumentTypeError(f"observable token {token!r} must look like SUBSYSTEM:AXIS")
     try:
         subsystem = int(sub_text)
     except ValueError:
-        raise InvalidInputError(f"subsystem index must be an integer, got {sub_text!r}") from None
-    if axis_text in _NAMED_AXES:
-        return ObservableSpec(subsystem, axis=_NAMED_AXES[axis_text])
-    return ObservableSpec(subsystem, axis=_floats(axis_text, 3, "observable axis"))
+        raise argparse.ArgumentTypeError(f"subsystem index must be an integer, got {sub_text!r}") from None
+    return ObservableSpec(subsystem, axis=_NAMED_AXES.get(axis_text) or _vector(axis_text))
 
 
-def _axis_arg(args: argparse.Namespace, name: str, default: tuple[float, float, float]) -> list[float]:
-    raw = getattr(args, name, None)
-    if raw is None:
-        return list(default)
-    return _floats(raw, 3, f"--{name}")
+def _projectors(text: str) -> list[object]:
+    return [_projector(t.strip()) for t in text.split(";") if t.strip()]
+
+
+def _observables(text: str) -> list[ObservableSpec]:
+    return [_observable(t.strip()) for t in text.split(";") if t.strip()]
 
 
 def _report_payload(report: TestReport) -> dict[str, object]:
@@ -185,41 +184,24 @@ def _report_payload(report: TestReport) -> dict[str, object]:
 
 
 def _alpha_grid(text: str) -> list[float]:
-    parts = text.replace("−", "-").split(":")
+    """START:STOP:STEP to the apertures START + k STEP up to STOP."""
+    parts = text.split(":")
     if len(parts) != 3:
-        raise InvalidInputError("--alpha-scan must be START:STOP:STEP")
-    start, stop, step = (_float(p, "--alpha-scan") for p in parts)
+        raise argparse.ArgumentTypeError(f"{text!r} must be START:STOP:STEP")
+    start, stop, step = map(_number, parts)
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise InvalidInputError("--alpha-scan START, STOP and STEP must be finite")
     if step <= 0:
         raise InvalidInputError(f"--alpha-scan step must be positive, got {step}")
     if stop < start:
         raise InvalidInputError("--alpha-scan stop must be at least start")
-    # The loop below keeps floor((stop - start) / step + 1e-9) + 1 points.
-    if (stop - start) / step + 1e-9 >= MAX_ALPHA_POINTS:
+    # Tested before flooring: a subnormal step makes the ratio inf.
+    ratio = (stop - start) / step + 1e-9
+    if ratio >= MAX_ALPHA_POINTS:
         raise ResourceLimitError(
             f"--alpha-scan grid exceeds the cap of {MAX_ALPHA_POINTS} apertures"
         )
-    grid = []
-    k = 0
-    while True:
-        value = start + k * step
-        if value > stop + step * 1e-9:
-            break
-        grid.append(value)
-        k += 1
-    return grid
-
-
-def _alpha_values(args: argparse.Namespace, default: float) -> tuple[list[float], bool]:
-    """(values, is_scan); --alpha and --alpha-scan are mutually exclusive."""
-    if args.alpha is not None and args.alpha_scan is not None:
-        raise InvalidInputError("give either --alpha or --alpha-scan, not both")
-    if args.alpha_scan is not None:
-        return _alpha_grid(args.alpha_scan), True
-    if args.alpha is not None:
-        return [_float(args.alpha, "--alpha")], False
-    return [default], False
+    return [start + k * step for k in range(math.floor(ratio) + 1)]
 
 
 def _chsh_on_axes(state: DensityMatrix, a1: object, a2: object, b1: object, b2: object) -> TestReport:
@@ -240,7 +222,8 @@ def _on_geometry(test: Callable[..., TestReport], variant: str) -> Callable[[Den
 _X, _Y, _Z = _NAMED_AXES["x"], _NAMED_AXES["y"], _NAMED_AXES["z"]
 _DIAGONAL = 1.0 / math.sqrt(2.0)
 # Test name -> (witness, its axis flags with their defaults).  Every witness
-# takes the state first, except boolean-indep, which reads none.
+# takes the state first, except boolean-indep, which reads none.  The
+# defaults are tuples: the cached parser shares them across calls.
 _AXIS_TESTS: dict[str, tuple[Callable[..., TestReport], dict[str, tuple[float, float, float]]]] = {
     "coherence": (coherence_test, {"a1": _Z, "a2": _X}),
     "boolean-dep": (boolean_state_dep_test, {"a1": _Z, "a2": _X}),
@@ -268,38 +251,36 @@ def _run_test(args: argparse.Namespace) -> object:
     state = () if name == "boolean-indep" else (load_state(args),)
     if name in _AXIS_TESTS:
         witness, axes = _AXIS_TESTS[name]
-        return _report_payload(witness(*state, *(_axis_arg(args, f, d) for f, d in axes.items())))
-    aperture_witness, default = _APERTURE_TESTS[name]
-    alphas, is_scan = _alpha_values(args, default)
-    reports = [_report_payload(aperture_witness(*state, alpha)) for alpha in alphas]
-    return reports if is_scan else reports[0]
+        return _report_payload(witness(*state, *(getattr(args, f) for f in axes)))
+    aperture_witness = _APERTURE_TESTS[name][0]
+    if args.alpha_scan is None:
+        return _report_payload(aperture_witness(*state, args.alpha))
+    return [_report_payload(aperture_witness(*state, alpha)) for alpha in args.alpha_scan]
 
 
-def _weights(args: argparse.Namespace) -> list[float] | None:
-    if args.weights is None:
-        return None
-    return [_float(w, "--weights") for w in args.weights.split(",")]
+# --observables when not given: two on one qubit, or one on each of two.
+_QUBIT_OBSERVABLES = (ObservableSpec(0, axis=_Z), ObservableSpec(0, axis=_X))
+_PAIR_OBSERVABLES = (ObservableSpec(0, axis=_Z), ObservableSpec(1, axis=_Z))
 
 
 def _run_scheme_build(args: argparse.Namespace) -> object:
     state = load_state(args)
-    default_obs = "0:z;0:x" if state.dim == 2 else "0:z;1:z"
-    obs_text = args.observables if args.observables is not None else default_obs
-    observables = [_parse_observable_token(t) for t in obs_text.split(";") if t.strip()]
-    sch = build_scheme(state, observables, args.prescription, _weights(args))
+    observables = args.observables
+    if observables is None:
+        observables = _QUBIT_OBSERVABLES if state.dim == 2 else _PAIR_OBSERVABLES
+    sch = build_scheme(state, observables, args.prescription, args.weights)
     payload = scheme_to_json(sch)
     payload["negativity"] = negativity_report(sch)
     return payload
 
 
 def _run_pp_eig(args: argparse.Namespace) -> object:
-    factors = [_parse_projector_token(t) for t in args.axes.split(";") if t.strip()]
     if args.prescription == "unit":
-        pp = unit_pp(factors)
+        pp = unit_pp(args.axes)
     elif args.prescription == "symmetrized":
-        pp = symmetrized_pp(factors)
+        pp = symmetrized_pp(args.axes)
     else:
-        pp = convex_pp(factors, _weights(args))
+        pp = convex_pp(args.axes, args.weights)
     value, witness = min_eigen_certificate(pp)
     return {
         "prescription": pp.prescription,
@@ -313,10 +294,8 @@ def _run_pp_eig(args: argparse.Namespace) -> object:
 
 
 def _run_weak_value(args: argparse.Namespace) -> object:
-    op_axis = _floats(args.op_axis, 3, "--op-axis")
-    op = pauli_vector(op_axis)
-    pre = bloch_state(_floats(args.pre_bloch, 3, "--pre-bloch"))
-    post = bloch_state(_floats(args.post_bloch, 3, "--post-bloch"))
+    op = pauli_vector(args.op_axis)
+    pre, post = bloch_state(args.pre_bloch), bloch_state(args.post_bloch)
     report = weak_value(op, pre, post, operator_label="pauli-axis")
     return {
         "operator_label": report.operator_label,
@@ -330,16 +309,9 @@ def _run_weak_value(args: argparse.Namespace) -> object:
 
 def _run_pointer_sim(args: argparse.Namespace) -> object:
     state = load_state(args)
-    projectors = [_parse_projector_token(t) for t in args.projectors.split(";") if t.strip()]
-    post = bloch_state(_floats(args.post_bloch, 3, "--post-bloch"))
-    cfg = PointerConfig(
-        g=_float(args.g, "--g"),
-        t=_float(args.t, "--t"),
-        sigma=_float(args.sigma, "--sigma"),
-        grid_points=args.grid_points,
-        grid_halfwidth=_float(args.grid_halfwidth, "--grid-halfwidth"),
-    )
-    result = simulate_pointers(state, projectors, post, cfg)
+    post = bloch_state(args.post_bloch)
+    cfg = PointerConfig(args.g, args.t, args.sigma, args.grid_points, args.grid_halfwidth)
+    result = simulate_pointers(state, args.projectors, post, cfg)
     payload: dict[str, object] = {
         "correlation": result.correlation,
         "pseudo_probability": result.pseudo_probability,
@@ -347,26 +319,20 @@ def _run_pointer_sim(args: argparse.Namespace) -> object:
         "convergence_estimate": result.convergence_estimate,
     }
     if args.couplings is not None:
-        couplings = [_float(g, "--couplings") for g in args.couplings.split(",")]
-        payload["proportionality"] = proportionality_check(state, projectors, post, cfg, couplings)
+        payload["proportionality"] = proportionality_check(state, args.projectors, post, cfg, args.couplings)
     return payload
 
 
 def _run_game(args: argparse.Namespace) -> object:
-    bloch = _floats(args.bloch, 3, "--bloch")
-    axis = _floats(args.axis, 3, "--axis")
-    omega = _float(args.omega, "--omega")
-    t_max = _float(args.t_max, "--t-max")
     steps = args.t_steps
     if steps < 1:
         raise InvalidInputError(f"--t-steps must be at least 1, got {steps}")
     if steps > MAX_T_STEPS:
         raise ResourceLimitError(f"--t-steps {steps} exceeds the cap of {MAX_T_STEPS}")
-    if t_max < 0:
-        raise InvalidInputError(f"--t-max must be non-negative, got {t_max}")
-    theta = _float(args.theta, "--theta")
-    t_grid = np.linspace(0.0, t_max, steps)
-    report = evaluate_strategy(bloch, axis, omega, t_grid, theta)
+    if args.t_max < 0:
+        raise InvalidInputError(f"--t-max must be non-negative, got {args.t_max}")
+    t_grid = np.linspace(0.0, args.t_max, steps)
+    report = evaluate_strategy(args.bloch, args.axis, args.omega, t_grid, args.theta)
     return {
         "trajectory": [
             {"time": g.time, "scheme": list(g.scheme4), "score": g.score}
@@ -374,20 +340,20 @@ def _run_game(args: argparse.Namespace) -> object:
         ],
         "best_time": report.best_time,
         "best_score": report.best_score,
-        "omega_L": omega,
-        "theta": theta,
+        "omega_L": args.omega,
+        "theta": args.theta,
     }
 
 
 def _add_state_flags(parser: _Parser) -> None:
-    parser.add_argument("--werner", help="Werner mixing parameter eta in [-1/3, 1]")
-    parser.add_argument("--bloch", help="qubit Bloch vector X,Y,Z")
+    parser.add_argument("--werner", type=_number, help="Werner mixing parameter eta in [-1/3, 1]")
+    parser.add_argument("--bloch", type=_vector, help="qubit Bloch vector X,Y,Z")
     parser.add_argument("--state", help='JSON state file {"dim", "re", "im"}')
 
 
-def _add_axis_flags(parser: _Parser, names: tuple[str, ...]) -> None:
-    for name in names:
-        parser.add_argument(f"--{name}", help=f"axis {name} as a unit vector X,Y,Z")
+def _add_axis_flags(parser: _Parser, axes: dict[str, tuple[float, float, float]]) -> None:
+    for name, default in axes.items():
+        parser.add_argument(f"--{name}", type=_vector, default=default, help=f"axis {name} as a unit vector X,Y,Z")
 
 
 def _output_parent() -> _Parser:
@@ -409,27 +375,27 @@ def _build_parser() -> _Parser:
     scheme_actions = scheme.add_subparsers(dest="action", required=True)
     scheme_build = scheme_actions.add_parser("build", parents=[out], help="build a scheme for a state")
     _add_state_flags(scheme_build)
-    scheme_build.add_argument("--observables", help="semicolon list of SUBSYSTEM:AXIS tokens")
+    scheme_build.add_argument("--observables", type=_observables, help="semicolon list of SUBSYSTEM:AXIS tokens")
     scheme_build.add_argument(
         "--prescription", choices=("unit", "symmetrized", "convex"), default="symmetrized"
     )
-    scheme_build.add_argument("--weights", help="comma list of convex weights")
+    scheme_build.add_argument("--weights", type=_numbers, help="comma list of convex weights")
 
     pp = commands.add_parser("pp", help="pseudo-projection operators")
     pp_actions = pp.add_subparsers(dest="action", required=True)
     pp_eig = pp_actions.add_parser("eig", parents=[out], help="spectral certificate of a pseudo-projection")
-    pp_eig.add_argument("--axes", required=True, help="semicolon list of projector tokens, e.g. 'z+;x+'")
+    pp_eig.add_argument("--axes", type=_projectors, required=True, help="semicolon list of projector tokens, e.g. 'z+;x+'")
     pp_eig.add_argument(
         "--prescription", choices=("unit", "symmetrized", "convex"), default="unit"
     )
-    pp_eig.add_argument("--weights", help="comma list of convex weights")
+    pp_eig.add_argument("--weights", type=_numbers, help="comma list of convex weights")
 
     weak = commands.add_parser("weak", help="weak values")
     weak_actions = weak.add_subparsers(dest="action", required=True)
     weak_val = weak_actions.add_parser("value", parents=[out], help="weak value of a Pauli-axis observable")
-    weak_val.add_argument("--op-axis", required=True, help="observable axis X,Y,Z")
-    weak_val.add_argument("--pre-bloch", required=True, help="pre-selection Bloch vector X,Y,Z")
-    weak_val.add_argument("--post-bloch", required=True, help="post-selection Bloch vector X,Y,Z")
+    weak_val.add_argument("--op-axis", type=_vector, required=True, help="observable axis X,Y,Z")
+    weak_val.add_argument("--pre-bloch", type=_vector, required=True, help="pre-selection Bloch vector X,Y,Z")
+    weak_val.add_argument("--post-bloch", type=_vector, required=True, help="post-selection Bloch vector X,Y,Z")
 
     test = commands.add_parser("test", help="nonclassicality tests")
     test_actions = test.add_subparsers(dest="test_name", required=True)
@@ -437,35 +403,36 @@ def _build_parser() -> _Parser:
         t = test_actions.add_parser(name, parents=[out])
         if name != "boolean-indep":
             _add_state_flags(t)
-        _add_axis_flags(t, tuple(axes))
-    for name in _APERTURE_TESTS:
+        _add_axis_flags(t, axes)
+    for name, (_, default) in _APERTURE_TESTS.items():
         t = test_actions.add_parser(name, parents=[out])
         _add_state_flags(t)
-        t.add_argument("--alpha", help="doublet aperture in radians")
-        t.add_argument("--alpha-scan", help="aperture grid START:STOP:STEP (radians)")
+        aperture = t.add_mutually_exclusive_group()
+        aperture.add_argument("--alpha", type=_number, default=default, help="doublet aperture in radians")
+        aperture.add_argument("--alpha-scan", type=_alpha_grid, help="aperture grid START:STOP:STEP (radians)")
 
     pointer = commands.add_parser("pointer", help="Gaussian-pointer simulation")
     pointer_actions = pointer.add_subparsers(dest="action", required=True)
     pointer_sim = pointer_actions.add_parser("sim", parents=[out])
     _add_state_flags(pointer_sim)
-    pointer_sim.add_argument("--projectors", default="z+;x+", help="semicolon list of projector tokens")
-    pointer_sim.add_argument("--post-bloch", default="0,0,0", help="post-selection Bloch vector")
-    pointer_sim.add_argument("--g", default="0.1", help="coupling constant")
-    pointer_sim.add_argument("--t", default="0.5", help="interaction duration")
-    pointer_sim.add_argument("--sigma", default="1.0", help="pointer width")
+    pointer_sim.add_argument("--projectors", type=_projectors, default="z+;x+", help="semicolon list of projector tokens")
+    pointer_sim.add_argument("--post-bloch", type=_vector, default="0,0,0", help="post-selection Bloch vector")
+    pointer_sim.add_argument("--g", type=_number, default="0.1", help="coupling constant")
+    pointer_sim.add_argument("--t", type=_number, default="0.5", help="interaction duration")
+    pointer_sim.add_argument("--sigma", type=_number, default="1.0", help="pointer width")
     pointer_sim.add_argument("--grid-points", type=int, default=64)
-    pointer_sim.add_argument("--grid-halfwidth", default="7.0")
-    pointer_sim.add_argument("--couplings", help="comma list of g values for a proportionality fit")
+    pointer_sim.add_argument("--grid-halfwidth", type=_number, default="7.0")
+    pointer_sim.add_argument("--couplings", type=_numbers, help="comma list of g values for a proportionality fit")
 
     game = commands.add_parser("game", help="pseudo-probability game")
     game_actions = game.add_subparsers(dest="action", required=True)
     game_run = game_actions.add_parser("run", parents=[out])
-    game_run.add_argument("--bloch", required=True, help="initial Bloch vector X,Y,Z")
-    game_run.add_argument("--axis", default="0,0,1", help="Hamiltonian axis X,Y,Z")
-    game_run.add_argument("--omega", default="1.0", help="Larmor frequency (radians/time)")
-    game_run.add_argument("--t-max", default=str(2.0 * math.pi), help="end of the time window")
+    game_run.add_argument("--bloch", type=_vector, required=True, help="initial Bloch vector X,Y,Z")
+    game_run.add_argument("--axis", type=_vector, default="0,0,1", help="Hamiltonian axis X,Y,Z")
+    game_run.add_argument("--omega", type=_number, default="1.0", help="Larmor frequency (radians/time)")
+    game_run.add_argument("--t-max", type=_number, default=str(2.0 * math.pi), help="end of the time window")
     game_run.add_argument("--t-steps", type=int, default=129, help="number of grid times")
-    game_run.add_argument("--theta", default="0.0", help="observable-pair rotation angle")
+    game_run.add_argument("--theta", type=_number, default="0.0", help="observable-pair rotation angle")
 
     return parser
 

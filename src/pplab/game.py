@@ -66,7 +66,10 @@ class StrategyReport:
 
 
 def _validate_scheme4(s: object) -> Array:
-    arr = np.asarray(s, dtype=float)
+    try:
+        arr = np.asarray(s, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"scheme must be 4 real numbers, got {s!r}") from None
     if arr.shape != (4,):
         raise InvalidInputError(f"scheme must have 4 entries, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -158,16 +158,28 @@ class Scheme:
         total = sum(self.entries.values())
         if abs(total - 1.0) > SCHEME_SUM_TOL:
             raise InvalidInputError(f"entries must sum to 1, got {total!r}")
+        if self.weights is not None and not all(map(math.isfinite, self.weights)):
+            raise InvalidInputError(f"weights are not finite: {list(self.weights)}")
 
     @property
     def n_observables(self) -> int:
         return len(self.observables)
 
     def entry(self, outcomes: tuple[int, ...] | str) -> float:
-        key = string_to_outcomes(outcomes) if isinstance(outcomes, str) else tuple(outcomes)
+        if isinstance(outcomes, str):
+            key = string_to_outcomes(outcomes)
+        else:
+            key = tuple(_sequence(outcomes, "outcomes", "+1/-1 outcomes"))
         if key not in self.entries:
             raise InvalidInputError(f"no entry for outcomes {outcomes!r}")
         return self.entries[key]
+
+
+def _require_scheme(s: object) -> Scheme:
+    """`s` if it is a Scheme; anything else raises "s must be a Scheme"."""
+    if not isinstance(s, Scheme):
+        raise InvalidInputError(f"s must be a Scheme, got {type(s).__name__}")
+    return s
 
 
 def _subsystem_layout(observables: tuple[ObservableSpec, ...]) -> tuple[list[list[int]], list[int]]:
@@ -261,7 +273,10 @@ def build_scheme(
     moments = moments.reshape((2,) * len(obs)).transpose(np.argsort(axis_of))
     values = _walsh_hadamard(moments.reshape(-1)) / 2 ** len(obs)
     entries = dict(zip(_outcomes(len(obs)), values.tolist()))
-    w = None if weights is None else tuple(float(x) for x in np.asarray(weights, dtype=float))
+    try:
+        w = None if weights is None else tuple(float(x) for x in np.asarray(weights, dtype=float))
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"weights must be real numbers, got {weights!r}") from None
     return Scheme(observables=obs, entries=entries, prescription=prescription, weights=w)
 
 
@@ -272,7 +287,9 @@ def marginalize(s: Scheme, drop_index: int) -> Scheme:
     every ordering product, so the marginal table equals the scheme of the
     remaining observables.
     """
-    n = s.n_observables
+    n = _require_scheme(s).n_observables
+    if not isinstance(drop_index, (int, np.integer)):
+        raise InvalidInputError(f"drop_index must be an integer, got {drop_index!r}")
     if not (0 <= drop_index < n):
         raise InvalidInputError(f"drop_index {drop_index} out of range for {n} observables")
     if n == 1:
@@ -321,6 +338,7 @@ def _marginal_weights(s: Scheme, drop_index: int) -> tuple[float, ...] | None:
 
 def negativity_report(s: Scheme) -> dict[str, object]:
     """Negative entries, the minimum entry, and the nonclassicality verdict."""
+    _require_scheme(s)
     tol = resolve_tolerance()
     negative = sorted(
         ((outcomes_to_string(k), v) for k, v in s.entries.items() if v < -tol),
@@ -368,7 +386,7 @@ def equality_sum(s: Scheme, pattern: str) -> float:
     impose no constraint.  "0=1=2" sums the two fully-correlated entries;
     "~0=1=2" the anti-correlated ones.
     """
-    groups = _parse_pattern(pattern, s.n_observables)
+    groups = _parse_pattern(pattern, _require_scheme(s).n_observables)
     total = 0.0
     for outcome, value in s.entries.items():
         ok = True
@@ -385,7 +403,7 @@ def equality_sum(s: Scheme, pattern: str) -> float:
 def scheme_to_json(s: Scheme) -> dict[str, object]:
     """JSON-ready dict; outcome keys use ASCII '+'/'-'."""
     obs_out: list[dict[str, object]] = []
-    for o in s.observables:
+    for o in _require_scheme(s).observables:
         d: dict[str, object] = {"subsystem": o.subsystem, "label": o.label}
         if o.axis is not None:
             d["axis"] = [float(x) for x in o.axis]

@@ -10,6 +10,7 @@ import pytest
 
 from pplab import (
     DensityMatrix,
+    GameState,
     InvalidInputError,
     ObservableSpec,
     PointerConfig,
@@ -19,10 +20,15 @@ from pplab import (
     coherence_test,
     convex_pp,
     discord_test,
+    equality_sum,
     evaluate_strategy,
+    evolve_scheme,
+    game_score,
     linear_ent_test,
     make_doublet,
     make_entanglement_geometry,
+    marginalize,
+    negativity_report,
     nonlinear_ent_test,
     partial_trace,
     perturbative_prediction,
@@ -31,6 +37,7 @@ from pplab import (
     scan_strategies,
     scheme_from_json,
     scheme_from_state,
+    scheme_to_json,
     simulate_pointers,
     statistic_from_terms,
     transition_matrix,
@@ -126,6 +133,8 @@ OBS = [
     for sub, axis, label in ((0, AXIS, "A1"), (0, [1, 0, 0], "A2"), (1, AXIS, "B1"), (1, [1, 0, 0], "B2"))
 ]
 THREE_ON_ONE = [ObservableSpec(0, axis=axis) for axis in (AXIS, [1, 0, 0], [0, 1, 0])]
+ONE = [ObservableSpec(0, axis=AXIS)]
+PAIR_SCHEME = build_scheme(RHO, THREE_ON_ONE[:2])
 
 
 # Each call used to escape as a Python TypeError, AttributeError or
@@ -173,6 +182,26 @@ LEAKS = {
     "scheme_from_state/theta": (lambda: scheme_from_state([1, 0, 0], "a"), "theta"),
     "partial_trace/dims": (lambda: partial_trace(WERNER.matrix, "ab", 0), "dims"),
     "partial_trace/keep": (lambda: partial_trace(WERNER.matrix, (2, 2), "a"), "keep"),
+    # Convex weights with no subsystem carrying two or more observables.
+    "build_scheme/single_nan_weight": (lambda: build_scheme(RHO, ONE, "convex", [NAN]), "weights"),
+    "build_scheme/single_string_weights": (lambda: build_scheme(RHO, ONE, "convex", "a"), "weights"),
+    "build_scheme/single_inf_weight": (lambda: build_scheme(RHO, ONE, "convex", [1.0, float("inf")]), "weights"),
+    "scheme_from_json/nan_weight": (
+        lambda: scheme_from_json(
+            {"observables": [{"subsystem": 0, "axis": AXIS}], "prescription": "convex",
+             "entries": {"+": 0.5, "-": 0.5}, "weights": [NAN]}
+        ),
+        "weights",
+    ),
+    "marginalize/string_index": (lambda: marginalize(PAIR_SCHEME, "a"), "drop_index"),
+    "marginalize/float_index": (lambda: marginalize(PAIR_SCHEME, 0.5), "drop_index"),
+    "Scheme.entry/int": (lambda: PAIR_SCHEME.entry(5), "outcomes"),
+    "negativity_report/int": (lambda: negativity_report(5), "s"),
+    "equality_sum/int": (lambda: equality_sum(5, "0=1"), "s"),
+    "scheme_to_json/int": (lambda: scheme_to_json(5), "s"),
+    "game_score/string": (lambda: game_score("abcd"), "scheme"),
+    "evolve_scheme/string": (lambda: evolve_scheme("abcd", 0.0), "scheme"),
+    "GameState/string": (lambda: GameState("abcd", 0.0, 1.0, (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)), "scheme"),
 }
 
 

@@ -362,3 +362,62 @@ def test_nan_convex_weights_exit_one(capsys):
     assert code == 1
     assert out == ""
     assert "weights are not finite" in err
+
+
+# Every flag whose value is converted; the base command is valid without it.
+_FLAG_COMMANDS = {
+    "werner": ["test", "chsh"],
+    "bloch": ["test", "coherence"],
+    "alpha": ["test", "ent-linear-1", "--werner", "0.5"],
+    "alpha-scan": ["test", "discord", "--werner", "0.5"],
+    "a1": ["test", "coherence", "--bloch", "0,0,0"],
+    "a2": ["test", "boolean-dep", "--bloch", "0,0,0"],
+    "a3": ["test", "distributivity", "--bloch", "0,0,0"],
+    "A1": ["test", "chsh", "--werner", "1.0"],
+    "A2": ["test", "chsh", "--werner", "1.0"],
+    "B1": ["test", "chsh", "--werner", "1.0"],
+    "B2": ["test", "chsh", "--werner", "1.0"],
+    "observables": ["scheme", "build", "--bloch", "0,0,0"],
+    "weights": ["scheme", "build", "--bloch", "0,0,0", "--prescription", "convex"],
+    "axes": ["pp", "eig"],
+    "op-axis": ["weak", "value", "--pre-bloch", "1,0,0", "--post-bloch", "1,0,0"],
+    "pre-bloch": ["weak", "value", "--op-axis", "0,0,1", "--post-bloch", "1,0,0"],
+    "post-bloch": ["pointer", "sim", "--bloch", "0,0,0"],
+    "projectors": ["pointer", "sim", "--bloch", "0,0,0"],
+    "g": ["pointer", "sim", "--bloch", "0,0,0"],
+    "t": ["pointer", "sim", "--bloch", "0,0,0"],
+    "sigma": ["pointer", "sim", "--bloch", "0,0,0"],
+    "grid-points": ["pointer", "sim", "--bloch", "0,0,0"],
+    "grid-halfwidth": ["pointer", "sim", "--bloch", "0,0,0"],
+    "couplings": ["pointer", "sim", "--bloch", "0,0,0"],
+    "axis": ["game", "run", "--bloch", "1,0,0"],
+    "omega": ["game", "run", "--bloch", "1,0,0"],
+    "t-max": ["game", "run", "--bloch", "1,0,0"],
+    "t-steps": ["game", "run", "--bloch", "1,0,0"],
+    "theta": ["game", "run", "--bloch", "1,0,0"],
+    "json-indent": ["pp", "eig", "--axes", "z+;x+"],
+}
+
+
+@pytest.mark.parametrize("flag", list(_FLAG_COMMANDS))
+def test_non_numeric_flag_is_named_by_argparse(capsys, flag):
+    code, out, err = _run(capsys, [*_FLAG_COMMANDS[flag], f"--{flag}", "abc"])
+    assert code == 1
+    assert out == ""
+    assert f"argument --{flag}: " in err
+    assert "Traceback" not in err
+
+
+def test_game_bloch_is_named_by_argparse(capsys):
+    code, out, err = _run(capsys, ["game", "run", "--bloch", "abc"])
+    assert code == 1 and out == ""
+    assert "argument --bloch: " in err
+
+
+def test_nan_weight_on_a_single_observable_exits_one(capsys):
+    argv = ["scheme", "build", "--bloch", "0,0,0.5", "--observables", "0:z",
+            "--prescription", "convex", "--weights", "nan"]
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "weights are not finite" in err
