@@ -8,6 +8,7 @@ from the serialized weak terms.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -275,6 +276,8 @@ def _run_scheme_build(args: argparse.Namespace) -> object:
 
 
 def _run_pp_eig(args: argparse.Namespace) -> object:
+    if args.weights is not None and args.prescription != "convex":
+        raise InvalidInputError("weights are only meaningful for the convex prescription")
     if args.prescription == "unit":
         pp = unit_pp(args.axes)
     elif args.prescription == "symmetrized":
@@ -311,13 +314,7 @@ def _run_pointer_sim(args: argparse.Namespace) -> object:
     state = load_state(args)
     post = bloch_state(args.post_bloch)
     cfg = PointerConfig(args.g, args.t, args.sigma, args.grid_points, args.grid_halfwidth)
-    result = simulate_pointers(state, args.projectors, post, cfg)
-    payload: dict[str, object] = {
-        "correlation": result.correlation,
-        "pseudo_probability": result.pseudo_probability,
-        "ratio": result.ratio,
-        "convergence_estimate": result.convergence_estimate,
-    }
+    payload = dataclasses.asdict(simulate_pointers(state, args.projectors, post, cfg))
     if args.couplings is not None:
         payload["proportionality"] = proportionality_check(state, args.projectors, post, cfg, args.couplings)
     return payload

@@ -32,7 +32,7 @@ class FactorizationUndefinedError(PPLabError):
 
 
 class ResourceLimitError(PPLabError):
-    """Requested grid or system size exceeds the configured amplitude budget."""
+    """Requested grid or system size exceeds its configured cap."""
 
 
 class ConvergenceError(PPLabError):

@@ -11,6 +11,7 @@ family, which is what the proportionality check quantifies.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -38,13 +39,13 @@ __all__ = [
 ]
 
 BRANCH_FLOOR = 1e-14
-MAX_AMPLITUDES = 2 ** 24
-MAX_SIM_POINTERS = 3
 MAX_ANALYTIC_POINTERS = 6
 
-# Desk-scale grid caps per pointer count; the amplitude bound alone would
-# admit grids far beyond what the moment extraction needs.
+# Grid points per pointer, by pointer count: the one bound on a simulation.
+# A d-level system on grid^N points holds d * grid^N <= 64 * 64^3 = 2^24
+# amplitudes for every d <= 64.
 _GRID_CAPS = {1: 4096, 2: 128, 3: 64}
+MAX_SIM_POINTERS = max(_GRID_CAPS)
 
 
 @dataclass(frozen=True)
@@ -111,10 +112,6 @@ def _check_sim_resources(n_pointers: int, grid_points: int) -> None:
             f"simulation supports at most {MAX_SIM_POINTERS} pointers, got {n_pointers};"
             " use perturbative_prediction for larger families"
         )
-    if 2 * grid_points ** n_pointers > MAX_AMPLITUDES:
-        raise ResourceLimitError(
-            f"grid of {grid_points}^{n_pointers} points exceeds the amplitude budget"
-        )
     cap = _GRID_CAPS[n_pointers]
     if grid_points > cap:
         raise ResourceLimitError(
@@ -140,10 +137,7 @@ def _correlation(state: DensityMatrix, projectors: tuple[Projector, ...], effect
     # Product of identical Gaussians, discretely normalized.
     psi1 = np.exp(-(xs ** 2) / (4.0 * cfg.sigma ** 2)).astype(complex)
     psi1 /= math.sqrt(float(np.sum(np.abs(psi1) ** 2)))
-    phi = psi1
-    for _ in range(n_pointers - 1):
-        phi = np.multiply.outer(phi, psi1)
-    phik = np.fft.fftn(phi)
+    phik = np.fft.fftn(functools.reduce(np.multiply.outer, [psi1] * n_pointers))
 
     # Each projector is c I + v . sigma with (c, v) = Tr(P sigma_mu)/2.
     comps = [_pauli_coordinates(p.matrix) / 2.0 for p in projectors]
@@ -162,10 +156,7 @@ def _correlation(state: DensityMatrix, projectors: tuple[Projector, ...], effect
     u10 = phase * (-1j * sinc * (beta[0] + 1j * beta[1]))
     u11 = phase * (cosb + 1j * sinc * beta[2])
 
-    xgrids = np.meshgrid(*([xs] * n_pointers), indexing="ij")
-    xprod = xgrids[0]
-    for g in xgrids[1:]:
-        xprod = xprod * g
+    xprod = functools.reduce(np.multiply.outer, [xs] * n_pointers)
 
     evals, evecs = np.linalg.eigh(state.matrix)
     num = 0.0
@@ -198,16 +189,6 @@ def _correlation(state: DensityMatrix, projectors: tuple[Projector, ...], effect
     return num / den
 
 
-def _refined_grid(n_pointers: int, grid_points: int) -> int | None:
-    doubled = grid_points * 2
-    if doubled <= _GRID_CAPS[n_pointers] and 2 * doubled ** n_pointers <= MAX_AMPLITUDES:
-        return doubled
-    halved = grid_points // 2
-    if halved >= 32:
-        return halved
-    return None
-
-
 def simulate_pointers(
     state: DensityMatrix,
     projectors: object,
@@ -219,8 +200,8 @@ def simulate_pointers(
     The ratio field divides the correlation by (g t)^N, the weak-coupling
     proportionality constant, so it is directly comparable to the
     pseudo-probability.  convergence_estimate is the relative change of the
-    correlation under grid refinement (doubled points when the resource caps
-    allow, otherwise halved).
+    correlation under grid refinement: doubled points when that stays within
+    the grid cap, otherwise halved (a grid at its cap has at least 64 points).
     """
     plist, effect, overlap = _setup(state, projectors, post)
     _check_sim_resources(len(plist), cfg.grid_points)
@@ -231,13 +212,10 @@ def simulate_pointers(
     scale = gt ** len(plist)
     ratio = correlation / scale if abs(scale) > 0 else math.nan
 
-    refined = _refined_grid(len(plist), cfg.grid_points)
-    if refined is None:
-        estimate = 0.0
-    else:
-        other = _correlation(state, plist, effect, replace(cfg, grid_points=refined))
-        denom = max(abs(correlation), abs(other), 1e-300)
-        estimate = abs(correlation - other) / denom
+    doubled = 2 * cfg.grid_points
+    refined = doubled if doubled <= _GRID_CAPS[len(plist)] else cfg.grid_points // 2
+    other = _correlation(state, plist, effect, replace(cfg, grid_points=refined))
+    estimate = abs(correlation - other) / max(abs(correlation), abs(other), 1e-300)
 
     return PointerResult(correlation, pp, ratio, estimate)
 

@@ -30,6 +30,7 @@ import functools
 import itertools
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,19 +147,43 @@ class Scheme:
     weights: tuple[float, ...] | None = field(default=None)
 
     def __post_init__(self) -> None:
-        n = len(self.observables)
+        obs = tuple(_sequence(self.observables, "observables", "ObservableSpec"))
+        if not all(isinstance(o, ObservableSpec) for o in obs):
+            raise InvalidInputError("observables must be an ordered collection of ObservableSpec")
+        object.__setattr__(self, "observables", obs)
+        n = len(obs)
         if not (1 <= n <= MAX_OBSERVABLES):
             raise InvalidInputError(f"need 1..{MAX_OBSERVABLES} observables, got {n}")
+        if not isinstance(self.entries, Mapping):
+            raise InvalidInputError(
+                f"entries must map outcome tuples to real numbers, got {type(self.entries).__name__}"
+            )
         if len(self.entries) != 2**n:
             raise InvalidInputError(
                 f"expected {2**n} entries for {n} observables, got {len(self.entries)}"
             )
-        if not all(map(math.isfinite, self.entries.values())):
+        if self.entries.keys() != _outcome_keys(n):
+            raise InvalidInputError(f"entries must be keyed by the {2**n} +1/-1 outcome tuples of length {n}")
+        try:
+            finite = all(map(math.isfinite, self.entries.values()))
+        except TypeError:
+            raise InvalidInputError("entries must map outcome tuples to real numbers") from None
+        if not finite:
             raise InvalidInputError("entries are not finite")
         total = sum(self.entries.values())
         if abs(total - 1.0) > SCHEME_SUM_TOL:
             raise InvalidInputError(f"entries must sum to 1, got {total!r}")
-        if self.weights is not None and not all(map(math.isfinite, self.weights)):
+        if not isinstance(self.prescription, str) or self.prescription not in PRESCRIPTIONS:
+            raise InvalidInputError(
+                f"prescription must be one of {', '.join(PRESCRIPTIONS)}, got {self.prescription!r}"
+            )
+        if self.weights is None:
+            return
+        try:
+            finite = all(map(math.isfinite, self.weights))
+        except TypeError:
+            raise InvalidInputError(f"weights must be real numbers, got {self.weights!r}") from None
+        if not finite:
             raise InvalidInputError(f"weights are not finite: {list(self.weights)}")
 
     @property
@@ -170,9 +195,12 @@ class Scheme:
             key = string_to_outcomes(outcomes)
         else:
             key = tuple(_sequence(outcomes, "outcomes", "+1/-1 outcomes"))
-        if key not in self.entries:
-            raise InvalidInputError(f"no entry for outcomes {outcomes!r}")
-        return self.entries[key]
+        try:
+            return self.entries[key]
+        except KeyError:
+            raise InvalidInputError(f"no entry for outcomes {outcomes!r}") from None
+        except TypeError:
+            raise InvalidInputError(f"outcomes must be +1/-1 values, got {outcomes!r}") from None
 
 
 def _require_scheme(s: object) -> Scheme:
@@ -204,6 +232,11 @@ def _subsystem_layout(observables: tuple[ObservableSpec, ...]) -> tuple[list[lis
 @functools.lru_cache(maxsize=None)
 def _outcomes(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product((+1, -1), repeat=n))
+
+
+@functools.lru_cache(maxsize=None)
+def _outcome_keys(n: int) -> frozenset[tuple[int, ...]]:
+    return frozenset(_outcomes(n))
 
 
 def _joint_moments(rho: Array, dims: list[int], stacks: list[Array]) -> Array:

@@ -14,6 +14,7 @@ from pplab import (
     InvalidInputError,
     ObservableSpec,
     PointerConfig,
+    Scheme,
     bloch_state,
     build_scheme,
     chsh_test,
@@ -202,6 +203,29 @@ LEAKS = {
     "game_score/string": (lambda: game_score("abcd"), "scheme"),
     "evolve_scheme/string": (lambda: evolve_scheme("abcd", 0.0), "scheme"),
     "GameState/string": (lambda: GameState("abcd", 0.0, 1.0, (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)), "scheme"),
+    "scheme_from_json/outcome_keys": (
+        lambda: marginalize(
+            scheme_from_json(
+                {"observables": [{"subsystem": 0, "axis": AXIS}, {"subsystem": 0, "axis": [1, 0, 0]}],
+                 "prescription": "unit", "entries": {"++": 0.25, "+-": 0.25, "-+": 0.25, "+++": 0.25}}
+            ),
+            0,
+        ),
+        "entries",
+    ),
+    "scheme_from_json/prescription": (
+        lambda: scheme_from_json(
+            {"observables": [{"subsystem": 0, "axis": AXIS}], "prescription": "bogus", "entries": {"+": 0.5, "-": 0.5}}
+        ),
+        "prescription",
+    ),
+    "Scheme/int_observables": (lambda: Scheme(5, PAIR_SCHEME.entries, "unit"), "observables"),
+    "Scheme/int_entries": (lambda: Scheme(PAIR_SCHEME.observables, 5, "unit"), "entries"),
+    "Scheme/string_weights": (
+        lambda: Scheme(PAIR_SCHEME.observables, PAIR_SCHEME.entries, "convex", ("a",)),
+        "weights",
+    ),
+    "Scheme.entry/unhashable": (lambda: PAIR_SCHEME.entry([[1]]), "outcomes"),
 }
 
 

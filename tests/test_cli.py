@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from pplab import convex_pp, min_eigen_certificate, qubit_projector, symmetrized_pp, unit_pp
 from pplab.cli import parse_and_dispatch
 
 
@@ -421,3 +422,61 @@ def test_nan_weight_on_a_single_observable_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert "weights are not finite" in err
+
+
+@pytest.mark.parametrize(
+    "prescription, factory, weights",
+    [
+        ("unit", unit_pp, None),
+        ("symmetrized", symmetrized_pp, None),
+        ("convex", lambda f: convex_pp(f, [0.5, 0.25, 0.25]), "0.5,0.25,0.25"),
+    ],
+    ids=["unit", "symmetrized", "convex"],
+)
+def test_pp_eig_under_each_prescription(capsys, prescription, factory, weights):
+    argv = ["pp", "eig", "--axes", "z+;x+;z-", "--prescription", prescription]
+    payload = _run_json(capsys, argv + (["--weights", weights] if weights else []))
+    factors = [qubit_projector(a, s) for a, s in (([0, 0, 1], 1), ([1, 0, 0], 1), ([0, 0, 1], -1))]
+    assert payload["prescription"] == prescription
+    assert payload["min_eigenvalue"] == min_eigen_certificate(factory(factors))[0]
+    if prescription != "convex":
+        code, out, err = _run(capsys, argv + ["--weights", "0.5"])
+        assert code == 1 and out == ""
+        assert "weights are only meaningful for the convex prescription" in err
+
+
+def _state_file(tmp_path, text):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    return str(path)
+
+
+# Each refusal: argv (given tmp_path), expected exit code, and the text the
+# message must contain (the flag or the file).
+_REFUSALS = {
+    "state/unreadable": (lambda p: ["test", "coherence", "--state", str(p / "missing.json")], 1, "missing.json"),
+    "state/not_json": (lambda p: ["test", "coherence", "--state", _state_file(p, "{")], 1, "state file"),
+    "state/no_re": (lambda p: ["test", "coherence", "--state", _state_file(p, '{"dim": 2}')], 1, "state file"),
+    "state/shape": (
+        lambda p: ["test", "coherence", "--state", _state_file(p, '{"dim": 3, "re": [[1, 0], [0, 0]]}')],
+        1,
+        "state file",
+    ),
+    "alpha-scan/inf": (lambda p: ["test", "discord", "--werner", "1", "--alpha-scan", "0:inf:0.1"], 1, "--alpha-scan"),
+    "alpha-scan/step": (lambda p: ["test", "discord", "--werner", "1", "--alpha-scan", "0:1:0"], 1, "--alpha-scan"),
+    "alpha-scan/reversed": (lambda p: ["test", "discord", "--werner", "1", "--alpha-scan", "1:0:0.1"], 1, "--alpha-scan"),
+    "t-steps/zero": (lambda p: ["game", "run", "--bloch", "1,0,0", "--t-steps", "0"], 1, "--t-steps"),
+    "t-max/negative": (lambda p: ["game", "run", "--bloch", "1,0,0", "--t-max", "-1"], 1, "--t-max"),
+    "bloch/two_numbers": (lambda p: ["test", "coherence", "--bloch", "1,0"], 1, "--bloch"),
+    "projectors/sign": (lambda p: ["pointer", "sim", "--bloch", "0,0,0", "--projectors", "0,0,1:x"], 1, "--projectors"),
+    "observables/subsystem": (lambda p: ["scheme", "build", "--bloch", "0,0,0", "--observables", "a:z"], 1, "--observables"),
+    "help": (lambda p: ["--help"], 0, "usage: pplab"),
+}
+
+
+@pytest.mark.parametrize("argv, code, named", list(_REFUSALS.values()), ids=list(_REFUSALS))
+def test_cli_refusal_exit_code_and_message(capsys, tmp_path, argv, code, named):
+    got, out, err = _run(capsys, argv(tmp_path))
+    assert got == code
+    assert named in (out if code == 0 else err)
+    assert "Traceback" not in out + err

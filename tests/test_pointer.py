@@ -81,6 +81,18 @@ def test_simulation_enforces_per_count_grid_caps():
         simulate_pointers(MIXED, [Z_PLUS, X_PLUS, Z_MINUS], IDENTITY, cfg3)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("grid", [2 ** k for k in range(5, 14)])
+def test_grid_cap_is_the_only_grid_bound(n, grid):
+    cfg = PointerConfig(g=0.05, t=1.0, grid_points=grid)
+    projectors = [Z_PLUS, X_PLUS, Z_MINUS][:n]
+    if grid > pplab.pointer._GRID_CAPS[n]:
+        with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+            simulate_pointers(X_PURE, projectors, IDENTITY, cfg)
+    else:
+        assert math.isfinite(simulate_pointers(X_PURE, projectors, IDENTITY, cfg).convergence_estimate)
+
+
 def test_post_selection_on_orthogonal_effect_fails():
     cfg = PointerConfig(g=0.02, t=1.0, grid_points=64)
     rho = bloch_state([0, 0, 1.0])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -157,6 +158,30 @@ def test_scheme_json_round_trip():
     assert back.prescription == sch.prescription
     for key, value in sch.entries.items():
         assert back.entry(key) == pytest.approx(value, abs=1e-12)
+
+
+def _json_round_trip(sch):
+    back = scheme_from_json(json.loads(json.dumps(scheme_to_json(sch))))
+    assert back.entries == sch.entries
+    assert back.weights == sch.weights
+    for a, b in zip(back.observables, sch.observables, strict=True):
+        assert np.array_equal(a.matrix, b.matrix)
+
+
+def test_scheme_json_round_trip_of_a_matrix_observable():
+    sigma_y = np.array([[0, -1j], [1j, 0]])
+    rho = bloch_state([0.4, 0.1, -0.2])
+    sch = build_scheme(rho, [ObservableSpec(0, matrix=sigma_y), _obs(0, [0, 0, 1])], "symmetrized")
+    assert "matrix" in scheme_to_json(sch)["observables"][0]
+    _json_round_trip(sch)
+
+
+def test_scheme_json_round_trip_of_convex_weights():
+    rho = bloch_state([0.4, 0.1, -0.2])
+    obs = [_obs(0, [0, 0, 1]), _obs(0, [1, 0, 0]), _obs(0, [0, 1, 0])]
+    sch = build_scheme(rho, obs, "convex", [0.5, 0.25, 0.25])
+    assert scheme_to_json(sch)["weights"] == [0.5, 0.25, 0.25]
+    _json_round_trip(sch)
 
 
 def test_build_scheme_rejects_mismatched_dimensions():
