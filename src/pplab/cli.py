@@ -35,7 +35,7 @@ from .geometry import (
 )
 from .operator_core import DensityMatrix, resolve_tolerance
 from .pointer import PointerConfig, proportionality_check, simulate_pointers
-from .pseudoprojection import convex_pp, min_eigen_certificate, symmetrized_pp, unit_pp
+from .pseudoprojection import PRESCRIPTIONS, _prescription_weights, convex_pp, min_eigen_certificate, symmetrized_pp, unit_pp
 from .scheme import ObservableSpec, build_scheme, negativity_report, scheme_to_json
 from .weak import weak_value
 from .witnesses import (
@@ -276,14 +276,9 @@ def _run_scheme_build(args: argparse.Namespace) -> object:
 
 
 def _run_pp_eig(args: argparse.Namespace) -> object:
-    if args.weights is not None and args.prescription != "convex":
-        raise InvalidInputError("weights are only meaningful for the convex prescription")
-    if args.prescription == "unit":
-        pp = unit_pp(args.axes)
-    elif args.prescription == "symmetrized":
-        pp = symmetrized_pp(args.axes)
-    else:
-        pp = convex_pp(args.axes, args.weights)
+    weights = _prescription_weights(args.prescription, [len(args.axes)], args.weights)
+    build = {"unit": unit_pp, "symmetrized": symmetrized_pp, "convex": lambda axes: convex_pp(axes, weights)}
+    pp = build[args.prescription](args.axes)
     value, witness = min_eigen_certificate(pp)
     return {
         "prescription": pp.prescription,
@@ -374,7 +369,7 @@ def _build_parser() -> _Parser:
     _add_state_flags(scheme_build)
     scheme_build.add_argument("--observables", type=_observables, help="semicolon list of SUBSYSTEM:AXIS tokens")
     scheme_build.add_argument(
-        "--prescription", choices=("unit", "symmetrized", "convex"), default="symmetrized"
+        "--prescription", choices=PRESCRIPTIONS, default="symmetrized"
     )
     scheme_build.add_argument("--weights", type=_numbers, help="comma list of convex weights")
 
@@ -383,7 +378,7 @@ def _build_parser() -> _Parser:
     pp_eig = pp_actions.add_parser("eig", parents=[out], help="spectral certificate of a pseudo-projection")
     pp_eig.add_argument("--axes", type=_projectors, required=True, help="semicolon list of projector tokens, e.g. 'z+;x+'")
     pp_eig.add_argument(
-        "--prescription", choices=("unit", "symmetrized", "convex"), default="unit"
+        "--prescription", choices=PRESCRIPTIONS, default="unit"
     )
     pp_eig.add_argument("--weights", type=_numbers, help="comma list of convex weights")
 

@@ -125,6 +125,14 @@ def _azimuth_reference(axis: Array) -> Array:
     return u / np.linalg.norm(u)
 
 
+def _aperture(alpha: object) -> float:
+    """`alpha` as a float inside (0, pi), the range of a doublet aperture."""
+    alpha = _real(alpha, "alpha")
+    if not (0.0 < alpha < np.pi):
+        raise InvalidInputError(f"alpha must lie in (0, pi), got {alpha}")
+    return alpha
+
+
 def make_doublet(axis: object, alpha: float, azimuth_rule: str = "cross-reference") -> Doublet:
     """Two axes at angle alpha to each other with bisector `axis`.
 
@@ -133,9 +141,7 @@ def make_doublet(axis: object, alpha: float, azimuth_rule: str = "cross-referenc
     rule tag is supported; the tag exists so reports can echo the convention.
     """
     a = unit_vector(axis, "axis")
-    alpha = _real(alpha, "alpha")
-    if not (0.0 < alpha < np.pi):
-        raise InvalidInputError(f"alpha must lie in (0, pi), got {alpha}")
+    alpha = _aperture(alpha)
     if azimuth_rule != "cross-reference":
         raise InvalidInputError(f"unknown azimuth rule {azimuth_rule!r}")
     u = _azimuth_reference(a)
@@ -176,9 +182,7 @@ def make_entanglement_geometry(
     b_frame: object | None = None,
 ) -> EntanglementGeometry:
     """Build the doublet layout for both sides; frames default to (x, y, z)."""
-    alpha = _real(alpha, "alpha")
-    if not (0.0 < alpha < np.pi):
-        raise InvalidInputError(f"alpha must lie in (0, pi), got {alpha}")
+    alpha = _aperture(alpha)
     a_axes = _validated_frame(a_frame if a_frame is not None else (_X, _Y, _Z), "a_frame")
     b_axes = _validated_frame(b_frame if b_frame is not None else a_axes, "b_frame")
     return EntanglementGeometry(

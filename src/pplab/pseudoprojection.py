@@ -12,11 +12,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 from .operator_core import Array, Projector, _sequence, as_complex_matrix, hermitian_eigen
 
 __all__ = [
@@ -29,6 +30,11 @@ __all__ = [
     "min_eigen_certificate",
     "distinct_orderings",
 ]
+
+PRESCRIPTIONS = ("unit", "symmetrized", "convex")
+# Most observables of a scheme, and most factors an ordering average takes (8!/2 = 20160 orderings).
+MAX_OBSERVABLES = 8
+_UNEQUAL_GROUPS = "convex weights require all multi-observable groups to share one size"
 
 
 @dataclass(frozen=True)
@@ -66,36 +72,64 @@ def _ordered_product(mats: tuple[Array, ...], order: tuple[int, ...]) -> Array:
     return prod
 
 
+def _ordering_count(n: int) -> int:
+    """n!/2, the length of `distinct_orderings(n)`; more than MAX_OBSERVABLES factors raise ResourceLimitError."""
+    if n > MAX_OBSERVABLES:
+        raise ResourceLimitError(f"{n} factors exceed the cap of {MAX_OBSERVABLES} for ordered prescriptions")
+    return math.factorial(n) // 2
+
+
 def distinct_orderings(n: int) -> list[tuple[int, ...]]:
     """Factor orderings modulo reversal.
 
     Hermitization identifies a product with its reverse, so orderings are
     deduplicated by requiring first index < last index; n!/2 survive for
-    n >= 2.
+    2 <= n <= MAX_OBSERVABLES.
     """
     if n < 2:
         raise InvalidInputError(f"orderings need n >= 2, got {n}")
+    _ordering_count(n)
     return [p for p in itertools.permutations(range(n)) if p[0] < p[-1]]
 
 
-def _convex_weights(n: int, weights: object | None) -> Array:
-    """Validated weights over `distinct_orderings(n)`; None means uniform."""
-    count = math.factorial(n) // 2
+def _convex_weights(n: int | None, weights: object | None) -> Array:
+    """Validated weights over `distinct_orderings(n)`; None means uniform.  With
+    n None no factors are ordered, and any finite real numbers pass."""
+    count = None if n is None else _ordering_count(n)
     if weights is None:
         return np.full(count, 1.0 / count)
     try:
         w = np.asarray(weights, dtype=float)
     except (TypeError, ValueError):
-        raise InvalidInputError(f"weights must be real numbers, got {weights!r}") from None
-    if w.shape != (count,):
+        w = None
+    if w is None or (count is None and w.ndim != 1):
+        raise InvalidInputError(f"weights must be real numbers, got {weights!r}")
+    if count is not None and w.shape != (count,):
         raise InvalidInputError(
             f"weights must have length {count} (one per ordering), got {w.shape}"
         )
     if not np.isfinite(w).all():
         raise InvalidInputError(f"weights are not finite: {w.tolist()}")
-    if np.any(w < -1e-14) or abs(w.sum() - 1.0) > 1e-10:
+    if count is not None and ((w < -1e-14).any() or abs(w.sum() - 1.0) > 1e-10):
         raise InvalidInputError("weights must be non-negative and sum to 1")
     return w
+
+
+def _prescription_weights(prescription: object, group_sizes: Iterable[int], weights: object | None) -> tuple[float, ...] | None:
+    """`weights` as floats, for observable groups of `group_sizes` (a pseudo-projection's
+    factors are one group).  Refuses an unknown prescription, weights under any
+    prescription but convex, and multi-observable groups of unequal size; convex
+    weights are one per ordering of the shared size, as `_convex_weights` checks."""
+    if not isinstance(prescription, str) or prescription not in PRESCRIPTIONS:
+        raise InvalidInputError(f"prescription must be one of {', '.join(PRESCRIPTIONS)}, got {prescription!r}")
+    if weights is None:
+        return None
+    if prescription != "convex":
+        raise InvalidInputError("weights are only meaningful for the convex prescription")
+    sizes = {k for k in group_sizes if k >= 2}
+    if len(sizes) > 1:
+        raise InvalidInputError(_UNEQUAL_GROUPS)
+    return tuple(_convex_weights(max(sizes, default=None), weights).tolist())
 
 
 def _ordering_sum(fs: tuple[Projector, ...], orders: object, weights: object) -> Array:
@@ -131,7 +165,7 @@ def convex_pp(factors: object, weights: object | None = None) -> PseudoProjectio
     fs = _coerce_factors(factors)
     w = _convex_weights(len(fs), weights)
     acc = _ordering_sum(fs, distinct_orderings(len(fs)), w)
-    return PseudoProjection(acc, fs, "convex", weights=tuple(float(x) for x in w))
+    return PseudoProjection(acc, fs, "convex", weights=tuple(w.tolist()))
 
 
 # Subset moments.  Stacks are indexed by bit mask: entry `mask` belongs to the
@@ -174,14 +208,12 @@ def _ordered_moments(mats: object, prescription: str, weights: object | None = N
     recursion M_T = (1/|T|) sum_{i in T} A_i M_{T - {i}}, which is O(k 2^k)
     products.  convex: sum over the orderings of all k operators of
     w_order Herm(product of T in that order), from per-ordering prefix
-    products; `weights` are validated as in `convex_pp`.  Uniform convex
+    products, with `weights` from `_prescription_weights`.  Uniform convex
     (`weights` None) is the symmetrized recursion, as a product of Hermitian
     operators and its reverse share their Hermitian part.  A single operator
     has no orderings: every prescription gives (I, Herm A) and `weights` is
     not read.
     """
-    if prescription not in ("unit", "symmetrized", "convex"):
-        raise InvalidInputError(f"unknown prescription {prescription!r}")
     a = np.asarray(mats, dtype=complex)
     k, d = a.shape[0], a.shape[-1]
     out = np.empty((1 << k, d, d), dtype=complex)
@@ -194,7 +226,7 @@ def _ordered_moments(mats: object, prescription: str, weights: object | None = N
         for r, (targets, members, rests) in enumerate(_symmetrization_plan(k), start=1):
             out[targets] = (a[members] @ out[rests]).sum(axis=1) / r
         return out
-    w = _convex_weights(k, weights)
+    w = np.asarray(weights)
     orders = _ordering_array(k)
     bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
     out[:] = 0.0

@@ -52,7 +52,7 @@ from .operator_core import (
     require_square,
     resolve_tolerance,
 )
-from .pseudoprojection import _convex_weights, _ordered_moments, distinct_orderings
+from .pseudoprojection import MAX_OBSERVABLES, PRESCRIPTIONS, _ordered_moments, _prescription_weights, distinct_orderings
 
 __all__ = [
     "ObservableSpec",
@@ -67,11 +67,8 @@ __all__ = [
     "string_to_outcomes",
 ]
 
-MAX_OBSERVABLES = 8
 # A scheme's entries sum to 1 within this tolerance.
 SCHEME_SUM_TOL = 1e-10
-PRESCRIPTIONS = ("unit", "symmetrized", "convex")
-_UNEQUAL_GROUPS = "convex weights require all multi-observable groups to share one size"
 
 # Accept the typographic minus on parse; always emit ASCII.
 _MINUS_CHARS = "-−"
@@ -173,18 +170,8 @@ class Scheme:
         total = sum(self.entries.values())
         if abs(total - 1.0) > SCHEME_SUM_TOL:
             raise InvalidInputError(f"entries must sum to 1, got {total!r}")
-        if not isinstance(self.prescription, str) or self.prescription not in PRESCRIPTIONS:
-            raise InvalidInputError(
-                f"prescription must be one of {', '.join(PRESCRIPTIONS)}, got {self.prescription!r}"
-            )
-        if self.weights is None:
-            return
-        try:
-            finite = all(map(math.isfinite, self.weights))
-        except TypeError:
-            raise InvalidInputError(f"weights must be real numbers, got {self.weights!r}") from None
-        if not finite:
-            raise InvalidInputError(f"weights are not finite: {list(self.weights)}")
+        sizes = () if self.weights is None else Counter(o.subsystem for o in obs).values()
+        object.__setattr__(self, "weights", _prescription_weights(self.prescription, sizes, self.weights))
 
     @property
     def n_observables(self) -> int:
@@ -280,19 +267,12 @@ def build_scheme(
         raise InvalidInputError("observables must be an ordered collection of ObservableSpec")
     if not (1 <= len(obs) <= MAX_OBSERVABLES):
         raise InvalidInputError(f"need 1..{MAX_OBSERVABLES} observables, got {len(obs)}")
-    if prescription not in PRESCRIPTIONS:
-        raise InvalidInputError(f"unknown prescription {prescription!r}")
-    if weights is not None and prescription != "convex":
-        raise InvalidInputError("weights are only meaningful for the convex prescription")
     groups, dims = _subsystem_layout(obs)
+    weights = _prescription_weights(prescription, map(len, groups), weights)
     if int(np.prod(dims)) != _require_state(state).dim:
         raise InvalidInputError(
             f"subsystem dimensions {dims} do not compose to state dimension {state.dim}"
         )
-    if weights is not None:
-        sizes = {len(g) for g in groups if len(g) >= 2}
-        if len(sizes) > 1:
-            raise InvalidInputError(_UNEQUAL_GROUPS)
 
     # The moments use the observable matrices; their outcome projectors still
     # have to pass Projector's checks (rank >= 1 rejects A = +-I).
@@ -306,11 +286,7 @@ def build_scheme(
     moments = moments.reshape((2,) * len(obs)).transpose(np.argsort(axis_of))
     values = _walsh_hadamard(moments.reshape(-1)) / 2 ** len(obs)
     entries = dict(zip(_outcomes(len(obs)), values.tolist()))
-    try:
-        w = None if weights is None else tuple(float(x) for x in np.asarray(weights, dtype=float))
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"weights must be real numbers, got {weights!r}") from None
-    return Scheme(observables=obs, entries=entries, prescription=prescription, weights=w)
+    return Scheme(observables=obs, entries=entries, prescription=prescription, weights=weights)
 
 
 def marginalize(s: Scheme, drop_index: int) -> Scheme:
@@ -346,7 +322,7 @@ def _marginal_weights(s: Scheme, drop_index: int) -> tuple[float, ...] | None:
     the rest; the weights of orderings whose restrictions agree up to
     reversal add up; a group cut down to one observable needs none.  Other
     groups keep the parent's weights, so a marginal that needs both kinds has
-    no single weight vector.
+    no single weight vector, and `Scheme` refuses its unequal groups.
     """
     if s.weights is None:
         return None
@@ -354,18 +330,16 @@ def _marginal_weights(s: Scheme, drop_index: int) -> tuple[float, ...] | None:
     sizes = Counter(o.subsystem for o in s.observables)
     k = sizes[sub]
     other_multi = any(size >= 2 for t, size in sizes.items() if t != sub)
-    if k == 1 or (k == 2 and other_multi):
+    if k == 1 or other_multi:
         return s.weights
     if k == 2:
         return None
-    if other_multi:
-        raise InvalidInputError(_UNEQUAL_GROUPS)
     j = sum(o.subsystem == sub for o in s.observables[:drop_index])
     induced: dict[tuple[int, ...], float] = {}
-    for w, order in zip(_convex_weights(k, s.weights), distinct_orderings(k)):
+    for w, order in zip(s.weights, distinct_orderings(k)):
         rest = tuple(i - (i > j) for i in order if i != j)
         key = min(rest, rest[::-1])
-        induced[key] = induced.get(key, 0.0) + float(w)
+        induced[key] = induced.get(key, 0.0) + w
     return tuple(induced.get(order, 0.0) for order in distinct_orderings(k - 1))
 
 
@@ -437,7 +411,7 @@ def scheme_to_json(s: Scheme) -> dict[str, object]:
     """JSON-ready dict; outcome keys use ASCII '+'/'-'."""
     obs_out: list[dict[str, object]] = []
     for o in _require_scheme(s).observables:
-        d: dict[str, object] = {"subsystem": o.subsystem, "label": o.label}
+        d: dict[str, object] = {"subsystem": int(o.subsystem), "label": o.label}
         if o.axis is not None:
             d["axis"] = [float(x) for x in o.axis]
         else:
@@ -457,10 +431,8 @@ def scheme_to_json(s: Scheme) -> dict[str, object]:
 
 
 def _spec_from_json(d: dict) -> ObservableSpec:
-    if "axis" in d:
-        return ObservableSpec(subsystem=int(d["subsystem"]), axis=np.asarray(d["axis"], dtype=float), label=str(d.get("label", "")))
-    m = np.asarray(d["matrix"]["re"], dtype=float) + 1j * np.asarray(d["matrix"]["im"], dtype=float)
-    return ObservableSpec(subsystem=int(d["subsystem"]), matrix=m, label=str(d.get("label", "")))
+    m = None if "axis" in d else np.asarray(d["matrix"]["re"], dtype=float) + 1j * np.asarray(d["matrix"]["im"], dtype=float)
+    return ObservableSpec(d["subsystem"], axis=d.get("axis"), matrix=m, label=str(d.get("label", "")))
 
 
 def scheme_from_json(data: dict[str, object]) -> Scheme:
@@ -475,11 +447,9 @@ def scheme_from_json(data: dict[str, object]) -> Scheme:
     if not isinstance(entries_in, dict) or not all(isinstance(k, str) for k in entries_in):
         raise InvalidInputError("entries must map outcome strings to numbers")
     entries = {string_to_outcomes(k): _real(v, f"entry {k!r}") for k, v in entries_in.items()}
-    weights = data.get("weights")
-    w = None if weights is None else tuple(_sequence(weights, "weights", "numbers", float))
     return Scheme(
         observables=tuple(observables),
         entries=entries,
         prescription=str(prescription),
-        weights=w,
+        weights=data.get("weights"),
     )

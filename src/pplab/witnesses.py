@@ -24,6 +24,7 @@ from .geometry import (
     PAULI_X,
     PAULI_Z,
     EntanglementGeometry,
+    _aperture,
     _pauli_coordinates,
     _qubit_projectors,
     make_doublet,
@@ -37,7 +38,6 @@ from .operator_core import (
     _expectations,
     _kron,
     _outcome_projectors,
-    _real,
     _require_state,
     _sequence,
     resolve_tolerance,
@@ -162,12 +162,11 @@ def statistic_from_terms(terms: object, rule: str) -> float:
 
 
 def _verdict(statistic: float, rule: str) -> tuple[float, bool]:
+    """Threshold and verdict under VERDICT_NEGATIVE, else VERDICT_MAGNITUDE."""
     tol = resolve_tolerance()
     if rule == VERDICT_NEGATIVE:
         return -tol, statistic < -tol
-    if rule == VERDICT_MAGNITUDE:
-        return tol, abs(statistic) > tol
-    raise InvalidInputError(f"unknown verdict rule {rule!r}")
+    return tol, abs(statistic) > tol
 
 
 def _report(
@@ -201,6 +200,16 @@ def _state_digest(state: DensityMatrix) -> dict[str, object]:
 def _require_dim(state: DensityMatrix, dim: int, test: str) -> None:
     if _require_state(state).dim != dim:
         raise InvalidInputError(f"{test} needs a {dim}x{dim} state, got {state.dim}x{state.dim}")
+
+
+def _entanglement_axes(state: DensityMatrix, geom: object, variant: object, test: str, variants: tuple[str, ...]) -> int:
+    """Checks a two-qubit entanglement test's inputs; the number of frame axes its variant uses."""
+    _require_dim(state, 4, test)
+    if not isinstance(geom, EntanglementGeometry):
+        raise InvalidInputError(f"geom must be an EntanglementGeometry, got {type(geom).__name__}")
+    if variant not in variants:
+        raise InvalidInputError(f"variant must be {', '.join(map(repr, variants[:-1]))} or {variants[-1]!r}, got {variant!r}")
+    return 2 if variant == "I" else 3
 
 
 # Outcome index o of a projector stack: 0 is the +1 outcome, 1 the -1 outcome.
@@ -261,23 +270,14 @@ def _born_terms(state: DensityMatrix, p: Array, side: int, tag: str) -> list[Wea
     return [WeakTerm(f"{tag}{'ab'[side]}{_MARK[o]}", b, 1.0, b, 1.0, 0) for o, b in enumerate(borns)]
 
 
-def _product_term(label: str, t1: WeakTerm, t2: WeakTerm, coefficient: float, group: int = 0) -> WeakTerm:
-    """Composite term for a product of two pseudo-probabilities."""
+def _product_term(t1: WeakTerm, t2: WeakTerm, coefficient: float, group: int = 0) -> WeakTerm:
+    """Composite term "(l1)*(l2)" for the product of two pseudo-probabilities."""
+    label = f"({t1.label})*({t2.label})"
     born = t1.born_factor * t2.born_factor
     if t1.weak_value is None or t2.weak_value is None:
         return WeakTerm(label, born, None, 0.0, coefficient, group)
     weak = t1.weak_value * t2.weak_value
     return WeakTerm(label, born, weak, t1.pseudo_probability * t2.pseudo_probability, coefficient, group)
-
-
-def _opposed_products(
-    left: list[WeakTerm], right: list[WeakTerm], coefficient: float, group: int = 0, outcomes: tuple[int, int] = (0, 1)
-) -> list[WeakTerm]:
-    """Product terms left[o] * right[1 - o], for outcome indices in `outcomes` order."""
-    return [
-        _product_term(f"({left[o].label})*({right[1 - o].label})", left[o], right[1 - o], coefficient, group)
-        for o in outcomes
-    ]
 
 
 def _axis_angle(a1: Array, a2: Array) -> float:
@@ -565,12 +565,7 @@ def linear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant: s
     over all three.  Separable states keep the sum non-negative inside the
     aperture validity window; a negative value witnesses entanglement.
     """
-    _require_dim(state, 4, "linear_ent_test")
-    if not isinstance(geom, EntanglementGeometry):
-        raise InvalidInputError(f"geom must be an EntanglementGeometry, got {type(geom).__name__}")
-    if variant not in ("I", "II"):
-        raise InvalidInputError(f"variant must be 'I' or 'II', got {variant!r}")
-    n_axes = 2 if variant == "I" else 3
+    n_axes = _entanglement_axes(state, geom, variant, "linear_ent_test", ("I", "II"))
 
     specs: list[tuple] = []
     closed = 0.0
@@ -604,12 +599,7 @@ def nonlinear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant
     eight half-weighted products of single-outcome probabilities and same-side
     doublet conjunctions; its classical floor is again zero.
     """
-    _require_dim(state, 4, "nonlinear_ent_test")
-    if not isinstance(geom, EntanglementGeometry):
-        raise InvalidInputError(f"geom must be an EntanglementGeometry, got {type(geom).__name__}")
-    if variant not in ("I", "II", "III"):
-        raise InvalidInputError(f"variant must be 'I', 'II' or 'III', got {variant!r}")
-    n_axes = 2 if variant == "I" else 3
+    n_axes = _entanglement_axes(state, geom, variant, "nonlinear_ent_test", ("I", "II", "III"))
     c = math.cos(geom.alpha / 2.0)
 
     # Per axis, rows of P: a, b1, b2, then for III a1, a2 and the b bisector.
@@ -643,14 +633,13 @@ def nonlinear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant
         entries.update(_entries(plain))
         if variant in ("I", "II"):
             entries.update(_entries(rest))
-            all_terms += [_product_term(f"({t1.label})*({t2.label})", t1, t2, 1.0) for t1 in plain for t2 in rest]
+            all_terms += [_product_term(t1, t2, 1.0) for t1 in plain for t2 in rest]
         else:
-            (a_born, b_born), a_pair, b_pair = borns[i], rest[:2], rest[2:]
-            all_terms += plain
-            all_terms += _opposed_products(a_born, a_pair, 0.5)
-            all_terms += _opposed_products(b_born, b_pair, 0.5)
-            all_terms += _opposed_products(a_born, b_pair, 0.5)
-            all_terms += _opposed_products(a_pair, b_born, 0.5, outcomes=(1, 0))
+            # Each product pairs opposed outcomes: a single outcome with a doublet conjunction.
+            ((a_plus, a_minus), (b_plus, b_minus)), (a_pp, a_mm), (b_pp, b_mm) = borns[i], rest[:2], rest[2:]
+            pairs = [(a_plus, a_mm), (a_minus, a_pp), (b_plus, b_mm), (b_minus, b_pp),
+                     (a_plus, b_mm), (a_minus, b_pp), (a_mm, b_plus), (a_pp, b_minus)]
+            all_terms += plain + [_product_term(left, right, 0.5) for left, right in pairs]
 
     extras: dict[str, object] = {"pauli_closed_form": closed, "aperture_cos_half": c}
     return _entanglement_report(f"nonlinear-entanglement-{variant}", state, geom, n_axes, entries, all_terms, extras)
@@ -666,9 +655,7 @@ def discord_test(state: DensityMatrix, alpha: float) -> TestReport:
     aperture, so both branches negative witnesses discord.
     """
     _require_dim(state, 4, "discord_test")
-    alpha = _real(alpha, "alpha")
-    if not (0.0 < alpha < math.pi):
-        raise InvalidInputError(f"alpha must lie in (0, pi), got {alpha}")
+    alpha = _aperture(alpha)
 
     table = _pauli_coordinates(state.matrix)
     r, b, T = table[1:, 0], table[0, 1:], table[1:, 1:]
@@ -699,7 +686,8 @@ def discord_test(state: DensityMatrix, alpha: float) -> TestReport:
     branch_values: dict[str, float] = {}
     for group in (1, 2):
         equality, pair = terms[4 * group - 4 : 4 * group - 2], terms[4 * group - 2 : 4 * group]
-        branch = equality + _opposed_products(borns[group - 1], pair, 1.0, group)
+        (plus, minus), (pp, mm) = borns[group - 1], pair
+        branch = equality + [_product_term(plus, mm, 1.0, group), _product_term(minus, pp, 1.0, group)]
         all_terms += branch
         entries.update(_entries(equality))
         branch_values[f"branch_{group}"] = statistic_from_terms(branch, RULE_SUM)

@@ -6,6 +6,7 @@ collection, a non-numeric matrix or 3-vector).
 """
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from pplab import (
@@ -14,16 +15,20 @@ from pplab import (
     InvalidInputError,
     ObservableSpec,
     PointerConfig,
+    Projector,
     Scheme,
+    anticommutator,
     bloch_state,
     build_scheme,
     chsh_test,
     coherence_test,
+    conjunction_pp,
     convex_pp,
     discord_test,
     equality_sum,
     evaluate_strategy,
     evolve_scheme,
+    expectation,
     game_score,
     linear_ent_test,
     make_doublet,
@@ -33,18 +38,23 @@ from pplab import (
     nonlinear_ent_test,
     partial_trace,
     perturbative_prediction,
+    pp_weak_factorization,
     proportionality_check,
     qubit_projector,
+    real_weak_product,
     scan_strategies,
     scheme_from_json,
     scheme_from_state,
     scheme_to_json,
     simulate_pointers,
     statistic_from_terms,
+    tensor_product,
     transition_matrix,
     unit_pp,
     werner_state,
 )
+from pplab.operator_core import hermitian_eigen
+from pplab.pseudoprojection import distinct_orderings
 
 RHO = bloch_state([0.6, 0.0, 0.0])
 POST = bloch_state([0.0, 0.0, 0.0])
@@ -136,6 +146,7 @@ OBS = [
 THREE_ON_ONE = [ObservableSpec(0, axis=axis) for axis in (AXIS, [1, 0, 0], [0, 1, 0])]
 ONE = [ObservableSpec(0, axis=AXIS)]
 PAIR_SCHEME = build_scheme(RHO, THREE_ON_ONE[:2])
+THREE_SCHEME = build_scheme(RHO, THREE_ON_ONE)
 
 
 # Each call used to escape as a Python TypeError, AttributeError or
@@ -226,6 +237,27 @@ LEAKS = {
         "weights",
     ),
     "Scheme.entry/unhashable": (lambda: PAIR_SCHEME.entry([[1]]), "outcomes"),
+    # Accepted silently before: a fractional subsystem read as its integer part,
+    # and weights that build_scheme refuses.
+    "scheme_from_json/float_subsystem": (
+        lambda: scheme_from_json(
+            {"observables": [{"subsystem": 0.5, "axis": AXIS}], "prescription": "unit", "entries": {"+": 0.5, "-": 0.5}}
+        ),
+        "subsystem",
+    ),
+    "Scheme/unit_weights": (lambda: Scheme(PAIR_SCHEME.observables, PAIR_SCHEME.entries, "unit", (1.0,)), "weights"),
+    "scheme_from_json/unit_weights": (
+        lambda: scheme_from_json({**scheme_to_json(PAIR_SCHEME), "prescription": "unit", "weights": [1.0, 2.0]}),
+        "weights",
+    ),
+    "Scheme/convex_weight_count": (
+        lambda: Scheme(THREE_SCHEME.observables, THREE_SCHEME.entries, "convex", (0.25,) * 4),
+        "weights",
+    ),
+    "scheme_from_json/convex_weight_count": (
+        lambda: scheme_from_json({**scheme_to_json(THREE_SCHEME), "prescription": "convex", "weights": [0.25] * 4}),
+        "weights",
+    ),
 }
 
 
@@ -233,3 +265,142 @@ LEAKS = {
 def test_scalar_and_container_leaks_are_invalid_input(call, name):
     with pytest.raises(InvalidInputError, match=rf"^{name} "):
         call()
+
+
+ONE_SCHEME = build_scheme(RHO, ONE)
+# A 4x4 dichotomic observable (Z x Z) and a qutrit projector.
+ZZ = np.diag([1.0, -1.0, -1.0, 1.0])
+QUTRIT = np.diag([1.0, 0.0, 0.0])
+
+# Refusals that no other test reaches: the call, its error class and its whole message.
+REFUSALS = {
+    "chsh_test/4x4_A1": (
+        lambda: chsh_test(WERNER, ObservableSpec(0, matrix=ZZ), *OBS[1:]),
+        "A1 must be a qubit observable",
+    ),
+    "build_scheme/mixed_dimensions": (
+        lambda: build_scheme(WERNER, [ObservableSpec(0, axis=AXIS), ObservableSpec(0, matrix=ZZ)]),
+        "subsystem 0 has observables of differing dimension",
+    ),
+    "build_scheme/nine_observables": (lambda: build_scheme(RHO, THREE_ON_ONE * 3), "need 1..8 observables, got 9"),
+    "build_scheme/unequal_groups": (
+        lambda: build_scheme(WERNER, [ObservableSpec(s, axis=AXIS) for s in (0, 0, 1, 1, 1)], "convex", [1.0]),
+        "convex weights require all multi-observable groups to share one size",
+    ),
+    "Scheme/nine_observables": (lambda: Scheme(THREE_ON_ONE * 3, PAIR_SCHEME.entries, "unit"), "need 1..8 observables, got 9"),
+    "Scheme/not_observables": (
+        lambda: Scheme([5], ONE_SCHEME.entries, "unit"),
+        "observables must be an ordered collection of ObservableSpec",
+    ),
+    "Scheme/entry_count": (
+        lambda: Scheme(PAIR_SCHEME.observables, ONE_SCHEME.entries, "unit"),
+        "expected 4 entries for 2 observables, got 2",
+    ),
+    "Scheme/string_entry": (
+        lambda: Scheme(ONE, {(1,): "a", (-1,): 0.5}, "unit"),
+        "entries must map outcome tuples to real numbers",
+    ),
+    "Scheme/sum": (lambda: Scheme(ONE, {(1,): 0.6, (-1,): 0.5}, "unit"), "entries must sum to 1, got 1.1"),
+    "Scheme.entry/character": (lambda: PAIR_SCHEME.entry("x"), "bad outcome character 'x' in 'x'"),
+    "Scheme.entry/missing": (lambda: ONE_SCHEME.entry((1, 1)), "no entry for outcomes (1, 1)"),
+    "ObservableSpec/negative_subsystem": (
+        lambda: ObservableSpec(-1, axis=AXIS),
+        "subsystem index must be >= 0, got -1",
+    ),
+    "ObservableSpec/non_hermitian": (
+        lambda: ObservableSpec(0, matrix=[[1, 1], [0, -1]]),
+        "observable must be Hermitian",
+    ),
+    "ObservableSpec.projector/outcome": (lambda: ONE[0].projector(0), "outcome must be +1 or -1, got 0"),
+    "marginalize/range": (lambda: marginalize(PAIR_SCHEME, 2), "drop_index 2 out of range for 2 observables"),
+    "scheme_from_json/empty": (
+        lambda: scheme_from_json({}),
+        "scheme JSON needs observables, prescription, entries",
+    ),
+    "statistic_from_terms/rule": (lambda: statistic_from_terms([], "bogus"), "unknown statistic rule 'bogus'"),
+    "distinct_orderings/one": (lambda: distinct_orderings(1), "orderings need n >= 2, got 1"),
+    "conjunction_pp/one_factor": (lambda: conjunction_pp([Z_PLUS]), "need at least 2 factors, got 1"),
+    "conjunction_pp/dimensions": (lambda: conjunction_pp([Z_PLUS, QUTRIT]), "factor dimension mismatch: [2, 3]"),
+    "make_entanglement_geometry/alpha": (
+        lambda: make_entanglement_geometry(4.0),
+        "alpha must lie in (0, pi), got 4.0",
+    ),
+    "make_entanglement_geometry/two_axes": (
+        lambda: make_entanglement_geometry(1.0, [[1, 0, 0], [0, 1, 0]]),
+        "a_frame must contain exactly 3 axes",
+    ),
+    "qubit_projector/axis_shape": (lambda: qubit_projector([1, 0]), "axis must be a real 3-vector, got shape (2,)"),
+    "qubit_projector/outcome": (lambda: qubit_projector(AXIS, 0), "outcome must be +1 or -1, got 0"),
+    "PointerConfig/float_grid": (
+        lambda: PointerConfig(g=0.05, t=1.0, grid_points=64.0),
+        "grid_points must be an integer, got 64.0",
+    ),
+    "simulate_pointers/3x3_post": (
+        lambda: simulate_pointers(RHO, PROJS, np.eye(3) / 3, CFG),
+        "post must be 2x2, got (3, 3)",
+    ),
+    "simulate_pointers/non_hermitian_post": (
+        lambda: simulate_pointers(RHO, PROJS, [[1, 1], [0, 0]], CFG),
+        "post must be Hermitian",
+    ),
+    "simulate_pointers/qutrit_projector": (
+        lambda: simulate_pointers(RHO, [QUTRIT], POST, CFG),
+        "pointer simulation couples qubit projectors only",
+    ),
+    "proportionality_check/zero_couplings": (
+        lambda: proportionality_check(RHO, PROJS, POST, CFG, couplings=[0, 0, 0]),
+        "couplings give a degenerate fit; use nonzero g values",
+    ),
+    "real_weak_product/empty": (lambda: real_weak_product([], RHO, POST), "need at least one factor"),
+    "pp_weak_factorization/dimensions": (
+        lambda: pp_weak_factorization(WERNER, PROJS),
+        "dimension mismatch: state 4, factors 2",
+    ),
+    "Projector/rank": (lambda: Projector(Z_PLUS.matrix, rank=2), "declared rank 2 != trace rank 1"),
+    "partial_trace/dims_shape": (
+        lambda: partial_trace(WERNER.matrix, (2, 3), 0),
+        "dims (2, 3) inconsistent with shape (4, 4)",
+    ),
+    "partial_trace/keep_range": (
+        lambda: partial_trace(WERNER.matrix, (2, 2), 2),
+        "keep index 2 out of range for 2 slots",
+    ),
+    "tensor_product/dimension": (lambda: tensor_product(np.eye(8), np.eye(16)), "tensor product exceeds dimension 64"),
+    "anticommutator/dimensions": (lambda: anticommutator(np.eye(2), np.eye(4)), "dimension mismatch: (2, 2) vs (4, 4)"),
+    "expectation/dimensions": (lambda: expectation(RHO, np.eye(4)), "dimension mismatch: (2, 2) vs (4, 4)"),
+    "hermitian_eigen/non_hermitian": (
+        lambda: hermitian_eigen([[0, 1], [0, 0]]),
+        "hermitian_eigen requires a Hermitian matrix",
+    ),
+    "hermitian_eigen/non_square": (lambda: hermitian_eigen(np.ones((2, 3))), "m must be square, got shape (2, 3)"),
+    "DensityMatrix/65x65": (
+        lambda: DensityMatrix(np.eye(65) / 65),
+        "density matrix exceeds the supported dimension 64",
+    ),
+    "DensityMatrix/3d": (
+        lambda: DensityMatrix(np.zeros((2, 2, 2))),
+        "density matrix must be 2-dimensional, got ndim=3",
+    ),
+    "game_score/three_entries": (lambda: game_score([0.5, 0.25, 0.25]), "scheme must have 4 entries, got shape (3,)"),
+    "game_score/nan": (lambda: game_score([NAN, 0.5, 0.25, 0.25]), "scheme entries must be finite"),
+    "transition_matrix/nan": (lambda: transition_matrix(NAN), "time must be finite, got nan"),
+    "scheme_from_state/nan_theta": (lambda: scheme_from_state([0, 0, 0], NAN), "theta must be finite, got nan"),
+    "evaluate_strategy/nan_omega": (
+        lambda: evaluate_strategy([1, 0, 0], AXIS, NAN, [0.0]),
+        "omega_L must be finite, got nan",
+    ),
+    "evaluate_strategy/no_times": (lambda: evaluate_strategy([1, 0, 0], AXIS, 1.0, []), "need at least one time point"),
+    "evaluate_strategy/nan_time": (
+        lambda: evaluate_strategy([1, 0, 0], AXIS, 1.0, [NAN]),
+        "time grid entries must be finite",
+    ),
+    "scan_strategies/empty": (lambda: scan_strategies([], [AXIS], 1.0, [0.0]), "empty strategy grids"),
+}
+
+
+@pytest.mark.parametrize("call, message", list(REFUSALS.values()), ids=list(REFUSALS))
+def test_refusal_class_and_message(call, message):
+    with pytest.raises(InvalidInputError) as info:
+        call()
+    assert type(info.value) is InvalidInputError
+    assert str(info.value) == message

@@ -236,6 +236,19 @@ def test_pp_eig_reports_negative_witness(capsys):
     assert payload["min_eigenvalue"] == pytest.approx((1 - math.sqrt(2)) / 4, abs=1e-12)
 
 
+def test_pp_eig_over_eight_factors_is_a_resource_error(capsys):
+    argv = ["pp", "eig", "--axes", "z+;x+;y+;z-;x-;y-;z+;x+;y+", "--prescription", "symmetrized"]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "9 factors" in err
+
+
+def test_projector_axis_token_with_sign_equals_named_token(capsys):
+    by_axis = _run_json(capsys, ["pp", "eig", "--axes", "0,0,1:-;x+"])
+    by_name = _run_json(capsys, ["pp", "eig", "--axes", "z-;x+"])
+    assert by_axis == by_name
+
+
 def test_non_numeric_argument_exits_one(capsys):
     code, _, _ = _run(capsys, ["test", "ent-linear-1", "--werner", "0.5", "--alpha", "90deg"])
     assert code == 1

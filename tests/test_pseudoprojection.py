@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from pplab import (
     InvalidInputError,
     Projector,
+    ResourceLimitError,
     conjunction_pp,
     convex_pp,
     disjunction_pp,
@@ -64,6 +66,19 @@ def test_distinct_orderings_count():
     assert len(distinct_orderings(4)) == 12
     for order in distinct_orderings(4):
         assert order[0] < order[-1]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [symmetrized_pp, convex_pp, lambda factors: distinct_orderings(len(factors))],
+    ids=["symmetrized_pp", "convex_pp", "distinct_orderings"],
+)
+def test_nine_factors_are_refused_before_their_orderings_are_built(build):
+    # 9!/2 = 181440 orderings: the cap is the scheme's eight observables.
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        build([Z, X, ZBAR, XBAR, Z, X, ZBAR, XBAR, Z])
+    assert time.perf_counter() - start < 0.1
 
 
 def test_symmetrized_two_factors_equals_unit():

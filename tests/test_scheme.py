@@ -176,6 +176,13 @@ def test_scheme_json_round_trip_of_a_matrix_observable():
     _json_round_trip(sch)
 
 
+def test_scheme_json_of_a_numpy_integer_subsystem_is_plain_json():
+    rho = bloch_state([0.4, 0.1, -0.2])
+    sch = build_scheme(rho, [ObservableSpec(np.int64(0), axis=[0, 0, 1])], "unit")
+    assert scheme_to_json(sch)["observables"][0]["subsystem"] == 0
+    _json_round_trip(sch)
+
+
 def test_scheme_json_round_trip_of_convex_weights():
     rho = bloch_state([0.4, 0.1, -0.2])
     obs = [_obs(0, [0, 0, 1]), _obs(0, [1, 0, 0]), _obs(0, [0, 1, 0])]
