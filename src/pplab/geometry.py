@@ -3,7 +3,7 @@ frame geometry for the two-qubit correlation tests, Werner family.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,20 +109,28 @@ def _qubit_projectors(axes: object) -> Array:
     return _outcome_projectors((a @ _PAULIS).reshape(-1, 2, 2))
 
 
+def _frozen(v: object) -> Array:
+    """A read-only float copy of `v`, so no caller can change it afterwards."""
+    a = np.array(v, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Doublet:
-    """Pair of unit axes separated by aperture alpha, symmetric about `axis`."""
+    """Pair of unit axes separated by aperture alpha, symmetric about `axis`.
+
+    The three vectors are kept as read-only copies of what was passed in.
+    """
 
     n1: Array
     n2: Array
     axis: Array
     alpha: float
 
-
-def _azimuth_reference(axis: Array) -> Array:
-    ref = _Z if abs(float(axis @ _Z)) < AXIS_ALIGNMENT_CUTOFF else _X
-    u = np.cross(axis, ref)
-    return u / np.linalg.norm(u)
+    def __post_init__(self) -> None:
+        for name in ("n1", "n2", "axis"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
 def _aperture(alpha: object) -> float:
@@ -133,21 +141,31 @@ def _aperture(alpha: object) -> float:
     return alpha
 
 
+def _doublets(axes: Array, alpha: float) -> tuple[Array, Array]:
+    """The axes n1, n2 of the doublets of aperture `alpha` about each checked unit
+    axis of an (m, 3) stack, as two (m, 3) stacks.
+
+    The in-plane direction is fixed deterministically: cross the axis with z
+    unless the two are nearly parallel, in which case cross with x.
+    """
+    ref = np.where((np.abs(axes @ _Z) < AXIS_ALIGNMENT_CUTOFF)[:, None], _Z, _X)
+    u = np.cross(axes, ref)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    half = 0.5 * alpha
+    return np.cos(half) * axes + np.sin(half) * u, np.cos(half) * axes - np.sin(half) * u
+
+
 def make_doublet(axis: object, alpha: float, azimuth_rule: str = "cross-reference") -> Doublet:
     """Two axes at angle alpha to each other with bisector `axis`.
 
-    The in-plane direction is fixed deterministically: cross the axis with z
-    unless the two are nearly parallel, in which case cross with x.  A single
-    rule tag is supported; the tag exists so reports can echo the convention.
+    The in-plane direction follows `_doublets`.  A single rule tag is
+    supported; the tag exists so reports can echo the convention.
     """
     a = unit_vector(axis, "axis")
     alpha = _aperture(alpha)
     if azimuth_rule != "cross-reference":
         raise InvalidInputError(f"unknown azimuth rule {azimuth_rule!r}")
-    u = _azimuth_reference(a)
-    half = 0.5 * alpha
-    n1 = np.cos(half) * a + np.sin(half) * u
-    n2 = np.cos(half) * a - np.sin(half) * u
+    (n1,), (n2,) = _doublets(a[None], alpha)
     return Doublet(n1=n1, n2=n2, axis=a, alpha=alpha)
 
 
@@ -157,6 +175,9 @@ class EntanglementGeometry:
 
     Each side carries an orthonormal axis frame; around every axis sits a
     doublet of aperture alpha.  Tests use the first two or all three axes.
+    The axes are kept as read-only copies and doublets are immutable, so a
+    geometry never changes; the entanglement tests compile its witness
+    operators on first use and keep them in `_terms`.
     """
 
     alpha: float
@@ -164,16 +185,24 @@ class EntanglementGeometry:
     b_axes: tuple[Array, Array, Array]
     a_doublets: tuple[Doublet, Doublet, Doublet]
     b_doublets: tuple[Doublet, Doublet, Doublet]
+    _terms: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for name in ("a_axes", "b_axes"):
+            object.__setattr__(self, name, tuple(_frozen(v) for v in getattr(self, name)))
+        for name in ("a_doublets", "b_doublets"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
 
-def _validated_frame(frame: object, name: str) -> tuple[Array, Array, Array]:
+def _validated_frame(frame: object, name: str) -> Array:
+    """`frame` as a (3, 3) stack of orthonormal unit axes, one per row."""
     axes = [unit_vector(v, f"{name}[{i}]") for i, v in enumerate(_sequence(frame, name, "3-vectors"))]
     if len(axes) != 3:
         raise InvalidInputError(f"{name} must contain exactly 3 axes")
     M = np.stack(axes)
     if not _close(M @ M.T, np.eye(3), 1e-10):
         raise InvalidInputError(f"{name} must be orthonormal")
-    return axes[0], axes[1], axes[2]
+    return M
 
 
 def make_entanglement_geometry(
@@ -183,14 +212,17 @@ def make_entanglement_geometry(
 ) -> EntanglementGeometry:
     """Build the doublet layout for both sides; frames default to (x, y, z)."""
     alpha = _aperture(alpha)
-    a_axes = _validated_frame(a_frame if a_frame is not None else (_X, _Y, _Z), "a_frame")
-    b_axes = _validated_frame(b_frame if b_frame is not None else a_axes, "b_frame")
+    a_axes = np.eye(3) if a_frame is None else _validated_frame(a_frame, "a_frame")
+    b_axes = a_axes if b_frame is None else _validated_frame(b_frame, "b_frame")
+    axes = np.concatenate([a_axes, b_axes])
+    n1, n2 = _doublets(axes, alpha)
+    doublets = tuple(Doublet(n1=n1[k], n2=n2[k], axis=axes[k], alpha=alpha) for k in range(6))
     return EntanglementGeometry(
         alpha=alpha,
-        a_axes=a_axes,
-        b_axes=b_axes,
-        a_doublets=tuple(make_doublet(a, alpha) for a in a_axes),  # type: ignore[arg-type]
-        b_doublets=tuple(make_doublet(b, alpha) for b in b_axes),  # type: ignore[arg-type]
+        a_axes=tuple(a_axes),  # type: ignore[arg-type]
+        b_axes=tuple(b_axes),  # type: ignore[arg-type]
+        a_doublets=doublets[:3],  # type: ignore[arg-type]
+        b_doublets=doublets[3:],  # type: ignore[arg-type]
     )
 
 

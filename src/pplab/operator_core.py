@@ -99,11 +99,10 @@ def _any(flags: Array) -> bool:
 
 
 def _kron(a: Array, b: Array) -> Array:
-    """np.kron for 2-d arrays: the same products, bit for bit, without its
-    generic n-d set-up."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
-    )
+    """np.kron of two matrices, or of each pair of broadcast (..., m, n) stacks:
+    the same products, bit for bit, without its generic n-d set-up."""
+    m = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return m.reshape(*m.shape[:-4], m.shape[-4] * m.shape[-3], m.shape[-2] * m.shape[-1])
 
 
 def tensor_product(a: Array, b: Array) -> Array:

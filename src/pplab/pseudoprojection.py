@@ -94,7 +94,8 @@ def distinct_orderings(n: int) -> list[tuple[int, ...]]:
 
 def _convex_weights(n: int | None, weights: object | None) -> Array:
     """Validated weights over `distinct_orderings(n)`; None means uniform.  With
-    n None no factors are ordered, and any finite real numbers pass."""
+    n None no factors are ordered, so any count passes, but the weights must
+    still be finite, non-negative and sum to 1."""
     count = None if n is None else _ordering_count(n)
     if weights is None:
         return np.full(count, 1.0 / count)
@@ -110,7 +111,7 @@ def _convex_weights(n: int | None, weights: object | None) -> Array:
         )
     if not np.isfinite(w).all():
         raise InvalidInputError(f"weights are not finite: {w.tolist()}")
-    if count is not None and ((w < -1e-14).any() or abs(w.sum() - 1.0) > 1e-10):
+    if (w < -1e-14).any() or abs(w.sum() - 1.0) > 1e-10:
         raise InvalidInputError("weights must be non-negative and sum to 1")
     return w
 

@@ -88,7 +88,7 @@ class ObservableSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if not isinstance(self.subsystem, (int, np.integer)):
+        if isinstance(self.subsystem, bool) or not isinstance(self.subsystem, (int, np.integer)):
             raise InvalidInputError(f"subsystem must be an integer, got {self.subsystem!r}")
         if self.subsystem < 0:
             raise InvalidInputError(f"subsystem index must be >= 0, got {self.subsystem}")

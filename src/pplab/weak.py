@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,18 +138,46 @@ def real_weak_product(factors: object, pre: object, post: object) -> float:
     return float(np.real(np.trace(rho2.matrix @ prod @ rho1.matrix) / overlap))
 
 
-def _born_weak(state: DensityMatrix, leads: Array, ranks: object, rests: Array) -> tuple[list[float], list[float | None]]:
-    """Born factors Re Tr(lead rho) of a (k, d, d) stack of leading projectors and the real
-    weak values Re Tr(post rest rho) / Tr(post rho) of the matching `rests`, post = lead/rank
-    checked as one stack; None where that overlap, born/rank, would be refused (exactly so
-    when rank is a power of two)."""
-    rho = state.matrix
-    born = _expectations(rho, leads)
-    ranks = np.asarray(ranks, dtype=float)
-    kept = born > ranks * OVERLAP_FLOOR
-    post = _check_density(leads[kept] / ranks[kept, None, None])
-    weak = np.zeros(len(born))
-    weak[kept] = _expectations(rho, post @ rests[kept]) / _overlap(rho, post)
+class _Terms(NamedTuple):
+    """The state-independent half of Born x weak for n specs, m of which have a rest."""
+
+    labels: tuple[str, ...]
+    coefficients: tuple[float, ...]
+    groups: tuple[int, ...]
+    weak_rows: Array  # (m,) indices of the specs with a rest
+    ranks: Array  # (m,) their lead ranks
+    posts: Array  # (m, d, d) their post-selections lead/rank, checked as density matrices
+    ops: Array  # (n + m, d, d): every lead, then post @ rest of each weak row
+
+
+def _compile_terms(specs: list[tuple]) -> _Terms:
+    """Compile (lead, rank, rest, label, coefficient, group) specs, each for
+    <(1/2)(lead rest + h.c.)>, into the stacks `_born_weak` contracts with a
+    state.  A rest of None marks a plain Born term: its weak part is exactly 1."""
+    leads, ranks, rests, labels, coefficients, groups = zip(*specs)
+    rows = [i for i, r in enumerate(rests) if r is not None]
+    leads = np.array(leads)
+    kept_ranks = np.array([ranks[i] for i in rows], dtype=float)
+    posts = _check_density(leads[rows] / kept_ranks[:, None, None])
+    products = posts @ np.array([rests[i] for i in rows])
+    return _Terms(labels, coefficients, groups, np.array(rows, dtype=int), kept_ranks, posts,
+                  np.concatenate([leads, products]))
+
+
+def _born_weak(terms: _Terms, rho: Array) -> tuple[list[float], list[float | None]]:
+    """Born factors Re Tr(lead rho) of every compiled spec and the real weak values
+    Re Tr(post rest rho) / Tr(post rho), all from one contraction with the state `rho`;
+    None where that overlap, born/rank, would be refused (exactly so when rank is a
+    power of two)."""
+    values = _expectations(rho, terms.ops)
+    n = len(terms.labels)
+    born = values[:n]
+    kept = np.ones(n, dtype=bool)
+    weak = np.ones(n)
+    rows = terms.weak_rows
+    keep = born[rows] > terms.ranks * OVERLAP_FLOOR
+    kept[rows] = keep
+    weak[rows[keep]] = values[n:][keep] / _overlap(rho, terms.posts[keep])
     return born.tolist(), [w if k else None for w, k in zip(weak.tolist(), kept.tolist())]
 
 
@@ -180,7 +209,7 @@ def pp_weak_factorization(state: object, factors: object) -> dict[str, float]:
     pseudo = _expectations(rho.matrix, unit_pp(fs).matrix)
     mats = tuple(f.matrix for f in fs)
     rest = _ordered_product(mats, tuple(range(1, len(mats))))
-    (born,), (weak,) = _born_weak(rho, mats[0][None], [fs[0].rank], rest[None])
+    (born,), (weak,) = _born_weak(_compile_terms([(mats[0], fs[0].rank, rest, "", 1.0, 0)]), rho.matrix)
     if weak is None:
         raise FactorizationUndefinedError(
             f"leading Born factor {born:.3e} vanishes; pseudo-probability {pseudo:.6e}"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,9 +26,9 @@ from .geometry import (
     PAULI_Z,
     EntanglementGeometry,
     _aperture,
+    _doublets,
     _pauli_coordinates,
     _qubit_projectors,
-    make_doublet,
     mub_partner,
     qubit_projector,
     unit_vector,
@@ -50,7 +51,7 @@ from .pseudoprojection import (
     unit_pp,
 )
 from .scheme import ObservableSpec, build_scheme, equality_sum, outcomes_to_string
-from .weak import _born_weak
+from .weak import _Terms, _born_weak, _compile_terms
 
 __all__ = [
     "WeakTerm",
@@ -217,31 +218,36 @@ _MARK = "+-"
 
 
 def _embed(op: Array, side: int) -> Array:
-    """A qubit operator on side 0 (the outer factor) or side 1 of two qubits."""
+    """A qubit operator, or each of a stack, on side 0 (the outer factor) or side 1 of two qubits."""
     return _kron(op, IDENTITY_2) if side == 0 else _kron(IDENTITY_2, op)
 
 
-def _pp_terms(state: DensityMatrix, specs: list[tuple]) -> list[WeakTerm]:
-    """Weak terms of `specs`, each (lead, rank, rest, label, coefficient, group) for <(1/2)(lead rest + h.c.)>:
-    the Born factor of `lead` times the real weak value of `rest` post-selected on lead/rank, evaluated
-    as one stack.  A vanishing Born factor makes the pseudo-probability an exact zero."""
-    leads, ranks, rests, labels, coefficients, groups = zip(*specs)
-    born, weak = _born_weak(state, np.array(leads), ranks, np.array(rests))
+def _pp_terms(state: DensityMatrix, terms: _Terms, rows: Iterable[int] | None = None) -> list[WeakTerm]:
+    """Weak terms of compiled specs (see `weak._compile_terms`), or of their `rows` only:
+    the Born factor of each lead times the real weak value of its rest post-selected on
+    lead/rank.  A vanishing Born factor makes the pseudo-probability an exact zero."""
+    born, weak = _born_weak(terms, state.matrix)
     return [
-        WeakTerm(label, b, w, 0.0 if w is None else b * w, c, g)
-        for label, b, w, c, g in zip(labels, born, weak, coefficients, groups)
+        WeakTerm(
+            terms.labels[i], born[i], weak[i], 0.0 if weak[i] is None else born[i] * weak[i],
+            terms.coefficients[i], terms.groups[i],
+        )
+        for i in (range(len(born)) if rows is None else rows)
     ]
 
 
-def _equality_specs(P: Array, tag: str, bar: bool, group: int = 0) -> list[tuple]:
+# The spec builders below take a stack of blocks (frame axes or discord
+# branches), each with its own tag, and give two specs per block, outcomes
+# + then -, block after block.
+
+def _equality_specs(P: Array, tags: list[str], bar: bool, groups: Sequence[int] | None = None) -> list[tuple]:
     """Specs of the two entries of P(a = b1 = b2), or of P(not-a = b1 = b2)
-    when `bar`; rows 0, 1, 2 of the projector stack P belong to a, b1, b2."""
+    when `bar`; rows 0, 1, 2 of each block of the projector stack P belong to
+    a, b1, b2.  Groups default to 0."""
+    leads, rests = _kron(P[:, 0, ::-1] if bar else P[:, 0], P[:, 2]), _embed(P[:, 1], 1)
     return [
-        (
-            _kron(P[0, o ^ bar], P[2, o]), 1, _embed(P[1, o], 1),
-            f"{tag}a{_MARK[o ^ bar]}b2{_MARK[o]} | b1{_MARK[o]}", 1.0, group,
-        )
-        for o in (0, 1)
+        (leads[i, o], 1, rests[i, o], f"{tag}a{_MARK[o ^ bar]}b2{_MARK[o]} | b1{_MARK[o]}", 1.0, group)
+        for i, (tag, group) in enumerate(zip(tags, groups or [0] * len(tags))) for o in (0, 1)
     ]
 
 
@@ -254,20 +260,56 @@ def _entries(terms: list[WeakTerm]) -> dict[str, float]:
     return out
 
 
-def _pair_specs(p1: Array, p2: Array, side: int, tag: str) -> list[tuple]:
+def _pair_specs(p1: Array, p2: Array, side: int, tags: list[str]) -> list[tuple]:
     """Specs of the doublet conjunctions on one side, outcomes (s, s), from the
-    outcome stacks of the doublet's two axes."""
+    outcome stacks of each block's two doublet axes."""
     x = "ab"[side]
+    leads, rests = _embed(p1, side), _embed(p2, side)
     return [
-        (_embed(p1[o], side), 2, _embed(p2[o], side), f"{tag}{x}1{_MARK[o]}{x}2{_MARK[o]}", 1.0, 0)
-        for o in (0, 1)
+        (leads[i, o], 2, rests[i, o], f"{tag}{x}1{_MARK[o]}{x}2{_MARK[o]}", 1.0, 0)
+        for i, tag in enumerate(tags) for o in (0, 1)
     ]
 
 
-def _born_terms(state: DensityMatrix, p: Array, side: int, tag: str) -> list[WeakTerm]:
-    """Plain outcome probabilities on one side, weak part trivially 1."""
-    borns = _expectations(state.matrix, [_embed(q, side) for q in p]).tolist()
-    return [WeakTerm(f"{tag}{'ab'[side]}{_MARK[o]}", b, 1.0, b, 1.0, 0) for o, b in enumerate(borns)]
+def _born_specs(p: Array, side: int, tags: list[str]) -> list[tuple]:
+    """Specs of the plain outcome probabilities on one side: no rest, so the weak part is 1."""
+    leads = _embed(p, side)
+    return [(leads[i, o], 1, None, f"{tag}{'ab'[side]}{_MARK[o]}", 1.0, 0) for i, tag in enumerate(tags) for o in (0, 1)]
+
+
+# A geometry's compiled terms hold six blocks of six rows, outcomes + and -
+# for each frame axis in turn: the equality entries, the barred equality
+# entries, the a-side and the b-side doublet conjunctions, and the plain a and
+# b outcome probabilities.  Each entanglement variant reads its own blocks.
+_EQUALITY, _BARRED, _A_PAIRS, _B_PAIRS, _A_BORN, _B_BORN = range(6)
+_NONLINEAR_BLOCKS = {
+    "I": (_EQUALITY, _BARRED),
+    "II": (_EQUALITY, _BARRED),
+    "III": (_EQUALITY, _A_PAIRS, _B_PAIRS, _A_BORN, _B_BORN),
+}
+_FRAME_TAGS = ["[1]", "[2]", "[3]"]
+
+
+def _compile_geometry(geom: EntanglementGeometry) -> _Terms:
+    """The weak-term specs of every entanglement test at `geom`, compiled as one stack
+    from one projector stack whose rows per frame axis are a, b1, b2, a1, a2 and the b
+    bisector (b1, b2 and a1, a2 are the b- and a-side doublets)."""
+    axes = [[a, b.n1, b.n2, d.n1, d.n2, b.axis] for a, d, b in zip(geom.a_axes, geom.a_doublets, geom.b_doublets)]
+    P = _qubit_projectors(np.reshape(axes, (18, 3))).reshape(3, 6, 2, 2, 2)
+    return _compile_terms(
+        _equality_specs(P, _FRAME_TAGS, bar=False) + _equality_specs(P, [t + "~" for t in _FRAME_TAGS], bar=True)
+        + _pair_specs(P[:, 3], P[:, 4], 0, _FRAME_TAGS) + _pair_specs(P[:, 1], P[:, 2], 1, _FRAME_TAGS)
+        + _born_specs(P[:, 0], 0, _FRAME_TAGS) + _born_specs(P[:, 5], 1, _FRAME_TAGS)
+    )
+
+
+def _geometry_terms(state: DensityMatrix, geom: EntanglementGeometry, n_axes: int, blocks: tuple[int, ...]) -> list[WeakTerm]:
+    """Weak terms of `blocks` for each of the first `n_axes` frame axes, axis after axis,
+    from `geom`'s compiled terms; a geometry is compiled on first use and keeps them."""
+    if geom._terms is None:
+        object.__setattr__(geom, "_terms", _compile_geometry(geom))
+    rows = [6 * block + 2 * i + o for i in range(n_axes) for block in blocks for o in (0, 1)]
+    return _pp_terms(state, geom._terms, rows)  # type: ignore[arg-type]
 
 
 def _product_term(t1: WeakTerm, t2: WeakTerm, coefficient: float, group: int = 0) -> WeakTerm:
@@ -302,7 +344,7 @@ def coherence_test(state: DensityMatrix, a1: object, a2: object) -> TestReport:
     statistic = sch.entry((+1, +1))
 
     P = _qubit_projectors([v1, v2])
-    terms = _pp_terms(state, [(P[0, 0], 1, P[1, 0], "a1+ | a2+", 1.0, 0)])
+    terms = _pp_terms(state, _compile_terms([(P[0, 0], 1, P[1, 0], "a1+ | a2+", 1.0, 0)]))
 
     # Independent route: (1/4)(1 + a1.a2 + p.(a1 + a2)) from the Pauli algebra.
     bloch = _pauli_coordinates(state.matrix)[1:]
@@ -338,10 +380,10 @@ def boolean_state_dep_test(state: DensityMatrix, a1: object, a2: object) -> Test
     flat_value = _expectations(state.matrix, flat.matrix)
 
     # Nested conjunction splits into two ordered products with weight 1/2.
-    terms = _pp_terms(state, [
+    terms = _pp_terms(state, _compile_terms([
         (p1.matrix, 1, p2.matrix @ p1bar.matrix, "a1+ | a2+ a1-", 0.5, 0),
         (p1.matrix, 1, p1bar.matrix @ p2.matrix, "a1+ | a1- a2+", 0.5, 0),
-    ])
+    ]))
 
     k = float(v1 @ v2)
     bloch = _pauli_coordinates(state.matrix)[1:]
@@ -392,10 +434,10 @@ def boolean_state_indep_test(a1: object, a2: object) -> TestReport:
     # distinct ordering of the four factors.
     mixed = DensityMatrix(np.eye(2, dtype=complex) / 2)
     mats = tuple(p.matrix for p in ps)
-    terms = _pp_terms(mixed, [
+    terms = _pp_terms(mixed, _compile_terms([
         (mats[order[0]], 1, _ordered_product(mats, order[1:]), "ordering " + "".join(map(str, order)), 1.0 / 12.0, 0)
         for order in distinct_orderings(4)
-    ])
+    ]))
 
     k = float(v1 @ v2)
     constructive_closed = (k * k - 1.0) / 24.0
@@ -450,11 +492,11 @@ def distributivity_test(state: DensityMatrix, a1: object, a2: object, a3: object
     bloch = _pauli_coordinates(state.matrix)[1:]
     closed = 0.125 * float(bloch @ (float(v1 @ v3) * v2 + float(v1 @ v2) * v3 - 2.0 * float(v2 @ v3) * v1))
 
-    terms = _pp_terms(state, [
+    terms = _pp_terms(state, _compile_terms([
         (p2.matrix, 1, p1.matrix @ p3.matrix, "a2+ | a1+ a3+", 1.0, 0),
         (p1.matrix, 1, p2.matrix @ p3.matrix, "a1+ | a2+ a3+", -0.5, 0),
         (p1.matrix, 1, p3.matrix @ p2.matrix, "a1+ | a3+ a2+", -0.5, 0),
-    ])
+    ]))
 
     return _report(
         "distributivity",
@@ -507,10 +549,10 @@ def chsh_test(
         "A2-B1-B2+": sch2.entry((-1, -1, +1)),
     }
     # Rows 0-3 of P are A1, A2, B1, B2; A2's entries take B2's opposite outcome.
-    terms = _pp_terms(state, [
+    terms = _pp_terms(state, _compile_terms([
         (_kron(P[a, o], P[2, o]), 1, _embed(P[3, o ^ a], 1), f"A{a + 1}{_MARK[o]}B1{_MARK[o]} | B2{_MARK[o ^ a]}", 1.0, 0)
         for a in (0, 1) for o in (0, 1)
-    ])
+    ]))
 
     # Independent route: statistic = (2 + <A1(B1+B2)> + <A2(B1-B2)>)/4.  Each
     # observable is sigma.n with n = Tr(sigma A)/2: Hermitian, squaring to I and
@@ -567,16 +609,12 @@ def linear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant: s
     """
     n_axes = _entanglement_axes(state, geom, variant, "linear_ent_test", ("I", "II"))
 
-    specs: list[tuple] = []
-    closed = 0.0
     c = math.cos(geom.alpha / 2.0)
     T = _pauli_coordinates(state.matrix)[1:, 1:]
-    for i in range(n_axes):
-        a_axis = geom.a_axes[i]
-        doublet = geom.b_doublets[i]
-        specs += _equality_specs(_qubit_projectors([a_axis, doublet.n1, doublet.n2]), f"[{i + 1}]", bar=False)
+    closed = 0.0
+    for a_axis, doublet in zip(geom.a_axes[:n_axes], geom.b_doublets):
         closed += 0.5 * c * (c + float(a_axis @ T @ doublet.axis))
-    all_terms = _pp_terms(state, specs)
+    all_terms = _geometry_terms(state, geom, n_axes, (_EQUALITY,))
 
     extras: dict[str, object] = {"pauli_closed_form": closed, "aperture_cos_half": c}
     if variant == "II":
@@ -602,31 +640,22 @@ def nonlinear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant
     n_axes = _entanglement_axes(state, geom, variant, "nonlinear_ent_test", ("I", "II", "III"))
     c = math.cos(geom.alpha / 2.0)
 
-    # Per axis, rows of P: a, b1, b2, then for III a1, a2 and the b bisector.
-    specs: list[tuple] = []
-    borns: list[tuple[list[WeakTerm], list[WeakTerm]]] = []
     closed = 0.0
     table = _pauli_coordinates(state.matrix)
     a, b, T = table[1:, 0], table[0, 1:], table[1:, 1:]
-    for i in range(n_axes):
-        a_doublet, b_doublet, tag = geom.a_doublets[i], geom.b_doublets[i], f"[{i + 1}]"
-        a_axis, b_axis = geom.a_axes[i], b_doublet.axis
+    for a_axis, b_doublet in zip(geom.a_axes[:n_axes], geom.b_doublets):
+        b_axis = b_doublet.axis
         C, A, B = float(a_axis @ T @ b_axis), float(a @ a_axis), float(b @ b_axis)
-        axes = [a_axis, b_doublet.n1, b_doublet.n2]
         if variant in ("I", "II"):
-            P = _qubit_projectors(axes)
-            specs += _equality_specs(P, tag, bar=False) + _equality_specs(P, tag + "~", bar=True)
             closed += (c * c / 4.0) * (c * c - C * C)
         else:
-            P = _qubit_projectors(axes + [a_doublet.n1, a_doublet.n2, b_axis])
-            specs += _equality_specs(P, tag, bar=False) + _pair_specs(P[3], P[4], 0, tag) + _pair_specs(P[1], P[2], 1, tag)
-            borns.append((_born_terms(state, P[0], 0, tag), _born_terms(state, P[5], 1, tag)))
             closed += 0.5 * c * (3.0 * c + C - 0.5 * (A + B) ** 2)
-    terms = _pp_terms(state, specs)
+    blocks = _NONLINEAR_BLOCKS[variant]
+    terms = _geometry_terms(state, geom, n_axes, blocks)
+    per_axis = 2 * len(blocks)
 
     all_terms: list[WeakTerm] = []
     entries: dict[str, float] = {}
-    per_axis = len(specs) // n_axes
     for i in range(n_axes):
         chunk = terms[per_axis * i : per_axis * (i + 1)]
         plain, rest = chunk[:2], chunk[2:]
@@ -636,7 +665,7 @@ def nonlinear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant
             all_terms += [_product_term(t1, t2, 1.0) for t1 in plain for t2 in rest]
         else:
             # Each product pairs opposed outcomes: a single outcome with a doublet conjunction.
-            ((a_plus, a_minus), (b_plus, b_minus)), (a_pp, a_mm), (b_pp, b_mm) = borns[i], rest[:2], rest[2:]
+            a_pp, a_mm, b_pp, b_mm, a_plus, a_minus, b_plus, b_minus = rest
             pairs = [(a_plus, a_mm), (a_minus, a_pp), (b_plus, b_mm), (b_minus, b_pp),
                      (a_plus, b_mm), (a_minus, b_pp), (a_mm, b_plus), (a_pp, b_minus)]
             all_terms += plain + [_product_term(left, right, 0.5) for left, right in pairs]
@@ -668,25 +697,25 @@ def discord_test(state: DensityMatrix, alpha: float) -> TestReport:
         warnings.append("reduced state is maximally mixed; branch axis fixed to z")
 
     # Per branch, rows of P: the branch axis, then its doublet n1, n2.
-    specs: list[tuple] = []
-    borns: list[list[WeakTerm]] = []
-    closed: dict[str, float] = {}
+    axes = np.stack([a1_axis, a2_axis])
+    P = _qubit_projectors(np.stack([axes, *_doublets(axes, alpha)], axis=1).reshape(6, 3)).reshape(2, 3, 2, 2, 2)
+    tags = ["[1]", "[2]"]
+    terms = _pp_terms(state, _compile_terms(
+        _equality_specs(P, tags, bar=False, groups=(1, 2)) + _pair_specs(P[:, 1], P[:, 2], 1, tags)
+        + _born_specs(P[:, 0], 0, tags)
+    ))
     c = math.cos(alpha / 2.0)
-    for group, axis in ((1, a1_axis), (2, a2_axis)):
-        doublet, tag = make_doublet(axis, alpha), f"[{group}]"
-        P = _qubit_projectors([axis, doublet.n1, doublet.n2])
-        specs += _equality_specs(P, tag, bar=False, group=group) + _pair_specs(P[1], P[2], 1, tag)
-        borns.append(_born_terms(state, P[0], 0, tag))
+    closed: dict[str, float] = {}
+    for group, axis in enumerate(axes, start=1):
         C, A, B = float(axis @ T @ axis), float(r @ axis), float(b @ axis)
         closed[f"branch_{group}_closed_form"] = 0.5 * c * (2.0 * c + C - A * B)
-    terms = _pp_terms(state, specs)
 
     all_terms: list[WeakTerm] = []
     entries: dict[str, float] = {}
     branch_values: dict[str, float] = {}
     for group in (1, 2):
-        equality, pair = terms[4 * group - 4 : 4 * group - 2], terms[4 * group - 2 : 4 * group]
-        (plus, minus), (pp, mm) = borns[group - 1], pair
+        k = 2 * group - 2
+        equality, (pp, mm), (plus, minus) = terms[k : k + 2], terms[k + 4 : k + 6], terms[k + 8 : k + 10]
         branch = equality + [_product_term(plus, mm, 1.0, group), _product_term(minus, pp, 1.0, group)]
         all_terms += branch
         entries.update(_entries(equality))

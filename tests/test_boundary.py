@@ -395,6 +395,24 @@ REFUSALS = {
         "time grid entries must be finite",
     ),
     "scan_strategies/empty": (lambda: scan_strategies([], [AXIS], 1.0, [0.0]), "empty strategy grids"),
+    # bool is a subclass of int, so these two were accepted as subsystem True, labelled "sTrue".
+    "ObservableSpec/bool_subsystem": (
+        lambda: ObservableSpec(True, axis=AXIS),
+        "subsystem must be an integer, got True",
+    ),
+    "scheme_from_json/bool_subsystem": (
+        lambda: scheme_from_json({**scheme_to_json(ONE_SCHEME), "observables": [{"subsystem": True, "axis": AXIS}]}),
+        "subsystem must be an integer, got True",
+    ),
+    # With no multi-observable group no factors are ordered; the weights were kept unchecked.
+    "build_scheme/convex_weights_without_orderings": (
+        lambda: build_scheme(RHO, ONE, "convex", [0.3, 5.0]),
+        "weights must be non-negative and sum to 1",
+    ),
+    "scheme_from_json/convex_weights_without_orderings": (
+        lambda: scheme_from_json({**scheme_to_json(ONE_SCHEME), "prescription": "convex", "weights": [-0.5, 1.5]}),
+        "weights must be non-negative and sum to 1",
+    ),
 }
 
 
