@@ -33,7 +33,7 @@ from .geometry import (
     qubit_projector,
     werner_state,
 )
-from .operator_core import DensityMatrix, resolve_tolerance
+from .operator_core import SPECTRAL_TOL, DensityMatrix, resolve_tolerance
 from .pointer import PointerConfig, proportionality_check, simulate_pointers
 from .pseudoprojection import PRESCRIPTIONS, _prescription_weights, convex_pp, min_eigen_certificate, symmetrized_pp, unit_pp
 from .scheme import ObservableSpec, build_scheme, negativity_report, scheme_to_json
@@ -54,7 +54,6 @@ from .witnesses import (
 
 __all__ = ["parse_and_dispatch", "load_state", "main"]
 
-REPORT_CONSISTENCY_TOL = 1e-10
 # Largest --alpha-scan grid and --t-steps count; each point is a full report.
 MAX_ALPHA_POINTS = 1000
 MAX_T_STEPS = 10000
@@ -176,7 +175,7 @@ def _observables(text: str) -> list[ObservableSpec]:
 def _report_payload(report: TestReport) -> dict[str, object]:
     payload = report.to_json_dict()
     recomputed = statistic_from_terms(payload["weak_terms"], report.statistic_rule)
-    if abs(recomputed - report.statistic) > REPORT_CONSISTENCY_TOL:
+    if abs(recomputed - report.statistic) > SPECTRAL_TOL:
         raise ConvergenceError(
             f"report self-check failed: statistic {report.statistic} vs"
             f" weak-term recombination {recomputed}"

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import bloch_state, unit_vector
-from .operator_core import Array, _real, _sequence
-from .scheme import SCHEME_SUM_TOL, ObservableSpec, build_scheme
+from .operator_core import SPECTRAL_TOL, Array, _real, _sequence
+from .scheme import ObservableSpec, build_scheme
 
 __all__ = [
     "GameState",
@@ -75,7 +75,7 @@ def _validate_scheme4(s: object) -> Array:
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("scheme entries must be finite")
     total = float(arr.sum())
-    if abs(total - 1.0) > SCHEME_SUM_TOL:
+    if abs(total - 1.0) > SPECTRAL_TOL:
         raise InvalidInputError(f"scheme must sum to 1, got {total}")
     return arr
 

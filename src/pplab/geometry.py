@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .operator_core import (
-    Array, DensityMatrix, Projector, STRUCTURAL_TOL, _close, _expectations, _outcome_projectors, _real, _sequence,
+    Array, DensityMatrix, Projector, SPECTRAL_TOL, STRUCTURAL_TOL, _close, _expectations, _outcome_projectors, _real, _sequence,
 )
 
 __all__ = [
@@ -39,7 +39,6 @@ _PAULI_PAIRS = np.einsum("mab,ncd->mnacbd", _PAULI_BASIS, _PAULI_BASIS).reshape(
 # Row i is Pauli matrix i flattened, so that n @ _PAULIS is sigma . n flattened.
 _PAULIS = _PAULI_BASIS[1:].reshape(3, 4)
 
-UNIT_TOL = 1e-10
 # Axis nearly parallel to the primary reference flips the azimuth reference.
 AXIS_ALIGNMENT_CUTOFF = 0.9
 
@@ -65,7 +64,7 @@ def unit_vector(v: object, name: str = "vector") -> Array:
     """Validate a real 3-vector of unit length."""
     a = _vector3(v, name)
     n = float(np.linalg.norm(a))
-    if abs(n - 1.0) > UNIT_TOL:
+    if abs(n - 1.0) > SPECTRAL_TOL:
         raise InvalidInputError(f"{name} must be unit length, |{name}| = {n:.12f}")
     return a
 
@@ -85,7 +84,7 @@ def pauli_vector(n: object) -> Array:
 def bloch_state(p: object) -> DensityMatrix:
     """Qubit state (1/2)(I + sigma . p); |p| <= 1 up to tolerance."""
     a = _vector3(p, "Bloch vector")
-    if np.linalg.norm(a) > 1.0 + 1e-12:
+    if np.linalg.norm(a) > 1.0 + STRUCTURAL_TOL:
         raise InvalidInputError(f"Bloch vector must satisfy |p| <= 1, got {np.linalg.norm(a):.12f}")
     m = 0.5 * (IDENTITY_2 + (a @ _PAULIS).reshape(2, 2))
     return DensityMatrix(m)
@@ -104,14 +103,19 @@ def _qubit_projectors(axes: object) -> Array:
     n, as an (m, 2, 2, 2) stack indexed [axis, (+, -)], checked at once.  An
     axis that is not finite or not unit length fails as in `unit_vector`."""
     a = np.asarray(axes, dtype=float)
-    for v in a[~(np.abs(np.linalg.norm(a, axis=1) - 1.0) <= UNIT_TOL)]:
+    for v in a[~(np.abs(np.linalg.norm(a, axis=1) - 1.0) <= SPECTRAL_TOL)]:
         unit_vector(v, "axis")
     return _outcome_projectors((a @ _PAULIS).reshape(-1, 2, 2))
 
 
-def _frozen(v: object) -> Array:
-    """A read-only float copy of `v`, so no caller can change it afterwards."""
-    a = np.array(v, dtype=float)
+def _frozen(v: object, name: str) -> Array:
+    """A read-only float copy of the 3-vector `v`, so no caller can change it afterwards."""
+    try:
+        a = np.array(v, dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.shape != (3,):
+        raise InvalidInputError(f"{name} must be a real 3-vector")
     a.flags.writeable = False
     return a
 
@@ -120,7 +124,8 @@ def _frozen(v: object) -> Array:
 class Doublet:
     """Pair of unit axes separated by aperture alpha, symmetric about `axis`.
 
-    The three vectors are kept as read-only copies of what was passed in.
+    The three vectors are kept as read-only copies of the real 3-vectors
+    passed in.
     """
 
     n1: Array
@@ -130,7 +135,8 @@ class Doublet:
 
     def __post_init__(self) -> None:
         for name in ("n1", "n2", "axis"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+            object.__setattr__(self, name, _frozen(getattr(self, name), name))
+        object.__setattr__(self, "alpha", _real(self.alpha, "alpha"))
 
 
 def _aperture(alpha: object) -> float:
@@ -177,7 +183,9 @@ class EntanglementGeometry:
     doublet of aperture alpha.  Tests use the first two or all three axes.
     The axes are kept as read-only copies and doublets are immutable, so a
     geometry never changes; the entanglement tests compile its witness
-    operators on first use and keep them in `_terms`.
+    operators on first use and keep them in `_terms`.  Each doublet must have
+    the geometry's aperture and unit axes n1, n2 with n1.n2 = cos(alpha) whose
+    bisector (n1 + n2)/(2 cos(alpha/2)) is its frame axis; its azimuth is free.
     """
 
     alpha: float
@@ -188,10 +196,36 @@ class EntanglementGeometry:
     _terms: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("a_axes", "b_axes"):
-            object.__setattr__(self, name, tuple(_frozen(v) for v in getattr(self, name)))
-        for name in ("a_doublets", "b_doublets"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "alpha", _aperture(self.alpha))
+        for name in ("a_axes", "b_axes", "a_doublets", "b_doublets"):
+            value = tuple(getattr(self, name))
+            if len(value) != 3:
+                raise InvalidInputError(f"{name} must hold 3 entries, got {len(value)}")
+            if name.endswith("axes"):
+                value = tuple(_frozen(v, f"{name}[{i}]") for i, v in enumerate(value))
+            object.__setattr__(self, name, value)
+        doublets = self.a_doublets + self.b_doublets
+        for k, d in enumerate(doublets):
+            if not isinstance(d, Doublet):
+                raise InvalidInputError(f"{'ab'[k // 3]}_doublets[{k % 3}] must be a Doublet, got {type(d).__name__}")
+        n = np.array([(d.n1, d.n2) for d in doublets])
+        deviations = np.column_stack([
+            [d.alpha - self.alpha for d in doublets],
+            np.linalg.norm(n, axis=2) - 1.0,
+            np.einsum("ij,ij->i", n[:, 0], n[:, 1]) - np.cos(self.alpha),
+            np.abs(n.sum(axis=1) / (2.0 * np.cos(self.alpha / 2.0)) - np.array(self.a_axes + self.b_axes)).max(axis=1),
+        ])
+        faults = ~(np.abs(deviations) <= SPECTRAL_TOL)  # NaN is a fault too
+        if faults.any():
+            k, check = np.argwhere(faults)[0]  # the first faulty doublet, then its first fault
+            side, i, d = "ab"[k // 3], k % 3, doublets[k]
+            raise InvalidInputError(f"{side}_doublets[{i}] " + (
+                f"has aperture {d.alpha}, not the geometry's {self.alpha}",
+                f"n1 is not a unit vector: |n1| = {np.linalg.norm(d.n1):.12f}",
+                f"n2 is not a unit vector: |n2| = {np.linalg.norm(d.n2):.12f}",
+                f"has n1.n2 = {float(d.n1 @ d.n2):.12f}, not cos(alpha) = {np.cos(self.alpha):.12f}",
+                f"is not bisected by {side}_axes[{i}]",
+            )[check])
 
 
 def _validated_frame(frame: object, name: str) -> Array:
@@ -200,7 +234,7 @@ def _validated_frame(frame: object, name: str) -> Array:
     if len(axes) != 3:
         raise InvalidInputError(f"{name} must contain exactly 3 axes")
     M = np.stack(axes)
-    if not _close(M @ M.T, np.eye(3), 1e-10):
+    if not _close(M @ M.T, np.eye(3), SPECTRAL_TOL):
         raise InvalidInputError(f"{name} must be orthonormal")
     return M
 

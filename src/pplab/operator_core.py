@@ -65,6 +65,13 @@ def _sequence(x: object, name: str, of: str, item: Callable | None = None) -> li
         raise InvalidInputError(f"{name} must be an ordered collection of {of}") from None
 
 
+def _integer(x: object, name: str) -> int:
+    """`x` as an int; a bool, or anything else that is not an integer, raises "<name> must be an integer"."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
 def _real(x: object, name: str) -> float:
     """`x` as a float; a string, or anything float() refuses, raises "<name> must be a real number"."""
     if not isinstance(x, (str, bytes)):
@@ -157,10 +164,13 @@ def partial_trace(m: Array, dims: tuple[int, ...], keep: int) -> Array:
     """Trace out all tensor slots except `keep` (slot 0 is the outer factor)."""
     m = require_square(as_complex_matrix(m, "m"), "m")
     dims = tuple(_sequence(dims, "dims", "positive integers"))
-    if not all(isinstance(d, (int, np.integer)) and d > 0 for d in dims):
+    try:
+        positive = all(_integer(d, "dims") > 0 for d in dims)
+    except InvalidInputError:
+        positive = False
+    if not positive:
         raise InvalidInputError(f"dims must be an ordered collection of positive integers, got {dims!r}")
-    if not isinstance(keep, (int, np.integer)):
-        raise InvalidInputError(f"keep must be an integer, got {keep!r}")
+    keep = _integer(keep, "keep")
     total = int(np.prod(dims))
     if m.shape[0] != total:
         raise InvalidInputError(f"dims {dims} inconsistent with shape {m.shape}")

@@ -25,7 +25,8 @@ from .errors import (
 )
 from .geometry import _pauli_coordinates
 from .operator_core import (
-    Array, DensityMatrix, Projector, _close, _expectations, _real, _require_state, _sequence, as_complex_matrix,
+    SPECTRAL_TOL, STRUCTURAL_TOL, Array, DensityMatrix, Projector, _close, _expectations, _integer, _real, _require_state,
+    _sequence, as_complex_matrix,
 )
 from .pseudoprojection import _coerce_factors, _ordered_moments
 from .weak import OVERLAP_FLOOR, _overlap
@@ -61,8 +62,7 @@ class PointerConfig:
     def __post_init__(self) -> None:
         for name in ("g", "t", "sigma", "grid_halfwidth"):
             _real(getattr(self, name), name)
-        if not isinstance(self.grid_points, (int, np.integer)):
-            raise InvalidInputError(f"grid_points must be an integer, got {self.grid_points!r}")
+        _integer(self.grid_points, "grid_points")
         if not (math.isfinite(self.g) and math.isfinite(self.t)):
             raise InvalidInputError("coupling and duration must be finite")
         if self.t < 0:
@@ -90,7 +90,7 @@ def _coerce_effect(post: object, name: str) -> Array:
     m = post.matrix if isinstance(post, (DensityMatrix, Projector)) else as_complex_matrix(post, name)
     if m.shape != (2, 2):
         raise InvalidInputError(f"{name} must be 2x2, got {m.shape}")
-    if not _close(m, m.conj().T, 1e-12):
+    if not _close(m, m.conj().T, STRUCTURAL_TOL):
         raise InvalidInputError(f"{name} must be Hermitian")
     return m
 
@@ -169,7 +169,7 @@ def _correlation(state: DensityMatrix, projectors: tuple[Projector, ...], effect
         b0 = np.fft.ifftn(u00 * c0k + u01 * c1k)
         b1 = np.fft.ifftn(u10 * c0k + u11 * c1k)
         norm = float(np.sum(np.abs(b0) ** 2 + np.abs(b1) ** 2))
-        if abs(norm - 1.0) > 1e-10:
+        if abs(norm - 1.0) > SPECTRAL_TOL:
             raise ConvergenceError(
                 f"evolution lost unitarity (branch norm {norm:.12f}); increase grid_halfwidth"
             )

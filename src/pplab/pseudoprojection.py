@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
-from .operator_core import Array, Projector, _sequence, as_complex_matrix, hermitian_eigen
+from .operator_core import SPECTRAL_TOL, Array, Projector, _sequence, as_complex_matrix, hermitian_eigen
 
 __all__ = [
     "PseudoProjection",
@@ -111,7 +111,7 @@ def _convex_weights(n: int | None, weights: object | None) -> Array:
         )
     if not np.isfinite(w).all():
         raise InvalidInputError(f"weights are not finite: {w.tolist()}")
-    if (w < -1e-14).any() or abs(w.sum() - 1.0) > 1e-10:
+    if (w < -1e-14).any() or abs(w.sum() - 1.0) > SPECTRAL_TOL:
         raise InvalidInputError("weights must be non-negative and sum to 1")
     return w
 

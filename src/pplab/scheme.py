@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import pauli_vector
+from .geometry import _frozen, pauli_vector
 from .operator_core import (
     Array,
     DensityMatrix,
@@ -44,6 +44,7 @@ from .operator_core import (
     SPECTRAL_TOL,
     STRUCTURAL_TOL,
     _close,
+    _integer,
     _outcome_projectors,
     _real,
     _require_state,
@@ -67,9 +68,6 @@ __all__ = [
     "string_to_outcomes",
 ]
 
-# A scheme's entries sum to 1 within this tolerance.
-SCHEME_SUM_TOL = 1e-10
-
 # Accept the typographic minus on parse; always emit ASCII.
 _MINUS_CHARS = "-−"
 
@@ -78,8 +76,8 @@ _MINUS_CHARS = "-−"
 class ObservableSpec:
     """One dichotomic observable attached to a subsystem.
 
-    Provide either a Bloch `axis` (qubit observable sigma.axis) or a general
-    Hermitian `matrix` squaring to the identity.
+    Provide either a Bloch `axis` (qubit observable sigma.axis), kept as a
+    read-only copy, or a general Hermitian `matrix` squaring to the identity.
     """
 
     subsystem: int
@@ -88,15 +86,14 @@ class ObservableSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if isinstance(self.subsystem, bool) or not isinstance(self.subsystem, (int, np.integer)):
-            raise InvalidInputError(f"subsystem must be an integer, got {self.subsystem!r}")
+        object.__setattr__(self, "subsystem", _integer(self.subsystem, "subsystem"))
         if self.subsystem < 0:
             raise InvalidInputError(f"subsystem index must be >= 0, got {self.subsystem}")
         if (self.axis is None) == (self.matrix is None):
             raise InvalidInputError("provide exactly one of axis or matrix")
         if self.axis is not None:
             m = pauli_vector(self.axis)
-            object.__setattr__(self, "axis", np.asarray(self.axis, dtype=float))
+            object.__setattr__(self, "axis", _frozen(self.axis, "axis"))
         else:
             m = require_square(as_complex_matrix(self.matrix, "matrix"), "matrix")
             if not _close(m, m.conj().T, STRUCTURAL_TOL):
@@ -168,7 +165,7 @@ class Scheme:
         if not finite:
             raise InvalidInputError("entries are not finite")
         total = sum(self.entries.values())
-        if abs(total - 1.0) > SCHEME_SUM_TOL:
+        if abs(total - 1.0) > SPECTRAL_TOL:
             raise InvalidInputError(f"entries must sum to 1, got {total!r}")
         sizes = () if self.weights is None else Counter(o.subsystem for o in obs).values()
         object.__setattr__(self, "weights", _prescription_weights(self.prescription, sizes, self.weights))
@@ -297,8 +294,7 @@ def marginalize(s: Scheme, drop_index: int) -> Scheme:
     remaining observables.
     """
     n = _require_scheme(s).n_observables
-    if not isinstance(drop_index, (int, np.integer)):
-        raise InvalidInputError(f"drop_index must be an integer, got {drop_index!r}")
+    drop_index = _integer(drop_index, "drop_index")
     if not (0 <= drop_index < n):
         raise InvalidInputError(f"drop_index {drop_index} out of range for {n} observables")
     if n == 1:

@@ -13,9 +13,10 @@ Each test also carries an independently derived Pauli-algebra closed form in
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .geometry import (
 from .operator_core import (
     Array,
     DensityMatrix,
+    STRUCTURAL_TOL,
     _expectations,
     _kron,
     _outcome_projectors,
@@ -236,19 +238,42 @@ def _pp_terms(state: DensityMatrix, terms: _Terms, rows: Iterable[int] | None = 
     ]
 
 
-# The spec builders below take a stack of blocks (frame axes or discord
-# branches), each with its own tag, and give two specs per block, outcomes
-# + then -, block after block.
+# A two-qubit test reads blocks of compiled terms, each with two terms per frame
+# axis (or discord branch), outcomes + then -, axis after axis.  Each block's
+# entry gives (leads, lead rank, rests or None, label) from a projector stack P
+# whose rows per axis are a, b1, b2, a1, a2 and the b axis (b1, b2 and a1, a2
+# are the b- and a-side doublets).  A rest of None is a plain Born term.  In a
+# label, {t} is the axis tag, {s} the outcome and {f} the opposite outcome.
+_BLOCKS = {
+    "equality": lambda P: (_kron(P[:, 0], P[:, 2]), 1, _embed(P[:, 1], 1), "{t}a{s}b2{s} | b1{s}"),
+    "barred": lambda P: (_kron(P[:, 0, ::-1], P[:, 2]), 1, _embed(P[:, 1], 1), "{t}~a{f}b2{s} | b1{s}"),
+    "a-pairs": lambda P: (_embed(P[:, 3], 0), 2, _embed(P[:, 4], 0), "{t}a1{s}a2{s}"),
+    "b-pairs": lambda P: (_embed(P[:, 1], 1), 2, _embed(P[:, 2], 1), "{t}b1{s}b2{s}"),
+    "a": lambda P: (_embed(P[:, 0], 0), 1, None, "{t}a{s}"),
+    "b": lambda P: (_embed(P[:, 5], 1), 1, None, "{t}b{s}"),
+}
 
-def _equality_specs(P: Array, tags: list[str], bar: bool, groups: Sequence[int] | None = None) -> list[tuple]:
-    """Specs of the two entries of P(a = b1 = b2), or of P(not-a = b1 = b2)
-    when `bar`; rows 0, 1, 2 of each block of the projector stack P belong to
-    a, b1, b2.  Groups default to 0."""
-    leads, rests = _kron(P[:, 0, ::-1] if bar else P[:, 0], P[:, 2]), _embed(P[:, 1], 1)
-    return [
-        (leads[i, o], 1, rests[i, o], f"{tag}a{_MARK[o ^ bar]}b2{_MARK[o]} | b1{_MARK[o]}", 1.0, group)
-        for i, (tag, group) in enumerate(zip(tags, groups or [0] * len(tags))) for o in (0, 1)
-    ]
+
+def _compile_blocks(P: Array, blocks: Sequence[str], groups: Sequence[int]) -> _Terms:
+    """The terms of `blocks`, block after block, over the axes of the projector
+    stack P; axis i is tagged [i+1] and its terms are in groups[i]."""
+    specs = []
+    for block in blocks:
+        leads, rank, rests, label = _BLOCKS[block](P)
+        specs += [
+            (leads[i, o], rank, None if rests is None else rests[i, o],
+             label.format(t=f"[{i + 1}]", s=_MARK[o], f=_MARK[1 - o]), 1.0, group)
+            for i, group in enumerate(groups) for o in (0, 1)
+        ]
+    return _compile_terms(specs)
+
+
+def _compile_geometry(geom: EntanglementGeometry) -> _Terms:
+    """Every block of terms at the three frame axes of `geom`, compiled as one stack
+    from one projector stack; each entanglement test reads its blocks of it."""
+    axes = [[a, b.n1, b.n2, d.n1, d.n2, b.axis] for a, d, b in zip(geom.a_axes, geom.a_doublets, geom.b_doublets)]
+    P = _qubit_projectors(np.reshape(axes, (18, 3))).reshape(3, 6, 2, 2, 2)
+    return _compile_blocks(P, tuple(_BLOCKS), (0, 0, 0))
 
 
 def _entries(terms: list[WeakTerm]) -> dict[str, float]:
@@ -260,66 +285,14 @@ def _entries(terms: list[WeakTerm]) -> dict[str, float]:
     return out
 
 
-def _pair_specs(p1: Array, p2: Array, side: int, tags: list[str]) -> list[tuple]:
-    """Specs of the doublet conjunctions on one side, outcomes (s, s), from the
-    outcome stacks of each block's two doublet axes."""
-    x = "ab"[side]
-    leads, rests = _embed(p1, side), _embed(p2, side)
-    return [
-        (leads[i, o], 2, rests[i, o], f"{tag}{x}1{_MARK[o]}{x}2{_MARK[o]}", 1.0, 0)
-        for i, tag in enumerate(tags) for o in (0, 1)
-    ]
-
-
-def _born_specs(p: Array, side: int, tags: list[str]) -> list[tuple]:
-    """Specs of the plain outcome probabilities on one side: no rest, so the weak part is 1."""
-    leads = _embed(p, side)
-    return [(leads[i, o], 1, None, f"{tag}{'ab'[side]}{_MARK[o]}", 1.0, 0) for i, tag in enumerate(tags) for o in (0, 1)]
-
-
-# A geometry's compiled terms hold six blocks of six rows, outcomes + and -
-# for each frame axis in turn: the equality entries, the barred equality
-# entries, the a-side and the b-side doublet conjunctions, and the plain a and
-# b outcome probabilities.  Each entanglement variant reads its own blocks.
-_EQUALITY, _BARRED, _A_PAIRS, _B_PAIRS, _A_BORN, _B_BORN = range(6)
-_NONLINEAR_BLOCKS = {
-    "I": (_EQUALITY, _BARRED),
-    "II": (_EQUALITY, _BARRED),
-    "III": (_EQUALITY, _A_PAIRS, _B_PAIRS, _A_BORN, _B_BORN),
-}
-_FRAME_TAGS = ["[1]", "[2]", "[3]"]
-
-
-def _compile_geometry(geom: EntanglementGeometry) -> _Terms:
-    """The weak-term specs of every entanglement test at `geom`, compiled as one stack
-    from one projector stack whose rows per frame axis are a, b1, b2, a1, a2 and the b
-    bisector (b1, b2 and a1, a2 are the b- and a-side doublets)."""
-    axes = [[a, b.n1, b.n2, d.n1, d.n2, b.axis] for a, d, b in zip(geom.a_axes, geom.a_doublets, geom.b_doublets)]
-    P = _qubit_projectors(np.reshape(axes, (18, 3))).reshape(3, 6, 2, 2, 2)
-    return _compile_terms(
-        _equality_specs(P, _FRAME_TAGS, bar=False) + _equality_specs(P, [t + "~" for t in _FRAME_TAGS], bar=True)
-        + _pair_specs(P[:, 3], P[:, 4], 0, _FRAME_TAGS) + _pair_specs(P[:, 1], P[:, 2], 1, _FRAME_TAGS)
-        + _born_specs(P[:, 0], 0, _FRAME_TAGS) + _born_specs(P[:, 5], 1, _FRAME_TAGS)
-    )
-
-
-def _geometry_terms(state: DensityMatrix, geom: EntanglementGeometry, n_axes: int, blocks: tuple[int, ...]) -> list[WeakTerm]:
-    """Weak terms of `blocks` for each of the first `n_axes` frame axes, axis after axis,
-    from `geom`'s compiled terms; a geometry is compiled on first use and keeps them."""
-    if geom._terms is None:
-        object.__setattr__(geom, "_terms", _compile_geometry(geom))
-    rows = [6 * block + 2 * i + o for i in range(n_axes) for block in blocks for o in (0, 1)]
-    return _pp_terms(state, geom._terms, rows)  # type: ignore[arg-type]
-
-
-def _product_term(t1: WeakTerm, t2: WeakTerm, coefficient: float, group: int = 0) -> WeakTerm:
-    """Composite term "(l1)*(l2)" for the product of two pseudo-probabilities."""
+def _product_term(t1: WeakTerm, t2: WeakTerm, coefficient: float) -> WeakTerm:
+    """Composite term "(l1)*(l2)" for the product of two pseudo-probabilities, in t1's group."""
     label = f"({t1.label})*({t2.label})"
     born = t1.born_factor * t2.born_factor
     if t1.weak_value is None or t2.weak_value is None:
-        return WeakTerm(label, born, None, 0.0, coefficient, group)
+        return WeakTerm(label, born, None, 0.0, coefficient, t1.group)
     weak = t1.weak_value * t2.weak_value
-    return WeakTerm(label, born, weak, t1.pseudo_probability * t2.pseudo_probability, coefficient, group)
+    return WeakTerm(label, born, weak, t1.pseudo_probability * t2.pseudo_probability, coefficient, t1.group)
 
 
 def _axis_angle(a1: Array, a2: Array) -> float:
@@ -449,7 +422,7 @@ def boolean_state_indep_test(a1: object, a2: object) -> TestReport:
         "per_state_values": values,
         "axis_angle": _axis_angle(v1, v2),
     }
-    if abs(quoted - constructive_closed) > 1e-12:
+    if abs(quoted - constructive_closed) > STRUCTURAL_TOL:
         extras["quoted_form_note"] = (
             "the quoted closed form (1/8)(k^2 - 1/3) differs from the "
             "constructive value (k^2 - 1)/24 for non-orthogonal axes; the "
@@ -573,19 +546,94 @@ def chsh_test(
     )
 
 
+class _Witness(NamedTuple):
+    """A two-qubit test as data, per frame axis (or discord branch): the blocks read
+    as entries, the blocks whose terms are summed, the products summed as
+    ((block, outcome), (block, outcome), coefficient), and the axis's Pauli closed
+    form f(c, C, A, B), with c = cos(alpha/2), C = a.T.b, A = r.a and B = s.b for
+    the state's local Bloch vectors r, s and correlation tensor T."""
+
+    entries: tuple[str, ...]
+    summed: tuple[str, ...]
+    products: tuple[tuple[tuple[str, int], tuple[str, int], float], ...]
+    closed: Callable[[float, float, float, float], float]
+
+
+_LINEAR = _Witness(("equality",), ("equality",), (), lambda c, C, A, B: 0.5 * c * (c + C))
+_BILINEAR = _Witness(
+    ("equality", "barred"), (), tuple((("equality", o), ("barred", p), 1.0) for o in (0, 1) for p in (0, 1)),
+    lambda c, C, A, B: (c * c / 4.0) * (c * c - C * C),
+)
+# Nonlinear III pairs opposed outcomes: a single outcome with a doublet conjunction.
+_OPPOSED = (
+    (("a", 0), ("a-pairs", 1), 0.5), (("a", 1), ("a-pairs", 0), 0.5),
+    (("b", 0), ("b-pairs", 1), 0.5), (("b", 1), ("b-pairs", 0), 0.5),
+    (("a", 0), ("b-pairs", 1), 0.5), (("a", 1), ("b-pairs", 0), 0.5),
+    (("a-pairs", 1), ("b", 0), 0.5), (("a-pairs", 0), ("b", 1), 0.5),
+)
+_WITNESSES = {
+    "linear-entanglement-I": _LINEAR,
+    "linear-entanglement-II": _LINEAR,
+    "nonlinear-entanglement-I": _BILINEAR,
+    "nonlinear-entanglement-II": _BILINEAR,
+    "nonlinear-entanglement-III": _Witness(
+        ("equality",), ("equality",), _OPPOSED, lambda c, C, A, B: 0.5 * c * (3.0 * c + C - 0.5 * (A + B) ** 2)
+    ),
+    "discord": _Witness(
+        ("equality",), ("equality",), tuple((x, y, 1.0) for x, y, _ in _OPPOSED[4:6]),
+        lambda c, C, A, B: 0.5 * c * (2.0 * c + C - A * B),
+    ),
+}
+
+
+def _blocks(w: _Witness) -> tuple[str, ...]:
+    """The blocks `w` reads, in compile order."""
+    read = {*w.entries, *w.summed, *(block for pair in w.products for block, _ in pair[:2])}
+    return tuple(block for block in _BLOCKS if block in read)
+
+
+@functools.cache
+def _rows(w: _Witness, blocks: tuple[str, ...], n: int, n_axes: int) -> dict[tuple[str, int, int], int]:
+    """The row of each term `w` reads at its first `n_axes` axes, keyed (block, axis,
+    outcome), in terms holding `blocks` compiled over n axes."""
+    return {(b, i, o): 2 * n * blocks.index(b) + 2 * i + o for b in _blocks(w) for i in range(n_axes) for o in (0, 1)}
+
+
+def _evaluate(
+    w: _Witness, state: DensityMatrix, terms: _Terms, blocks: tuple[str, ...], axes: list[tuple[Array, Array]], alpha: float,
+) -> tuple[dict[str, float], list[list[WeakTerm]], list[float]]:
+    """The entries, the weak terms of each axis and each axis's closed form of the
+    test `w` on `state`, at `axes`, pairs (a, b) of an a axis and a b-doublet axis;
+    `terms` hold `blocks` compiled over these axes or more."""
+    rows = _rows(w, blocks, len(terms.labels) // (2 * len(blocks)), len(axes))
+    t = dict(zip(rows, _pp_terms(state, terms, rows.values())))
+    table = _pauli_coordinates(state.matrix)
+    r, s, T = table[1:, 0], table[0, 1:], table[1:, 1:]
+    c = math.cos(alpha / 2.0)
+    entries: dict[str, float] = {}
+    per_axis, closed = [], []
+    for i, (a, b) in enumerate(axes):
+        for block in w.entries:
+            entries.update(_entries([t[block, i, 0], t[block, i, 1]]))
+        per_axis.append([t[block, i, o] for block in w.summed for o in (0, 1)]
+                        + [_product_term(t[x, i, o], t[y, i, p], k) for (x, o), (y, p), k in w.products])
+        closed.append(w.closed(c, float(a @ T @ b), float(r @ a), float(s @ b)))
+    return entries, per_axis, closed
+
+
 def _entanglement_report(
-    name: str,
-    state: DensityMatrix,
-    geom: EntanglementGeometry,
-    n_axes: int,
-    entries: dict[str, float],
-    terms: list[WeakTerm],
-    extras: dict[str, object],
+    name: str, state: DensityMatrix, geom: EntanglementGeometry, n_axes: int, notes: dict[str, object] | None = None,
 ) -> TestReport:
-    """Report of a sum-rule entanglement test, warned outside its aperture window."""
+    """Report of the entanglement test `name` at the first `n_axes` frame axes of `geom`,
+    warned outside its aperture window.  A geometry compiles its terms on first use and keeps them."""
+    if geom._terms is None:
+        object.__setattr__(geom, "_terms", _compile_geometry(geom))
+    axes = list(zip(geom.a_axes[:n_axes], (d.axis for d in geom.b_doublets)))
+    entries, per_axis, closed = _evaluate(_WITNESSES[name], state, geom._terms, tuple(_BLOCKS), axes, geom.alpha)  # type: ignore[arg-type]
+    terms = [t for axis_terms in per_axis for t in axis_terms]
     window = (0.0, _APERTURE_WINDOWS[name])
     warnings: tuple[str, ...] = ()
-    if not (window[0] < geom.alpha <= window[1] + 1e-12):
+    if not (window[0] < geom.alpha <= window[1] + STRUCTURAL_TOL):
         warnings = (
             f"alpha {geom.alpha:.6f} outside the validity window ({window[0]:.6f}, {window[1]:.6f}];"
             " separable states may also flag",
@@ -596,6 +644,7 @@ def _entanglement_report(
         "a_axes": [a.tolist() for a in geom.a_axes[:n_axes]],
         "b_axes": [b.tolist() for b in geom.b_axes[:n_axes]],
     }
+    extras = {"pauli_closed_form": sum(closed), "aperture_cos_half": math.cos(geom.alpha / 2.0), **(notes or {})}
     statistic = statistic_from_terms(terms, RULE_SUM)
     return _report(name, inputs, entries, terms, statistic, extras, alpha_valid_range=window, warnings=warnings)
 
@@ -608,25 +657,15 @@ def linear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant: s
     aperture validity window; a negative value witnesses entanglement.
     """
     n_axes = _entanglement_axes(state, geom, variant, "linear_ent_test", ("I", "II"))
-
-    c = math.cos(geom.alpha / 2.0)
-    T = _pauli_coordinates(state.matrix)[1:, 1:]
-    closed = 0.0
-    for a_axis, doublet in zip(geom.a_axes[:n_axes], geom.b_doublets):
-        closed += 0.5 * c * (c + float(a_axis @ T @ doublet.axis))
-    all_terms = _geometry_terms(state, geom, n_axes, (_EQUALITY,))
-
-    extras: dict[str, object] = {"pauli_closed_form": closed, "aperture_cos_half": c}
-    if variant == "II":
-        extras["werner_entry_closed_form"] = "(1/12)(1/3 - eta) at alpha = arccos(-7/9)"
-        extras["quoted_form_note"] = (
+    notes = None if variant == "I" else {
+        "werner_entry_closed_form": "(1/12)(1/3 - eta) at alpha = arccos(-7/9)",
+        "quoted_form_note": (
             "the commonly quoted per-entry magnitude (1/8)(1/2 - eta) belongs to "
             "the two-axis variant; the constructive three-axis value "
             "(1/12)(1/3 - eta) is authoritative"
-        )
-    return _entanglement_report(
-        f"linear-entanglement-{variant}", state, geom, n_axes, _entries(all_terms), all_terms, extras
-    )
+        ),
+    }
+    return _entanglement_report(f"linear-entanglement-{variant}", state, geom, n_axes, notes)
 
 
 def nonlinear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant: str = "I") -> TestReport:
@@ -638,40 +677,7 @@ def nonlinear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant
     doublet conjunctions; its classical floor is again zero.
     """
     n_axes = _entanglement_axes(state, geom, variant, "nonlinear_ent_test", ("I", "II", "III"))
-    c = math.cos(geom.alpha / 2.0)
-
-    closed = 0.0
-    table = _pauli_coordinates(state.matrix)
-    a, b, T = table[1:, 0], table[0, 1:], table[1:, 1:]
-    for a_axis, b_doublet in zip(geom.a_axes[:n_axes], geom.b_doublets):
-        b_axis = b_doublet.axis
-        C, A, B = float(a_axis @ T @ b_axis), float(a @ a_axis), float(b @ b_axis)
-        if variant in ("I", "II"):
-            closed += (c * c / 4.0) * (c * c - C * C)
-        else:
-            closed += 0.5 * c * (3.0 * c + C - 0.5 * (A + B) ** 2)
-    blocks = _NONLINEAR_BLOCKS[variant]
-    terms = _geometry_terms(state, geom, n_axes, blocks)
-    per_axis = 2 * len(blocks)
-
-    all_terms: list[WeakTerm] = []
-    entries: dict[str, float] = {}
-    for i in range(n_axes):
-        chunk = terms[per_axis * i : per_axis * (i + 1)]
-        plain, rest = chunk[:2], chunk[2:]
-        entries.update(_entries(plain))
-        if variant in ("I", "II"):
-            entries.update(_entries(rest))
-            all_terms += [_product_term(t1, t2, 1.0) for t1 in plain for t2 in rest]
-        else:
-            # Each product pairs opposed outcomes: a single outcome with a doublet conjunction.
-            a_pp, a_mm, b_pp, b_mm, a_plus, a_minus, b_plus, b_minus = rest
-            pairs = [(a_plus, a_mm), (a_minus, a_pp), (b_plus, b_mm), (b_minus, b_pp),
-                     (a_plus, b_mm), (a_minus, b_pp), (a_mm, b_plus), (a_pp, b_minus)]
-            all_terms += plain + [_product_term(left, right, 0.5) for left, right in pairs]
-
-    extras: dict[str, object] = {"pauli_closed_form": closed, "aperture_cos_half": c}
-    return _entanglement_report(f"nonlinear-entanglement-{variant}", state, geom, n_axes, entries, all_terms, extras)
+    return _entanglement_report(f"nonlinear-entanglement-{variant}", state, geom, n_axes)
 
 
 def discord_test(state: DensityMatrix, alpha: float) -> TestReport:
@@ -686,8 +692,7 @@ def discord_test(state: DensityMatrix, alpha: float) -> TestReport:
     _require_dim(state, 4, "discord_test")
     alpha = _aperture(alpha)
 
-    table = _pauli_coordinates(state.matrix)
-    r, b, T = table[1:, 0], table[0, 1:], table[1:, 1:]
+    r = _pauli_coordinates(state.matrix)[1:, 0]
     degenerate = bool(np.linalg.norm(r) < 1e-8)
     a1_axis = np.array([0.0, 0.0, 1.0]) if degenerate else r / np.linalg.norm(r)
     a2_axis = mub_partner(a1_axis)
@@ -696,38 +701,22 @@ def discord_test(state: DensityMatrix, alpha: float) -> TestReport:
     if degenerate:
         warnings.append("reduced state is maximally mixed; branch axis fixed to z")
 
-    # Per branch, rows of P: the branch axis, then its doublet n1, n2.
+    # Both sides measure along each branch axis: rows of P per branch are the
+    # axis, then its doublet n1, n2 (a, b1, b2 of `_BLOCKS`).
     axes = np.stack([a1_axis, a2_axis])
     P = _qubit_projectors(np.stack([axes, *_doublets(axes, alpha)], axis=1).reshape(6, 3)).reshape(2, 3, 2, 2, 2)
-    tags = ["[1]", "[2]"]
-    terms = _pp_terms(state, _compile_terms(
-        _equality_specs(P, tags, bar=False, groups=(1, 2)) + _pair_specs(P[:, 1], P[:, 2], 1, tags)
-        + _born_specs(P[:, 0], 0, tags)
-    ))
-    c = math.cos(alpha / 2.0)
-    closed: dict[str, float] = {}
-    for group, axis in enumerate(axes, start=1):
-        C, A, B = float(axis @ T @ axis), float(r @ axis), float(b @ axis)
-        closed[f"branch_{group}_closed_form"] = 0.5 * c * (2.0 * c + C - A * B)
-
-    all_terms: list[WeakTerm] = []
-    entries: dict[str, float] = {}
-    branch_values: dict[str, float] = {}
-    for group in (1, 2):
-        k = 2 * group - 2
-        equality, (pp, mm), (plus, minus) = terms[k : k + 2], terms[k + 4 : k + 6], terms[k + 8 : k + 10]
-        branch = equality + [_product_term(plus, mm, 1.0, group), _product_term(minus, pp, 1.0, group)]
-        all_terms += branch
-        entries.update(_entries(equality))
-        branch_values[f"branch_{group}"] = statistic_from_terms(branch, RULE_SUM)
-
+    blocks = _blocks(_WITNESSES["discord"])
+    entries, branches, closed = _evaluate(
+        _WITNESSES["discord"], state, _compile_blocks(P, blocks, (1, 2)), blocks, [(x, x) for x in axes], alpha
+    )
+    all_terms = [t for branch in branches for t in branch]
     return _report(
         "discord",
         {"state": _state_digest(state), "alpha": alpha, "branch_axes": [a1_axis.tolist(), a2_axis.tolist()]},
-        {**entries, **branch_values},
+        {**entries, **{f"branch_{g}": statistic_from_terms(b, RULE_SUM) for g, b in enumerate(branches, start=1)}},
         all_terms,
         statistic_from_terms(all_terms, RULE_MAX_GROUP),
-        {**closed, "degenerate_marginal": degenerate},
+        {**{f"branch_{g}_closed_form": x for g, x in enumerate(closed, start=1)}, "degenerate_marginal": degenerate},
         statistic_rule=RULE_MAX_GROUP,
         warnings=warnings,
     )

@@ -11,6 +11,8 @@ import pytest
 
 from pplab import (
     DensityMatrix,
+    Doublet,
+    EntanglementGeometry,
     GameState,
     InvalidInputError,
     ObservableSpec,
@@ -258,6 +260,8 @@ LEAKS = {
         lambda: scheme_from_json({**scheme_to_json(THREE_SCHEME), "prescription": "convex", "weights": [0.25] * 4}),
         "weights",
     ),
+    # numpy refused a bool slot size with "TypeError: an integer is required".
+    "partial_trace/bool_dims": (lambda: partial_trace(np.eye(4) / 4, (True, 4), 0), "dims"),
 }
 
 
@@ -268,6 +272,19 @@ def test_scalar_and_container_leaks_are_invalid_input(call, name):
 
 
 ONE_SCHEME = build_scheme(RHO, ONE)
+GEOM = make_entanglement_geometry(1.2)
+WIDE = make_entanglement_geometry(2.8)
+C, S = np.cos(0.6), np.sin(0.6)
+
+
+def _geometry_with(side: str, index: int, **fields) -> EntanglementGeometry:
+    """GEOM built directly, with the fields of one doublet replaced."""
+    doublets = {"a": list(GEOM.a_doublets), "b": list(GEOM.b_doublets)}
+    d = doublets[side][index]
+    doublets[side][index] = Doublet(**{"n1": d.n1, "n2": d.n2, "axis": d.axis, "alpha": d.alpha, **fields})
+    return EntanglementGeometry(GEOM.alpha, GEOM.a_axes, GEOM.b_axes, doublets["a"], doublets["b"])
+
+
 # A 4x4 dichotomic observable (Z x Z) and a qutrit projector.
 ZZ = np.diag([1.0, -1.0, -1.0, 1.0])
 QUTRIT = np.diag([1.0, 0.0, 0.0])
@@ -412,6 +429,67 @@ REFUSALS = {
     "scheme_from_json/convex_weights_without_orderings": (
         lambda: scheme_from_json({**scheme_to_json(ONE_SCHEME), "prescription": "convex", "weights": [-0.5, 1.5]}),
         "weights must be non-negative and sum to 1",
+    ),
+    # bool is an int, so these indices were read as 1 (and the grid size refused only as too small).
+    "marginalize/bool_index": (lambda: marginalize(PAIR_SCHEME, True), "drop_index must be an integer, got True"),
+    "partial_trace/bool_keep": (lambda: partial_trace(WERNER.matrix, (2, 2), True), "keep must be an integer, got True"),
+    "PointerConfig/bool_grid": (
+        lambda: PointerConfig(g=0.05, t=1.0, grid_points=True),
+        "grid_points must be an integer, got True",
+    ),
+    # A geometry built directly was never checked against its doublets: these
+    # reported one aperture while their statistic came from another.
+    "EntanglementGeometry/doublets_of_another_aperture": (
+        lambda: EntanglementGeometry(1.0, WIDE.a_axes, WIDE.b_axes, WIDE.a_doublets, WIDE.b_doublets),
+        "a_doublets[0] has aperture 2.8, not the geometry's 1.0",
+    ),
+    "EntanglementGeometry/doublet_alpha": (
+        lambda: _geometry_with("b", 2, alpha=1.3),
+        "b_doublets[2] has aperture 1.3, not the geometry's 1.2",
+    ),
+    "EntanglementGeometry/long_n1": (
+        lambda: _geometry_with("a", 1, n1=2.0 * GEOM.a_doublets[1].n1),
+        "a_doublets[1] n1 is not a unit vector: |n1| = 2.000000000000",
+    ),
+    "EntanglementGeometry/long_n2": (
+        lambda: _geometry_with("b", 0, n2=GEOM.b_doublets[0].n2 * (1 + 1e-9)),
+        "b_doublets[0] n2 is not a unit vector: |n2| = 1.000000001000",
+    ),
+    "EntanglementGeometry/nan_n1": (
+        lambda: _geometry_with("a", 0, n1=[NAN, 0.0, 0.0]),
+        "a_doublets[0] n1 is not a unit vector: |n1| = nan",
+    ),
+    # Unit axes at half-angle 0.6 from z, but not opposite each other about it.
+    "EntanglementGeometry/doublet_angle": (
+        lambda: _geometry_with("a", 2, n1=[S, 0.0, C], n2=[0.0, S, C]),
+        f"a_doublets[2] has n1.n2 = {C * C:.12f}, not cos(alpha) = {np.cos(1.2):.12f}",
+    ),
+    "EntanglementGeometry/doublet_about_another_axis": (
+        lambda: _geometry_with("b", 1, n1=GEOM.b_doublets[0].n1, n2=GEOM.b_doublets[0].n2),
+        "b_doublets[1] is not bisected by b_axes[1]",
+    ),
+    "EntanglementGeometry/alpha": (
+        lambda: EntanglementGeometry(4.0, GEOM.a_axes, GEOM.b_axes, GEOM.a_doublets, GEOM.b_doublets),
+        "alpha must lie in (0, pi), got 4.0",
+    ),
+    "EntanglementGeometry/two_axes": (
+        lambda: EntanglementGeometry(1.2, GEOM.a_axes[:2], GEOM.b_axes, GEOM.a_doublets, GEOM.b_doublets),
+        "a_axes must hold 3 entries, got 2",
+    ),
+    "EntanglementGeometry/two_doublets": (
+        lambda: EntanglementGeometry(1.2, GEOM.a_axes, GEOM.b_axes, GEOM.a_doublets, GEOM.b_doublets[:2]),
+        "b_doublets must hold 3 entries, got 2",
+    ),
+    "EntanglementGeometry/two_vector_axis": (
+        lambda: EntanglementGeometry(1.2, [[1, 0], *GEOM.a_axes[1:]], GEOM.b_axes, GEOM.a_doublets, GEOM.b_doublets),
+        "a_axes[0] must be a real 3-vector",
+    ),
+    "Doublet/string_n1": (lambda: Doublet("abc", AXIS, AXIS, 1.0), "n1 must be a real 3-vector"),
+    "Doublet/two_vector_n2": (lambda: Doublet(AXIS, [0, 1], AXIS, 1.0), "n2 must be a real 3-vector"),
+    "Doublet/string_alpha": (lambda: Doublet(AXIS, AXIS, AXIS, "x"), "alpha must be a real number, got 'x'"),
+    "EntanglementGeometry/not_a_doublet": (
+        lambda: EntanglementGeometry(1.2, GEOM.a_axes, GEOM.b_axes, (5, *GEOM.a_doublets[1:]), GEOM.b_doublets),
+        "a_doublets[0] must be a Doublet, got int",
     ),
 }
 
