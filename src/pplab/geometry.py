@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .operator_core import (
-    Array, DensityMatrix, Projector, SPECTRAL_TOL, STRUCTURAL_TOL, _close, _expectations, _outcome_projectors, _real, _sequence,
+    Array, DensityMatrix, Projector, SPECTRAL_TOL, STRUCTURAL_TOL, _close, _expectations, _outcome_projectors, _real, _sequence, _sign,
 )
 
 __all__ = [
@@ -92,9 +92,7 @@ def bloch_state(p: object) -> DensityMatrix:
 
 def qubit_projector(n: object, outcome: int = +1) -> Projector:
     """Rank-1 projector onto the +-1 eigenspace of sigma . n."""
-    if outcome not in (+1, -1):
-        raise InvalidInputError(f"outcome must be +1 or -1, got {outcome!r}")
-    m = 0.5 * (IDENTITY_2 + outcome * pauli_vector(n))
+    m = 0.5 * (IDENTITY_2 + _sign(outcome) * pauli_vector(n))
     return Projector(m)
 
 

@@ -82,6 +82,13 @@ def _real(x: object, name: str) -> float:
     raise InvalidInputError(f"{name} must be a real number, got {x!r}")
 
 
+def _sign(outcome: object) -> int:
+    """`outcome` as the int +1 or -1; anything else, an array too, raises "outcome must be +1 or -1"."""
+    if getattr(outcome, "ndim", 0) or outcome not in (+1, -1):
+        raise InvalidInputError(f"outcome must be +1 or -1, got {outcome!r}")
+    return +1 if outcome == 1 else -1
+
+
 def require_square(m: Array, name: str = "matrix") -> Array:
     """`m` if its last two axes are equal: one square matrix or a stack of them."""
     if m.shape[-1] != m.shape[-2]:

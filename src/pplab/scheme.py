@@ -49,6 +49,7 @@ from .operator_core import (
     _real,
     _require_state,
     _sequence,
+    _sign,
     as_complex_matrix,
     require_square,
     resolve_tolerance,
@@ -68,8 +69,10 @@ __all__ = [
     "string_to_outcomes",
 ]
 
-# Accept the typographic minus on parse; always emit ASCII.
-_MINUS_CHARS = "-−"
+# Outcome signs in `_outcomes` order: index 0 is +1, index 1 is -1.  Parsing
+# also accepts the typographic minus; output is always ASCII.
+_MARK = "+-"
+_SIGN = {_MARK[0]: +1, _MARK[1]: -1, "−": -1}
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,8 @@ class ObservableSpec:
             if not _close(m @ m, np.eye(m.shape[0]), SPECTRAL_TOL):
                 raise InvalidInputError("observable must be dichotomic (square to identity)")
         object.__setattr__(self, "matrix", m)
+        if not (self.label is None or isinstance(self.label, str)):
+            raise InvalidInputError(f"label must be a string, got {self.label!r}")
         if not self.label:
             object.__setattr__(self, "label", f"s{self.subsystem}")
 
@@ -109,31 +114,34 @@ class ObservableSpec:
         return self.matrix.shape[0]  # type: ignore[union-attr]
 
     def projector(self, outcome: int) -> Projector:
-        if outcome not in (+1, -1):
-            raise InvalidInputError(f"outcome must be +1 or -1, got {outcome!r}")
         d = self.dim
-        return Projector(0.5 * (np.eye(d, dtype=complex) + outcome * self.matrix))
+        return Projector(0.5 * (np.eye(d, dtype=complex) + _sign(outcome) * self.matrix))
 
 
 def outcomes_to_string(outcomes: tuple[int, ...]) -> str:
-    return "".join("+" if s > 0 else "-" for s in outcomes)
+    return "".join(_MARK[not s > 0] for s in outcomes)
 
 
 def string_to_outcomes(text: str) -> tuple[int, ...]:
-    out: list[int] = []
-    for ch in text:
-        if ch == "+":
-            out.append(+1)
-        elif ch in _MINUS_CHARS:
-            out.append(-1)
-        else:
-            raise InvalidInputError(f"bad outcome character {ch!r} in {text!r}")
-    return tuple(out)
+    try:
+        return tuple(_SIGN[ch] for ch in text)
+    except KeyError as bad:
+        raise InvalidInputError(f"bad outcome character {bad.args[0]!r} in {text!r}") from None
+
+
+def _observables(observables: object) -> tuple[ObservableSpec, ...]:
+    """`observables` as a tuple of 1 to MAX_OBSERVABLES ObservableSpec."""
+    obs = tuple(_sequence(observables, "observables", "ObservableSpec"))
+    if not all(isinstance(o, ObservableSpec) for o in obs):
+        raise InvalidInputError("observables must be an ordered collection of ObservableSpec")
+    if not (1 <= len(obs) <= MAX_OBSERVABLES):
+        raise InvalidInputError(f"need 1..{MAX_OBSERVABLES} observables, got {len(obs)}")
+    return obs
 
 
 @dataclass(frozen=True)
 class Scheme:
-    """Pseudo-probability table over all joint outcomes."""
+    """Pseudo-probability table over all joint outcomes, kept as its own copy of `entries` in `_outcomes` order."""
 
     observables: tuple[ObservableSpec, ...]
     entries: dict[tuple[int, ...], float]
@@ -141,13 +149,9 @@ class Scheme:
     weights: tuple[float, ...] | None = field(default=None)
 
     def __post_init__(self) -> None:
-        obs = tuple(_sequence(self.observables, "observables", "ObservableSpec"))
-        if not all(isinstance(o, ObservableSpec) for o in obs):
-            raise InvalidInputError("observables must be an ordered collection of ObservableSpec")
+        obs = _observables(self.observables)
         object.__setattr__(self, "observables", obs)
         n = len(obs)
-        if not (1 <= n <= MAX_OBSERVABLES):
-            raise InvalidInputError(f"need 1..{MAX_OBSERVABLES} observables, got {n}")
         if not isinstance(self.entries, Mapping):
             raise InvalidInputError(
                 f"entries must map outcome tuples to real numbers, got {type(self.entries).__name__}"
@@ -156,15 +160,18 @@ class Scheme:
             raise InvalidInputError(
                 f"expected {2**n} entries for {n} observables, got {len(self.entries)}"
             )
-        if self.entries.keys() != _outcome_keys(n):
-            raise InvalidInputError(f"entries must be keyed by the {2**n} +1/-1 outcome tuples of length {n}")
         try:
-            finite = all(map(math.isfinite, self.entries.values()))
+            entries = {k: self.entries[k] for k in _outcomes(n)}
+        except KeyError:
+            raise InvalidInputError(f"entries must be keyed by the {2**n} +1/-1 outcome tuples of length {n}") from None
+        object.__setattr__(self, "entries", entries)
+        try:
+            finite = all(map(math.isfinite, entries.values()))
         except TypeError:
             raise InvalidInputError("entries must map outcome tuples to real numbers") from None
         if not finite:
             raise InvalidInputError("entries are not finite")
-        total = sum(self.entries.values())
+        total = sum(entries.values())
         if abs(total - 1.0) > SPECTRAL_TOL:
             raise InvalidInputError(f"entries must sum to 1, got {total!r}")
         sizes = () if self.weights is None else Counter(o.subsystem for o in obs).values()
@@ -218,11 +225,6 @@ def _outcomes(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product((+1, -1), repeat=n))
 
 
-@functools.lru_cache(maxsize=None)
-def _outcome_keys(n: int) -> frozenset[tuple[int, ...]]:
-    return frozenset(_outcomes(n))
-
-
 def _joint_moments(rho: Array, dims: list[int], stacks: list[Array]) -> Array:
     """Re Tr(rho (M_0[t_0] x M_1[t_1] x ...)) for every index tuple, as an
     array with one axis per subsystem."""
@@ -259,11 +261,7 @@ def build_scheme(
     applies only to the convex prescription and must match the ordering count
     of every multi-observable group.
     """
-    obs = tuple(_sequence(observables, "observables", "ObservableSpec"))
-    if not all(isinstance(o, ObservableSpec) for o in obs):
-        raise InvalidInputError("observables must be an ordered collection of ObservableSpec")
-    if not (1 <= len(obs) <= MAX_OBSERVABLES):
-        raise InvalidInputError(f"need 1..{MAX_OBSERVABLES} observables, got {len(obs)}")
+    obs = _observables(observables)
     groups, dims = _subsystem_layout(obs)
     weights = _prescription_weights(prescription, map(len, groups), weights)
     if int(np.prod(dims)) != _require_state(state).dim:
@@ -300,13 +298,11 @@ def marginalize(s: Scheme, drop_index: int) -> Scheme:
     if n == 1:
         raise InvalidInputError("cannot marginalize the last remaining observable")
     kept = tuple(o for i, o in enumerate(s.observables) if i != drop_index)
-    entries: dict[tuple[int, ...], float] = {}
-    for outcome in itertools.product((+1, -1), repeat=n - 1):
-        total = 0.0
-        for dropped in (+1, -1):
-            full = outcome[:drop_index] + (dropped,) + outcome[drop_index:]
-            total += s.entries[full]
-        entries[outcome] = total
+    # In `_outcomes` order, flipping the dropped outcome from +1 to -1 moves an
+    # entry `step` places on.
+    v = list(s.entries.values())
+    step = 1 << (n - 1 - drop_index)
+    entries = dict(zip(_outcomes(n - 1), [v[i] + v[i + step] for i in range(len(v)) if not i & step]))
     weights = _marginal_weights(s, drop_index)
     return Scheme(observables=kept, entries=entries, prescription=s.prescription, weights=weights)
 
@@ -371,7 +367,7 @@ def _parse_pattern(pattern: str, n: int) -> list[list[tuple[int, int]]]:
             if tok.startswith("~"):
                 sign = -1
                 tok = tok[1:]
-            if not tok.isdigit():
+            if not (tok.isascii() and tok.isdigit()):
                 raise InvalidInputError(f"malformed pattern token {tok!r}")
             idx = int(tok)
             if idx >= n:
@@ -433,19 +429,21 @@ def _spec_from_json(d: dict) -> ObservableSpec:
 
 def scheme_from_json(data: dict[str, object]) -> Scheme:
     """Inverse of scheme_to_json; tolerates the typographic minus sign."""
-    try:
-        obs_in = data["observables"]
-        prescription = data["prescription"]
-        entries_in = data["entries"]
-    except (KeyError, TypeError):
+    if not (isinstance(data, Mapping) and {"observables", "prescription", "entries"} <= data.keys()):
         raise InvalidInputError("scheme JSON needs observables, prescription, entries")
-    observables = _sequence(obs_in, "observables", "observable records", _spec_from_json)
+    observables = _sequence(data["observables"], "observables", "observable records", _spec_from_json)
+    entries_in = data["entries"]
     if not isinstance(entries_in, dict) or not all(isinstance(k, str) for k in entries_in):
         raise InvalidInputError("entries must map outcome strings to numbers")
-    entries = {string_to_outcomes(k): _real(v, f"entry {k!r}") for k, v in entries_in.items()}
+    entries: dict[tuple[int, ...], float] = {}
+    for k, v in entries_in.items():
+        key = string_to_outcomes(k)
+        if key in entries:
+            raise InvalidInputError(f"entries spell outcome {outcomes_to_string(key)!r} more than once")
+        entries[key] = _real(v, f"entry {k!r}")
     return Scheme(
         observables=tuple(observables),
         entries=entries,
-        prescription=str(prescription),
+        prescription=str(data["prescription"]),
         weights=data.get("weights"),
     )

@@ -52,7 +52,7 @@ from .pseudoprojection import (
     symmetrized_pp,
     unit_pp,
 )
-from .scheme import ObservableSpec, build_scheme, equality_sum, outcomes_to_string
+from .scheme import _MARK, ObservableSpec, build_scheme, equality_sum, outcomes_to_string
 from .weak import _Terms, _born_weak, _compile_terms
 
 __all__ = [
@@ -215,10 +215,6 @@ def _entanglement_axes(state: DensityMatrix, geom: object, variant: object, test
     return 2 if variant == "I" else 3
 
 
-# Outcome index o of a projector stack: 0 is the +1 outcome, 1 the -1 outcome.
-_MARK = "+-"
-
-
 def _embed(op: Array, side: int) -> Array:
     """A qubit operator, or each of a stack, on side 0 (the outer factor) or side 1 of two qubits."""
     return _kron(op, IDENTITY_2) if side == 0 else _kron(IDENTITY_2, op)
@@ -243,7 +239,8 @@ def _pp_terms(state: DensityMatrix, terms: _Terms, rows: Iterable[int] | None = 
 # entry gives (leads, lead rank, rests or None, label) from a projector stack P
 # whose rows per axis are a, b1, b2, a1, a2 and the b axis (b1, b2 and a1, a2
 # are the b- and a-side doublets).  A rest of None is a plain Born term.  In a
-# label, {t} is the axis tag, {s} the outcome and {f} the opposite outcome.
+# label, {t} is the axis tag, {s} the outcome and {f} the opposite outcome (see
+# `_tagged`); `_ENTRY_NAMES` names the entries of the blocks read as entries.
 _BLOCKS = {
     "equality": lambda P: (_kron(P[:, 0], P[:, 2]), 1, _embed(P[:, 1], 1), "{t}a{s}b2{s} | b1{s}"),
     "barred": lambda P: (_kron(P[:, 0, ::-1], P[:, 2]), 1, _embed(P[:, 1], 1), "{t}~a{f}b2{s} | b1{s}"),
@@ -252,6 +249,12 @@ _BLOCKS = {
     "a": lambda P: (_embed(P[:, 0], 0), 1, None, "{t}a{s}"),
     "b": lambda P: (_embed(P[:, 5], 1), 1, None, "{t}b{s}"),
 }
+_ENTRY_NAMES = {"equality": "{t}a{s}b1{s}b2{s}", "barred": "{t}~a{f}b1{s}b2{s}"}
+
+
+def _tagged(template: str, i: int, o: int) -> str:
+    """`template` at axis i, tagged [i+1], and outcome index o of a projector stack."""
+    return template.format(t=f"[{i + 1}]", s=_MARK[o], f=_MARK[1 - o])
 
 
 def _compile_blocks(P: Array, blocks: Sequence[str], groups: Sequence[int]) -> _Terms:
@@ -261,8 +264,7 @@ def _compile_blocks(P: Array, blocks: Sequence[str], groups: Sequence[int]) -> _
     for block in blocks:
         leads, rank, rests, label = _BLOCKS[block](P)
         specs += [
-            (leads[i, o], rank, None if rests is None else rests[i, o],
-             label.format(t=f"[{i + 1}]", s=_MARK[o], f=_MARK[1 - o]), 1.0, group)
+            (leads[i, o], rank, None if rests is None else rests[i, o], _tagged(label, i, o), 1.0, group)
             for i, group in enumerate(groups) for o in (0, 1)
         ]
     return _compile_terms(specs)
@@ -274,15 +276,6 @@ def _compile_geometry(geom: EntanglementGeometry) -> _Terms:
     axes = [[a, b.n1, b.n2, d.n1, d.n2, b.axis] for a, d, b in zip(geom.a_axes, geom.a_doublets, geom.b_doublets)]
     P = _qubit_projectors(np.reshape(axes, (18, 3))).reshape(3, 6, 2, 2, 2)
     return _compile_blocks(P, tuple(_BLOCKS), (0, 0, 0))
-
-
-def _entries(terms: list[WeakTerm]) -> dict[str, float]:
-    """Entry values of equality terms: term "[1]a+b2+ | b1+" is entry "[1]a+b1+b2+"."""
-    out = {}
-    for t in terms:
-        head, b1 = t.label.split(" | ")
-        out[head[:-3] + b1 + head[-3:]] = t.pseudo_probability
-    return out
 
 
 def _product_term(t1: WeakTerm, t2: WeakTerm, coefficient: float) -> WeakTerm:
@@ -613,8 +606,9 @@ def _evaluate(
     entries: dict[str, float] = {}
     per_axis, closed = [], []
     for i, (a, b) in enumerate(axes):
-        for block in w.entries:
-            entries.update(_entries([t[block, i, 0], t[block, i, 1]]))
+        entries.update(
+            (_tagged(_ENTRY_NAMES[block], i, o), t[block, i, o].pseudo_probability) for block in w.entries for o in (0, 1)
+        )
         per_axis.append([t[block, i, o] for block in w.summed for o in (0, 1)]
                         + [_product_term(t[x, i, o], t[y, i, p], k) for (x, o), (y, p), k in w.products])
         closed.append(w.closed(c, float(a @ T @ b), float(r @ a), float(s @ b)))

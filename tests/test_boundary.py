@@ -262,6 +262,14 @@ LEAKS = {
     ),
     # numpy refused a bool slot size with "TypeError: an integer is required".
     "partial_trace/bool_dims": (lambda: partial_trace(np.eye(4) / 4, (True, 4), 0), "dims"),
+    # numpy raised "The truth value of an array ... is ambiguous".
+    "qubit_projector/array_outcome": (lambda: qubit_projector(AXIS, np.array([1, 1])), "outcome"),
+    "ObservableSpec.projector/array_outcome": (
+        lambda: ObservableSpec(0, axis=AXIS).projector(np.array([1, -1])),
+        "outcome",
+    ),
+    # A non-string label was tested for truth: "The truth value of an array ... is ambiguous".
+    "ObservableSpec/array_label": (lambda: ObservableSpec(0, axis=AXIS, label=np.array([1, -1, 1])), "label"),
 }
 
 
@@ -490,6 +498,19 @@ REFUSALS = {
     "EntanglementGeometry/not_a_doublet": (
         lambda: EntanglementGeometry(1.2, GEOM.a_axes, GEOM.b_axes, (5, *GEOM.a_doublets[1:]), GEOM.b_doublets),
         "a_doublets[0] must be a Doublet, got int",
+    ),
+    # str.isdigit accepts superscript digits, which int() refuses.
+    "equality_sum/superscript_index": (lambda: equality_sum(PAIR_SCHEME, "0=¹"), "malformed pattern token '¹'"),
+    "equality_sum/superscript_singleton": (lambda: equality_sum(PAIR_SCHEME, "²"), "malformed pattern token '²'"),
+    # numpy raised IndexError for a string index.
+    "scheme_from_json/ndarray": (
+        lambda: scheme_from_json(np.zeros((2, 2))),
+        "scheme JSON needs observables, prescription, entries",
+    ),
+    # The two spellings of outcome - collapsed, and one value was dropped silently.
+    "scheme_from_json/two_spellings": (
+        lambda: scheme_from_json({**scheme_to_json(ONE_SCHEME), "entries": {"+": 0.5, "-": 0.3, "−": 0.5}}),
+        "entries spell outcome '-' more than once",
     ),
 }
 

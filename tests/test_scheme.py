@@ -13,6 +13,7 @@ from pplab import (
     DensityMatrix,
     InvalidInputError,
     ObservableSpec,
+    Scheme,
     bloch_state,
     build_scheme,
     convex_pp,
@@ -361,3 +362,41 @@ def test_uniform_convex_scheme_uses_the_symmetrized_recursion(monkeypatch):
     assert calls == [5]
     uniform = build_scheme(rho, obs[:5], "convex")
     assert max(abs(uniform.entries[k] - explicit.entries[k]) for k in uniform.entries) <= 1e-12
+
+
+def test_scheme_keeps_its_own_copy_of_its_entries():
+    rho = bloch_state([0.6, 0.0, 0.0])
+    built = build_scheme(rho, [_obs(0, [0, 0, 1]), _obs(0, [1, 0, 0])], "unit")
+    entries = dict(built.entries)
+    sch = Scheme(built.observables, entries, "unit")
+    before = (dict(sch.entries), negativity_report(sch), scheme_to_json(sch))
+    entries[(-1, -1)] = float("nan")
+    entries[(1, 1)] = -5.0
+    assert (sch.entries, negativity_report(sch), scheme_to_json(sch)) == before
+
+
+def test_scheme_from_json_lists_entries_in_outcome_order():
+    rho = bloch_state([0.4, 0.1, -0.2])
+    sch = build_scheme(rho, [_obs(0, [0, 0, 1]), _obs(0, [1, 0, 0]), _obs(0, [0, 1, 0])], "symmetrized")
+    record = scheme_to_json(sch)
+    back = scheme_from_json({**record, "entries": dict(reversed(record["entries"].items()))})
+    assert list(back.entries) == list(itertools.product((+1, -1), repeat=3))
+    assert scheme_to_json(back) == record
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, MAX_OBSERVABLES))
+def test_marginalize_matches_the_outcome_loop(seed, n):
+    # Any finite table summing to 1 is a Scheme; the reference splices the
+    # dropped outcome into every kept outcome tuple.
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=2**n)
+    v += (1.0 - v.sum()) / v.size
+    obs = [_obs(0, random_unit_vector(rng)) for _ in range(n)]
+    sch = Scheme(obs, dict(zip(itertools.product((+1, -1), repeat=n), v.tolist())), "unit")
+    for drop in range(n):
+        expected = {
+            kept: sum(sch.entries[kept[:drop] + (dropped,) + kept[drop:]] for dropped in (+1, -1))
+            for kept in itertools.product((+1, -1), repeat=n - 1)
+        }
+        assert list(marginalize(sch, drop).entries.items()) == list(expected.items())
