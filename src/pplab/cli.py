@@ -33,10 +33,10 @@ from .geometry import (
     qubit_projector,
     werner_state,
 )
-from .operator_core import SPECTRAL_TOL, DensityMatrix, resolve_tolerance
+from .operator_core import SPECTRAL_TOL, DensityMatrix, _complex_parts, resolve_tolerance
 from .pointer import PointerConfig, proportionality_check, simulate_pointers
 from .pseudoprojection import PRESCRIPTIONS, _prescription_weights, convex_pp, min_eigen_certificate, symmetrized_pp, unit_pp
-from .scheme import ObservableSpec, build_scheme, negativity_report, scheme_to_json
+from .scheme import _SIGN, ObservableSpec, build_scheme, negativity_report, scheme_to_json
 from .weak import weak_value
 from .witnesses import (
     _APERTURE_WINDOWS,
@@ -129,27 +129,20 @@ def _state_from_file(path: str) -> DensityMatrix:
         raise InvalidInputError(
             f"state file matrices must be {dim}x{dim} to match dim, got {re.shape} and {im.shape}"
         )
-    return DensityMatrix(re + 1j * im)
+    return DensityMatrix(_complex_parts(re, im))
 
 
 def _projector(token: str) -> object:
     """'z', 'x-', 'z+' or '0,0,1' / '0,0,1:-' to a qubit projector."""
-    outcome = +1
     if "," in token:
-        axis_text = token
-        if ":" in token:
-            axis_text, _, sign = token.rpartition(":")
-            if sign not in ("+", "-"):
-                raise argparse.ArgumentTypeError(f"projector sign must be '+' or '-', got {sign!r}")
-            outcome = +1 if sign == "+" else -1
-        return qubit_projector(_vector(axis_text), outcome)
-    name = token
-    if token[-1] in "+-":
-        outcome = +1 if token[-1] == "+" else -1
-        name = token[:-1]
+        axis_text, _, sign = token.rpartition(":") if ":" in token else (token, "", "+")
+        if sign not in _SIGN:
+            raise argparse.ArgumentTypeError(f"projector sign must be '+' or '-', got {sign!r}")
+        return qubit_projector(_vector(axis_text), _SIGN[sign])
+    name, sign = (token[:-1], token[-1]) if token[-1] in _SIGN else (token, "+")
     if name not in _NAMED_AXES:
         raise argparse.ArgumentTypeError(f"unknown projector token {token!r}; use x/y/z with optional sign")
-    return qubit_projector(_NAMED_AXES[name], outcome)
+    return qubit_projector(_NAMED_AXES[name], _SIGN[sign])
 
 
 def _observable(token: str) -> ObservableSpec:

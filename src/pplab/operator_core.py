@@ -55,6 +55,15 @@ def as_complex_matrix(m: object, name: str = "matrix") -> Array:
     return a
 
 
+def _complex_parts(re: object, im: object) -> Array:
+    """re + i im with no arithmetic on either part: a non-finite part reaches the finiteness
+    check without a numpy warning.  TypeError or ValueError if a part is not a real array."""
+    re, im = np.broadcast_arrays(np.asarray(re, dtype=float), np.asarray(im, dtype=float))
+    m = re.astype(complex)
+    m.imag = im
+    return m
+
+
 def _sequence(x: object, name: str, of: str, item: Callable | None = None) -> list:
     """`x` as a list, `item` applied to each entry.  A non-iterable `x` or an entry
     `item` cannot convert (TypeError, ValueError, missing key) raises "<name> must be

@@ -61,8 +61,8 @@ class PointerConfig:
 
     def __post_init__(self) -> None:
         for name in ("g", "t", "sigma", "grid_halfwidth"):
-            _real(getattr(self, name), name)
-        _integer(self.grid_points, "grid_points")
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        object.__setattr__(self, "grid_points", _integer(self.grid_points, "grid_points"))
         if not (math.isfinite(self.g) and math.isfinite(self.t)):
             raise InvalidInputError("coupling and duration must be finite")
         if self.t < 0:
@@ -103,7 +103,7 @@ def _setup(state: DensityMatrix, projectors: object, post: object) -> tuple[tupl
     if plist[0].dim != 2:
         raise InvalidInputError("pointer simulation couples qubit projectors only")
     effect = _coerce_effect(post, "post")
-    return plist, effect, float(_overlap(state.matrix, effect))
+    return plist, effect, _overlap(state.matrix, effect)
 
 
 def _check_sim_resources(n_pointers: int, grid_points: int) -> None:

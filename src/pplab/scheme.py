@@ -44,6 +44,7 @@ from .operator_core import (
     SPECTRAL_TOL,
     STRUCTURAL_TOL,
     _close,
+    _complex_parts,
     _integer,
     _outcome_projectors,
     _real,
@@ -101,7 +102,8 @@ class ObservableSpec:
             m = require_square(as_complex_matrix(self.matrix, "matrix"), "matrix")
             if not _close(m, m.conj().T, STRUCTURAL_TOL):
                 raise InvalidInputError("observable must be Hermitian")
-            if not _close(m @ m, np.eye(m.shape[0]), SPECTRAL_TOL):
+            # A Hermitian A with A^2 = I has every |A_ij| <= 1: refuse larger ones before squaring.
+            if (np.abs(m) > 1 + SPECTRAL_TOL).any() or not _close(m @ m, np.eye(m.shape[0]), SPECTRAL_TOL):
                 raise InvalidInputError("observable must be dichotomic (square to identity)")
         object.__setattr__(self, "matrix", m)
         if not (self.label is None or isinstance(self.label, str)):
@@ -423,7 +425,7 @@ def scheme_to_json(s: Scheme) -> dict[str, object]:
 
 
 def _spec_from_json(d: dict) -> ObservableSpec:
-    m = None if "axis" in d else np.asarray(d["matrix"]["re"], dtype=float) + 1j * np.asarray(d["matrix"]["im"], dtype=float)
+    m = None if "axis" in d else _complex_parts(d["matrix"]["re"], d["matrix"]["im"])
     return ObservableSpec(d["subsystem"], axis=d.get("axis"), matrix=m, label=str(d.get("label", "")))
 
 

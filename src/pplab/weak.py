@@ -24,7 +24,6 @@ from .operator_core import (
     DensityMatrix,
     Projector,
     SPECTRAL_TOL,
-    _any,
     _check_density,
     _close,
     _expectations,
@@ -70,12 +69,12 @@ def _coerce_state(state: object, name: str) -> DensityMatrix:
     return DensityMatrix(as_complex_matrix(state, name))
 
 
-def _overlap(rho1: Array, rho2: Array) -> float | Array:
-    """Tr(rho2 rho1), the post-selection probability, for one `rho2` or a stack; it must exceed OVERLAP_FLOOR."""
-    overlap = (rho2 @ rho1).trace(axis1=-2, axis2=-1).real
-    if _any(overlap <= OVERLAP_FLOOR):
+def _overlap(rho1: Array, rho2: Array) -> float:
+    """Tr(rho2 rho1), the post-selection probability; it must exceed OVERLAP_FLOOR."""
+    overlap = float(np.trace(rho2 @ rho1).real)
+    if overlap <= OVERLAP_FLOOR:
         raise PostSelectionImpossibleError(
-            f"pre/post overlap {overlap.min():.3e} vanishes; post-selection impossible"
+            f"pre/post overlap {overlap:.3e} vanishes; post-selection impossible"
         )
     return overlap
 
@@ -88,7 +87,7 @@ def _post_select(op: Array, pre: object, post: object) -> tuple[DensityMatrix, D
         raise InvalidInputError(
             f"dimension mismatch: op {op.shape[0]}, pre {rho1.dim}, post {rho2.dim}"
         )
-    return rho1, rho2, float(_overlap(rho1.matrix, rho2.matrix))
+    return rho1, rho2, _overlap(rho1.matrix, rho2.matrix)
 
 
 def weak_value(
@@ -139,45 +138,41 @@ def real_weak_product(factors: object, pre: object, post: object) -> float:
 
 
 class _Terms(NamedTuple):
-    """The state-independent half of Born x weak for n specs, m of which have a rest."""
+    """The state-independent half of Born x weak for n specs."""
 
     labels: tuple[str, ...]
     coefficients: tuple[float, ...]
     groups: tuple[int, ...]
-    weak_rows: Array  # (m,) indices of the specs with a rest
-    ranks: Array  # (m,) their lead ranks
-    posts: Array  # (m, d, d) their post-selections lead/rank, checked as density matrices
-    ops: Array  # (n + m, d, d): every lead, then post @ rest of each weak row
+    weak: Array  # (n,) bool: the spec has a rest
+    floors: Array  # (n,) rank * OVERLAP_FLOOR, the Born factor a weak value needs
+    ops: Array  # (2n, d, d): every lead, then every lead @ rest (the lead itself without a rest)
 
 
 def _compile_terms(specs: list[tuple]) -> _Terms:
     """Compile (lead, rank, rest, label, coefficient, group) specs, each for
-    <(1/2)(lead rest + h.c.)>, into the stacks `_born_weak` contracts with a
-    state.  A rest of None marks a plain Born term: its weak part is exactly 1."""
+    <(1/2)(lead rest + h.c.)>, into the stack `_born_weak` contracts with a
+    state.  A rest of None marks a plain Born term: its weak part is exactly 1.
+    Each post-selection lead/rank is checked as a density matrix."""
     leads, ranks, rests, labels, coefficients, groups = zip(*specs)
-    rows = [i for i, r in enumerate(rests) if r is not None]
     leads = np.array(leads)
-    kept_ranks = np.array([ranks[i] for i in rows], dtype=float)
-    posts = _check_density(leads[rows] / kept_ranks[:, None, None])
-    products = posts @ np.array([rests[i] for i in rows])
-    return _Terms(labels, coefficients, groups, np.array(rows, dtype=int), kept_ranks, posts,
-                  np.concatenate([leads, products]))
+    ranks = np.array(ranks, dtype=float)
+    weak = np.array([r is not None for r in rests])
+    _check_density(leads[weak] / ranks[weak, None, None])
+    eye = np.eye(leads.shape[-1])
+    products = leads @ np.array([eye if r is None else r for r in rests])
+    return _Terms(labels, coefficients, groups, weak, ranks * OVERLAP_FLOOR, np.concatenate([leads, products]))
 
 
 def _born_weak(terms: _Terms, rho: Array) -> tuple[list[float], list[float | None]]:
-    """Born factors Re Tr(lead rho) of every compiled spec and the real weak values
-    Re Tr(post rest rho) / Tr(post rho), all from one contraction with the state `rho`;
-    None where that overlap, born/rank, would be refused (exactly so when rank is a
-    power of two)."""
+    """Born factors Re Tr(rho lead) of every compiled spec and real weak values Re Tr(rho lead rest)
+    / Re Tr(rho lead), all from one contraction with the state `rho`; None unless the Born factor
+    is above rank * OVERLAP_FLOOR, where the post-selection overlap born/rank would be refused."""
     values = _expectations(rho, terms.ops)
     n = len(terms.labels)
     born = values[:n]
-    kept = np.ones(n, dtype=bool)
-    weak = np.ones(n)
-    rows = terms.weak_rows
-    keep = born[rows] > terms.ranks * OVERLAP_FLOOR
-    kept[rows] = keep
-    weak[rows[keep]] = values[n:][keep] / _overlap(rho, terms.posts[keep])
+    above = born > terms.floors
+    weak = np.where(terms.weak, values[n:] / np.where(above, born, 1.0), 1.0)
+    kept = above | ~terms.weak
     return born.tolist(), [w if k else None for w, k in zip(weak.tolist(), kept.tolist())]
 
 

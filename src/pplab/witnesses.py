@@ -52,7 +52,7 @@ from .pseudoprojection import (
     symmetrized_pp,
     unit_pp,
 )
-from .scheme import _MARK, ObservableSpec, build_scheme, equality_sum, outcomes_to_string
+from .scheme import _MARK, ObservableSpec, build_scheme, outcomes_to_string
 from .weak import _Terms, _born_weak, _compile_terms
 
 __all__ = [
@@ -503,10 +503,6 @@ def chsh_test(
 
     sch1 = build_scheme(state, [A1, B1, B2], "unit")
     sch2 = build_scheme(state, [A2, B1, B2], "unit")
-    p_first = equality_sum(sch1, "0=1=2")
-    p_second = equality_sum(sch2, "0=1=~2")
-    statistic = p_first + p_second
-
     P = _outcome_projectors([o.matrix for o in (A1, A2, B1, B2)])
     entries = {
         "A1+B1+B2+": sch1.entry((+1, +1, +1)),
@@ -534,7 +530,7 @@ def chsh_test(
         {"state": _state_digest(state), "A1": A1.label, "A2": A2.label, "B1": B1.label, "B2": B2.label},
         entries,
         terms,
-        statistic,
+        sum(entries.values()),
         {"pauli_closed_form": closed, "chsh_value": chsh_value},
     )
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -493,3 +494,27 @@ def test_cli_refusal_exit_code_and_message(capsys, tmp_path, argv, code, named):
     assert got == code
     assert named in (out if code == 0 else err)
     assert "Traceback" not in out + err
+
+
+def test_state_file_with_an_infinite_part_is_refused_without_a_numpy_warning(capsys, tmp_path):
+    text = '{"dim": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, Infinity], [0, 0]]}'
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["test", "coherence", "--state", _state_file(tmp_path, text)])
+    assert code == 1 and out == ""
+    assert "not finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, ascii_argv",
+    [
+        (["pp", "eig", "--axes", "z−;x+"], ["pp", "eig", "--axes", "z-;x+"]),
+        (
+            ["pointer", "sim", "--bloch", "0.6,0,0", "--projectors", "0,0,1:−;x+", "--g", "0.05", "--t", "1.0"],
+            ["pointer", "sim", "--bloch", "0.6,0,0", "--projectors", "0,0,1:-;x+", "--g", "0.05", "--t", "1.0"],
+        ),
+    ],
+    ids=["axes", "projectors"],
+)
+def test_projector_tokens_accept_the_typographic_minus(capsys, argv, ascii_argv):
+    assert _run_json(capsys, argv) == _run_json(capsys, ascii_argv)

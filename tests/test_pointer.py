@@ -246,3 +246,9 @@ def test_simulation_requires_qubit_system():
     proj4 = haar_projector(rng, 4)
     with pytest.raises(InvalidInputError):
         simulate_pointers(rho4, [proj4], np.eye(4, dtype=complex), cfg)
+
+
+def test_config_keeps_the_values_it_validated():
+    cfg = PointerConfig(g=np.array(0.1), t=True, sigma=np.float32(1.5), grid_points=np.int64(64))
+    assert (cfg.g, cfg.t, cfg.sigma, cfg.grid_points) == (0.1, 1.0, 1.5, 64)
+    assert [type(v) for v in (cfg.g, cfg.t, cfg.sigma, cfg.grid_halfwidth, cfg.grid_points)] == [float] * 4 + [int]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -400,3 +401,20 @@ def test_marginalize_matches_the_outcome_loop(seed, n):
             for kept in itertools.product((+1, -1), repeat=n - 1)
         }
         assert list(marginalize(sch, drop).entries.items()) == list(expected.items())
+
+
+def test_huge_observable_matrix_is_refused_without_a_numpy_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="dichotomic"):
+            ObservableSpec(0, matrix=np.full((2, 2), 1e200))
+
+
+def test_matrix_record_with_an_infinite_part_is_refused_without_a_numpy_warning():
+    spec = ObservableSpec(0, matrix=np.diag([1.0, -1.0]))
+    record = scheme_to_json(build_scheme(bloch_state([0.6, 0.0, 0.0]), [spec], "unit"))
+    record["observables"][0]["matrix"]["im"] = [[0.0, math.inf], [0.0, 0.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="not finite"):
+            scheme_from_json(record)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from pplab import (
     weak_value,
 )
 from pplab import weak, witnesses
+from pplab.operator_core import _expectations
 from support import ginibre_density, haar_projector, haar_vector
 
 
@@ -180,3 +182,21 @@ def test_overlap_floor_and_pauli_matrices_have_one_home():
     assert floors == ["weak.py"]
     assert paulis == ["geometry.py"]
     assert not hasattr(witnesses, "BORN_FLOOR")
+
+
+def test_compiled_terms_are_read_from_one_contraction(monkeypatch):
+    """A weak term reads Re Tr(rho lead rest) / Re Tr(rho lead) and a plain Born
+    term reads 1, also at a zero Born factor, with no numpy warning; the weak
+    value of a lead with a zero Born factor is None."""
+    up, down, x_up = (qubit_projector(a, s).matrix for a, s in (([0, 0, 1], 1), ([0, 0, 1], -1), ([1, 0, 0], 1)))
+    terms = weak._compile_terms([(up, 1, x_up, "w", 1.0, 0), (down, 1, None, "b", 1.0, 0), (down, 1, x_up, "v", 1.0, 0)])
+    calls = []
+    monkeypatch.setattr(weak, "_expectations", lambda *a: calls.append(a) or _expectations(*a))
+    monkeypatch.setattr(weak, "_overlap", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        born, weak_values = weak._born_weak(terms, bloch_state([0, 0, 1]).matrix)
+    assert len(calls) == 1
+    assert born == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
+    assert weak_values[0] == pytest.approx(0.5, abs=1e-15)
+    assert weak_values[1:] == [1.0, None]

@@ -431,3 +431,11 @@ def test_rank_two_lead_below_the_overlap_floor_gives_a_none_term():
     report = discord_test(rho, math.pi / 2)
     assert [t.label for t in report.weak_terms if t.weak_value is None] == ["([1]a-)*([1]b1+b2+)"]
     _assert_self_consistent(report)
+
+
+def test_chsh_statistic_is_the_sum_of_its_entries():
+    rng = np.random.default_rng(117)
+    for _ in range(10):
+        specs = [ObservableSpec(sub, axis=random_unit_vector(rng)) for sub in (0, 0, 1, 1)]
+        report = chsh_test(ginibre_density(rng, 4), *specs)
+        assert report.statistic == sum(report.pseudo_probabilities.values())
