@@ -98,8 +98,8 @@ def qubit_projector(n: object, outcome: int = +1) -> Projector:
 
 def _qubit_projectors(axes: object) -> Array:
     """Projectors onto the +1 and -1 eigenspaces of sigma . n for each unit axis
-    n, as an (m, 2, 2, 2) stack indexed [axis, (+, -)], checked at once.  An
-    axis that is not finite or not unit length fails as in `unit_vector`."""
+    n, as an (m, 2, 2, 2) stack indexed [axis, (+, -)].  Only the axes are
+    checked: one that is not finite or not unit length fails as in `unit_vector`."""
     a = np.asarray(axes, dtype=float)
     for v in a[~(np.abs(np.linalg.norm(a, axis=1) - 1.0) <= SPECTRAL_TOL)]:
         unit_vector(v, "axis")

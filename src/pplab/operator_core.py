@@ -244,12 +244,10 @@ def _check_projector(m: Array) -> int | Array:
 
 
 def _outcome_projectors(ops: object) -> Array:
-    """(I + A)/2 and (I - A)/2 for each dichotomic A of an (m, d, d) stack, as an
-    (m, 2, d, d) stack indexed [operator, (+, -)], checked as projectors at once."""
+    """(I + A)/2 and (I - A)/2 for each dichotomic A of an (m, d, d) stack, as an (m, 2, d, d)
+    stack indexed [operator, (+, -)]; unchecked, as A comes from an ObservableSpec or a unit axis."""
     a = np.asarray(ops)
-    stack = 0.5 * (np.eye(a.shape[-1]) + np.stack([a, -a], axis=1))
-    _check_projector(stack)
-    return stack
+    return 0.5 * (np.eye(a.shape[-1]) + np.stack([a, -a], axis=1))
 
 
 @dataclass(frozen=True)

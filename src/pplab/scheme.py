@@ -21,8 +21,8 @@ Hill (Prog. Theor. Phys. 26, 722, 1961).  Cost per call, for a group of k
 observables: 2^k matrix products for unit, k 2^(k-1) for symmetrized and
 for uniform convex, and 2^k for each of the k!/2 orderings for weighted
 convex.  Then one contraction with the state per subsystem and an N 2^N
-transform.  Each group's outcome projectors are validated as one stack per
-call.
+transform.  Outcome projectors are checked once, when an ObservableSpec
+takes a matrix; a call only refuses A = +-I, by its trace.
 """
 from __future__ import annotations
 
@@ -43,6 +43,7 @@ from .operator_core import (
     Projector,
     SPECTRAL_TOL,
     STRUCTURAL_TOL,
+    _check_projector,
     _close,
     _complex_parts,
     _integer,
@@ -80,8 +81,8 @@ _SIGN = {_MARK[0]: +1, _MARK[1]: -1, "−": -1}
 class ObservableSpec:
     """One dichotomic observable attached to a subsystem.
 
-    Provide either a Bloch `axis` (qubit observable sigma.axis), kept as a
-    read-only copy, or a general Hermitian `matrix` squaring to the identity.
+    Provide either a Bloch `axis` (qubit observable sigma.axis), kept as a read-only
+    copy, or a Hermitian `matrix` squaring to I, whose outcome projectors are checked here.
     """
 
     subsystem: int
@@ -105,6 +106,8 @@ class ObservableSpec:
             # A Hermitian A with A^2 = I has every |A_ij| <= 1: refuse larger ones before squaring.
             if (np.abs(m) > 1 + SPECTRAL_TOL).any() or not _close(m @ m, np.eye(m.shape[0]), SPECTRAL_TOL):
                 raise InvalidInputError("observable must be dichotomic (square to identity)")
+            if abs(m.trace().real) <= len(m) - 1:  # A = +-I skips this; build_scheme refuses it
+                _check_projector(_outcome_projectors(m[None]))
         object.__setattr__(self, "matrix", m)
         if not (self.label is None or isinstance(self.label, str)):
             raise InvalidInputError(f"label must be a string, got {self.label!r}")
@@ -271,10 +274,9 @@ def build_scheme(
             f"subsystem dimensions {dims} do not compose to state dimension {state.dim}"
         )
 
-    # The moments use the observable matrices; their outcome projectors still
-    # have to pass Projector's checks (rank >= 1 rejects A = +-I).
-    for g in groups:
-        _outcome_projectors([obs[p].matrix for p in g])
+    # ObservableSpec checked the outcome projectors of every A but +-I, the A with |Tr A| > d - 1.
+    if any(abs(o.matrix.trace().real) > o.dim - 1 for o in obs):
+        raise InvalidInputError("projector invariant violated: rank >= 1")
     stacks = [_ordered_moments([obs[p].matrix for p in g], prescription, weights) for g in groups]
     moments = _joint_moments(state.matrix, dims, stacks)
     # Axes of `moments` run group by group, high bit first within a group;

@@ -22,9 +22,9 @@ from .errors import (
 from .operator_core import (
     Array,
     DensityMatrix,
+    MAX_DIM,
     Projector,
     SPECTRAL_TOL,
-    _check_density,
     _close,
     _expectations,
     _sequence,
@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 OVERLAP_FLOOR = 1e-12
+# Largest entry modulus of a weak value's operator: every product `weak_value` forms, and its
+# division by an overlap above OVERLAP_FLOOR, then stays inside the float range.
+MAX_ENTRY = OVERLAP_FLOOR * np.finfo(float).max / MAX_DIM**2
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,13 @@ def _coerce_state(state: object, name: str) -> DensityMatrix:
     if isinstance(state, Projector):
         return DensityMatrix(state.matrix / state.rank)
     return DensityMatrix(as_complex_matrix(state, name))
+
+
+def _bounded(m: Array, name: str, limit: float) -> Array:
+    """`m` if no entry has modulus above `limit`, checked before any arithmetic on it."""
+    if (np.abs(m) > limit).any():
+        raise InvalidInputError(f"{name} has an entry of modulus above {limit:.3g}")
+    return m
 
 
 def _overlap(rho1: Array, rho2: Array) -> float:
@@ -97,7 +107,7 @@ def weak_value(
     operator_label: str = "operator",
 ) -> WeakValueReport:
     """Tr(rho2 A rho1) / Tr(rho2 rho1) for pre-selection rho1, post-selection rho2."""
-    op = require_square(as_complex_matrix(a, "a"), "a")
+    op = _bounded(require_square(as_complex_matrix(a, "a"), "a"), "a", MAX_ENTRY)
     rho1, rho2, overlap = _post_select(op, pre, post)
     value = complex(np.trace(rho2.matrix @ op @ rho1.matrix) / overlap)
     if _close(op, op.conj().T, SPECTRAL_TOL):
@@ -123,10 +133,11 @@ def weak_value(
 
 
 def real_weak_product(factors: object, pre: object, post: object) -> float:
-    """Real part of the weak value of an ordered projector product."""
+    """Real part of the weak value of an ordered projector product.  A factor may be
+    any matrix with no entry of modulus above 1, as a projector's are."""
     mats = tuple(_sequence(
         factors, "factors", "projectors",
-        lambda f: f.matrix if isinstance(f, Projector) else as_complex_matrix(f, "factor"),
+        lambda f: f.matrix if isinstance(f, Projector) else _bounded(as_complex_matrix(f, "factor"), "factor", 1 + SPECTRAL_TOL),
     ))
     if not mats:
         raise InvalidInputError("need at least one factor")
@@ -152,12 +163,11 @@ def _compile_terms(specs: list[tuple]) -> _Terms:
     """Compile (lead, rank, rest, label, coefficient, group) specs, each for
     <(1/2)(lead rest + h.c.)>, into the stack `_born_weak` contracts with a
     state.  A rest of None marks a plain Born term: its weak part is exactly 1.
-    Each post-selection lead/rank is checked as a density matrix."""
+    Each lead/rank must be a state, as for the projectors the library builds; it is not checked here."""
     leads, ranks, rests, labels, coefficients, groups = zip(*specs)
     leads = np.array(leads)
     ranks = np.array(ranks, dtype=float)
     weak = np.array([r is not None for r in rests])
-    _check_density(leads[weak] / ranks[weak, None, None])
     eye = np.eye(leads.shape[-1])
     products = leads @ np.array([eye if r is None else r for r in rests])
     return _Terms(labels, coefficients, groups, weak, ranks * OVERLAP_FLOOR, np.concatenate([leads, products]))
@@ -180,11 +190,12 @@ def hj_decompose(product: Array) -> tuple[Array, Array]:
     """Split an operator product P into Hermitian parts (H, J), P = H - iJ.
 
     H = (P + P^dag)/2 carries the pseudo-probability; J = i(P - P^dag)/2
-    carries the imaginary-part physics.  Both returned matrices are Hermitian.
+    carries the imaginary-part physics.  Both returned matrices are Hermitian,
+    and finite for every finite P: each half is taken before the sum.
     """
     p = require_square(as_complex_matrix(product, "product"), "product")
-    h = 0.5 * (p + p.conj().T)
-    j = 0.5j * (p - p.conj().T)
+    h = 0.5 * p + 0.5 * p.conj().T
+    j = 0.5j * p - 0.5j * p.conj().T
     return h, j
 
 
@@ -204,6 +215,7 @@ def pp_weak_factorization(state: object, factors: object) -> dict[str, float]:
     pseudo = _expectations(rho.matrix, unit_pp(fs).matrix)
     mats = tuple(f.matrix for f in fs)
     rest = _ordered_product(mats, tuple(range(1, len(mats))))
+    _coerce_state(fs[0], "factors")  # the post-selection pi_1 / rank(pi_1) must be a state
     (born,), (weak,) = _born_weak(_compile_terms([(mats[0], fs[0].rank, rest, "", 1.0, 0)]), rho.matrix)
     if weak is None:
         raise FactorizationUndefinedError(

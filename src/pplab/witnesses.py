@@ -371,6 +371,7 @@ _CANONICAL_QUBITS = (
     ("x-pure", 0.5 * (IDENTITY_2 + PAULI_X)),
     ("z-pure", 0.5 * (IDENTITY_2 + PAULI_Z)),
 )
+_MAXIMALLY_MIXED = DensityMatrix(_CANONICAL_QUBITS[0][1])
 
 
 def boolean_state_indep_test(a1: object, a2: object) -> TestReport:
@@ -398,9 +399,8 @@ def boolean_state_indep_test(a1: object, a2: object) -> TestReport:
 
     # Weak decomposition against the maximally mixed state, one term per
     # distinct ordering of the four factors.
-    mixed = DensityMatrix(np.eye(2, dtype=complex) / 2)
     mats = tuple(p.matrix for p in ps)
-    terms = _pp_terms(mixed, _compile_terms([
+    terms = _pp_terms(_MAXIMALLY_MIXED, _compile_terms([
         (mats[order[0]], 1, _ordered_product(mats, order[1:]), "ordering " + "".join(map(str, order)), 1.0 / 12.0, 0)
         for order in distinct_orderings(4)
     ]))
@@ -518,7 +518,7 @@ def chsh_test(
 
     # Independent route: statistic = (2 + <A1(B1+B2)> + <A2(B1-B2)>)/4.  Each
     # observable is sigma.n with n = Tr(sigma A)/2: Hermitian, squaring to I and
-    # not +-I (its outcome projectors have rank 1) makes A traceless with |n| = 1.
+    # not +-I (build_scheme above refuses +-I) makes A traceless with |n| = 1.
     T = _pauli_coordinates(state.matrix)[1:, 1:]
     n1, n2, m1, m2 = (_pauli_coordinates(o.matrix)[1:] / 2.0 for o in (A1, A2, B1, B2))
     plus, minus = float(n1 @ T @ (m1 + m2)), float(n2 @ T @ (m1 - m2))

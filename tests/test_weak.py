@@ -200,3 +200,24 @@ def test_compiled_terms_are_read_from_one_contraction(monkeypatch):
     assert born == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
     assert weak_values[0] == pytest.approx(0.5, abs=1e-15)
     assert weak_values[1:] == [1.0, None]
+
+
+def test_huge_weak_layer_operands_are_refused_or_split_without_a_numpy_warning():
+    huge = np.full((2, 2), 1e308)
+    pre, post = bloch_state([0.6, 0.0, 0.0]), bloch_state([0.0, 0.0, 0.8])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="a has an entry of modulus above"):
+            weak_value(huge, pre, post)
+        with pytest.raises(InvalidInputError, match="factor has an entry of modulus above 1"):
+            real_weak_product([qubit_projector([0, 0, 1]), huge], pre, post)
+        with pytest.raises(InvalidInputError, match="need at least one factor"):
+            real_weak_product([], pre, post)
+        h, j = hj_decompose(huge)
+    assert np.array_equal(h, huge) and not j.any()
+    # The bound leaves room for the division by the smallest overlap weak_value takes.
+    edge = np.full((64, 64), weak.MAX_ENTRY)
+    state = DensityMatrix(np.eye(64) / 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(weak_value(edge, state, state).value)

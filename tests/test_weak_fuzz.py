@@ -4,8 +4,9 @@ gets, the only error that escapes is a PPLabError.
 Each case takes a valid call and replaces one of its arguments by a value
 drawn from BAD: the wrong type, the wrong shape, non-finite, empty,
 oversized, or a valid object of the wrong kind.  The run is derandomized and
-bounded, so it draws the same examples on every run.  Numpy warnings are not
-part of this gate: finite entries near the float range still overflow.
+bounded, so it draws the same examples on every run.  A plain run does not
+fail on a numpy warning; CI also runs this file with RuntimeWarning as an
+error, so an overflow on any drawn example fails there.
 """
 from __future__ import annotations
 
