@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import bloch_state, unit_vector
+from .geometry import _PAULIS, IDENTITY_2, bloch_state, pauli_vector, unit_vector
 from .operator_core import SPECTRAL_TOL, Array, _real, _sequence
-from .scheme import ObservableSpec, build_scheme
+from .pseudoprojection import _ordered_moments
+from .scheme import _outcomes, _scheme_rows
 
 __all__ = [
     "GameState",
@@ -36,8 +37,9 @@ __all__ = [
     "scan_strategies",
 ]
 
-# (++, --, +-, -+) labels for the four entries.
+# (++, --, +-, -+) labels for the four entries, and their columns in a `scheme._outcomes` row.
 OUTCOME_ORDER = ((+1, +1), (-1, -1), (+1, -1), (-1, +1))
+_COLUMNS = [_outcomes(2).index(k) for k in OUTCOME_ORDER]
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ class GameState:
 
     @property
     def score(self) -> float:
-        return game_score(self.scheme4)
+        return float(1.0 - min(self.scheme4))  # game_score without re-checking what __post_init__ did
 
 
 @dataclass(frozen=True)
@@ -113,27 +115,25 @@ def game_score(s: object) -> float:
     return float(1.0 - arr.min())
 
 
-def _observable_axes(theta: float) -> tuple[Array, Array]:
-    m = np.array([math.cos(theta), math.sin(theta), 0.0])
-    w = np.array([-math.sin(theta), math.cos(theta), 0.0])
-    return m, w
+def _finite(x: object, name: str) -> float:
+    x = _real(x, name)
+    if not math.isfinite(x):
+        raise InvalidInputError(f"{name} must be finite, got {x}")
+    return x
+
+
+def _schemes(rhos: Array, theta: float) -> list[tuple[float, float, float, float]]:
+    """The entries, in OUTCOME_ORDER, of the equatorial pair sigma.m, sigma.w with m = (cos theta, sin theta, 0)
+    and w = (-sin theta, cos theta, 0) in each state of the (T, 2, 2) stack `rhos`, from one contraction."""
+    c, s = math.cos(theta), math.sin(theta)
+    moments = _ordered_moments([pauli_vector([c, s, 0.0]), pauli_vector([-s, c, 0.0])], "unit")
+    return [tuple(row) for row in _scheme_rows(rhos, [moments], [[0, 1]])[:, _COLUMNS].tolist()]  # type: ignore[misc]
 
 
 def scheme_from_state(state_bloch: object, theta: float = 0.0) -> tuple[float, float, float, float]:
     """Four pseudo-probabilities of the equatorial observable pair at angle theta."""
     rho = bloch_state(state_bloch)
-    theta = _real(theta, "theta")
-    if not math.isfinite(theta):
-        raise InvalidInputError(f"theta must be finite, got {theta}")
-    m, w = _observable_axes(theta)
-    sch = build_scheme(rho, [ObservableSpec(0, axis=m), ObservableSpec(0, axis=w)], "unit")
-    return tuple(sch.entry(k) for k in OUTCOME_ORDER)  # type: ignore[return-value]
-
-
-def _rotate(p: Array, axis: Array, angle: float) -> Array:
-    c = math.cos(angle)
-    s = math.sin(angle)
-    return p * c + np.cross(axis, p) * s + axis * float(axis @ p) * (1.0 - c)
+    return _schemes(rho.matrix[None], _finite(theta, "theta"))[0]
 
 
 def evaluate_strategy(
@@ -146,37 +146,30 @@ def evaluate_strategy(
     """Score the scheme trajectory of a precessing state.
 
     The Bloch vector rotates by -omega_L * t about the Hamiltonian axis (the
-    Hamiltonian is minus half the frequency times the axis observable), the
-    scheme is rebuilt at every grid time, and the best scoring point is
-    reported.
+    Hamiltonian is minus half the frequency times the axis observable), and
+    the best scoring grid time is reported.  The inputs are checked once; the
+    states at all grid times form one stack for one scheme contraction.
     """
     bloch_state(bloch)  # shape, finiteness and |p| <= 1, once for the whole trajectory
     p0 = np.asarray(bloch, dtype=float)
     axis = unit_vector(hamiltonian_axis, "hamiltonian_axis")
-    omega_L = _real(omega_L, "omega_L")
-    if not math.isfinite(omega_L):
-        raise InvalidInputError(f"omega_L must be finite, got {omega_L}")
+    omega_L = _finite(omega_L, "omega_L")
     times = _sequence(t_grid, "t_grid", "numbers", float)
     if not times:
         raise InvalidInputError("need at least one time point")
     if not all(math.isfinite(t) for t in times):
         raise InvalidInputError("time grid entries must be finite")
+    theta = _finite(theta, "theta")
 
-    points = []
-    for t in times:
-        p_t = _rotate(p0, axis, -omega_L * t)
-        scheme = scheme_from_state(p_t, theta)
-        points.append(
-            GameState(
-                scheme4=scheme,
-                time=t,
-                omega_L=omega_L,
-                bloch=tuple(float(x) for x in p0),
-                hamiltonian_axis=tuple(float(x) for x in axis),
-            )
-        )
-    best = max(points, key=lambda g: g.score)
-    return StrategyReport(tuple(points), best.time, best.score)
+    # Rodrigues' rotation of p0 by the angle -omega_L * t of each grid time, one row each.
+    angles = -omega_L * np.array(times)
+    c, s = np.cos(angles)[:, None], np.sin(angles)[:, None]
+    points = p0 * c + np.cross(axis, p0) * s + axis * float(axis @ p0) * (1.0 - c)
+    rhos = 0.5 * (IDENTITY_2 + (points @ _PAULIS).reshape(-1, 2, 2))
+    context = {"omega_L": omega_L, "bloch": tuple(p0.tolist()), "hamiltonian_axis": tuple(axis.tolist())}
+    trajectory = tuple(GameState(scheme4=s4, time=t, **context) for s4, t in zip(_schemes(rhos, theta), times))
+    best = max(trajectory, key=lambda g: g.score)
+    return StrategyReport(trajectory, best.time, best.score)
 
 
 def scan_strategies(

@@ -38,6 +38,9 @@ Array = np.ndarray
 STRUCTURAL_TOL = 1e-12
 SPECTRAL_TOL = 1e-10
 MAX_DIM = 64
+# Entry modulus above which a state or projector is refused before any check can overflow; an
+# accepted one has |m_ij| <= its largest eigenvalue < 1 + 64 SPECTRAL_TOL, far below it.
+_ENTRY_LIMIT = 2.0
 
 
 def as_complex_matrix(m: object, name: str = "matrix") -> Array:
@@ -212,6 +215,13 @@ def resolve_tolerance() -> float:
     return tol
 
 
+def _bounded(m: Array, name: str, limit: float) -> Array:
+    """`m` if no entry has modulus above `limit`, checked before any arithmetic on it."""
+    if (np.abs(m) > limit).any():
+        raise InvalidInputError(f"{name} has an entry of modulus above {limit:.3g}")
+    return m
+
+
 def _check_density(m: Array) -> Array:
     """`m` if it is a density matrix, or every matrix of a (..., d, d) stack is."""
     require_square(m, "density matrix")
@@ -258,7 +268,7 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         m = as_complex_matrix(self.matrix, "density matrix")
-        _check_density(m)
+        _check_density(_bounded(m, "density matrix", _ENTRY_LIMIT))
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -282,7 +292,7 @@ class Projector:
 
     def __post_init__(self) -> None:
         m = as_complex_matrix(self.matrix, "projector")
-        rank = _check_projector(m)
+        rank = _check_projector(_bounded(m, "projector", _ENTRY_LIMIT))
         if self.rank and self.rank != rank:
             raise InvalidInputError(f"declared rank {self.rank} != trace rank {rank}")
         object.__setattr__(self, "matrix", m)

@@ -20,9 +20,9 @@ Hermitized orderings for convex).  This is the Hermitized-product quasiprobabili
 Hill (Prog. Theor. Phys. 26, 722, 1961).  Cost per call, for a group of k
 observables: 2^k matrix products for unit, k 2^(k-1) for symmetrized and
 for uniform convex, and 2^k for each of the k!/2 orderings for weighted
-convex.  Then one contraction with the state per subsystem and an N 2^N
-transform.  Outcome projectors are checked once, when an ObservableSpec
-takes a matrix; a call only refuses A = +-I, by its trace.
+convex.  Then one contraction per subsystem with a stack of states (one here, a
+trajectory in `game`) and an N 2^N transform.  Outcome projectors are checked once,
+when an ObservableSpec takes a matrix; a call only refuses A = +-I, by its trace.
 """
 from __future__ import annotations
 
@@ -230,27 +230,39 @@ def _outcomes(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product((+1, -1), repeat=n))
 
 
-def _joint_moments(rho: Array, dims: list[int], stacks: list[Array]) -> Array:
-    """Re Tr(rho (M_0[t_0] x M_1[t_1] x ...)) for every index tuple, as an
-    array with one axis per subsystem."""
+def _joint_moments(rhos: Array, dims: list[int], stacks: list[Array]) -> Array:
+    """Re Tr(rho (M_0[t_0] x M_1[t_1] x ...)) for each state rho of the stack `rhos` and every
+    index tuple, as an array with the stack axis and then one axis per subsystem."""
     g = len(dims)
     # Tr(rho X) = sum_ab rho[a, b] X[b, a]: pair each subsystem's (b, a)
     # indices of rho so that one contraction per subsystem does the trace.
-    interleave = [axis for sub in range(g) for axis in (g + sub, sub)]
-    t = rho.reshape(dims + dims).transpose(interleave).reshape([d * d for d in dims])
+    interleave = [0, *(1 + axis for sub in range(g) for axis in (g + sub, sub))]
+    t = rhos.reshape([len(rhos)] + dims + dims).transpose(interleave).reshape([len(rhos)] + [d * d for d in dims])
     for stack in stacks:
-        t = np.tensordot(t, stack.reshape(len(stack), -1), axes=([0], [1]))
+        t = np.tensordot(t, stack.reshape(len(stack), -1), axes=([1], [1]))
     return t.real
 
 
 def _walsh_hadamard(v: Array) -> Array:
-    """Unnormalized fast Walsh-Hadamard transform of a length-2^n vector."""
+    """Unnormalized fast Walsh-Hadamard transform of each row of a (T, 2^n) array."""
+    rows, size = v.shape
     h = 1
-    while h < v.size:
-        pairs = v.reshape(-1, 2, h)
+    while h < size:
+        pairs = v.reshape(-1, 2, h)  # blocks of 2h never straddle two rows
         v = np.concatenate((pairs[:, :1] + pairs[:, 1:], pairs[:, :1] - pairs[:, 1:]), axis=1)
         h *= 2
-    return v.reshape(-1)
+    return v.reshape(rows, size)
+
+
+def _scheme_rows(rhos: Array, stacks: list[Array], groups: list[list[int]]) -> Array:
+    """Entries, in `_outcomes` order, of one scheme in each state of the (T, D, D) stack `rhos`, as a (T, 2^n)
+    array; subsystem i holds the observables at positions groups[i], with `_ordered_moments` stacks[i]."""
+    moments = _joint_moments(rhos, [len(stack[0]) for stack in stacks], stacks)
+    # Axes of `moments` run group by group, high bit first within a group: reorder them to observable order.
+    axis_of = [p for positions in groups for p in reversed(positions)]
+    order = sorted(range(len(axis_of)), key=axis_of.__getitem__)  # argsort, cheaper in Python for n <= 8
+    moments = moments.reshape((len(rhos),) + (2,) * len(order)).transpose([0] + [1 + a for a in order])
+    return _walsh_hadamard(moments.reshape(len(rhos), -1)) / 2 ** len(order)
 
 
 def build_scheme(
@@ -278,12 +290,7 @@ def build_scheme(
     if any(abs(o.matrix.trace().real) > o.dim - 1 for o in obs):
         raise InvalidInputError("projector invariant violated: rank >= 1")
     stacks = [_ordered_moments([obs[p].matrix for p in g], prescription, weights) for g in groups]
-    moments = _joint_moments(state.matrix, dims, stacks)
-    # Axes of `moments` run group by group, high bit first within a group;
-    # reorder them to observable order before the transform.
-    axis_of = [p for positions in groups for p in reversed(positions)]
-    moments = moments.reshape((2,) * len(obs)).transpose(np.argsort(axis_of))
-    values = _walsh_hadamard(moments.reshape(-1)) / 2 ** len(obs)
+    values = _scheme_rows(state.matrix[None], stacks, groups)[0]
     entries = dict(zip(_outcomes(len(obs)), values.tolist()))
     return Scheme(observables=obs, entries=entries, prescription=prescription, weights=weights)
 

@@ -25,6 +25,7 @@ from .operator_core import (
     MAX_DIM,
     Projector,
     SPECTRAL_TOL,
+    _bounded,
     _close,
     _expectations,
     _sequence,
@@ -70,13 +71,6 @@ def _coerce_state(state: object, name: str) -> DensityMatrix:
     if isinstance(state, Projector):
         return DensityMatrix(state.matrix / state.rank)
     return DensityMatrix(as_complex_matrix(state, name))
-
-
-def _bounded(m: Array, name: str, limit: float) -> Array:
-    """`m` if no entry has modulus above `limit`, checked before any arithmetic on it."""
-    if (np.abs(m) > limit).any():
-        raise InvalidInputError(f"{name} has an entry of modulus above {limit:.3g}")
-    return m
 
 
 def _overlap(rho1: Array, rho2: Array) -> float:

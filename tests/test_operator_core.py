@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -192,3 +193,23 @@ def test_allclose_and_kron_live_only_in_operator_core():
         if "np.allclose(" in line or "np.kron(" in line
     ]
     assert offenders == []
+
+
+@pytest.mark.parametrize("build, name", [(DensityMatrix, "density matrix"), (Projector, "projector")])
+def test_huge_entries_are_refused_before_any_check_overflows(build, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=f"{name} has an entry of modulus above 2"):
+            build(np.full((2, 2), 1e308))
+        with pytest.raises(InvalidInputError, match=f"{name} has an entry of modulus above 2"):
+            build(np.diag([2.0 + 1e-15, -1.0]))
+
+
+def test_entries_up_to_the_bound_reach_the_invariant_checks():
+    # No accepted state or projector has an entry above 1 + 64 SPECTRAL_TOL, so inputs up
+    # to 2 keep the message of the invariant they break.
+    with pytest.raises(InvalidInputError, match="positive semidefinite"):
+        DensityMatrix(np.diag([2.0, -1.0]))
+    with pytest.raises(InvalidInputError, match="idempotent"):
+        Projector(np.diag([2.0, 0.0]))
+    assert operator_core._ENTRY_LIMIT > 1 + 64 * operator_core.SPECTRAL_TOL
