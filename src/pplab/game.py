@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import _PAULIS, IDENTITY_2, bloch_state, pauli_vector, unit_vector
+from .geometry import IDENTITY_2, _sigmas, bloch_state, unit_vector
 from .operator_core import SPECTRAL_TOL, Array, _real, _sequence
 from .pseudoprojection import _ordered_moments
 from .scheme import _outcomes, _scheme_rows
@@ -126,7 +126,7 @@ def _schemes(rhos: Array, theta: float) -> list[tuple[float, float, float, float
     """The entries, in OUTCOME_ORDER, of the equatorial pair sigma.m, sigma.w with m = (cos theta, sin theta, 0)
     and w = (-sin theta, cos theta, 0) in each state of the (T, 2, 2) stack `rhos`, from one contraction."""
     c, s = math.cos(theta), math.sin(theta)
-    moments = _ordered_moments([pauli_vector([c, s, 0.0]), pauli_vector([-s, c, 0.0])], "unit")
+    moments = _ordered_moments(_sigmas([[c, s, 0.0], [-s, c, 0.0]]), "unit")
     return [tuple(row) for row in _scheme_rows(rhos, [moments], [[0, 1]])[:, _COLUMNS].tolist()]  # type: ignore[misc]
 
 
@@ -165,7 +165,7 @@ def evaluate_strategy(
     angles = -omega_L * np.array(times)
     c, s = np.cos(angles)[:, None], np.sin(angles)[:, None]
     points = p0 * c + np.cross(axis, p0) * s + axis * float(axis @ p0) * (1.0 - c)
-    rhos = 0.5 * (IDENTITY_2 + (points @ _PAULIS).reshape(-1, 2, 2))
+    rhos = 0.5 * (IDENTITY_2 + _sigmas(points))
     context = {"omega_L": omega_L, "bloch": tuple(p0.tolist()), "hamiltonian_axis": tuple(axis.tolist())}
     trajectory = tuple(GameState(scheme4=s4, time=t, **context) for s4, t in zip(_schemes(rhos, theta), times))
     best = max(trajectory, key=lambda g: g.score)

@@ -76,9 +76,14 @@ def _pauli_coordinates(m: Array) -> Array:
     return _expectations(m, _PAULI_BASIS if len(m) == 2 else _PAULI_PAIRS)
 
 
+def _sigmas(vectors: object) -> Array:
+    """sigma . n for each real 3-vector n of an (m, 3) stack, as an (m, 2, 2) stack; the vectors are not checked."""
+    return (np.asarray(vectors, dtype=float) @ _PAULIS).reshape(-1, 2, 2)
+
+
 def pauli_vector(n: object) -> Array:
     """sigma . n for a unit 3-vector n."""
-    return (unit_vector(n, "axis") @ _PAULIS).reshape(2, 2)
+    return _sigmas(unit_vector(n, "axis"))[0]
 
 
 def bloch_state(p: object) -> DensityMatrix:
@@ -86,7 +91,7 @@ def bloch_state(p: object) -> DensityMatrix:
     a = _vector3(p, "Bloch vector")
     if np.linalg.norm(a) > 1.0 + STRUCTURAL_TOL:
         raise InvalidInputError(f"Bloch vector must satisfy |p| <= 1, got {np.linalg.norm(a):.12f}")
-    m = 0.5 * (IDENTITY_2 + (a @ _PAULIS).reshape(2, 2))
+    m = 0.5 * (IDENTITY_2 + _sigmas(a)[0])
     return DensityMatrix(m)
 
 
@@ -103,7 +108,7 @@ def _qubit_projectors(axes: object) -> Array:
     a = np.asarray(axes, dtype=float)
     for v in a[~(np.abs(np.linalg.norm(a, axis=1) - 1.0) <= SPECTRAL_TOL)]:
         unit_vector(v, "axis")
-    return _outcome_projectors((a @ _PAULIS).reshape(-1, 2, 2))
+    return _outcome_projectors(_sigmas(a))
 
 
 def _frozen(v: object, name: str) -> Array:

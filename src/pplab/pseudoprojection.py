@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,10 +133,9 @@ def _prescription_weights(prescription: object, group_sizes: Iterable[int], weig
     return tuple(_convex_weights(max(sizes, default=None), weights).tolist())
 
 
-def _ordering_sum(fs: tuple[Projector, ...], orders: object, weights: object) -> Array:
-    """sum_k w_k (1/2)(P_k + P_k^dag), P_k the product of `fs` in orders[k]:
+def _ordering_sum(mats: Sequence[Array], orders: object, weights: object) -> Array:
+    """sum_k w_k (1/2)(P_k + P_k^dag), P_k the product of the square `mats` in orders[k]:
     every prescription below, one ordered product at a time."""
-    mats = tuple(p.matrix for p in fs)
     acc = np.zeros_like(mats[0])
     for wi, order in zip(weights, orders):  # type: ignore[call-overload]
         prod = _ordered_product(mats, order)
@@ -147,14 +146,14 @@ def _ordering_sum(fs: tuple[Projector, ...], orders: object, weights: object) ->
 def unit_pp(factors: object) -> PseudoProjection:
     """(1/2)(pi_1 ... pi_N + h.c.) for one fixed factor ordering."""
     fs = _coerce_factors(factors)
-    return PseudoProjection(_ordering_sum(fs, [tuple(range(len(fs)))], [1.0]), fs, "unit")
+    return PseudoProjection(_ordering_sum([p.matrix for p in fs], [tuple(range(len(fs)))], [1.0]), fs, "unit")
 
 
 def symmetrized_pp(factors: object) -> PseudoProjection:
     """Equal-weight average of unit pseudo-projections over all orderings."""
     fs = _coerce_factors(factors)
     w = _convex_weights(len(fs), None)
-    return PseudoProjection(_ordering_sum(fs, distinct_orderings(len(fs)), w), fs, "symmetrized")
+    return PseudoProjection(_ordering_sum([p.matrix for p in fs], distinct_orderings(len(fs)), w), fs, "symmetrized")
 
 
 def convex_pp(factors: object, weights: object | None = None) -> PseudoProjection:
@@ -165,7 +164,7 @@ def convex_pp(factors: object, weights: object | None = None) -> PseudoProjectio
     """
     fs = _coerce_factors(factors)
     w = _convex_weights(len(fs), weights)
-    acc = _ordering_sum(fs, distinct_orderings(len(fs)), w)
+    acc = _ordering_sum([p.matrix for p in fs], distinct_orderings(len(fs)), w)
     return PseudoProjection(acc, fs, "convex", weights=tuple(w.tolist()))
 
 
@@ -263,10 +262,15 @@ def conjunction_pp(factors: object) -> PseudoProjection:
     dims = {m.shape[0] for m in mats}
     if len(dims) != 1:
         raise InvalidInputError(f"factor dimension mismatch: {sorted(dims)}")
+    return PseudoProjection(_nested(mats), tuple(flat), "nested")
+
+
+def _nested(mats: Sequence[Array]) -> Array:
+    """(1/2){m_1, (1/2){m_2, ... m_N}} for two or more square `mats`, nesting from the right."""
     acc = mats[-1]
     for m in reversed(mats[:-1]):
         acc = 0.5 * (m @ acc + acc @ m)
-    return PseudoProjection(acc, tuple(flat), "nested")
+    return acc
 
 
 def disjunction_pp(pa: object, pb: object) -> PseudoProjection:

@@ -265,6 +265,14 @@ def _scheme_rows(rhos: Array, stacks: list[Array], groups: list[list[int]]) -> A
     return _walsh_hadamard(moments.reshape(len(rhos), -1)) / 2 ** len(order)
 
 
+def _moments(obs: list[ObservableSpec], prescription: str, weights: tuple[float, ...] | None = None) -> Array:
+    """`_ordered_moments` of the matrices of the observables `obs` of one subsystem.  ObservableSpec
+    checked the outcome projectors of every A but +-I, the A with |Tr A| > d - 1: refuse those here."""
+    if any(abs(o.matrix.trace().real) > o.dim - 1 for o in obs):
+        raise InvalidInputError("projector invariant violated: rank >= 1")
+    return _ordered_moments([o.matrix for o in obs], prescription, weights)
+
+
 def build_scheme(
     state: DensityMatrix,
     observables: list[ObservableSpec] | tuple[ObservableSpec, ...],
@@ -286,10 +294,7 @@ def build_scheme(
             f"subsystem dimensions {dims} do not compose to state dimension {state.dim}"
         )
 
-    # ObservableSpec checked the outcome projectors of every A but +-I, the A with |Tr A| > d - 1.
-    if any(abs(o.matrix.trace().real) > o.dim - 1 for o in obs):
-        raise InvalidInputError("projector invariant violated: rank >= 1")
-    stacks = [_ordered_moments([obs[p].matrix for p in g], prescription, weights) for g in groups]
+    stacks = [_moments([obs[p] for p in g], prescription, weights) for g in groups]
     values = _scheme_rows(state.matrix[None], stacks, groups)[0]
     entries = dict(zip(_outcomes(len(obs)), values.tolist()))
     return Scheme(observables=obs, entries=entries, prescription=prescription, weights=weights)

@@ -126,13 +126,21 @@ def weak_value(
     )
 
 
+def _contraction(f: object) -> Array:
+    """A Projector's matrix, or `f` as a matrix with no entry of modulus and no spectral norm above 1."""
+    if isinstance(f, Projector):
+        return f.matrix
+    m = _bounded(as_complex_matrix(f, "factor"), "factor", 1 + SPECTRAL_TOL)  # bounded entries keep the SVD finite
+    norm = np.linalg.svd(m, compute_uv=False).max(initial=0.0)
+    if norm > 1 + SPECTRAL_TOL:
+        raise InvalidInputError(f"factor has spectral norm {norm:.6g}, above 1")
+    return m
+
+
 def real_weak_product(factors: object, pre: object, post: object) -> float:
-    """Real part of the weak value of an ordered projector product.  A factor may be
-    any matrix with no entry of modulus above 1, as a projector's are."""
-    mats = tuple(_sequence(
-        factors, "factors", "projectors",
-        lambda f: f.matrix if isinstance(f, Projector) else _bounded(as_complex_matrix(f, "factor"), "factor", 1 + SPECTRAL_TOL),
-    ))
+    """Real part of the weak value of an ordered projector product.  A factor may be any matrix
+    with no entry of modulus and no spectral norm above 1, as a projector's: no product overflows."""
+    mats = tuple(_sequence(factors, "factors", "projectors", _contraction))
     if not mats:
         raise InvalidInputError("need at least one factor")
     if {m.shape for m in mats} != {(len(mats[0]),) * 2}:

@@ -22,37 +22,15 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import (
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Z,
-    EntanglementGeometry,
-    _aperture,
-    _doublets,
-    _pauli_coordinates,
-    _qubit_projectors,
-    mub_partner,
-    qubit_projector,
-    unit_vector,
+    IDENTITY_2, PAULI_X, PAULI_Z, EntanglementGeometry, _aperture, _doublets, _pauli_coordinates, _qubit_projectors,
+    _sigmas, mub_partner, unit_vector,
 )
 from .operator_core import (
-    Array,
-    DensityMatrix,
-    STRUCTURAL_TOL,
-    _expectations,
-    _kron,
-    _outcome_projectors,
-    _require_state,
-    _sequence,
-    resolve_tolerance,
+    Array, DensityMatrix, STRUCTURAL_TOL, _expectations, _integer, _kron, _outcome_projectors, _real, _require_state,
+    _sequence, resolve_tolerance,
 )
-from .pseudoprojection import (
-    _ordered_product,
-    conjunction_pp,
-    distinct_orderings,
-    symmetrized_pp,
-    unit_pp,
-)
-from .scheme import _MARK, ObservableSpec, build_scheme, outcomes_to_string
+from .pseudoprojection import _convex_weights, _nested, _ordered_moments, _ordered_product, _ordering_sum, distinct_orderings
+from .scheme import _MARK, ObservableSpec, _moments, _outcomes, _scheme_rows, outcomes_to_string
 from .weak import _Terms, _born_weak, _compile_terms
 
 __all__ = [
@@ -149,7 +127,8 @@ def statistic_from_terms(terms: object, rule: str) -> float:
     def fields(t: object) -> tuple[float, float, int]:
         if isinstance(t, WeakTerm):
             return t.coefficient, t.pseudo_probability, t.group
-        return float(t["coefficient"]), float(t["pseudo_probability"]), int(t.get("group", 0))  # type: ignore[index,union-attr]
+        c, p = (_real(t[key], key) for key in ("coefficient", "pseudo_probability"))  # type: ignore[index]
+        return c, p, _integer(t.get("group", 0), "group")  # type: ignore[union-attr]
 
     triples = _sequence(terms, "terms", "weak terms", fields)
     if rule == RULE_SUM:
@@ -305,11 +284,11 @@ def coherence_test(state: DensityMatrix, a1: object, a2: object) -> TestReport:
     _require_dim(state, 2, "coherence_test")
     v1 = unit_vector(a1, "a1")
     v2 = unit_vector(a2, "a2")
-    obs = [ObservableSpec(0, axis=v1, label="a1"), ObservableSpec(0, axis=v2, label="a2")]
-    sch = build_scheme(state, obs, "unit")
-    statistic = sch.entry((+1, +1))
+    ops = _sigmas([v1, v2])
+    rows = _scheme_rows(state.matrix[None], [_ordered_moments(ops, "unit")], [[0, 1]])[0]
+    entries = dict(zip(map(outcomes_to_string, _outcomes(2)), rows.tolist()))
 
-    P = _qubit_projectors([v1, v2])
+    P = _outcome_projectors(ops)
     terms = _pp_terms(state, _compile_terms([(P[0, 0], 1, P[1, 0], "a1+ | a2+", 1.0, 0)]))
 
     # Independent route: (1/4)(1 + a1.a2 + p.(a1 + a2)) from the Pauli algebra.
@@ -319,9 +298,9 @@ def coherence_test(state: DensityMatrix, a1: object, a2: object) -> TestReport:
     return _report(
         "coherence",
         {"state": _state_digest(state), "a1": v1.tolist(), "a2": v2.tolist()},
-        {outcomes_to_string(k): v for k, v in sch.entries.items()},
+        entries,
         terms,
-        statistic,
+        entries["++"],
         {"pauli_closed_form": closed, "axis_angle": _axis_angle(v1, v2)},
     )
 
@@ -336,19 +315,16 @@ def boolean_state_dep_test(state: DensityMatrix, a1: object, a2: object) -> Test
     _require_dim(state, 2, "boolean_state_dep_test")
     v1 = unit_vector(a1, "a1")
     v2 = unit_vector(a2, "a2")
-    p1 = qubit_projector(v1, +1)
-    p2 = qubit_projector(v2, +1)
-    p1bar = qubit_projector(v1, -1)
+    P = _qubit_projectors([v1, v2])
+    p1, p2, p1bar = P[0, 0], P[1, 0], P[0, 1]
 
-    nested = conjunction_pp([p1, p2, p1bar])
-    flat = unit_pp([p1, p2, p1bar])
-    statistic = _expectations(state.matrix, nested.matrix)
-    flat_value = _expectations(state.matrix, flat.matrix)
+    statistic = _expectations(state.matrix, _nested([p1, p2, p1bar]))
+    flat_value = _expectations(state.matrix, _ordering_sum([p1, p2, p1bar], [(0, 1, 2)], [1.0]))
 
     # Nested conjunction splits into two ordered products with weight 1/2.
     terms = _pp_terms(state, _compile_terms([
-        (p1.matrix, 1, p2.matrix @ p1bar.matrix, "a1+ | a2+ a1-", 0.5, 0),
-        (p1.matrix, 1, p1bar.matrix @ p2.matrix, "a1+ | a1- a2+", 0.5, 0),
+        (p1, 1, p2 @ p1bar, "a1+ | a2+ a1-", 0.5, 0),
+        (p1, 1, p1bar @ p2, "a1+ | a1- a2+", 0.5, 0),
     ]))
 
     k = float(v1 @ v2)
@@ -386,23 +362,19 @@ def boolean_state_indep_test(a1: object, a2: object) -> TestReport:
     """
     v1 = unit_vector(a1, "a1")
     v2 = unit_vector(a2, "a2")
-    ps = [
-        qubit_projector(v1, +1),
-        qubit_projector(v2, +1),
-        qubit_projector(v1, -1),
-        qubit_projector(v2, -1),
-    ]
-    pp = symmetrized_pp(ps)
-    values = {name: _expectations(rho, pp.matrix) for name, rho in _CANONICAL_QUBITS}
+    P = _qubit_projectors([v1, v2])
+    mats = (P[0, 0], P[1, 0], P[0, 1], P[1, 1])
+    orders = distinct_orderings(4)
+    pp = _ordering_sum(mats, orders, _convex_weights(4, None))
+    values = {name: _expectations(rho, pp) for name, rho in _CANONICAL_QUBITS}
     statistic = values["maximally-mixed"]
     spread = max(values.values()) - min(values.values())
 
     # Weak decomposition against the maximally mixed state, one term per
     # distinct ordering of the four factors.
-    mats = tuple(p.matrix for p in ps)
     terms = _pp_terms(_MAXIMALLY_MIXED, _compile_terms([
         (mats[order[0]], 1, _ordered_product(mats, order[1:]), "ordering " + "".join(map(str, order)), 1.0 / 12.0, 0)
-        for order in distinct_orderings(4)
+        for order in orders
     ]))
 
     k = float(v1 @ v2)
@@ -445,23 +417,21 @@ def distributivity_test(state: DensityMatrix, a1: object, a2: object, a3: object
     v1 = unit_vector(a1, "a1")
     v2 = unit_vector(a2, "a2")
     v3 = unit_vector(a3, "a3")
-    p1 = qubit_projector(v1, +1)
-    p2 = qubit_projector(v2, +1)
-    p3 = qubit_projector(v3, +1)
+    p1, p2, p3 = _qubit_projectors([v1, v2, v3])[:, 0]
 
-    chained = unit_pp([p2, p1, p3])
-    factored = conjunction_pp([p1, unit_pp([p2, p3])])
-    gap = chained.matrix - factored.matrix
-    statistic, chained_value, factored_value = _expectations(state.matrix, [gap, chained.matrix, factored.matrix]).tolist()
+    chained = _ordering_sum([p2, p1, p3], [(0, 1, 2)], [1.0])
+    factored = _nested([p1, _ordering_sum([p2, p3], [(0, 1)], [1.0])])
+    gap = chained - factored
+    statistic, chained_value, factored_value = _expectations(state.matrix, [gap, chained, factored]).tolist()
 
     # Independent route: (1/8) p.[(a1.a3) a2 + (a1.a2) a3 - 2 (a2.a3) a1] from the Pauli algebra.
     bloch = _pauli_coordinates(state.matrix)[1:]
     closed = 0.125 * float(bloch @ (float(v1 @ v3) * v2 + float(v1 @ v2) * v3 - 2.0 * float(v2 @ v3) * v1))
 
     terms = _pp_terms(state, _compile_terms([
-        (p2.matrix, 1, p1.matrix @ p3.matrix, "a2+ | a1+ a3+", 1.0, 0),
-        (p1.matrix, 1, p2.matrix @ p3.matrix, "a1+ | a2+ a3+", -0.5, 0),
-        (p1.matrix, 1, p3.matrix @ p2.matrix, "a1+ | a3+ a2+", -0.5, 0),
+        (p2, 1, p1 @ p3, "a2+ | a1+ a3+", 1.0, 0),
+        (p1, 1, p2 @ p3, "a1+ | a2+ a3+", -0.5, 0),
+        (p1, 1, p3 @ p2, "a1+ | a3+ a2+", -0.5, 0),
     ]))
 
     return _report(
@@ -501,15 +471,11 @@ def chsh_test(
         if o.dim != 2:
             raise InvalidInputError(f"{name} must be a qubit observable")
 
-    sch1 = build_scheme(state, [A1, B1, B2], "unit")
-    sch2 = build_scheme(state, [A2, B1, B2], "unit")
+    b = _moments([B1, B2], "unit")
+    # The tables of (A1, B1, B2) and (A2, B1, B2), in `_outcomes` order: +++, ++-, --+ and --- are rows 0, 1, 6 and 7.
+    t1, t2 = (_scheme_rows(state.matrix[None], [_moments([a], "unit"), b], [[0], [1, 2]])[0].tolist() for a in (A1, A2))
+    entries = {"A1+B1+B2+": t1[0], "A1-B1-B2-": t1[7], "A2+B1+B2-": t2[1], "A2-B1-B2+": t2[6]}
     P = _outcome_projectors([o.matrix for o in (A1, A2, B1, B2)])
-    entries = {
-        "A1+B1+B2+": sch1.entry((+1, +1, +1)),
-        "A1-B1-B2-": sch1.entry((-1, -1, -1)),
-        "A2+B1+B2-": sch2.entry((+1, +1, -1)),
-        "A2-B1-B2+": sch2.entry((-1, -1, +1)),
-    }
     # Rows 0-3 of P are A1, A2, B1, B2; A2's entries take B2's opposite outcome.
     terms = _pp_terms(state, _compile_terms([
         (_kron(P[a, o], P[2, o]), 1, _embed(P[3, o ^ a], 1), f"A{a + 1}{_MARK[o]}B1{_MARK[o]} | B2{_MARK[o ^ a]}", 1.0, 0)
@@ -518,7 +484,7 @@ def chsh_test(
 
     # Independent route: statistic = (2 + <A1(B1+B2)> + <A2(B1-B2)>)/4.  Each
     # observable is sigma.n with n = Tr(sigma A)/2: Hermitian, squaring to I and
-    # not +-I (build_scheme above refuses +-I) makes A traceless with |n| = 1.
+    # not +-I (_moments above refuses +-I) makes A traceless with |n| = 1.
     T = _pauli_coordinates(state.matrix)[1:, 1:]
     n1, n2, m1, m2 = (_pauli_coordinates(o.matrix)[1:] / 2.0 for o in (A1, A2, B1, B2))
     plus, minus = float(n1 @ T @ (m1 + m2)), float(n2 @ T @ (m1 - m2))

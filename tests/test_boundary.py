@@ -521,3 +521,18 @@ def test_refusal_class_and_message(call, message):
         call()
     assert type(info.value) is InvalidInputError
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("term, message", [
+    ({"coefficient": "2", "pseudo_probability": "0.5", "group": 1.7}, "coefficient must be a real number, got '2'"),
+    ({"coefficient": 2.0, "pseudo_probability": "0.5"}, "pseudo_probability must be a real number, got '0.5'"),
+    ({"coefficient": 2.0, "pseudo_probability": 0.5, "group": 1.7}, "group must be an integer, got 1.7"),
+    ({"coefficient": 2.0, "pseudo_probability": 0.5, "group": True}, "group must be an integer, got True"),
+])
+def test_statistic_from_terms_reads_dict_terms_as_numbers(term, message):
+    """A string number or a non-integer group used to be converted, by float() and int()."""
+    for rule in ("sum", "max_group_sum"):
+        with pytest.raises(InvalidInputError) as info:
+            statistic_from_terms([term], rule)
+        assert type(info.value) is InvalidInputError
+        assert str(info.value) == message

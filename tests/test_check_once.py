@@ -18,11 +18,15 @@ from pplab import (
     InvalidInputError,
     ObservableSpec,
     Projector,
+    Scheme,
     bloch_state,
+    boolean_state_dep_test,
+    boolean_state_indep_test,
     build_scheme,
     chsh_test,
     coherence_test,
     discord_test,
+    distributivity_test,
     linear_ent_test,
     make_entanglement_geometry,
     nonlinear_ent_test,
@@ -31,7 +35,7 @@ from pplab import (
     weak_value,
     werner_state,
 )
-from pplab import operator_core
+from pplab import operator_core, scheme
 from pplab.geometry import PAULI_X, PAULI_Z
 
 CHECKS = ("_check_projector", "_check_density")
@@ -127,3 +131,43 @@ def test_a_matrix_within_tolerance_of_the_identity_is_refused_by_its_trace():
     near = ObservableSpec(0, matrix=np.diag([1.0, 1.0 - 1e-6]))
     with pytest.raises(InvalidInputError, match="projector invariant violated: rank >= 1"):
         build_scheme(bloch_state([0.1, 0.2, 0.3]), [near], "unit")
+
+
+def _count_builds(monkeypatch) -> list[str]:
+    """Names of the checked classes constructed, and one "build_scheme" per call of it, from now on."""
+    built: list[str] = []
+    for cls in (Projector, ObservableSpec, Scheme):
+        def counting(self, original=cls.__post_init__, name=cls.__name__):
+            built.append(name)
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+
+    def counting_build(*args, original=scheme.build_scheme, **kwargs):
+        built.append("build_scheme")
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "pplab" or name.startswith("pplab.")) and getattr(module, "build_scheme", None) is build_scheme:
+            monkeypatch.setattr(module, "build_scheme", counting_build)
+    return built
+
+
+def test_single_qubit_witnesses_and_chsh_build_nothing_that_checks_again(monkeypatch):
+    """The five witnesses read their checked inputs through the kernels: no check runs
+    again, and no Projector, ObservableSpec or Scheme is built on the way."""
+    state, qubit = werner_state(0.8), bloch_state([0.1, 0.2, 0.3])
+    A1 = ObservableSpec(0, matrix=(PAULI_Z + PAULI_X) / math.sqrt(2.0))
+    z, x, y = [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+    calls, built = _count_checks(monkeypatch), _count_builds(monkeypatch)
+
+    coherence_test(qubit, z, x)
+    boolean_state_dep_test(qubit, z, x)
+    boolean_state_indep_test(z, x)
+    distributivity_test(qubit, z, x, y)
+    chsh_test(state, A1, A2, B1, B2)
+    assert calls == []
+    assert built == []
+    # The counters see what they count.
+    scheme.build_scheme(qubit, [ObservableSpec(0, axis=z)], "unit")
+    assert built == ["ObservableSpec", "build_scheme", "Scheme"]

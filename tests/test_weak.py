@@ -164,6 +164,20 @@ def test_real_weak_product_names_a_dimension_mismatch():
         real_weak_product([np.eye(2), np.eye(4)], z, x)
 
 
+def test_real_weak_product_refuses_a_factor_of_spectral_norm_above_one():
+    """Entries of modulus 1 pass the entry bound, but 200 all-ones factors would overflow
+    their product; a factor of norm 1 that is no projector, sigma_z, stays accepted."""
+    state = DensityMatrix(np.eye(64) / 64)
+    z, x = bloch_state([0, 0, 1]), bloch_state([1, 0, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="factor has spectral norm 64, above 1"):
+            real_weak_product([np.ones((64, 64))] * 200, state, state)
+        with pytest.raises(InvalidInputError, match="factor has spectral norm 1.41421, above 1"):
+            real_weak_product([np.array([[1.0, 1.0], [0.0, 0.0]])], z, x)
+        assert real_weak_product([pauli_vector([0, 0, 1])] * 201, z, x) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_pp_weak_factorization_rejects_a_non_collection():
     with pytest.raises(InvalidInputError, match="factors must be an ordered collection of projectors"):
         pp_weak_factorization(bloch_state([0, 0, 1]), 5)
