@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import IDENTITY_2, _sigmas, bloch_state, unit_vector
-from .operator_core import SPECTRAL_TOL, Array, _real, _sequence
+from .operator_core import SPECTRAL_TOL, Array, _finite, _real, _real_array, _sequence
 from .pseudoprojection import _ordered_moments
 from .scheme import _outcomes, _scheme_rows
 
@@ -69,7 +69,7 @@ class StrategyReport:
 
 def _validate_scheme4(s: object) -> Array:
     try:
-        arr = np.asarray(s, dtype=float)
+        arr = _real_array(s)
     except (TypeError, ValueError):
         raise InvalidInputError(f"scheme must be 4 real numbers, got {s!r}") from None
     if arr.shape != (4,):
@@ -113,13 +113,6 @@ def game_score(s: object) -> float:
     """1 - min entry: the largest sum of three entries."""
     arr = _validate_scheme4(s)
     return float(1.0 - arr.min())
-
-
-def _finite(x: object, name: str) -> float:
-    x = _real(x, name)
-    if not math.isfinite(x):
-        raise InvalidInputError(f"{name} must be finite, got {x}")
-    return x
 
 
 def _schemes(rhos: Array, theta: float) -> list[tuple[float, float, float, float]]:

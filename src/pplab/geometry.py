@@ -9,7 +9,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .operator_core import (
-    Array, DensityMatrix, Projector, SPECTRAL_TOL, STRUCTURAL_TOL, _close, _expectations, _outcome_projectors, _real, _sequence, _sign,
+    Array, DensityMatrix, Projector, SPECTRAL_TOL, STRUCTURAL_TOL, _bounded, _close, _expectations, _outcome_projectors, _real,
+    _real_array, _sequence, _sign,
 )
 
 __all__ = [
@@ -45,18 +46,23 @@ AXIS_ALIGNMENT_CUTOFF = 0.9
 _X = np.array([1.0, 0.0, 0.0])
 _Y = np.array([0.0, 1.0, 0.0])
 _Z = np.array([0.0, 0.0, 1.0])
+# Largest entry modulus of a 3-vector: its norm then stays finite.  No vector the
+# library accepts has an entry above 1, so this only refuses norms that would overflow.
+_VECTOR_LIMIT = 1e100
 
 
 def _vector3(v: object, name: str) -> Array:
-    """A finite real 3-vector, or InvalidInputError naming `name`."""
+    """A finite real 3-vector with no entry above _VECTOR_LIMIT, or InvalidInputError naming `name`."""
     try:
-        a = np.asarray(v, dtype=float)
+        a = _real_array(v)
     except (TypeError, ValueError):
         raise InvalidInputError(f"{name} must be a real 3-vector") from None
     if a.shape != (3,):
         raise InvalidInputError(f"{name} must be a real 3-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError(f"{name} is not finite: {a.tolist()}")
+    if not (np.abs(a) <= _VECTOR_LIMIT).all():
+        if not np.isfinite(a).all():
+            raise InvalidInputError(f"{name} is not finite: {a.tolist()}")
+        _bounded(a, name, _VECTOR_LIMIT)
     return a
 
 

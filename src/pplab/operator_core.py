@@ -6,6 +6,7 @@ so no sparsity or blocking; correctness and exact contracts over speed.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable
@@ -85,13 +86,33 @@ def _integer(x: object, name: str) -> int:
 
 
 def _real(x: object, name: str) -> float:
-    """`x` as a float; a string, or anything float() refuses, raises "<name> must be a real number"."""
-    if not isinstance(x, (str, bytes)):
+    """`x` as a float; a string, a numpy complex scalar (float() would drop its imaginary part with a
+    warning), or anything float() refuses, a Python complex too, raises "<name> must be a real number"."""
+    if not isinstance(x, (str, bytes, np.complexfloating)):
         try:
             return float(x)  # type: ignore[arg-type]
         except (TypeError, ValueError):
             pass
     raise InvalidInputError(f"{name} must be a real number, got {x!r}")
+
+
+def _finite(x: object, name: str) -> float:
+    """`x` as a finite float, refused as in `_real` or with "<name> must be finite"."""
+    x = _real(x, name)
+    if not math.isfinite(x):
+        raise InvalidInputError(f"{name} must be finite, got {x}")
+    return x
+
+
+def _real_array(x: object) -> Array:
+    """`x` as a float array; TypeError or ValueError unless it holds real numbers, so a
+    complex array is refused rather than cast with a warning that drops its imaginary part."""
+    a = np.asarray(x)
+    if a.dtype.char != "d":
+        if a.dtype.kind == "c":
+            raise TypeError("complex values")
+        a = a.astype(float)
+    return a
 
 
 def _sign(outcome: object) -> int:

@@ -25,8 +25,8 @@ from .errors import (
 )
 from .geometry import _pauli_coordinates
 from .operator_core import (
-    SPECTRAL_TOL, STRUCTURAL_TOL, Array, DensityMatrix, Projector, _close, _expectations, _integer, _real, _require_state,
-    _sequence, as_complex_matrix,
+    _ENTRY_LIMIT, SPECTRAL_TOL, STRUCTURAL_TOL, Array, DensityMatrix, Projector, _bounded, _close, _expectations,
+    _integer, _real, _require_state, _sequence, as_complex_matrix,
 )
 from .pseudoprojection import _coerce_factors, _ordered_moments
 from .weak import OVERLAP_FLOOR, _overlap
@@ -47,6 +47,14 @@ MAX_ANALYTIC_POINTERS = 6
 # amplitudes for every d <= 64.
 _GRID_CAPS = {1: 4096, 2: 128, 3: 64}
 MAX_SIM_POINTERS = max(_GRID_CAPS)
+
+# A simulation runs in units of the pointer width and scales its results by
+# sigma^N, by 1 / (g t / sigma)^N and, in a fit, by each (g t / sigma)^N; a
+# prediction by (g t / 2)^N.  Results in width units stay below about 1e17
+# (grid_halfwidth^N <= 32^3 on a grid within its cap, effect entries of
+# modulus at most 2, overlaps above OVERLAP_FLOOR), so every factor within
+# [1 / _SCALE_LIMIT, _SCALE_LIMIT] keeps them, and a fit's sums of squares, finite.
+_SCALE_LIMIT = 1e100
 
 
 @dataclass(frozen=True)
@@ -76,6 +84,11 @@ class PointerConfig:
             raise InvalidInputError(
                 f"grid_halfwidth must be at least 6 pointer widths, got {self.grid_halfwidth}"
             )
+        if self.grid_halfwidth > n / 2:
+            raise InvalidInputError(
+                f"grid_halfwidth must be at most grid_points / 2 = {n // 2} pointer widths,"
+                f" so the grid spacing resolves the pointer, got {self.grid_halfwidth}"
+            )
 
 
 @dataclass(frozen=True)
@@ -90,6 +103,7 @@ def _coerce_effect(post: object, name: str) -> Array:
     m = post.matrix if isinstance(post, (DensityMatrix, Projector)) else as_complex_matrix(post, name)
     if m.shape != (2, 2):
         raise InvalidInputError(f"{name} must be 2x2, got {m.shape}")
+    _bounded(m, name, _ENTRY_LIMIT)
     if not _close(m, m.conj().T, STRUCTURAL_TOL):
         raise InvalidInputError(f"{name} must be Hermitian")
     return m
@@ -119,6 +133,24 @@ def _check_sim_resources(n_pointers: int, grid_points: int) -> None:
         )
 
 
+def _power(x: float, n: int, name: str, low: float) -> float:
+    """x^n, refused with a message naming `name` unless low <= |x^n| <= _SCALE_LIMIT."""
+    try:
+        p = x ** n
+    except OverflowError:
+        p = math.inf
+    if not low <= abs(p) <= _SCALE_LIMIT:
+        raise InvalidInputError(
+            f"{name} = {x:.6g} is out of range: |{name}|^{n} must lie within [{low:.3g}, {_SCALE_LIMIT:.3g}]"
+        )
+    return p
+
+
+def _kick(cfg: PointerConfig, n: int, low: float = 1 / _SCALE_LIMIT) -> float:
+    """(g t / sigma)^n, the n pointers' weak-coupling scale in units of the pointer width."""
+    return _power(cfg.g * cfg.t / cfg.sigma, n, "g * t / sigma", low)
+
+
 def _pointer_pseudo_probability(
     state: DensityMatrix, projectors: tuple[Projector, ...], effect: Array, overlap: float
 ) -> float:
@@ -127,15 +159,17 @@ def _pointer_pseudo_probability(
 
 
 def _correlation(state: DensityMatrix, projectors: tuple[Projector, ...], effect: Array, cfg: PointerConfig) -> float:
+    """<(x_1 / sigma) ... (x_N / sigma)> after post-selection: the correlation in units of the
+    pointer width, computed on a grid of positions x / sigma with the kick g t / sigma."""
     n_pointers = len(projectors)
     n = cfg.grid_points
-    half = cfg.grid_halfwidth * cfg.sigma
+    half = cfg.grid_halfwidth
     xs = np.linspace(-half, half, n, endpoint=False)
     dx = xs[1] - xs[0]
     ks = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
 
     # Product of identical Gaussians, discretely normalized.
-    psi1 = np.exp(-(xs ** 2) / (4.0 * cfg.sigma ** 2)).astype(complex)
+    psi1 = np.exp(-(xs ** 2) / 4.0).astype(complex)
     psi1 /= math.sqrt(float(np.sum(np.abs(psi1) ** 2)))
     phik = np.fft.fftn(functools.reduce(np.multiply.outer, [psi1] * n_pointers))
 
@@ -146,7 +180,7 @@ def _correlation(state: DensityMatrix, projectors: tuple[Projector, ...], effect
     beta = [sum(cv[a] * kg for cv, kg in zip(comps, kgrids)) for a in (1, 2, 3)]
     bnorm = np.sqrt(beta[0] ** 2 + beta[1] ** 2 + beta[2] ** 2)
 
-    gt = cfg.g * cfg.t
+    gt = cfg.g * cfg.t / cfg.sigma
     phase = np.exp(-1j * gt * alpha)
     cosb = np.cos(gt * bnorm)
     # sin(gt b)/b with its b -> 0 limit gt.
@@ -202,22 +236,22 @@ def simulate_pointers(
     pseudo-probability.  convergence_estimate is the relative change of the
     correlation under grid refinement: doubled points when that stays within
     the grid cap, otherwise halved (a grid at its cap has at least 64 points).
+    Both (g t / sigma)^N and sigma^N must lie within [1e-100, 1e100].
     """
     plist, effect, overlap = _setup(state, projectors, post)
-    _check_sim_resources(len(plist), cfg.grid_points)
+    n = len(plist)
+    _check_sim_resources(n, cfg.grid_points)
+    width, kick = _power(cfg.sigma, n, "sigma", 1 / _SCALE_LIMIT), _kick(cfg, n)
 
     correlation = _correlation(state, plist, effect, cfg)
     pp = _pointer_pseudo_probability(state, plist, effect, overlap)
-    gt = cfg.g * cfg.t
-    scale = gt ** len(plist)
-    ratio = correlation / scale if abs(scale) > 0 else math.nan
 
     doubled = 2 * cfg.grid_points
-    refined = doubled if doubled <= _GRID_CAPS[len(plist)] else cfg.grid_points // 2
+    refined = doubled if doubled <= _GRID_CAPS[n] else cfg.grid_points // 2
     other = _correlation(state, plist, effect, replace(cfg, grid_points=refined))
     estimate = abs(correlation - other) / max(abs(correlation), abs(other), 1e-300)
 
-    return PointerResult(correlation, pp, ratio, estimate)
+    return PointerResult(correlation * width, pp, correlation / kick, estimate)
 
 
 def perturbative_prediction(
@@ -245,10 +279,10 @@ def perturbative_prediction(
 
     # Entry `mask` of the stack is Sym(S) for the subset S with that bit mask,
     # so the reversed stack holds each complement Sym(~S).
+    scale = _power(cfg.g * cfg.t / 2.0, len(plist), "g * t / 2", 0.0)
     sym = _ordered_moments([p.matrix for p in plist], "symmetrized")
     total = np.trace(effect @ sym @ state.matrix @ sym[::-1], axis1=1, axis2=2).sum()
-    gt_half = cfg.g * cfg.t / 2.0
-    return float(np.real(total)) * gt_half ** len(plist) / den
+    return float(np.real(total)) * scale / den
 
 
 def proportionality_check(
@@ -262,7 +296,8 @@ def proportionality_check(
 
     Returns the fitted slope, the pseudo-probability it should track, and
     their relative deviation.  A through-origin least-squares fit is enough:
-    the correlation is odd in g at order N.
+    the correlation is odd in g at order N.  It is made in units of the
+    pointer width, where each (g t / sigma)^N must be at most 1e100.
     """
     gs = _sequence(couplings, "couplings", "numbers", float)
     if len(gs) < 3:
@@ -270,8 +305,9 @@ def proportionality_check(
     plist, effect, overlap = _setup(state, projectors, post)
     _check_sim_resources(len(plist), cfg.grid_points)
 
-    x = np.array([(g * cfg.t) ** len(plist) for g in gs])
-    y = np.array([_correlation(state, plist, effect, replace(cfg, g=g)) for g in gs])
+    cfgs = [replace(cfg, g=g) for g in gs]
+    x = np.array([_kick(c, len(plist), 0.0) for c in cfgs])
+    y = np.array([_correlation(state, plist, effect, c) for c in cfgs])
     denom = float(x @ x)
     if denom <= 0:
         raise InvalidInputError("couplings give a degenerate fit; use nonzero g values")

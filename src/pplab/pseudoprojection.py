@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +55,9 @@ def _projector(f: object) -> Projector:
     return f if isinstance(f, Projector) else Projector(as_complex_matrix(f, "factor"))
 
 
-def _coerce_factors(factors: object, minimum: int = 2) -> tuple[Projector, ...]:
-    out = _sequence(factors, "factors", "projectors", _projector)
+def _coerce_factors(factors: object, minimum: int = 2, item: Callable = _projector) -> tuple:
+    """`factors` read by `item` (Projectors by default): at least `minimum` of one dimension."""
+    out = _sequence(factors, "factors", "projectors", item)
     if len(out) < minimum:
         raise InvalidInputError(f"need at least {minimum} factors, got {len(out)}")
     dims = {p.dim for p in out}
@@ -133,13 +134,17 @@ def _prescription_weights(prescription: object, group_sizes: Iterable[int], weig
     return tuple(_convex_weights(max(sizes, default=None), weights).tolist())
 
 
+def _herm(stack: Array) -> Array:
+    """The Hermitian part (1/2)(M + M^dag) of a matrix, or of each matrix of a stack."""
+    return 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+
+
 def _ordering_sum(mats: Sequence[Array], orders: object, weights: object) -> Array:
-    """sum_k w_k (1/2)(P_k + P_k^dag), P_k the product of the square `mats` in orders[k]:
+    """sum_k w_k Herm(P_k), P_k the product of the square `mats` in orders[k]:
     every prescription below, one ordered product at a time."""
     acc = np.zeros_like(mats[0])
     for wi, order in zip(weights, orders):  # type: ignore[call-overload]
-        prod = _ordered_product(mats, order)
-        acc = acc + wi * 0.5 * (prod + prod.conj().T)
+        acc = acc + wi * _herm(_ordered_product(mats, order))
     return acc
 
 
@@ -176,10 +181,6 @@ def convex_pp(factors: object, weights: object | None = None) -> PseudoProjectio
 # Orderings are batched in chunks of this many operator entries, which keeps
 # the convex stack for k = 8 (20160 orderings) within a few MB.
 _CONVEX_CHUNK_ENTRIES = 1 << 16
-
-
-def _herm(stack: Array) -> Array:
-    return 0.5 * (stack + stack.conj().swapaxes(-1, -2))
 
 
 @functools.lru_cache(maxsize=None)
@@ -252,17 +253,9 @@ def conjunction_pp(factors: object) -> PseudoProjection:
     factor list is the flattened projector sequence.  Distinct from `unit_pp`
     for three or more factors.
     """
-    items = _sequence(
-        factors, "factors", "projectors", lambda f: f if isinstance(f, PseudoProjection) else _projector(f)
-    )
-    if len(items) < 2:
-        raise InvalidInputError(f"need at least 2 factors, got {len(items)}")
-    mats = [f.matrix for f in items]
+    items = _coerce_factors(factors, item=lambda f: f if isinstance(f, PseudoProjection) else _projector(f))
     flat = [p for f in items for p in (f.factors if isinstance(f, PseudoProjection) else (f,))]
-    dims = {m.shape[0] for m in mats}
-    if len(dims) != 1:
-        raise InvalidInputError(f"factor dimension mismatch: {sorted(dims)}")
-    return PseudoProjection(_nested(mats), tuple(flat), "nested")
+    return PseudoProjection(_nested([f.matrix for f in items]), tuple(flat), "nested")
 
 
 def _nested(mats: Sequence[Array]) -> Array:
@@ -277,8 +270,7 @@ def disjunction_pp(pa: object, pb: object) -> PseudoProjection:
     """Inclusion-exclusion disjunction: pi_a + pi_b - (1/2){pi_a, pi_b}."""
     fs = _coerce_factors([pa, pb])
     a, b = fs[0].matrix, fs[1].matrix
-    m = a + b - 0.5 * (a @ b + b @ a)
-    return PseudoProjection(m, fs, "disjunction")
+    return PseudoProjection(a + b - _nested([a, b]), fs, "disjunction")
 
 
 def min_eigen_certificate(pp: PseudoProjection | Array) -> tuple[float, Array]:

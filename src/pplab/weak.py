@@ -32,7 +32,7 @@ from .operator_core import (
     as_complex_matrix,
     require_square,
 )
-from .pseudoprojection import _coerce_factors, _ordered_product, unit_pp
+from .pseudoprojection import _coerce_factors, _herm, _ordered_product, _ordering_sum
 
 __all__ = [
     "WeakValueReport",
@@ -105,7 +105,7 @@ def weak_value(
     rho1, rho2, overlap = _post_select(op, pre, post)
     value = complex(np.trace(rho2.matrix @ op @ rho1.matrix) / overlap)
     if _close(op, op.conj().T, SPECTRAL_TOL):
-        w = np.linalg.eigvalsh(0.5 * (op + op.conj().T))
+        w = np.linalg.eigvalsh(_herm(op))
         bounds = (float(w[0]), float(w[-1]))
         anomalous = bool(
             value.real < bounds[0] - SPECTRAL_TOL
@@ -214,8 +214,8 @@ def pp_weak_factorization(state: object, factors: object) -> dict[str, float]:
     fs = _coerce_factors(factors)
     if fs[0].dim != rho.dim:
         raise InvalidInputError(f"dimension mismatch: state {rho.dim}, factors {fs[0].dim}")
-    pseudo = _expectations(rho.matrix, unit_pp(fs).matrix)
     mats = tuple(f.matrix for f in fs)
+    pseudo = _expectations(rho.matrix, _ordering_sum(mats, [tuple(range(len(mats)))], [1.0]))
     rest = _ordered_product(mats, tuple(range(1, len(mats))))
     _coerce_state(fs[0], "factors")  # the post-selection pi_1 / rank(pi_1) must be a state
     (born,), (weak,) = _born_weak(_compile_terms([(mats[0], fs[0].rank, rest, "", 1.0, 0)]), rho.matrix)

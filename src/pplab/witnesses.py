@@ -26,7 +26,7 @@ from .geometry import (
     _sigmas, mub_partner, unit_vector,
 )
 from .operator_core import (
-    Array, DensityMatrix, STRUCTURAL_TOL, _expectations, _integer, _kron, _outcome_projectors, _real, _require_state,
+    Array, DensityMatrix, STRUCTURAL_TOL, _expectations, _finite, _integer, _kron, _outcome_projectors, _require_state,
     _sequence, resolve_tolerance,
 )
 from .pseudoprojection import _convex_weights, _nested, _ordered_moments, _ordered_product, _ordering_sum, distinct_orderings
@@ -127,7 +127,7 @@ def statistic_from_terms(terms: object, rule: str) -> float:
     def fields(t: object) -> tuple[float, float, int]:
         if isinstance(t, WeakTerm):
             return t.coefficient, t.pseudo_probability, t.group
-        c, p = (_real(t[key], key) for key in ("coefficient", "pseudo_probability"))  # type: ignore[index]
+        c, p = (_finite(t[key], key) for key in ("coefficient", "pseudo_probability"))  # type: ignore[index]
         return c, p, _integer(t.get("group", 0), "group")  # type: ignore[union-attr]
 
     triples = _sequence(terms, "terms", "weak terms", fields)
@@ -315,7 +315,7 @@ def boolean_state_dep_test(state: DensityMatrix, a1: object, a2: object) -> Test
     _require_dim(state, 2, "boolean_state_dep_test")
     v1 = unit_vector(a1, "a1")
     v2 = unit_vector(a2, "a2")
-    P = _qubit_projectors([v1, v2])
+    P = _outcome_projectors(_sigmas([v1, v2]))
     p1, p2, p1bar = P[0, 0], P[1, 0], P[0, 1]
 
     statistic = _expectations(state.matrix, _nested([p1, p2, p1bar]))
@@ -362,7 +362,7 @@ def boolean_state_indep_test(a1: object, a2: object) -> TestReport:
     """
     v1 = unit_vector(a1, "a1")
     v2 = unit_vector(a2, "a2")
-    P = _qubit_projectors([v1, v2])
+    P = _outcome_projectors(_sigmas([v1, v2]))
     mats = (P[0, 0], P[1, 0], P[0, 1], P[1, 1])
     orders = distinct_orderings(4)
     pp = _ordering_sum(mats, orders, _convex_weights(4, None))
@@ -417,7 +417,7 @@ def distributivity_test(state: DensityMatrix, a1: object, a2: object, a3: object
     v1 = unit_vector(a1, "a1")
     v2 = unit_vector(a2, "a2")
     v3 = unit_vector(a3, "a3")
-    p1, p2, p3 = _qubit_projectors([v1, v2, v3])[:, 0]
+    p1, p2, p3 = _outcome_projectors(_sigmas([v1, v2, v3]))[:, 0]
 
     chained = _ordering_sum([p2, p1, p3], [(0, 1, 2)], [1.0])
     factored = _nested([p1, _ordering_sum([p2, p3], [(0, 1)], [1.0])])
