@@ -50,10 +50,15 @@ MAX_SIM_POINTERS = max(_GRID_CAPS)
 
 # A simulation runs in units of the pointer width and scales its results by
 # sigma^N, by 1 / (g t / sigma)^N and, in a fit, by each (g t / sigma)^N; a
-# prediction by (g t / 2)^N.  Results in width units stay below about 1e17
-# (grid_halfwidth^N <= 32^3 on a grid within its cap, effect entries of
-# modulus at most 2, overlaps above OVERLAP_FLOOR), so every factor within
-# [1 / _SCALE_LIMIT, _SCALE_LIMIT] keeps them, and a fit's sums of squares, finite.
+# prediction by (g t / 2)^N.  A result in width units is at most
+# 4 * grid_halfwidth^N / OVERLAP_FLOOR (an effect with entries of modulus at
+# most 2 has operator norm at most 4, and the post-selected weight exceeds
+# OVERLAP_FLOOR), below 1e163 for a window of at most _HALFWIDTH_LIMIT widths.
+# Every factor within [1 / _SCALE_LIMIT, _SCALE_LIMIT] then keeps the scaled
+# results below 1e263, and a fit's sums of squares, finite.  One symmetric
+# window for all factors is chosen over the limit each could take alone (about
+# 1e145 for sigma^N), so that sigma, the kick and a prediction share one rule.
+_HALFWIDTH_LIMIT = 1e50
 _SCALE_LIMIT = 1e100
 
 
@@ -80,14 +85,9 @@ class PointerConfig:
         n = self.grid_points
         if n < 32 or (n & (n - 1)) != 0:
             raise InvalidInputError(f"grid_points must be a power of two >= 32, got {n}")
-        if not (math.isfinite(self.grid_halfwidth) and self.grid_halfwidth >= 6):
+        if not 6 <= self.grid_halfwidth <= _HALFWIDTH_LIMIT:
             raise InvalidInputError(
-                f"grid_halfwidth must be at least 6 pointer widths, got {self.grid_halfwidth}"
-            )
-        if self.grid_halfwidth > n / 2:
-            raise InvalidInputError(
-                f"grid_halfwidth must be at most grid_points / 2 = {n // 2} pointer widths,"
-                f" so the grid spacing resolves the pointer, got {self.grid_halfwidth}"
+                f"grid_halfwidth must lie within [6, {_HALFWIDTH_LIMIT:.3g}] pointer widths, got {self.grid_halfwidth}"
             )
 
 
@@ -297,7 +297,8 @@ def proportionality_check(
     Returns the fitted slope, the pseudo-probability it should track, and
     their relative deviation.  A through-origin least-squares fit is enough:
     the correlation is odd in g at order N.  It is made in units of the
-    pointer width, where each (g t / sigma)^N must be at most 1e100.
+    pointer width, where each (g t / sigma)^N of a nonzero g must lie within
+    [1e-100, 1e100].
     """
     gs = _sequence(couplings, "couplings", "numbers", float)
     if len(gs) < 3:
@@ -306,7 +307,8 @@ def proportionality_check(
     _check_sim_resources(len(plist), cfg.grid_points)
 
     cfgs = [replace(cfg, g=g) for g in gs]
-    x = np.array([_kick(c, len(plist), 0.0) for c in cfgs])
+    # A zero coupling is one point of the fit; a nonzero one must not underflow.
+    x = np.array([_kick(c, len(plist), 1 / _SCALE_LIMIT if c.g else 0.0) for c in cfgs])
     y = np.array([_correlation(state, plist, effect, c) for c in cfgs])
     denom = float(x @ x)
     if denom <= 0:

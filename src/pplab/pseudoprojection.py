@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,15 +55,19 @@ def _projector(f: object) -> Projector:
     return f if isinstance(f, Projector) else Projector(as_complex_matrix(f, "factor"))
 
 
-def _coerce_factors(factors: object, minimum: int = 2, item: Callable = _projector) -> tuple:
-    """`factors` read by `item` (Projectors by default): at least `minimum` of one dimension."""
-    out = _sequence(factors, "factors", "projectors", item)
-    if len(out) < minimum:
-        raise InvalidInputError(f"need at least {minimum} factors, got {len(out)}")
-    dims = {p.dim for p in out}
+def _coerce_factors(factors: object, minimum: int = 2) -> tuple[Projector, ...]:
+    """`factors` as Projectors: at least `minimum` of one dimension."""
+    return _same_dim(_sequence(factors, "factors", "projectors", _projector), minimum)
+
+
+def _same_dim(items: list, minimum: int) -> tuple:
+    """`items` (anything with a `dim`) as a tuple, if there are at least `minimum` of one dimension."""
+    if len(items) < minimum:
+        raise InvalidInputError(f"need at least {minimum} factors, got {len(items)}")
+    dims = {f.dim for f in items}
     if len(dims) != 1:
         raise InvalidInputError(f"factor dimension mismatch: {sorted(dims)}")
-    return tuple(out)
+    return tuple(items)
 
 
 def _ordered_product(mats: tuple[Array, ...], order: tuple[int, ...]) -> Array:
@@ -253,7 +257,9 @@ def conjunction_pp(factors: object) -> PseudoProjection:
     factor list is the flattened projector sequence.  Distinct from `unit_pp`
     for three or more factors.
     """
-    items = _coerce_factors(factors, item=lambda f: f if isinstance(f, PseudoProjection) else _projector(f))
+    items = _same_dim(
+        _sequence(factors, "factors", "projectors", lambda f: f if isinstance(f, PseudoProjection) else _projector(f)), 2
+    )
     flat = [p for f in items for p in (f.factors if isinstance(f, PseudoProjection) else (f,))]
     return PseudoProjection(_nested([f.matrix for f in items]), tuple(flat), "nested")
 

@@ -59,7 +59,7 @@ REFUSALS = {
     ),
     "PointerConfig/huge_halfwidth": (
         lambda: PointerConfig(g=0.05, t=1.0, grid_halfwidth=1e300),
-        "grid_halfwidth must be at most grid_points / 2 = 32 pointer widths",
+        "grid_halfwidth must lie within [6, 1e+50] pointer widths",
     ),
     "perturbative_prediction/huge_g": (
         lambda: perturbative_prediction(RHO, PROJS, MIXED, PointerConfig(g=1e200, t=1.0)),
@@ -68,6 +68,10 @@ REFUSALS = {
     "proportionality_check/huge_coupling": (
         lambda: proportionality_check(RHO, PROJS, MIXED, PointerConfig(g=0.05, t=1.0), [0.02, 0.04, 1e200]),
         "g * t / sigma = 1e+200 is out of range",
+    ),
+    "proportionality_check/underflowing_kick": (
+        lambda: proportionality_check(RHO, PROJS, MIXED, PointerConfig(g=0.05, t=1.0, sigma=1e200), [0.02, 0.04, 0.06]),
+        "g * t / sigma = 2e-202 is out of range",
     ),
     "statistic_from_terms/nan_coefficient": (
         lambda: statistic_from_terms([{"coefficient": math.nan, "pseudo_probability": 1.0}], "sum"),
@@ -121,6 +125,17 @@ def test_the_simulation_runs_in_units_of_the_pointer_width():
         one.ratio, one.pseudo_probability, one.convergence_estimate,
     )
     assert all(math.isfinite(v) for v in dataclasses.astuple(_sim(sigma=1e40, g=5e38)))
+
+
+def test_a_wide_window_runs_on_the_halved_refinement_grid():
+    # Three pointers at their 64-point cap refine on 32 points, where a 20-width
+    # window is coarser than the pointer; the window is bounded only by overflow.
+    projs = [qubit_projector([0, 0, 1]), qubit_projector([1, 0, 0]), qubit_projector([0, 1, 0])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = simulate_pointers(MIXED, projs, MIXED, PointerConfig(g=0.05, t=1.0, grid_halfwidth=20.0))
+    assert out.pseudo_probability == pytest.approx(0.125)
+    assert out.ratio == pytest.approx(0.125, rel=1e-3)
 
 
 @pytest.mark.parametrize("flags", [["--g", "0"], ["--g", "1e200"], ["--sigma", "1e-300"], ["--t", "1e300"]])
