@@ -239,16 +239,16 @@ _APERTURE_TESTS: dict[str, tuple[Callable[[DensityMatrix, float], TestReport], f
 }
 
 
-def _run_test(args: argparse.Namespace) -> object:
-    name = args.test_name
-    state = () if name == "boolean-indep" else (load_state(args),)
-    if name in _AXIS_TESTS:
-        witness, axes = _AXIS_TESTS[name]
-        return _report_payload(witness(*state, *(getattr(args, f) for f in axes)))
-    aperture_witness = _APERTURE_TESTS[name][0]
+def _run_axis_test(witness: Callable[..., TestReport], flags: tuple[str, ...], stateful: bool, args: argparse.Namespace) -> object:
+    state = (load_state(args),) if stateful else ()
+    return _report_payload(witness(*state, *(getattr(args, f) for f in flags)))
+
+
+def _run_aperture_test(witness: Callable[[DensityMatrix, float], TestReport], args: argparse.Namespace) -> object:
+    state = load_state(args)
     if args.alpha_scan is None:
-        return _report_payload(aperture_witness(*state, args.alpha))
-    return [_report_payload(aperture_witness(*state, alpha)) for alpha in args.alpha_scan]
+        return _report_payload(witness(state, args.alpha))
+    return [_report_payload(witness(state, alpha)) for alpha in args.alpha_scan]
 
 
 # --observables when not given: two on one qubit, or one on each of two.
@@ -364,6 +364,7 @@ def _build_parser() -> _Parser:
         "--prescription", choices=PRESCRIPTIONS, default="symmetrized"
     )
     scheme_build.add_argument("--weights", type=_numbers, help="comma list of convex weights")
+    scheme_build.set_defaults(run=_run_scheme_build)
 
     pp = commands.add_parser("pp", help="pseudo-projection operators")
     pp_actions = pp.add_subparsers(dest="action", required=True)
@@ -373,6 +374,7 @@ def _build_parser() -> _Parser:
         "--prescription", choices=PRESCRIPTIONS, default="unit"
     )
     pp_eig.add_argument("--weights", type=_numbers, help="comma list of convex weights")
+    pp_eig.set_defaults(run=_run_pp_eig)
 
     weak = commands.add_parser("weak", help="weak values")
     weak_actions = weak.add_subparsers(dest="action", required=True)
@@ -380,20 +382,24 @@ def _build_parser() -> _Parser:
     weak_val.add_argument("--op-axis", type=_vector, required=True, help="observable axis X,Y,Z")
     weak_val.add_argument("--pre-bloch", type=_vector, required=True, help="pre-selection Bloch vector X,Y,Z")
     weak_val.add_argument("--post-bloch", type=_vector, required=True, help="post-selection Bloch vector X,Y,Z")
+    weak_val.set_defaults(run=_run_weak_value)
 
     test = commands.add_parser("test", help="nonclassicality tests")
     test_actions = test.add_subparsers(dest="test_name", required=True)
-    for name, (_, axes) in _AXIS_TESTS.items():
+    for name, (witness, axes) in _AXIS_TESTS.items():
         t = test_actions.add_parser(name, parents=[out])
-        if name != "boolean-indep":
+        stateful = name != "boolean-indep"
+        if stateful:
             _add_state_flags(t)
         _add_axis_flags(t, axes)
-    for name, (_, default) in _APERTURE_TESTS.items():
+        t.set_defaults(run=functools.partial(_run_axis_test, witness, tuple(axes), stateful))
+    for name, (witness, default) in _APERTURE_TESTS.items():
         t = test_actions.add_parser(name, parents=[out])
         _add_state_flags(t)
         aperture = t.add_mutually_exclusive_group()
         aperture.add_argument("--alpha", type=_number, default=default, help="doublet aperture in radians")
         aperture.add_argument("--alpha-scan", type=_alpha_grid, help="aperture grid START:STOP:STEP (radians)")
+        t.set_defaults(run=functools.partial(_run_aperture_test, witness))
 
     pointer = commands.add_parser("pointer", help="Gaussian-pointer simulation")
     pointer_actions = pointer.add_subparsers(dest="action", required=True)
@@ -407,6 +413,7 @@ def _build_parser() -> _Parser:
     pointer_sim.add_argument("--grid-points", type=int, default=64)
     pointer_sim.add_argument("--grid-halfwidth", type=_number, default="7.0")
     pointer_sim.add_argument("--couplings", type=_numbers, help="comma list of g values for a proportionality fit")
+    pointer_sim.set_defaults(run=_run_pointer_sim)
 
     game = commands.add_parser("game", help="pseudo-probability game")
     game_actions = game.add_subparsers(dest="action", required=True)
@@ -417,19 +424,9 @@ def _build_parser() -> _Parser:
     game_run.add_argument("--t-max", type=_number, default=str(2.0 * math.pi), help="end of the time window")
     game_run.add_argument("--t-steps", type=int, default=129, help="number of grid times")
     game_run.add_argument("--theta", type=_number, default="0.0", help="observable-pair rotation angle")
+    game_run.set_defaults(run=_run_game)
 
     return parser
-
-
-# The parser admits only these commands.
-_RUNNERS = {
-    "scheme": _run_scheme_build,
-    "pp": _run_pp_eig,
-    "weak": _run_weak_value,
-    "test": _run_test,
-    "pointer": _run_pointer_sim,
-    "game": _run_game,
-}
 
 
 def _emit(payload: object, args: argparse.Namespace) -> None:
@@ -447,7 +444,7 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
         # Verdict tolerance from PPLAB_TOL is validated up front so a bad
         # value fails fast with exit 1.
         resolve_tolerance()
-        payload = _RUNNERS[args.command](args)
+        payload = args.run(args)
         _emit(payload, args)
         return 0
     except SystemExit as exc:

@@ -184,6 +184,17 @@ def _require_dim(state: DensityMatrix, dim: int, test: str) -> None:
         raise InvalidInputError(f"{test} needs a {dim}x{dim} state, got {state.dim}x{state.dim}")
 
 
+def _qubit_axes(state: DensityMatrix | None, test: str, axes: dict[str, object]) -> tuple[list[Array], Array, dict[str, object]]:
+    """Checks a single-qubit test's state (None for a test that reads none), then each named axis: the
+    unit axes, the projector stack of their sigma . n indexed [axis, (+, -)] and the report's inputs."""
+    if state is not None:
+        _require_dim(state, 2, test)
+    vs = [unit_vector(v, name) for name, v in axes.items()]
+    inputs: dict[str, object] = {} if state is None else {"state": _state_digest(state)}
+    inputs.update((name, v.tolist()) for name, v in zip(axes, vs))
+    return vs, _outcome_projectors(_sigmas(vs)), inputs
+
+
 def _entanglement_axes(state: DensityMatrix, geom: object, variant: object, test: str, variants: tuple[str, ...]) -> int:
     """Checks a two-qubit entanglement test's inputs; the number of frame axes its variant uses."""
     _require_dim(state, 4, test)
@@ -252,7 +263,7 @@ def _compile_blocks(P: Array, blocks: Sequence[str], groups: Sequence[int]) -> _
 def _compile_geometry(geom: EntanglementGeometry) -> _Terms:
     """Every block of terms at the three frame axes of `geom`, compiled as one stack
     from one projector stack; each entanglement test reads its blocks of it."""
-    axes = [[a, b.n1, b.n2, d.n1, d.n2, b.axis] for a, d, b in zip(geom.a_axes, geom.a_doublets, geom.b_doublets)]
+    axes = [[a, b.n1, b.n2, d.n1, d.n2, bx] for a, bx, d, b in zip(geom.a_axes, geom.b_axes, geom.a_doublets, geom.b_doublets)]
     P = _qubit_projectors(np.reshape(axes, (18, 3))).reshape(3, 6, 2, 2, 2)
     return _compile_blocks(P, tuple(_BLOCKS), (0, 0, 0))
 
@@ -281,14 +292,10 @@ def coherence_test(state: DensityMatrix, a1: object, a2: object) -> TestReport:
     A negative value certifies coherence relative to the bisector of the two
     axes: diagonal states reach zero only in the aligned limit.
     """
-    _require_dim(state, 2, "coherence_test")
-    v1 = unit_vector(a1, "a1")
-    v2 = unit_vector(a2, "a2")
-    ops = _sigmas([v1, v2])
-    rows = _scheme_rows(state.matrix[None], [_ordered_moments(ops, "unit")], [[0, 1]])[0]
+    (v1, v2), P, inputs = _qubit_axes(state, "coherence_test", {"a1": a1, "a2": a2})
+    rows = _scheme_rows(state.matrix[None], [_ordered_moments(_sigmas([v1, v2]), "unit")], [[0, 1]])[0]
     entries = dict(zip(map(outcomes_to_string, _outcomes(2)), rows.tolist()))
 
-    P = _outcome_projectors(ops)
     terms = _pp_terms(state, _compile_terms([(P[0, 0], 1, P[1, 0], "a1+ | a2+", 1.0, 0)]))
 
     # Independent route: (1/4)(1 + a1.a2 + p.(a1 + a2)) from the Pauli algebra.
@@ -297,7 +304,7 @@ def coherence_test(state: DensityMatrix, a1: object, a2: object) -> TestReport:
 
     return _report(
         "coherence",
-        {"state": _state_digest(state), "a1": v1.tolist(), "a2": v2.tolist()},
+        inputs,
         entries,
         terms,
         entries["++"],
@@ -312,10 +319,7 @@ def boolean_state_dep_test(state: DensityMatrix, a1: object, a2: object) -> Test
     breaks Boolean logic.  The flat ordered-product variant evaluates to
     exactly twice the nested value and is reported alongside.
     """
-    _require_dim(state, 2, "boolean_state_dep_test")
-    v1 = unit_vector(a1, "a1")
-    v2 = unit_vector(a2, "a2")
-    P = _outcome_projectors(_sigmas([v1, v2]))
+    (v1, v2), P, inputs = _qubit_axes(state, "boolean_state_dep_test", {"a1": a1, "a2": a2})
     p1, p2, p1bar = P[0, 0], P[1, 0], P[0, 1]
 
     statistic = _expectations(state.matrix, _nested([p1, p2, p1bar]))
@@ -333,7 +337,7 @@ def boolean_state_dep_test(state: DensityMatrix, a1: object, a2: object) -> Test
 
     return _report(
         "boolean-state-dependent",
-        {"state": _state_digest(state), "a1": v1.tolist(), "a2": v2.tolist()},
+        inputs,
         {"nested_conjunction": statistic, "flat_unit": flat_value},
         terms,
         statistic,
@@ -360,9 +364,7 @@ def boolean_state_indep_test(a1: object, a2: object) -> TestReport:
     constructive value only at k = 0; the constructive value is
     authoritative.
     """
-    v1 = unit_vector(a1, "a1")
-    v2 = unit_vector(a2, "a2")
-    P = _outcome_projectors(_sigmas([v1, v2]))
+    (v1, v2), P, inputs = _qubit_axes(None, "boolean_state_indep_test", {"a1": a1, "a2": a2})
     mats = (P[0, 0], P[1, 0], P[0, 1], P[1, 1])
     orders = distinct_orderings(4)
     pp = _ordering_sum(mats, orders, _convex_weights(4, None))
@@ -396,7 +398,7 @@ def boolean_state_indep_test(a1: object, a2: object) -> TestReport:
 
     return _report(
         "boolean-state-independent",
-        {"a1": v1.tolist(), "a2": v2.tolist()},
+        inputs,
         values,
         terms,
         statistic,
@@ -413,11 +415,8 @@ def distributivity_test(state: DensityMatrix, a1: object, a2: object, a3: object
     logic makes these equal, and the gap operator is traceless for every
     axis choice, so uniform mixtures never flag.
     """
-    _require_dim(state, 2, "distributivity_test")
-    v1 = unit_vector(a1, "a1")
-    v2 = unit_vector(a2, "a2")
-    v3 = unit_vector(a3, "a3")
-    p1, p2, p3 = _outcome_projectors(_sigmas([v1, v2, v3]))[:, 0]
+    (v1, v2, v3), P, inputs = _qubit_axes(state, "distributivity_test", {"a1": a1, "a2": a2, "a3": a3})
+    p1, p2, p3 = P[:, 0]
 
     chained = _ordering_sum([p2, p1, p3], [(0, 1, 2)], [1.0])
     factored = _nested([p1, _ordering_sum([p2, p3], [(0, 1)], [1.0])])
@@ -436,7 +435,7 @@ def distributivity_test(state: DensityMatrix, a1: object, a2: object, a3: object
 
     return _report(
         "distributivity",
-        {"state": _state_digest(state), "a1": v1.tolist(), "a2": v2.tolist(), "a3": v3.tolist()},
+        inputs,
         {"chained_conjunction": chained_value, "factored_composite": factored_value, "gap": statistic},
         terms,
         statistic,
@@ -584,7 +583,7 @@ def _entanglement_report(
     warned outside its aperture window.  A geometry compiles its terms on first use and keeps them."""
     if geom._terms is None:
         object.__setattr__(geom, "_terms", _compile_geometry(geom))
-    axes = list(zip(geom.a_axes[:n_axes], (d.axis for d in geom.b_doublets)))
+    axes = list(zip(geom.a_axes[:n_axes], geom.b_axes))
     entries, per_axis, closed = _evaluate(_WITNESSES[name], state, geom._terms, tuple(_BLOCKS), axes, geom.alpha)  # type: ignore[arg-type]
     terms = [t for axis_terms in per_axis for t in axis_terms]
     window = (0.0, _APERTURE_WINDOWS[name])
