@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import IDENTITY_2, _sigmas, bloch_state, unit_vector
-from .operator_core import SPECTRAL_TOL, Array, _finite, _real, _real_array, _sequence
+from .operator_core import SPECTRAL_TOL, Array, _finite, _real, _real_array, _real_item, _sequence
 from .pseudoprojection import _ordered_moments
 from .scheme import _outcomes, _scheme_rows
 
@@ -147,7 +147,7 @@ def evaluate_strategy(
     p0 = np.asarray(bloch, dtype=float)
     axis = unit_vector(hamiltonian_axis, "hamiltonian_axis")
     omega_L = _finite(omega_L, "omega_L")
-    times = _sequence(t_grid, "t_grid", "numbers", float)
+    times = _sequence(t_grid, "t_grid", "numbers", _real_item)
     if not times:
         raise InvalidInputError("need at least one time point")
     if not all(math.isfinite(t) for t in times):

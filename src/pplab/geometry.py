@@ -118,9 +118,9 @@ def _qubit_projectors(axes: object) -> Array:
 
 
 def _frozen(v: object, name: str) -> Array:
-    """A read-only float copy of the 3-vector `v`, so no caller can change it afterwards."""
+    """A read-only float copy of the real 3-vector `v`, so no caller can change it afterwards."""
     try:
-        a = np.array(v, dtype=float)
+        a = np.array(_real_array(v), dtype=float)
     except (TypeError, ValueError):
         a = None
     if a is None or a.shape != (3,):
@@ -178,7 +178,7 @@ def make_doublet(axis: object, alpha: float, azimuth_rule: str = "cross-referenc
     """
     a = unit_vector(axis, "axis")
     alpha = _aperture(alpha)
-    if azimuth_rule != "cross-reference":
+    if not isinstance(azimuth_rule, str) or azimuth_rule != "cross-reference":  # an array would compare per entry
         raise InvalidInputError(f"unknown azimuth rule {azimuth_rule!r}")
     (n1,), (n2,) = _doublets(a[None], alpha)
     return Doublet(n1=n1, n2=n2, axis=a, alpha=alpha)
@@ -194,7 +194,8 @@ class EntanglementGeometry:
     geometry never changes; the entanglement tests compile its witness
     operators on first use and keep them in `_terms`.  Each doublet must have
     the geometry's aperture and unit axes n1, n2 with n1.n2 = cos(alpha) whose
-    bisector (n1 + n2)/(2 cos(alpha/2)) is its frame axis; its azimuth is free.
+    bisector (n1 + n2)/(2 cos(alpha/2)) is its frame axis, and that frame axis
+    as its `axis`; its azimuth is free.
     """
 
     alpha: float
@@ -207,7 +208,7 @@ class EntanglementGeometry:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _aperture(self.alpha))
         for name in ("a_axes", "b_axes", "a_doublets", "b_doublets"):
-            value = tuple(getattr(self, name))
+            value = tuple(_sequence(getattr(self, name), name, "3-vectors" if name.endswith("axes") else "Doublets"))
             if len(value) != 3:
                 raise InvalidInputError(f"{name} must hold 3 entries, got {len(value)}")
             if name.endswith("axes"):
@@ -217,12 +218,17 @@ class EntanglementGeometry:
         for k, d in enumerate(doublets):
             if not isinstance(d, Doublet):
                 raise InvalidInputError(f"{'ab'[k // 3]}_doublets[{k % 3}] must be a Doublet, got {type(d).__name__}")
-        n = np.array([(d.n1, d.n2) for d in doublets])
+        vectors = np.array([(d.n1, d.n2, d.axis) for d in doublets])
+        if (np.abs(vectors) > _VECTOR_LIMIT).any():  # refused before any arithmetic can overflow; NaN is not
+            for k, j in np.ndindex(6, 3):
+                _bounded(vectors[k, j], f"{'ab'[k // 3]}_doublets[{k % 3}] {('n1', 'n2', 'axis')[j]}", _VECTOR_LIMIT)
+        n, frame = vectors[:, :2], np.array(self.a_axes + self.b_axes)
         deviations = np.column_stack([
             [d.alpha - self.alpha for d in doublets],
             np.linalg.norm(n, axis=2) - 1.0,
             np.einsum("ij,ij->i", n[:, 0], n[:, 1]) - np.cos(self.alpha),
-            np.abs(n.sum(axis=1) / (2.0 * np.cos(self.alpha / 2.0)) - np.array(self.a_axes + self.b_axes)).max(axis=1),
+            np.abs(n.sum(axis=1) / (2.0 * np.cos(self.alpha / 2.0)) - frame).max(axis=1),
+            np.abs(vectors[:, 2] - frame).max(axis=1),
         ])
         faults = ~(np.abs(deviations) <= SPECTRAL_TOL)  # NaN is a fault too
         if faults.any():
@@ -234,6 +240,7 @@ class EntanglementGeometry:
                 f"n2 is not a unit vector: |n2| = {np.linalg.norm(d.n2):.12f}",
                 f"has n1.n2 = {float(d.n1 @ d.n2):.12f}, not cos(alpha) = {np.cos(self.alpha):.12f}",
                 f"is not bisected by {side}_axes[{i}]",
+                f"axis is not {side}_axes[{i}]",
             )[check])
 
 

@@ -115,6 +115,11 @@ def _real_array(x: object) -> Array:
     return a
 
 
+def _real_item(x: object) -> float:
+    """`x` as a float through `_real_array`, so a complex number raises TypeError instead of losing its imaginary part."""
+    return float(_real_array(x))
+
+
 def _sign(outcome: object) -> int:
     """`outcome` as the int +1 or -1; anything else, an array too, raises "outcome must be +1 or -1"."""
     if getattr(outcome, "ndim", 0) or outcome not in (+1, -1):

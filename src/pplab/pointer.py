@@ -26,7 +26,7 @@ from .errors import (
 from .geometry import _pauli_coordinates
 from .operator_core import (
     _ENTRY_LIMIT, SPECTRAL_TOL, STRUCTURAL_TOL, Array, DensityMatrix, Projector, _bounded, _close, _expectations,
-    _integer, _real, _require_state, _sequence, as_complex_matrix,
+    _integer, _real, _real_item, _require_state, _sequence, as_complex_matrix,
 )
 from .pseudoprojection import _coerce_factors, _ordered_moments
 from .weak import OVERLAP_FLOOR, _overlap
@@ -300,7 +300,7 @@ def proportionality_check(
     pointer width, where each (g t / sigma)^N of a nonzero g must lie within
     [1e-100, 1e100].
     """
-    gs = _sequence(couplings, "couplings", "numbers", float)
+    gs = _sequence(couplings, "couplings", "numbers", _real_item)
     if len(gs) < 3:
         raise InvalidInputError(f"need at least 3 coupling values, got {len(gs)}")
     plist, effect, overlap = _setup(state, projectors, post)

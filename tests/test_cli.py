@@ -518,3 +518,10 @@ def test_state_file_with_an_infinite_part_is_refused_without_a_numpy_warning(cap
 )
 def test_projector_tokens_accept_the_typographic_minus(capsys, argv, ascii_argv):
     assert _run_json(capsys, argv) == _run_json(capsys, ascii_argv)
+
+
+def test_a_report_that_fails_its_self_check_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr("pplab.cli.statistic_from_terms", lambda terms, rule: 1e9)
+    code, out, err = _run(capsys, ["test", "chsh", "--werner", "1.0"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: report self-check failed")

@@ -252,3 +252,11 @@ def test_config_keeps_the_values_it_validated():
     cfg = PointerConfig(g=np.array(0.1), t=True, sigma=np.float32(1.5), grid_points=np.int64(64))
     assert (cfg.g, cfg.t, cfg.sigma, cfg.grid_points) == (0.1, 1.0, 1.5, 64)
     assert [type(v) for v in (cfg.g, cfg.t, cfg.sigma, cfg.grid_halfwidth, cfg.grid_points)] == [float] * 4 + [int]
+
+
+def test_post_selection_lost_during_evolution_is_refused():
+    # The overlap 1.8e-12 is above OVERLAP_FLOOR before evolution; the strong x
+    # coupling halves it, so the weight the pointers see falls below the floor.
+    post = np.diag([1.8e-12, 0.0])
+    with pytest.raises(PostSelectionImpossibleError, match="vanished after evolution"):
+        simulate_pointers(bloch_state([0, 0, 1]), [X_PLUS], post, PointerConfig(5.0, 1.0))
