@@ -293,7 +293,8 @@ def coherence_test(state: DensityMatrix, a1: object, a2: object) -> TestReport:
     axes: diagonal states reach zero only in the aligned limit.
     """
     (v1, v2), P, inputs = _qubit_axes(state, "coherence_test", {"a1": a1, "a2": a2})
-    rows = _scheme_rows(state.matrix[None], [_ordered_moments(_sigmas([v1, v2]), "unit")], [[0, 1]])[0]
+    # The moments read sigma . n itself: P+ - P- differs from it in the last bit.
+    rows =_scheme_rows(state.matrix[None], [_ordered_moments(_sigmas([v1, v2]), "unit")], [[0, 1]])[0]
     entries = dict(zip(map(outcomes_to_string, _outcomes(2)), rows.tolist()))
 
     terms = _pp_terms(state, _compile_terms([(P[0, 0], 1, P[1, 0], "a1+ | a2+", 1.0, 0)]))
