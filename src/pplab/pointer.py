@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -158,39 +159,86 @@ def _pointer_pseudo_probability(
     return _expectations(state.matrix, effect @ sym) / overlap
 
 
-def _correlation(state: DensityMatrix, projectors: tuple[Projector, ...], effect: Array, cfg: PointerConfig) -> float:
-    """<(x_1 / sigma) ... (x_N / sigma)> after post-selection: the correlation in units of the
-    pointer width, computed on a grid of positions x / sigma with the kick g t / sigma."""
-    n_pointers = len(projectors)
-    n = cfg.grid_points
-    half = cfg.grid_halfwidth
+# Per-thread working arrays for the two most recent grid shapes, a simulation and its
+# refinement: fresh grid-sized temporaries cost more in first-touch page faults than in arithmetic.
+_local = threading.local()
+
+
+@functools.lru_cache(maxsize=4)
+def _grid(n: int, half: float, n_pointers: int) -> tuple[Array, Array, tuple[Array, ...]]:
+    """The read-only x_1 ... x_N products, Gaussian spectrum and open k-grids of an n^N grid on [-half, half)."""
     xs = np.linspace(-half, half, n, endpoint=False)
     dx = xs[1] - xs[0]
     ks = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
-
     # Product of identical Gaussians, discretely normalized.
     psi1 = np.exp(-(xs ** 2) / 4.0).astype(complex)
     psi1 /= math.sqrt(float(np.sum(np.abs(psi1) ** 2)))
     phik = np.fft.fftn(functools.reduce(np.multiply.outer, [psi1] * n_pointers))
+    xprod = functools.reduce(np.multiply.outer, [xs] * n_pointers)
+    kgrids = np.meshgrid(*([ks] * n_pointers), indexing="ij", sparse=True)
+    for a in (xprod, phik, *kgrids):
+        a.flags.writeable = False
+    return xprod, phik, kgrids
+
+
+def _workspace(shape: tuple[int, ...]) -> Array:
+    """This thread's six complex working arrays of `shape`, as one block."""
+    blocks = _local.__dict__.setdefault("blocks", {})
+    block = blocks.pop(shape, None)
+    if block is None:
+        while len(blocks) > 1:
+            del blocks[next(iter(blocks))]
+        block = np.empty((6, *shape), complex)
+    blocks[shape] = block
+    return block
+
+
+def _correlation(state: DensityMatrix, projectors: tuple[Projector, ...], effect: Array, cfg: PointerConfig) -> float:
+    """<(x_1 / sigma) ... (x_N / sigma)> after post-selection: the correlation in units of the
+    pointer width, computed on a grid of positions x / sigma with the kick g t / sigma."""
+    xprod, phik, kgrids = _grid(cfg.grid_points, cfg.grid_halfwidth, len(projectors))
+    block = _workspace(phik.shape)
+    k0, k1, p, q, b0, b1 = block
+    phase, v = k0, k1
+    # Real arrays 2i and 2i + 1 share the memory of complex slot i.  Until the
+    # propagator is formed, q's reals hold alpha, then cos(gt b), and sinc, and
+    # b0's and b1's hold the betas and b; then p and q take beta_x -/+ 1j beta_y.
+    reals = block.view(float).reshape(12, *phik.shape)
+    alpha, sinc, beta, bnorm = reals[6], reals[7], reals[8:11], reals[11]
 
     # Each projector is c I + v . sigma with (c, v) = Tr(P sigma_mu)/2.
-    comps = [_pauli_coordinates(p.matrix) / 2.0 for p in projectors]
-    kgrids = np.meshgrid(*([ks] * n_pointers), indexing="ij")
-    alpha = sum(cv[0] * kg for cv, kg in zip(comps, kgrids))
-    beta = [sum(cv[a] * kg for cv, kg in zip(comps, kgrids)) for a in (1, 2, 3)]
-    bnorm = np.sqrt(beta[0] ** 2 + beta[1] ** 2 + beta[2] ** 2)
-
+    comps = [_pauli_coordinates(pr.matrix) / 2.0 for pr in projectors]
+    for a, out in enumerate((alpha, *beta)):
+        out[...] = 0.0  # the start of the builtin sum over the dense terms
+        for cv, kg in zip(comps, kgrids):
+            np.add(out, cv[a] * kg, out=out)
     gt = cfg.g * cfg.t / cfg.sigma
-    phase = np.exp(-1j * gt * alpha)
-    cosb = np.cos(gt * bnorm)
+    np.exp(np.multiply(-1j * gt, alpha, out=phase), out=phase)
+    cosb = alpha
+    np.square(beta[0], out=bnorm)
+    for b in beta[1:]:
+        np.add(bnorm, np.square(b, out=sinc), out=bnorm)
+    np.sqrt(bnorm, out=bnorm)
+    np.cos(np.multiply(gt, bnorm, out=cosb), out=cosb)
     # sin(gt b)/b with its b -> 0 limit gt.
-    sinc = np.where(bnorm > 0, np.sin(gt * np.where(bnorm > 0, bnorm, 1.0)) / np.where(bnorm > 0, bnorm, 1.0), gt)
-    u00 = phase * (cosb - 1j * sinc * beta[2])
-    u01 = phase * (-1j * sinc * (beta[0] - 1j * beta[1]))
-    u10 = phase * (-1j * sinc * (beta[0] + 1j * beta[1]))
-    u11 = phase * (cosb + 1j * sinc * beta[2])
-
-    xprod = functools.reduce(np.multiply.outer, [xs] * n_pointers)
+    zero = bnorm <= 0.0
+    np.copyto(bnorm, 1.0, where=zero)
+    np.divide(np.sin(np.multiply(gt, bnorm, out=sinc), out=sinc), bnorm, out=sinc)
+    np.copyto(sinc, gt, where=zero)
+    # numpy's complex multiply uses FMA, so it is not bitwise commutative, and
+    # from 256 KiB on numpy elides `phase * <temporary>` into the temporary,
+    # with the operands swapped.  So each propagator product stays
+    # `phase * <fresh temporary>` and every other product keeps the operand
+    # order of the plain expressions, which keeps their bits on every grid.
+    np.multiply(np.multiply(1j, sinc, out=v), beta[2], out=v)
+    u00 = phase * (cosb - v)
+    u11 = phase * (cosb + v)
+    np.multiply(-1j, sinc, out=v)
+    np.multiply(1j, beta[1], out=q)
+    np.subtract(beta[0], q, out=p)
+    np.add(beta[0], q, out=q)
+    u01 = phase * (v * p)
+    u10 = phase * (v * q)
 
     evals, evecs = np.linalg.eigh(state.matrix)
     num = 0.0
@@ -198,22 +246,23 @@ def _correlation(state: DensityMatrix, projectors: tuple[Projector, ...], effect
     for weight, chi in zip(evals, evecs.T):
         if weight < BRANCH_FLOOR:
             continue
-        c0k = chi[0] * phik
-        c1k = chi[1] * phik
-        b0 = np.fft.ifftn(u00 * c0k + u01 * c1k)
-        b1 = np.fft.ifftn(u10 * c0k + u11 * c1k)
-        norm = float(np.sum(np.abs(b0) ** 2 + np.abs(b1) ** 2))
+        np.multiply(chi[0], phik, out=k0)
+        np.multiply(chi[1], phik, out=k1)
+        for ua, ub, b in ((u00, u01, b0), (u10, u11, b1)):
+            np.add(np.multiply(ua, k0, out=p), np.multiply(ub, k1, out=q), out=p)
+            np.fft.ifftn(p, out=b)
+        norm = float(np.vdot(b0, b0).real + np.vdot(b1, b1).real)
         if abs(norm - 1.0) > SPECTRAL_TOL:
             raise ConvergenceError(
                 f"evolution lost unitarity (branch norm {norm:.12f}); increase grid_halfwidth"
             )
-        w = np.real(
-            effect[0, 0] * b0 * b0.conj()
-            + effect[1, 1] * b1 * b1.conj()
-            + effect[0, 1] * b1 * b0.conj()
-            + effect[1, 0] * b0 * b1.conj()
-        )
-        num += float(weight) * float(np.sum(w * xprod))
+        # w = Re(E00 b0 b0* + E11 b1 b1* + E01 b1 b0* + E10 b0 b1*), summed in that order.
+        g0, g1 = np.conjugate(b0, out=k0), np.conjugate(b1, out=k1)
+        np.multiply(np.multiply(effect[0, 0], b0, out=p), g0, out=p)
+        for e, b, g in ((effect[1, 1], b1, g1), (effect[0, 1], b1, g0), (effect[1, 0], b0, g1)):
+            np.add(p, np.multiply(np.multiply(e, b, out=q), g, out=q), out=p)
+        w = p.real
+        num += float(weight) * float(np.sum(np.multiply(w, xprod, out=reals[6])))
         den += float(weight) * float(np.sum(w))
 
     if den <= OVERLAP_FLOOR:

@@ -46,6 +46,7 @@ from .operator_core import (
     _check_projector,
     _close,
     _complex_parts,
+    _finite,
     _integer,
     _outcome_projectors,
     _real,
@@ -428,11 +429,16 @@ def scheme_to_json(s: Scheme) -> dict[str, object]:
                 "im": np.imag(o.matrix).tolist(),
             }
         obs_out.append(d)
-    payload: dict[str, object] = {
-        "observables": obs_out,
-        "prescription": s.prescription,
-        "entries": {outcomes_to_string(k): v for k, v in s.entries.items()},
-    }
+    # `entries` stays a plain dict, so a caller may have written to it after the checks ran.
+    entries = {outcomes_to_string(k): v for k, v in s.entries.items()}
+    try:
+        finite = all(map(math.isfinite, entries.values()))
+    except TypeError:
+        finite = False
+    if not finite:
+        for k, v in entries.items():
+            _finite(v, f"entry {k!r}")
+    payload: dict[str, object] = {"observables": obs_out, "prescription": s.prescription, "entries": entries}
     if s.weights is not None:
         payload["weights"] = list(s.weights)
     return payload

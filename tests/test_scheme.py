@@ -376,6 +376,14 @@ def test_scheme_keeps_its_own_copy_of_its_entries():
     assert (sch.entries, negativity_report(sch), scheme_to_json(sch)) == before
 
 
+def test_scheme_to_json_refuses_an_entry_written_non_finite_after_the_checks():
+    sch = build_scheme(bloch_state([0.6, 0.0, 0.0]), [_obs(0, [0, 0, 1])], "unit")
+    sch.entries[(1,)] = float("nan")
+    with pytest.raises(InvalidInputError, match=r"entry '\+' must be finite, got nan"):
+        scheme_to_json(sch)
+    assert type(sch.entries) is dict
+
+
 def test_scheme_from_json_lists_entries_in_outcome_order():
     rho = bloch_state([0.4, 0.1, -0.2])
     sch = build_scheme(rho, [_obs(0, [0, 0, 1]), _obs(0, [1, 0, 0]), _obs(0, [0, 1, 0])], "symmetrized")
