@@ -66,12 +66,17 @@ def _vector3(v: object, name: str) -> Array:
     return a
 
 
+def _shown(x: float) -> str:
+    """`x` for a message: 12 decimals, or exponent form from 1e6 on (a norm near _VECTOR_LIMIT has 100 digits)."""
+    return f"{x:.12f}" if abs(x) < 1e6 else f"{x:.12e}"
+
+
 def unit_vector(v: object, name: str = "vector") -> Array:
     """Validate a real 3-vector of unit length."""
     a = _vector3(v, name)
     n = float(np.linalg.norm(a))
     if abs(n - 1.0) > SPECTRAL_TOL:
-        raise InvalidInputError(f"{name} must be unit length, |{name}| = {n:.12f}")
+        raise InvalidInputError(f"{name} must be unit length, |{name}| = {_shown(n)}")
     return a
 
 
@@ -96,7 +101,7 @@ def bloch_state(p: object) -> DensityMatrix:
     """Qubit state (1/2)(I + sigma . p); |p| <= 1 up to tolerance."""
     a = _vector3(p, "Bloch vector")
     if np.linalg.norm(a) > 1.0 + STRUCTURAL_TOL:
-        raise InvalidInputError(f"Bloch vector must satisfy |p| <= 1, got {np.linalg.norm(a):.12f}")
+        raise InvalidInputError(f"Bloch vector must satisfy |p| <= 1, got {_shown(np.linalg.norm(a))}")
     m = 0.5 * (IDENTITY_2 + _sigmas(a)[0])
     return DensityMatrix(m)
 
@@ -236,9 +241,9 @@ class EntanglementGeometry:
             side, i, d = "ab"[k // 3], k % 3, doublets[k]
             raise InvalidInputError(f"{side}_doublets[{i}] " + (
                 f"has aperture {d.alpha}, not the geometry's {self.alpha}",
-                f"n1 is not a unit vector: |n1| = {np.linalg.norm(d.n1):.12f}",
-                f"n2 is not a unit vector: |n2| = {np.linalg.norm(d.n2):.12f}",
-                f"has n1.n2 = {float(d.n1 @ d.n2):.12f}, not cos(alpha) = {np.cos(self.alpha):.12f}",
+                f"n1 is not a unit vector: |n1| = {_shown(np.linalg.norm(d.n1))}",
+                f"n2 is not a unit vector: |n2| = {_shown(np.linalg.norm(d.n2))}",
+                f"has n1.n2 = {_shown(float(d.n1 @ d.n2))}, not cos(alpha) = {np.cos(self.alpha):.12f}",
                 f"is not bisected by {side}_axes[{i}]",
                 f"axis is not {side}_axes[{i}]",
             )[check])

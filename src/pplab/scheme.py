@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -147,7 +148,8 @@ def _observables(observables: object) -> tuple[ObservableSpec, ...]:
 
 @dataclass(frozen=True)
 class Scheme:
-    """Pseudo-probability table over all joint outcomes, kept as its own copy of `entries` in `_outcomes` order."""
+    """Pseudo-probability table over all joint outcomes, kept as its own copy of `entries` in `_outcomes` order.
+    Readers go by position while that order holds, and by lookup once a caller re-keys or reorders the dict."""
 
     observables: tuple[ObservableSpec, ...]
     entries: dict[tuple[int, ...], float]
@@ -167,7 +169,7 @@ class Scheme:
                 f"expected {2**n} entries for {n} observables, got {len(self.entries)}"
             )
         try:
-            entries = {k: self.entries[k] for k in _outcomes(n)}
+            entries = self.entries.copy() if _in_order(self.entries, n) else {k: self.entries[k] for k in _outcomes(n)}
         except KeyError:
             raise InvalidInputError(f"entries must be keyed by the {2**n} +1/-1 outcome tuples of length {n}") from None
         object.__setattr__(self, "entries", entries)
@@ -231,6 +233,24 @@ def _outcomes(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product((+1, -1), repeat=n))
 
 
+@functools.lru_cache(maxsize=None)
+def _outcome_strings(n: int) -> tuple[str, ...]:
+    return tuple(map(outcomes_to_string, _outcomes(n)))
+
+
+@functools.lru_cache(maxsize=None)
+def _outcome_signs(n: int) -> Array:
+    """`_outcomes(n)` as a read-only (2^n, n) float array."""
+    signs = np.array(_outcomes(n), dtype=float)
+    signs.flags.writeable = False
+    return signs
+
+
+def _in_order(entries: object, n: int) -> bool:
+    """Whether `entries` is a dict keyed by the very tuples of `_outcomes(n)`, in order, to be read by position."""
+    return type(entries) is dict and len(entries) == 2**n and all(map(operator.is_, entries, _outcomes(n)))
+
+
 def _joint_moments(rhos: Array, dims: list[int], stacks: list[Array]) -> Array:
     """Re Tr(rho (M_0[t_0] x M_1[t_1] x ...)) for each state rho of the stack `rhos` and every
     index tuple, as an array with the stack axis and then one axis per subsystem."""
@@ -290,7 +310,7 @@ def build_scheme(
     obs = _observables(observables)
     groups, dims = _subsystem_layout(obs)
     weights = _prescription_weights(prescription, map(len, groups), weights)
-    if int(np.prod(dims)) != _require_state(state).dim:
+    if math.prod(dims) != _require_state(state).dim:
         raise InvalidInputError(
             f"subsystem dimensions {dims} do not compose to state dimension {state.dim}"
         )
@@ -354,16 +374,15 @@ def _marginal_weights(s: Scheme, drop_index: int) -> tuple[float, ...] | None:
 
 def negativity_report(s: Scheme) -> dict[str, object]:
     """Negative entries, the minimum entry, and the nonclassicality verdict."""
-    _require_scheme(s)
+    table, spell = _require_scheme(s).entries, outcomes_to_string
+    if _in_order(table, s.n_observables):
+        table, spell = dict(zip(_outcome_strings(s.n_observables), table.values())), str
     tol = resolve_tolerance()
-    negative = sorted(
-        ((outcomes_to_string(k), v) for k, v in s.entries.items() if v < -tol),
-        key=lambda kv: kv[1],
-    )
-    min_key = min(s.entries, key=s.entries.get)  # type: ignore[arg-type]
+    negative = sorted(((spell(k), v) for k, v in table.items() if v < -tol), key=lambda kv: kv[1])
+    min_key = min(table, key=table.get)  # type: ignore[arg-type]
     return {
         "negative_entries": negative,
-        "min_entry": (outcomes_to_string(min_key), s.entries[min_key]),
+        "min_entry": (spell(min_key), table[min_key]),
         "nonclassical": bool(negative),
         "tolerance": tol,
     }
@@ -402,17 +421,21 @@ def equality_sum(s: Scheme, pattern: str) -> float:
     impose no constraint.  "0=1=2" sums the two fully-correlated entries;
     "~0=1=2" the anti-correlated ones.
     """
-    groups = _parse_pattern(pattern, _require_scheme(s).n_observables)
+    n = _require_scheme(s).n_observables
+    groups = _parse_pattern(pattern, n)
+    if _in_order(s.entries, n):
+        # A group holds where its signed outcomes, each +1 or -1, sum to plus or minus its size.
+        members = np.zeros((n, len(groups)))
+        for g, group in enumerate(groups):
+            for idx, sign in group:
+                members[idx, g] += sign
+        keep = (np.abs(_outcome_signs(n) @ members) == [len(g) for g in groups]).all(axis=1)
+        picked = itertools.compress(s.entries.values(), keep.tolist())
+    else:
+        picked = (v for k, v in s.entries.items() if all(len({k[idx] * sign for idx, sign in g}) == 1 for g in groups))
     total = 0.0
-    for outcome, value in s.entries.items():
-        ok = True
-        for group in groups:
-            signed = {outcome[idx] * sign for idx, sign in group}
-            if len(signed) > 1:
-                ok = False
-                break
-        if ok:
-            total += value
+    for value in picked:  # left to right, as the entries are listed
+        total += value
     return total
 
 
@@ -430,7 +453,9 @@ def scheme_to_json(s: Scheme) -> dict[str, object]:
             }
         obs_out.append(d)
     # `entries` stays a plain dict, so a caller may have written to it after the checks ran.
-    entries = {outcomes_to_string(k): v for k, v in s.entries.items()}
+    n = s.n_observables
+    spelled = _outcome_strings(n) if _in_order(s.entries, n) else map(outcomes_to_string, s.entries)
+    entries = dict(zip(spelled, s.entries.values()))
     try:
         finite = all(map(math.isfinite, entries.values()))
     except TypeError:
@@ -457,12 +482,17 @@ def scheme_from_json(data: dict[str, object]) -> Scheme:
     entries_in = data["entries"]
     if not isinstance(entries_in, dict) or not all(isinstance(k, str) for k in entries_in):
         raise InvalidInputError("entries must map outcome strings to numbers")
-    entries: dict[tuple[int, ...], float] = {}
-    for k, v in entries_in.items():
-        key = string_to_outcomes(k)
-        if key in entries:
-            raise InvalidInputError(f"entries spell outcome {outcomes_to_string(key)!r} more than once")
-        entries[key] = _real(v, f"entry {k!r}")
+    n = len(observables)
+    written = n <= MAX_OBSERVABLES and tuple(entries_in) == _outcome_strings(n)  # in the order scheme_to_json writes
+    if written and {*map(type, entries_in.values())} == {float}:
+        entries = dict(zip(_outcomes(n), entries_in.values()))
+    else:
+        entries = {}
+        for k, v in entries_in.items():
+            key = string_to_outcomes(k)
+            if key in entries:
+                raise InvalidInputError(f"entries spell outcome {outcomes_to_string(key)!r} more than once")
+            entries[key] = _real(v, f"entry {k!r}")
     return Scheme(
         observables=tuple(observables),
         entries=entries,

@@ -30,7 +30,7 @@ from .operator_core import (
     _sequence, resolve_tolerance,
 )
 from .pseudoprojection import _convex_weights, _nested, _ordered_moments, _ordered_product, _ordering_sum, distinct_orderings
-from .scheme import _MARK, ObservableSpec, _moments, _outcomes, _scheme_rows, outcomes_to_string
+from .scheme import _MARK, ObservableSpec, _moments, _outcome_strings, _scheme_rows
 from .weak import _Terms, _born_weak, _compile_terms
 
 __all__ = [
@@ -295,7 +295,7 @@ def coherence_test(state: DensityMatrix, a1: object, a2: object) -> TestReport:
     (v1, v2), P, inputs = _qubit_axes(state, "coherence_test", {"a1": a1, "a2": a2})
     # The moments read sigma . n itself: P+ - P- differs from it in the last bit.
     rows =_scheme_rows(state.matrix[None], [_ordered_moments(_sigmas([v1, v2]), "unit")], [[0, 1]])[0]
-    entries = dict(zip(map(outcomes_to_string, _outcomes(2)), rows.tolist()))
+    entries = dict(zip(_outcome_strings(2), rows.tolist()))
 
     terms = _pp_terms(state, _compile_terms([(P[0, 0], 1, P[1, 0], "a1+ | a2+", 1.0, 0)]))
 

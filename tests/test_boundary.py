@@ -467,6 +467,19 @@ REFUSALS = {
         lambda: _geometry_with("a", 0, n1=[NAN, 0.0, 0.0]),
         "a_doublets[0] n1 is not a unit vector: |n1| = nan",
     ),
+    # Norms at the 1e100 entry bound used to print as 100-digit numbers with 12 decimals.
+    "qubit_projector/huge_axis": (
+        lambda: qubit_projector([1e100, 0, 0]),
+        "axis must be unit length, |axis| = 1.000000000000e+100",
+    ),
+    "bloch_state/huge": (
+        lambda: bloch_state([1e100, 0, 0]),
+        "Bloch vector must satisfy |p| <= 1, got 1.000000000000e+100",
+    ),
+    "EntanglementGeometry/huge_n1": (
+        lambda: _geometry_with("a", 1, n1=[1e100, 0.0, 0.0]),
+        "a_doublets[1] n1 is not a unit vector: |n1| = 1.000000000000e+100",
+    ),
     # Unit axes at half-angle 0.6 from z, but not opposite each other about it.
     "EntanglementGeometry/doublet_angle": (
         lambda: _geometry_with("a", 2, n1=[S, 0.0, C], n2=[0.0, S, C]),
