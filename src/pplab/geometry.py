@@ -161,6 +161,12 @@ def _aperture(alpha: object) -> float:
     return alpha
 
 
+def _cross(a: Array, b: Array) -> Array:
+    """a x b for real 3-vectors, or for each pair of broadcast (..., 3) stacks: np.cross's
+    products and subtractions, bit for bit, without its generic set-up."""
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+
+
 def _doublets(axes: Array, alpha: float) -> tuple[Array, Array]:
     """The axes n1, n2 of the doublets of aperture `alpha` about each checked unit
     axis of an (m, 3) stack, as two (m, 3) stacks.
@@ -169,7 +175,7 @@ def _doublets(axes: Array, alpha: float) -> tuple[Array, Array]:
     unless the two are nearly parallel, in which case cross with x.
     """
     ref = np.where((np.abs(axes @ _Z) < AXIS_ALIGNMENT_CUTOFF)[:, None], _Z, _X)
-    u = np.cross(axes, ref)
+    u = _cross(axes, ref)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     half = 0.5 * alpha
     return np.cos(half) * axes + np.sin(half) * u, np.cos(half) * axes - np.sin(half) * u
@@ -300,5 +306,5 @@ def mub_partner(n: object) -> Array:
     """
     a = unit_vector(n, "axis")
     ref = _Y if abs(float(a @ _Y)) < AXIS_ALIGNMENT_CUTOFF else _Z
-    u = np.cross(ref, a)
+    u = _cross(ref, a)
     return u / np.linalg.norm(u)

@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 PRESCRIPTIONS = ("unit", "symmetrized", "convex")
+# Orderings are batched in chunks of this many operator entries, which keeps
+# an ordering stack for 8 factors (20160 orderings) within a few MB.
+_CONVEX_CHUNK_ENTRIES = 1 << 16
 # Most observables of a scheme, and most factors an ordering average takes (8!/2 = 20160 orderings).
 MAX_OBSERVABLES = 8
 _UNEQUAL_GROUPS = "convex weights require all multi-observable groups to share one size"
@@ -68,13 +71,6 @@ def _same_dim(items: list, minimum: int) -> tuple:
     if len(dims) != 1:
         raise InvalidInputError(f"factor dimension mismatch: {sorted(dims)}")
     return tuple(items)
-
-
-def _ordered_product(mats: tuple[Array, ...], order: tuple[int, ...]) -> Array:
-    prod = mats[order[0]].copy()
-    for i in order[1:]:
-        prod = prod @ mats[i]
-    return prod
 
 
 def _ordering_count(n: int) -> int:
@@ -143,12 +139,28 @@ def _herm(stack: Array) -> Array:
     return 0.5 * (stack + stack.conj().swapaxes(-1, -2))
 
 
-def _ordering_sum(mats: Sequence[Array], orders: object, weights: object) -> Array:
-    """sum_k w_k Herm(P_k), P_k the product of the square `mats` in orders[k]:
-    every prescription below, one ordered product at a time."""
-    acc = np.zeros_like(mats[0])
-    for wi, order in zip(weights, orders):  # type: ignore[call-overload]
-        acc = acc + wi * _herm(_ordered_product(mats, order))
+def _ordered_products(mats: object, orders: object) -> Array:
+    """The product of the square `mats` in each row of the (m, k) index array `orders`, left to right, as one stack."""
+    a, o = np.asarray(mats), np.asarray(orders).T
+    if o.shape[1] == 1:  # one ordering: numpy multiplies plain matrices faster than a stack of one
+        o = o[:, 0]
+    prod = a[o[0]]
+    for j in o[1:]:
+        prod = prod @ a[j]
+    return prod.reshape(-1, *a.shape[1:])
+
+
+def _ordering_sum(mats: object, orders: object, weights: object) -> Array:
+    """sum_k w_k Herm(P_k), P_k the product of the square `mats` in orders[k]: every
+    prescription below.  The products are built in batches of orderings and the terms
+    summed in ordering order from zero (a running sum: `add.reduce` is pairwise for 1x1 `mats`)."""
+    a, o, w = np.asarray(mats), np.asarray(orders), np.asarray(weights, dtype=float)
+    step = max(1, _CONVEX_CHUNK_ENTRIES // a[0].size)
+    acc = 0.0
+    for lo in range(0, len(o), step):
+        terms = w[lo : lo + step, None, None] * _herm(_ordered_products(a, o[lo : lo + step]))
+        terms[0] += acc
+        acc = np.add.accumulate(terms, axis=0)[-1]
     return acc
 
 
@@ -162,7 +174,7 @@ def symmetrized_pp(factors: object) -> PseudoProjection:
     """Equal-weight average of unit pseudo-projections over all orderings."""
     fs = _coerce_factors(factors)
     w = _convex_weights(len(fs), None)
-    return PseudoProjection(_ordering_sum([p.matrix for p in fs], distinct_orderings(len(fs)), w), fs, "symmetrized")
+    return PseudoProjection(_ordering_sum([p.matrix for p in fs], _ordering_array(len(fs)), w), fs, "symmetrized")
 
 
 def convex_pp(factors: object, weights: object | None = None) -> PseudoProjection:
@@ -173,7 +185,7 @@ def convex_pp(factors: object, weights: object | None = None) -> PseudoProjectio
     """
     fs = _coerce_factors(factors)
     w = _convex_weights(len(fs), weights)
-    acc = _ordering_sum([p.matrix for p in fs], distinct_orderings(len(fs)), w)
+    acc = _ordering_sum([p.matrix for p in fs], _ordering_array(len(fs)), w)
     return PseudoProjection(acc, fs, "convex", weights=tuple(w.tolist()))
 
 
@@ -181,11 +193,6 @@ def convex_pp(factors: object, weights: object | None = None) -> PseudoProjectio
 # subset T = {j : bit j of mask is set} of the operators, entry 0 is the
 # identity.  Expanding each factor (I + s_j A_j)/2 of a pseudo-projection turns
 # the whole family of outcome tables into these 2^k moments.
-
-# Orderings are batched in chunks of this many operator entries, which keeps
-# the convex stack for k = 8 (20160 orderings) within a few MB.
-_CONVEX_CHUNK_ENTRIES = 1 << 16
-
 
 @functools.lru_cache(maxsize=None)
 def _symmetrization_plan(k: int) -> tuple[tuple[Array, Array, Array], ...]:

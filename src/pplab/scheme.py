@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import _frozen, pauli_vector
+from .geometry import _sigmas, unit_vector
 from .operator_core import (
     Array,
     DensityMatrix,
@@ -99,8 +99,10 @@ class ObservableSpec:
         if (self.axis is None) == (self.matrix is None):
             raise InvalidInputError("provide exactly one of axis or matrix")
         if self.axis is not None:
-            m = pauli_vector(self.axis)
-            object.__setattr__(self, "axis", _frozen(self.axis, "axis"))
+            axis = unit_vector(self.axis, "axis").copy()
+            axis.flags.writeable = False
+            m = _sigmas(axis)[0]
+            object.__setattr__(self, "axis", axis)
         else:
             m = require_square(as_complex_matrix(self.matrix, "matrix"), "matrix")
             if not _close(m, m.conj().T, STRUCTURAL_TOL):
@@ -336,8 +338,11 @@ def marginalize(s: Scheme, drop_index: int) -> Scheme:
         raise InvalidInputError("cannot marginalize the last remaining observable")
     kept = tuple(o for i, o in enumerate(s.observables) if i != drop_index)
     # In `_outcomes` order, flipping the dropped outcome from +1 to -1 moves an
-    # entry `step` places on.
-    v = list(s.entries.values())
+    # entry `step` places on.  A table a caller reordered is read by key.
+    try:
+        v = list(s.entries.values()) if _in_order(s.entries, n) else [s.entries[k] for k in _outcomes(n)]
+    except KeyError:
+        raise InvalidInputError(f"entries must be keyed by the {2**n} +1/-1 outcome tuples of length {n}") from None
     step = 1 << (n - 1 - drop_index)
     entries = dict(zip(_outcomes(n - 1), [v[i] + v[i + step] for i in range(len(v)) if not i & step]))
     weights = _marginal_weights(s, drop_index)

@@ -32,7 +32,7 @@ from .operator_core import (
     as_complex_matrix,
     require_square,
 )
-from .pseudoprojection import _coerce_factors, _herm, _ordered_product, _ordering_sum
+from .pseudoprojection import _coerce_factors, _herm, _ordered_products, _ordering_sum
 
 __all__ = [
     "WeakValueReport",
@@ -145,38 +145,35 @@ def real_weak_product(factors: object, pre: object, post: object) -> float:
         raise InvalidInputError("need at least one factor")
     if {m.shape for m in mats} != {(len(mats[0]),) * 2}:
         raise InvalidInputError(f"dimension mismatch: factor shapes {[m.shape for m in mats]}")
-    prod = _ordered_product(mats, tuple(range(len(mats))))
+    (prod,) = _ordered_products(mats, [range(len(mats))])
     rho1, rho2, overlap = _post_select(prod, pre, post)
     return float(np.real(np.trace(rho2.matrix @ prod @ rho1.matrix) / overlap))
 
 
 class _Terms(NamedTuple):
-    """The state-independent half of Born x weak for n specs."""
+    """The state-independent half of Born x weak for n terms."""
 
     labels: tuple[str, ...]
     coefficients: tuple[float, ...]
     groups: tuple[int, ...]
-    weak: Array  # (n,) bool: the spec has a rest
+    weak: Array  # (n,) bool: the term has a rest
     floors: Array  # (n,) rank * OVERLAP_FLOOR, the Born factor a weak value needs
-    ops: Array  # (2n, d, d): every lead, then every lead @ rest (the lead itself without a rest)
+    ops: Array  # (2n, d, d): every lead, then every lead @ rest (times the identity without a rest)
 
 
-def _compile_terms(specs: list[tuple]) -> _Terms:
-    """Compile (lead, rank, rest, label, coefficient, group) specs, each for
-    <(1/2)(lead rest + h.c.)>, into the stack `_born_weak` contracts with a
-    state.  A rest of None marks a plain Born term: its weak part is exactly 1.
-    Each lead/rank must be a state, as for the projectors the library builds; it is not checked here."""
-    leads, ranks, rests, labels, coefficients, groups = zip(*specs)
-    leads = np.array(leads)
-    ranks = np.array(ranks, dtype=float)
-    weak = np.array([r is not None for r in rests])
-    eye = np.eye(leads.shape[-1])
-    products = leads @ np.array([eye if r is None else r for r in rests])
-    return _Terms(labels, coefficients, groups, weak, ranks * OVERLAP_FLOOR, np.concatenate([leads, products]))
+def _compile_terms(leads: Array, ranks: object, rests: Array, has_rest: object,
+                   labels: tuple[str, ...], coefficients: tuple[float, ...], groups: tuple[int, ...]) -> _Terms:
+    """Compile n terms, each for <(1/2)(lead rest + h.c.)>, into the stack `_born_weak`
+    contracts with a state: the (n, d, d) stacks `leads` and `rests`, the leads' `ranks`
+    and the (n,) bool mask `has_rest`.  A plain Born term has the identity as its rest and
+    no has_rest: its weak part is exactly 1.  Each lead/rank must be a state, as for the
+    projectors the library builds; it is not checked here."""
+    floors = np.asarray(ranks, dtype=float) * OVERLAP_FLOOR
+    return _Terms(labels, coefficients, groups, np.asarray(has_rest), floors, np.concatenate([leads, leads @ rests]))
 
 
 def _born_weak(terms: _Terms, rho: Array) -> tuple[list[float], list[float | None]]:
-    """Born factors Re Tr(rho lead) of every compiled spec and real weak values Re Tr(rho lead rest)
+    """Born factors Re Tr(rho lead) of every compiled term and real weak values Re Tr(rho lead rest)
     / Re Tr(rho lead), all from one contraction with the state `rho`; None unless the Born factor
     is above rank * OVERLAP_FLOOR, where the post-selection overlap born/rank would be refused."""
     values = _expectations(rho, terms.ops)
@@ -216,9 +213,10 @@ def pp_weak_factorization(state: object, factors: object) -> dict[str, float]:
         raise InvalidInputError(f"dimension mismatch: state {rho.dim}, factors {fs[0].dim}")
     mats = tuple(f.matrix for f in fs)
     pseudo = _expectations(rho.matrix, _ordering_sum(mats, [tuple(range(len(mats)))], [1.0]))
-    rest = _ordered_product(mats, tuple(range(1, len(mats))))
+    (rest,) = _ordered_products(mats, [range(1, len(mats))])
     _coerce_state(fs[0], "factors")  # the post-selection pi_1 / rank(pi_1) must be a state
-    (born,), (weak,) = _born_weak(_compile_terms([(mats[0], fs[0].rank, rest, "", 1.0, 0)]), rho.matrix)
+    terms = _compile_terms(mats[0][None], (fs[0].rank,), rest[None], (True,), ("",), (1.0,), (0,))
+    (born,), (weak,) = _born_weak(terms, rho.matrix)
     if weak is None:
         raise FactorizationUndefinedError(
             f"leading Born factor {born:.3e} vanishes; pseudo-probability {pseudo:.6e}"

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .operator_core import (
     Array, DensityMatrix, STRUCTURAL_TOL, _expectations, _finite, _integer, _kron, _outcome_projectors, _require_state,
     _sequence, resolve_tolerance,
 )
-from .pseudoprojection import _convex_weights, _nested, _ordered_moments, _ordered_product, _ordering_sum, distinct_orderings
+from .pseudoprojection import _convex_weights, _nested, _ordered_moments, _ordered_products, _ordering_array, _ordering_sum
 from .scheme import _MARK, ObservableSpec, _moments, _outcome_strings, _scheme_rows
 from .weak import _Terms, _born_weak, _compile_terms
 
@@ -211,7 +211,7 @@ def _embed(op: Array, side: int) -> Array:
 
 
 def _pp_terms(state: DensityMatrix, terms: _Terms, rows: Iterable[int] | None = None) -> list[WeakTerm]:
-    """Weak terms of compiled specs (see `weak._compile_terms`), or of their `rows` only:
+    """Weak terms of compiled terms (see `weak._compile_terms`), or of their `rows` only:
     the Born factor of each lead times the real weak value of its rest post-selected on
     lead/rank.  A vanishing Born factor makes the pseudo-probability an exact zero."""
     born, weak = _born_weak(terms, state.matrix)
@@ -226,18 +226,17 @@ def _pp_terms(state: DensityMatrix, terms: _Terms, rows: Iterable[int] | None = 
 
 # A two-qubit test reads blocks of compiled terms, each with two terms per frame
 # axis (or discord branch), outcomes + then -, axis after axis.  Each block's
-# entry gives (leads, lead rank, rests or None, label) from a projector stack P
-# whose rows per axis are a, b1, b2, a1, a2 and the b axis (b1, b2 and a1, a2
-# are the b- and a-side doublets).  A rest of None is a plain Born term.  In a
-# label, {t} is the axis tag, {s} the outcome and {f} the opposite outcome (see
-# `_tagged`); `_ENTRY_NAMES` names the entries of the blocks read as entries.
+# entry gives (leads, rests or None for plain Born terms, lead rank, label), the stacks read from a
+# projector stack P whose rows per axis are a, b1, b2, a1, a2 and the b axis (b1, b2 and a1, a2
+# are the b- and a-side doublets).  In a label, {t} is the axis tag, {s} the outcome and {f} the
+# opposite outcome (see `_tagged`); `_ENTRY_NAMES` names the entries of the blocks read as entries.
 _BLOCKS = {
-    "equality": lambda P: (_kron(P[:, 0], P[:, 2]), 1, _embed(P[:, 1], 1), "{t}a{s}b2{s} | b1{s}"),
-    "barred": lambda P: (_kron(P[:, 0, ::-1], P[:, 2]), 1, _embed(P[:, 1], 1), "{t}~a{f}b2{s} | b1{s}"),
-    "a-pairs": lambda P: (_embed(P[:, 3], 0), 2, _embed(P[:, 4], 0), "{t}a1{s}a2{s}"),
-    "b-pairs": lambda P: (_embed(P[:, 1], 1), 2, _embed(P[:, 2], 1), "{t}b1{s}b2{s}"),
-    "a": lambda P: (_embed(P[:, 0], 0), 1, None, "{t}a{s}"),
-    "b": lambda P: (_embed(P[:, 5], 1), 1, None, "{t}b{s}"),
+    "equality": (lambda P: _kron(P[:, 0], P[:, 2]), lambda P: _embed(P[:, 1], 1), 1, "{t}a{s}b2{s} | b1{s}"),
+    "barred": (lambda P: _kron(P[:, 0, ::-1], P[:, 2]), lambda P: _embed(P[:, 1], 1), 1, "{t}~a{f}b2{s} | b1{s}"),
+    "a-pairs": (lambda P: _embed(P[:, 3], 0), lambda P: _embed(P[:, 4], 0), 2, "{t}a1{s}a2{s}"),
+    "b-pairs": (lambda P: _embed(P[:, 1], 1), lambda P: _embed(P[:, 2], 1), 2, "{t}b1{s}b2{s}"),
+    "a": (lambda P: _embed(P[:, 0], 0), None, 1, "{t}a{s}"),
+    "b": (lambda P: _embed(P[:, 5], 1), None, 1, "{t}b{s}"),
 }
 _ENTRY_NAMES = {"equality": "{t}a{s}b1{s}b2{s}", "barred": "{t}~a{f}b1{s}b2{s}"}
 
@@ -247,17 +246,24 @@ def _tagged(template: str, i: int, o: int) -> str:
     return template.format(t=f"[{i + 1}]", s=_MARK[o], f=_MARK[1 - o])
 
 
-def _compile_blocks(P: Array, blocks: Sequence[str], groups: Sequence[int]) -> _Terms:
+@functools.cache
+def _block_terms(blocks: tuple[str, ...], groups: tuple[int, ...]) -> tuple[tuple, ...]:
+    """The ranks, has-rest mask, labels, coefficients and groups of `blocks` compiled over
+    len(groups) axes, as `_compile_blocks` passes them to `_compile_terms`."""
+    return tuple(zip(*(
+        (rank, rest is not None, _tagged(label, i, o), 1.0, group)
+        for _, rest, rank, label in map(_BLOCKS.get, blocks) for i, group in enumerate(groups) for o in (0, 1)
+    )))
+
+
+def _compile_blocks(P: Array, blocks: tuple[str, ...], groups: tuple[int, ...]) -> _Terms:
     """The terms of `blocks`, block after block, over the axes of the projector
     stack P; axis i is tagged [i+1] and its terms are in groups[i]."""
-    specs = []
-    for block in blocks:
-        leads, rank, rests, label = _BLOCKS[block](P)
-        specs += [
-            (leads[i, o], rank, None if rests is None else rests[i, o], _tagged(label, i, o), 1.0, group)
-            for i, group in enumerate(groups) for o in (0, 1)
-        ]
-    return _compile_terms(specs)
+    eye = np.broadcast_to(np.eye(4), (2 * len(groups), 4, 4))
+    leads = np.concatenate([_BLOCKS[b][0](P).reshape(-1, 4, 4) for b in blocks])
+    rests = np.concatenate([eye if _BLOCKS[b][1] is None else _BLOCKS[b][1](P).reshape(-1, 4, 4) for b in blocks])
+    ranks, has_rest, *named = _block_terms(blocks, groups)
+    return _compile_terms(leads, ranks, rests, has_rest, *named)
 
 
 def _compile_geometry(geom: EntanglementGeometry) -> _Terms:
@@ -268,9 +274,8 @@ def _compile_geometry(geom: EntanglementGeometry) -> _Terms:
     return _compile_blocks(P, tuple(_BLOCKS), (0, 0, 0))
 
 
-def _product_term(t1: WeakTerm, t2: WeakTerm, coefficient: float) -> WeakTerm:
-    """Composite term "(l1)*(l2)" for the product of two pseudo-probabilities, in t1's group."""
-    label = f"({t1.label})*({t2.label})"
+def _product_term(t1: WeakTerm, t2: WeakTerm, coefficient: float, label: str) -> WeakTerm:
+    """Composite term `label`, "(l1)*(l2)", for the product of two pseudo-probabilities, in t1's group."""
     born = t1.born_factor * t2.born_factor
     if t1.weak_value is None or t2.weak_value is None:
         return WeakTerm(label, born, None, 0.0, coefficient, t1.group)
@@ -297,7 +302,7 @@ def coherence_test(state: DensityMatrix, a1: object, a2: object) -> TestReport:
     rows =_scheme_rows(state.matrix[None], [_ordered_moments(_sigmas([v1, v2]), "unit")], [[0, 1]])[0]
     entries = dict(zip(_outcome_strings(2), rows.tolist()))
 
-    terms = _pp_terms(state, _compile_terms([(P[0, 0], 1, P[1, 0], "a1+ | a2+", 1.0, 0)]))
+    terms = _pp_terms(state, _compile_terms(P[0, :1], (1,), P[1, :1], (True,), ("a1+ | a2+",), (1.0,), (0,)))
 
     # Independent route: (1/4)(1 + a1.a2 + p.(a1 + a2)) from the Pauli algebra.
     bloch = _pauli_coordinates(state.matrix)[1:]
@@ -327,10 +332,9 @@ def boolean_state_dep_test(state: DensityMatrix, a1: object, a2: object) -> Test
     flat_value = _expectations(state.matrix, _ordering_sum([p1, p2, p1bar], [(0, 1, 2)], [1.0]))
 
     # Nested conjunction splits into two ordered products with weight 1/2.
-    terms = _pp_terms(state, _compile_terms([
-        (p1, 1, p2 @ p1bar, "a1+ | a2+ a1-", 0.5, 0),
-        (p1, 1, p1bar @ p2, "a1+ | a1- a2+", 0.5, 0),
-    ]))
+    terms = _pp_terms(state, _compile_terms(
+        np.stack([p1, p1]), (1, 1), np.stack([p2 @ p1bar, p1bar @ p2]), (True, True),
+        ("a1+ | a2+ a1-", "a1+ | a1- a2+"), (0.5, 0.5), (0, 0)))
 
     k = float(v1 @ v2)
     bloch = _pauli_coordinates(state.matrix)[1:]
@@ -353,6 +357,9 @@ _CANONICAL_QUBITS = (
     ("z-pure", 0.5 * (IDENTITY_2 + PAULI_Z)),
 )
 _MAXIMALLY_MIXED = DensityMatrix(_CANONICAL_QUBITS[0][1])
+# The labels of the weak terms of boolean_state_indep_test and of chsh_test.
+_ORDERING_LABELS = tuple("ordering " + "".join(map(str, order)) for order in _ordering_array(4).tolist())
+_CHSH_LABELS = tuple(f"A{a + 1}{_MARK[o]}B1{_MARK[o]} | B2{_MARK[o ^ a]}" for a in (0, 1) for o in (0, 1))
 
 
 def boolean_state_indep_test(a1: object, a2: object) -> TestReport:
@@ -366,8 +373,8 @@ def boolean_state_indep_test(a1: object, a2: object) -> TestReport:
     authoritative.
     """
     (v1, v2), P, inputs = _qubit_axes(None, "boolean_state_indep_test", {"a1": a1, "a2": a2})
-    mats = (P[0, 0], P[1, 0], P[0, 1], P[1, 1])
-    orders = distinct_orderings(4)
+    mats = P.transpose(1, 0, 2, 3).reshape(4, 2, 2)  # P[0, 0], P[1, 0], P[0, 1], P[1, 1]
+    orders = _ordering_array(4)
     pp = _ordering_sum(mats, orders, _convex_weights(4, None))
     values = {name: _expectations(rho, pp) for name, rho in _CANONICAL_QUBITS}
     statistic = values["maximally-mixed"]
@@ -375,10 +382,10 @@ def boolean_state_indep_test(a1: object, a2: object) -> TestReport:
 
     # Weak decomposition against the maximally mixed state, one term per
     # distinct ordering of the four factors.
-    terms = _pp_terms(_MAXIMALLY_MIXED, _compile_terms([
-        (mats[order[0]], 1, _ordered_product(mats, order[1:]), "ordering " + "".join(map(str, order)), 1.0 / 12.0, 0)
-        for order in orders
-    ]))
+    terms = _pp_terms(_MAXIMALLY_MIXED, _compile_terms(
+        mats[orders[:, 0]], (1,) * 12, _ordered_products(mats, orders[:, 1:]), (True,) * 12,
+        _ORDERING_LABELS, (1.0 / 12.0,) * 12, (0,) * 12,
+    ))
 
     k = float(v1 @ v2)
     constructive_closed = (k * k - 1.0) / 24.0
@@ -428,11 +435,9 @@ def distributivity_test(state: DensityMatrix, a1: object, a2: object, a3: object
     bloch = _pauli_coordinates(state.matrix)[1:]
     closed = 0.125 * float(bloch @ (float(v1 @ v3) * v2 + float(v1 @ v2) * v3 - 2.0 * float(v2 @ v3) * v1))
 
-    terms = _pp_terms(state, _compile_terms([
-        (p2, 1, p1 @ p3, "a2+ | a1+ a3+", 1.0, 0),
-        (p1, 1, p2 @ p3, "a1+ | a2+ a3+", -0.5, 0),
-        (p1, 1, p3 @ p2, "a1+ | a3+ a2+", -0.5, 0),
-    ]))
+    terms = _pp_terms(state, _compile_terms(
+        np.stack([p2, p1, p1]), (1, 1, 1), np.stack([p1 @ p3, p2 @ p3, p3 @ p2]), (True,) * 3,
+        ("a2+ | a1+ a3+", "a1+ | a2+ a3+", "a1+ | a3+ a2+"), (1.0, -0.5, -0.5), (0, 0, 0)))
 
     return _report(
         "distributivity",
@@ -476,11 +481,9 @@ def chsh_test(
     t1, t2 = (_scheme_rows(state.matrix[None], [_moments([a], "unit"), b], [[0], [1, 2]])[0].tolist() for a in (A1, A2))
     entries = {"A1+B1+B2+": t1[0], "A1-B1-B2-": t1[7], "A2+B1+B2-": t2[1], "A2-B1-B2+": t2[6]}
     P = _outcome_projectors([o.matrix for o in (A1, A2, B1, B2)])
-    # Rows 0-3 of P are A1, A2, B1, B2; A2's entries take B2's opposite outcome.
-    terms = _pp_terms(state, _compile_terms([
-        (_kron(P[a, o], P[2, o]), 1, _embed(P[3, o ^ a], 1), f"A{a + 1}{_MARK[o]}B1{_MARK[o]} | B2{_MARK[o ^ a]}", 1.0, 0)
-        for a in (0, 1) for o in (0, 1)
-    ]))
+    # Rows 0-3 of P are A1, A2, B1, B2; the terms run a, o over (A1, A2) x (+, -), and A2's take B2's opposite outcome.
+    leads, rests = _kron(P[:2], P[2]).reshape(4, 4, 4), _embed(P[3, [0, 1, 1, 0]], 1)
+    terms = _pp_terms(state, _compile_terms(leads, (1,) * 4, rests, (True,) * 4, _CHSH_LABELS, (1.0,) * 4, (0,) * 4))
 
     # Independent route: statistic = (2 + <A1(B1+B2)> + <A2(B1-B2)>)/4.  Each
     # observable is sigma.n with n = Tr(sigma A)/2: Hermitian, squaring to I and
@@ -554,6 +557,14 @@ def _rows(w: _Witness, blocks: tuple[str, ...], n: int, n_axes: int) -> dict[tup
     return {(b, i, o): 2 * n * blocks.index(b) + 2 * i + o for b in _blocks(w) for i in range(n_axes) for o in (0, 1)}
 
 
+@functools.cache
+def _names(w: _Witness, i: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The names of the entries `w` reads at axis i, and the labels "(l1)*(l2)" of its products there."""
+    label = lambda block, o: _tagged(_BLOCKS[block][3], i, o)  # noqa: E731
+    entries = tuple(_tagged(_ENTRY_NAMES[block], i, o) for block in w.entries for o in (0, 1))
+    return entries, tuple(f"({label(x, o)})*({label(y, p)})" for (x, o), (y, p), _ in w.products)
+
+
 def _evaluate(
     w: _Witness, state: DensityMatrix, terms: _Terms, blocks: tuple[str, ...], axes: list[tuple[Array, Array]], alpha: float,
 ) -> tuple[dict[str, float], list[list[WeakTerm]], list[float]]:
@@ -568,11 +579,11 @@ def _evaluate(
     entries: dict[str, float] = {}
     per_axis, closed = [], []
     for i, (a, b) in enumerate(axes):
-        entries.update(
-            (_tagged(_ENTRY_NAMES[block], i, o), t[block, i, o].pseudo_probability) for block in w.entries for o in (0, 1)
-        )
-        per_axis.append([t[block, i, o] for block in w.summed for o in (0, 1)]
-                        + [_product_term(t[x, i, o], t[y, i, p], k) for (x, o), (y, p), k in w.products])
+        names, labels = _names(w, i)
+        entries.update(zip(names, (t[block, i, o].pseudo_probability for block in w.entries for o in (0, 1))))
+        per_axis.append([t[block, i, o] for block in w.summed for o in (0, 1)] + [
+            _product_term(t[x, i, o], t[y, i, p], k, label) for ((x, o), (y, p), k), label in zip(w.products, labels)
+        ])
         closed.append(w.closed(c, float(a @ T @ b), float(r @ a), float(s @ b)))
     return entries, per_axis, closed
 

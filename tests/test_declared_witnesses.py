@@ -60,9 +60,9 @@ def test_discord_compiles_only_its_twelve_rows_per_call(monkeypatch):
     rows = []
     compile_terms = witnesses._compile_terms
 
-    def counting(specs):
-        rows.append(len(specs))
-        return compile_terms(specs)
+    def counting(leads, *rest):
+        rows.append(len(leads))
+        return compile_terms(leads, *rest)
 
     monkeypatch.setattr(witnesses, "_compile_terms", counting)
     state = ginibre_density(np.random.default_rng(8), 4)

@@ -17,6 +17,7 @@ from pplab import (
     qubit_projector,
     werner_state,
 )
+from pplab import geometry
 from support import random_unit_vector
 
 unit_angles = st.floats(min_value=1e-3, max_value=math.pi - 1e-3)
@@ -133,3 +134,17 @@ def test_non_finite_vectors_are_rejected_as_such(bad):
         pauli_vector(bad)
     with pytest.raises(InvalidInputError, match="not finite"):
         bloch_state(bad)
+
+
+def test_cross_has_the_bits_of_np_cross():
+    """`geometry._cross` forms np.cross's products and subtractions: the same bits, signed zeros included."""
+    rng = np.random.default_rng(41)
+    a, b = rng.normal(size=(64, 3)), rng.normal(size=(64, 3))
+    near = a[:16] * (1.0 + rng.uniform(-1e-15, 1e-15, size=(16, 1)))  # nearly parallel to a[:16]
+    zeros = np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [-0.0, -0.0, -0.0], [1.0, -0.0, 0.0]])
+    pairs = [(a, b), (a[:16], near), (zeros, zeros[::-1]), (zeros, b[:4]), (b[:4], zeros), (a, a)]
+    pairs += [(v, ref) for v in a[:8] for ref in (np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]))]
+    for x, y in pairs:
+        got, want = geometry._cross(x, y), np.cross(x, y)
+        assert got.shape == want.shape
+        assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]

@@ -103,6 +103,6 @@ def test_two_qubit_closed_forms_do_not_revalidate_axes(monkeypatch):
         nonlinear_ent_test(state, geom, variant)
     discord_test(state, 1.2)
     assert calls == []
-    # The counter reaches modules that imported pauli_vector by name.
-    ObservableSpec(0, axis=[0.0, 0.0, 1.0])
+    # The counter reaches pplab's own calls (an ObservableSpec no longer makes one).
+    geometry.qubit_projector([0.0, 0.0, 1.0])
     assert len(calls) == 1

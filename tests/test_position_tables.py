@@ -23,7 +23,8 @@ import numpy as np
 import pytest
 
 from pplab import (
-    ObservableSpec, Scheme, build_scheme, equality_sum, marginalize, negativity_report, scheme_from_json, scheme_to_json,
+    ObservableSpec, Scheme, bloch_state, build_scheme, equality_sum, marginalize, negativity_report, scheme_from_json,
+    scheme_to_json,
 )
 from pplab.errors import InvalidInputError
 from pplab.operator_core import SPECTRAL_TOL, _finite, _integer, _real, _sequence, resolve_tolerance
@@ -77,7 +78,10 @@ def _oracle_marginalize(s, drop_index):
     if n == 1:
         raise InvalidInputError("cannot marginalize the last remaining observable")
     kept = tuple(o for i, o in enumerate(s.observables) if i != drop_index)
-    v = list(s.entries.values())
+    try:
+        v = [s.entries[k] for k in _outcomes(n)]
+    except KeyError:
+        raise InvalidInputError(f"entries must be keyed by the {2**n} +1/-1 outcome tuples of length {n}") from None
     step = 1 << (n - 1 - drop_index)
     entries = dict(zip(_outcomes(n - 1), [v[i] + v[i + step] for i in range(len(v)) if not i & step]))
     weights = _marginal_weights(s, drop_index)
@@ -312,3 +316,17 @@ def test_integer_and_reordered_records_are_read_entry_by_entry():
     assert repr(scheme_from_json({"observables": obs, "prescription": "unit", "entries": {"+": 1, "-": 0}}).entries) == (
         "{(1,): 1.0, (-1,): 0.0}"
     )
+
+
+def test_a_reordered_table_is_marginalized_by_key():
+    """Reversing a table's `entries` in place changes neither its marginal nor, once a key is gone, the error class."""
+    s = build_scheme(bloch_state([0.6, 0, 0.3]), [ObservableSpec(0, axis=[0, 0, 1]), ObservableSpec(0, axis=[1, 0, 0])], "unit")
+    before = marginalize(s, 1).entries
+    assert before == pytest.approx({(1,): 0.65, (-1,): 0.35}, abs=1e-15)
+    items = list(s.entries.items())
+    s.entries.clear()
+    s.entries.update(items[::-1])
+    assert repr(marginalize(s, 1).entries) == repr(before)
+    del s.entries[(1, 1)]
+    with pytest.raises(InvalidInputError, match="entries must be keyed by the 4 "):
+        marginalize(s, 0)

@@ -203,7 +203,10 @@ def test_compiled_terms_are_read_from_one_contraction(monkeypatch):
     term reads 1, also at a zero Born factor, with no numpy warning; the weak
     value of a lead with a zero Born factor is None."""
     up, down, x_up = (qubit_projector(a, s).matrix for a, s in (([0, 0, 1], 1), ([0, 0, 1], -1), ([1, 0, 0], 1)))
-    terms = weak._compile_terms([(up, 1, x_up, "w", 1.0, 0), (down, 1, None, "b", 1.0, 0), (down, 1, x_up, "v", 1.0, 0)])
+    terms = weak._compile_terms(
+        np.stack([up, down, down]), (1, 1, 1), np.stack([x_up, np.eye(2), x_up]), (True, False, True),
+        ("w", "b", "v"), (1.0,) * 3, (0,) * 3,
+    )
     calls = []
     monkeypatch.setattr(weak, "_expectations", lambda *a: calls.append(a) or _expectations(*a))
     monkeypatch.setattr(weak, "_overlap", None)
