@@ -33,7 +33,7 @@ from .geometry import (
     qubit_projector,
     werner_state,
 )
-from .operator_core import SPECTRAL_TOL, DensityMatrix, _complex_parts, resolve_tolerance
+from .operator_core import SPECTRAL_TOL, DensityMatrix, _complex_parts, _real_array, resolve_tolerance
 from .pointer import PointerConfig, proportionality_check, simulate_pointers
 from .pseudoprojection import PRESCRIPTIONS, _prescription_weights, convex_pp, min_eigen_certificate, symmetrized_pp, unit_pp
 from .scheme import _SIGN, ObservableSpec, build_scheme, negativity_report, scheme_to_json
@@ -121,8 +121,8 @@ def _state_from_file(path: str) -> DensityMatrix:
         raise InvalidInputError('state file must be JSON {"dim": n, "re": [[...]], "im": [[...]]}')
     dim = data["dim"]
     try:
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
+        re = _real_array(data["re"])
+        im = _real_array(data.get("im", np.zeros_like(re)))
     except (TypeError, ValueError):
         raise InvalidInputError(f"state file {path}: re and im must be real numeric matrices") from None
     if re.shape != (dim, dim) or im.shape != (dim, dim):

@@ -3,6 +3,7 @@ frame geometry for the two-qubit correlation tests, Werner family.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +60,8 @@ def _vector3(v: object, name: str) -> Array:
         raise InvalidInputError(f"{name} must be a real 3-vector") from None
     if a.shape != (3,):
         raise InvalidInputError(f"{name} must be a real 3-vector, got shape {a.shape}")
-    if not (np.abs(a) <= _VECTOR_LIMIT).all():
+    x, y, z = a.tolist()  # NaN fails each comparison
+    if not (abs(x) <= _VECTOR_LIMIT and abs(y) <= _VECTOR_LIMIT and abs(z) <= _VECTOR_LIMIT):
         if not np.isfinite(a).all():
             raise InvalidInputError(f"{name} is not finite: {a.tolist()}")
         _bounded(a, name, _VECTOR_LIMIT)
@@ -71,10 +73,15 @@ def _shown(x: float) -> str:
     return f"{x:.12f}" if abs(x) < 1e6 else f"{x:.12e}"
 
 
+def _norm(a: Array) -> float:
+    """|a| for a real 1-d array: the ddot and IEEE square root of np.linalg.norm, bit for bit, without its set-up."""
+    return math.sqrt(a.dot(a))
+
+
 def unit_vector(v: object, name: str = "vector") -> Array:
     """Validate a real 3-vector of unit length."""
     a = _vector3(v, name)
-    n = float(np.linalg.norm(a))
+    n = _norm(a)
     if abs(n - 1.0) > SPECTRAL_TOL:
         raise InvalidInputError(f"{name} must be unit length, |{name}| = {_shown(n)}")
     return a
@@ -100,8 +107,9 @@ def pauli_vector(n: object) -> Array:
 def bloch_state(p: object) -> DensityMatrix:
     """Qubit state (1/2)(I + sigma . p); |p| <= 1 up to tolerance."""
     a = _vector3(p, "Bloch vector")
-    if np.linalg.norm(a) > 1.0 + STRUCTURAL_TOL:
-        raise InvalidInputError(f"Bloch vector must satisfy |p| <= 1, got {_shown(np.linalg.norm(a))}")
+    n = _norm(a)
+    if n > 1.0 + STRUCTURAL_TOL:
+        raise InvalidInputError(f"Bloch vector must satisfy |p| <= 1, got {_shown(n)}")
     m = 0.5 * (IDENTITY_2 + _sigmas(a)[0])
     return DensityMatrix(m)
 
@@ -307,4 +315,4 @@ def mub_partner(n: object) -> Array:
     a = unit_vector(n, "axis")
     ref = _Y if abs(float(a @ _Y)) < AXIS_ALIGNMENT_CUTOFF else _Z
     u = _cross(ref, a)
-    return u / np.linalg.norm(u)
+    return u / _norm(u)

@@ -47,7 +47,7 @@ _ENTRY_LIMIT = 2.0
 def as_complex_matrix(m: object, name: str = "matrix") -> Array:
     """Coerce to a 2-d complex ndarray, rejecting anything else."""
     try:
-        a = np.asarray(m, dtype=complex)
+        a = np.asarray(_numeric(m), dtype=complex)
     except (TypeError, ValueError):
         raise InvalidInputError(f"{name} is not a numeric matrix") from None
     if a.ndim != 2:
@@ -62,7 +62,7 @@ def as_complex_matrix(m: object, name: str = "matrix") -> Array:
 def _complex_parts(re: object, im: object) -> Array:
     """re + i im with no arithmetic on either part: a non-finite part reaches the finiteness
     check without a numpy warning.  TypeError or ValueError if a part is not a real array."""
-    re, im = np.broadcast_arrays(np.asarray(re, dtype=float), np.asarray(im, dtype=float))
+    re, im = np.broadcast_arrays(np.asarray(_numeric(re), dtype=float), np.asarray(_numeric(im), dtype=float))
     m = re.astype(complex)
     m.imag = im
     return m
@@ -104,10 +104,19 @@ def _finite(x: object, name: str) -> float:
     return x
 
 
+def _numeric(x: object) -> Array:
+    """np.asarray(x); TypeError if it holds str or bytes entries, which numpy would parse as numbers."""
+    a = np.asarray(x)
+    if a.dtype.kind in "US" or a.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in a.flat):
+        raise TypeError("text values")
+    return a
+
+
 def _real_array(x: object) -> Array:
     """`x` as a float array; TypeError or ValueError unless it holds real numbers, so a
-    complex array is refused rather than cast with a warning that drops its imaginary part."""
-    a = np.asarray(x)
+    complex array is refused rather than cast with a warning that drops its imaginary part,
+    and text is refused rather than parsed."""
+    a = _numeric(x)
     if a.dtype.char != "d":
         if a.dtype.kind == "c":
             raise TypeError("complex values")

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import _sigmas, unit_vector
+from .geometry import _PAULIS, unit_vector
 from .operator_core import (
     Array,
     DensityMatrix,
@@ -99,9 +99,11 @@ class ObservableSpec:
         if (self.axis is None) == (self.matrix is None):
             raise InvalidInputError("provide exactly one of axis or matrix")
         if self.axis is not None:
-            axis = unit_vector(self.axis, "axis").copy()
+            axis = unit_vector(self.axis, "axis")
+            if type(self.axis) not in (list, tuple):  # only a list or tuple is surely read into a fresh array
+                axis = axis.copy()
             axis.flags.writeable = False
-            m = _sigmas(axis)[0]
+            m = (axis @ _PAULIS).reshape(2, 2)
             object.__setattr__(self, "axis", axis)
         else:
             m = require_square(as_complex_matrix(self.matrix, "matrix"), "matrix")
@@ -368,13 +370,20 @@ def _marginal_weights(s: Scheme, drop_index: int) -> tuple[float, ...] | None:
         return s.weights
     if k == 2:
         return None
-    j = sum(o.subsystem == sub for o in s.observables[:drop_index])
-    induced: dict[tuple[int, ...], float] = {}
-    for w, order in zip(s.weights, distinct_orderings(k)):
-        rest = tuple(i - (i > j) for i in order if i != j)
-        key = min(rest, rest[::-1])
-        induced[key] = induced.get(key, 0.0) + w
-    return tuple(induced.get(order, 0.0) for order in distinct_orderings(k - 1))
+    count, restrictions = _restrictions(k, sum(o.subsystem == sub for o in s.observables[:drop_index]))
+    induced = [0.0] * count
+    for w, r in zip(s.weights, restrictions):  # in ordering order, from zero
+        induced[r] += w
+    return tuple(induced)
+
+
+@functools.cache
+def _restrictions(k: int, j: int) -> tuple[int, tuple[int, ...]]:
+    """The number of distinct orderings of k - 1 factors and, for each of `distinct_orderings(k)`,
+    the index among those of its restriction without factor j, up to reversal."""
+    index = {order: i for i, order in enumerate(distinct_orderings(k - 1))}
+    rests = [tuple(i - (i > j) for i in order if i != j) for order in distinct_orderings(k)]
+    return len(index), tuple(index[min(rest, rest[::-1])] for rest in rests)
 
 
 def negativity_report(s: Scheme) -> dict[str, object]:

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import (
-    IDENTITY_2, PAULI_X, PAULI_Z, EntanglementGeometry, _aperture, _doublets, _pauli_coordinates, _qubit_projectors,
-    _sigmas, mub_partner, unit_vector,
+    IDENTITY_2, PAULI_X, PAULI_Z, EntanglementGeometry, _aperture, _doublets, _norm, _pauli_coordinates,
+    _qubit_projectors, _sigmas, mub_partner, unit_vector,
 )
 from .operator_core import (
     Array, DensityMatrix, STRUCTURAL_TOL, _expectations, _finite, _integer, _kron, _outcome_projectors, _require_state,
@@ -660,8 +660,9 @@ def discord_test(state: DensityMatrix, alpha: float) -> TestReport:
     alpha = _aperture(alpha)
 
     r = _pauli_coordinates(state.matrix)[1:, 0]
-    degenerate = bool(np.linalg.norm(r) < 1e-8)
-    a1_axis = np.array([0.0, 0.0, 1.0]) if degenerate else r / np.linalg.norm(r)
+    norm = _norm(r)
+    degenerate = norm < 1e-8
+    a1_axis = np.array([0.0, 0.0, 1.0]) if degenerate else r / norm
     a2_axis = mub_partner(a1_axis)
 
     warnings: list[str] = []

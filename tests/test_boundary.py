@@ -549,3 +549,50 @@ def test_statistic_from_terms_reads_dict_terms_as_numbers(term, message):
             statistic_from_terms([term], rule)
         assert type(info.value) is InvalidInputError
         assert str(info.value) == message
+
+
+_UNIT_RECORD = {"prescription": "unit", "entries": {"+": 0.5, "-": 0.5}}
+
+# Text entries: numpy parses "0.1" as a number, so each of these used to be accepted.
+# Each is refused with its boundary's existing message.
+TEXT = {
+    "bloch_state": (lambda: bloch_state(["0.1", "0", "0"]), "Bloch vector must be a real 3-vector"),
+    "ObservableSpec/axis": (lambda: ObservableSpec(0, axis=["0", "0", "1"]), "axis must be a real 3-vector"),
+    "ObservableSpec/bytes_axis": (
+        lambda: ObservableSpec(0, axis=np.array([b"0", b"0", b"1"])), "axis must be a real 3-vector",
+    ),
+    "ObservableSpec/object_axis": (
+        lambda: ObservableSpec(0, axis=np.array([0.0, 0.0, "1"], dtype=object)), "axis must be a real 3-vector",
+    ),
+    "DensityMatrix": (
+        lambda: DensityMatrix([["0.5", "0"], ["0", "0.5"]]), "density matrix is not a numeric matrix",
+    ),
+    "DensityMatrix/mixed": (
+        lambda: DensityMatrix([[0.5, 0.0], [0.0, "0.5"]]), "density matrix is not a numeric matrix",
+    ),
+    "scheme_from_json/axis": (
+        lambda: scheme_from_json({**_UNIT_RECORD, "observables": [{"subsystem": 0, "axis": ["0", "0", "1"]}]}),
+        "axis must be a real 3-vector",
+    ),
+    "scheme_from_json/matrix": (
+        lambda: scheme_from_json({**_UNIT_RECORD, "observables": [
+            {"subsystem": 0, "matrix": {"re": [["1", "0"], ["0", "-1"]], "im": [[0, 0], [0, 0]]}},
+        ]}),
+        "observables must be an ordered collection of observable records",
+    ),
+    "proportionality_check/couplings": (
+        lambda: proportionality_check(RHO, PROJS, POST, CFG, couplings=["0.02", "0.04", "0.06"]),
+        "couplings must be an ordered collection of numbers",
+    ),
+    "convex_pp/weights": (
+        lambda: convex_pp(PROJS, weights=["1"]), "weights must be real numbers, got ['1']",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", list(TEXT.values()), ids=list(TEXT))
+def test_text_entries_are_refused(call, message):
+    with pytest.raises(InvalidInputError) as info:
+        call()
+    assert type(info.value) is InvalidInputError
+    assert str(info.value) == message

@@ -525,3 +525,13 @@ def test_a_report_that_fails_its_self_check_exits_two(capsys, monkeypatch):
     code, out, err = _run(capsys, ["test", "chsh", "--werner", "1.0"])
     assert code == 2 and out == ""
     assert err.startswith("error: report self-check failed")
+
+
+def test_state_file_with_text_entries_exits_one(capsys, tmp_path):
+    """numpy would parse the strings as numbers; the state file reader refuses them."""
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"dim": 2, "re": [["0.5", "0"], ["0", "0.5"]]}))
+    code, out, err = _run(capsys, ["test", "coherence", "--state", str(path)])
+    assert code == 1
+    assert out == ""
+    assert f"state file {path}: re and im must be real numeric matrices" in err

@@ -426,3 +426,48 @@ def test_matrix_record_with_an_infinite_part_is_refused_without_a_numpy_warning(
         warnings.simplefilter("error")
         with pytest.raises(InvalidInputError, match="not finite"):
             scheme_from_json(record)
+
+
+def _listed_marginal_weights(s: Scheme, drop_index: int) -> tuple[float, ...] | None:
+    """The convex weights of a marginal, derived afresh on each call from the orderings themselves."""
+    from collections import Counter
+
+    if s.weights is None:
+        return None
+    sub = s.observables[drop_index].subsystem
+    sizes = Counter(o.subsystem for o in s.observables)
+    k = sizes[sub]
+    other_multi = any(size >= 2 for t, size in sizes.items() if t != sub)
+    if k == 1 or other_multi:
+        return s.weights
+    if k == 2:
+        return None
+    j = sum(o.subsystem == sub for o in s.observables[:drop_index])
+    induced: dict[tuple[int, ...], float] = {}
+    for w, order in zip(s.weights, distinct_orderings(k)):
+        rest = tuple(i - (i > j) for i in order if i != j)
+        key = min(rest, rest[::-1])
+        induced[key] = induced.get(key, 0.0) + w
+    return tuple(induced.get(order, 0.0) for order in distinct_orderings(k - 1))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_marginal_weights_keep_their_bits(k):
+    """Every dropped position, with a single observable on a second subsystem before, among or
+    after the group, and weights that include -0.0 and a tiny negative one."""
+    rng = np.random.default_rng(k)
+    count = math.factorial(k) // 2
+    for layout in ([0] * k, [1] + [0] * k, [0] + [1] + [0] * (k - 1), [0] * k + [1]):
+        obs = [ObservableSpec(sub, axis=[0.0, 0.0, 1.0]) for sub in layout]
+        entries = dict.fromkeys(itertools.product((1, -1), repeat=len(obs)), 0.5 ** len(obs))
+        w = rng.dirichlet(np.ones(count))
+        w[2] += w[0] + w[1] + 1e-15
+        w[:2] = -0.0, -1e-15
+        for weights in (w, np.full(count, 1.0 / count)):
+            s = Scheme(tuple(obs), entries, "convex", weights=weights)
+            for drop in range(len(obs)):
+                want = _listed_marginal_weights(s, drop)
+                got = marginalize(s, drop).weights
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert [x.hex() for x in got] == [x.hex() for x in want]
