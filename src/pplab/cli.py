@@ -1,7 +1,8 @@
 """Command-line front-end: state loading, dispatch, JSON report emission.
 
-Exit codes: 0 success, 1 invalid input, 2 numerical failure (post-selection
-impossible, resource bound, non-convergence).  All angles are radians.
+Exit codes: 0 success, 1 invalid input (InvalidInputError), 2 every other
+PPLabError, a numerical failure (post-selection impossible, resource bound,
+non-convergence).  All angles are radians.
 Reports are re-validated before emission: the statistic must be recoverable
 from the serialized weak terms.
 """
@@ -18,13 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    FactorizationUndefinedError,
-    InvalidInputError,
-    PostSelectionImpossibleError,
-    ResourceLimitError,
-)
+from .errors import ConvergenceError, InvalidInputError, PPLabError, ResourceLimitError
 from .game import evaluate_strategy
 from .geometry import (
     bloch_state,
@@ -450,17 +445,9 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0
-    except InvalidInputError as exc:
+    except PPLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (
-        PostSelectionImpossibleError,
-        ResourceLimitError,
-        ConvergenceError,
-        FactorizationUndefinedError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, InvalidInputError) else 2
 
 
 def main() -> None:

@@ -672,7 +672,7 @@ def discord_test(state: DensityMatrix, alpha: float) -> TestReport:
     # Both sides measure along each branch axis: rows of P per branch are the
     # axis, then its doublet n1, n2 (a, b1, b2 of `_BLOCKS`).
     axes = np.stack([a1_axis, a2_axis])
-    P = _qubit_projectors(np.stack([axes, *_doublets(axes, alpha)], axis=1).reshape(6, 3)).reshape(2, 3, 2, 2, 2)
+    P = _outcome_projectors(_sigmas(np.stack([axes, *_doublets(axes, alpha)], axis=1).reshape(6, 3))).reshape(2, 3, 2, 2, 2)
     blocks = _blocks(_WITNESSES["discord"])
     entries, branches, closed = _evaluate(
         _WITNESSES["discord"], state, _compile_blocks(P, blocks, (1, 2)), blocks, [(x, x) for x in axes], alpha

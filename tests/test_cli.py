@@ -8,6 +8,7 @@ import pytest
 
 from pplab import convex_pp, min_eigen_certificate, qubit_projector, symmetrized_pp, unit_pp
 from pplab.cli import parse_and_dispatch
+from pplab.errors import InvalidInputError, PPLabError
 
 
 def _run(capsys, argv):
@@ -525,6 +526,22 @@ def test_a_report_that_fails_its_self_check_exits_two(capsys, monkeypatch):
     code, out, err = _run(capsys, ["test", "chsh", "--werner", "1.0"])
     assert code == 2 and out == ""
     assert err.startswith("error: report self-check failed")
+
+
+@pytest.mark.parametrize("base, code", [(PPLabError, 2), (InvalidInputError, 1)])
+def test_a_new_error_class_exits_as_its_base_without_a_traceback(capsys, monkeypatch, base, code):
+    """Any error the CLI does not name exits 2, or 1 if it is an InvalidInputError."""
+
+    class NewError(base):
+        pass
+
+    def refuse(factors):
+        raise NewError("a failure of a new kind")
+
+    monkeypatch.setattr("pplab.cli.unit_pp", refuse)
+    assert _run(capsys, ["pp", "eig", "--axes", "z+;x+", "--prescription", "unit"]) == (
+        code, "", "error: a failure of a new kind\n"
+    )
 
 
 def test_state_file_with_text_entries_exits_one(capsys, tmp_path):

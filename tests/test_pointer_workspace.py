@@ -13,15 +13,16 @@ import functools
 import math
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import pplab.pointer
 from pplab import PointerConfig, bloch_state, proportionality_check, qubit_projector, simulate_pointers
-from pplab.pointer import (
-    BRANCH_FLOOR, OVERLAP_FLOOR, SPECTRAL_TOL, ConvergenceError, PostSelectionImpossibleError, _pauli_coordinates,
-)
+from pplab.errors import ConvergenceError
+from pplab.operator_core import SPECTRAL_TOL
+from pplab.pointer import BRANCH_FLOOR, OVERLAP_FLOOR, PostSelectionImpossibleError, _pauli_coordinates
 
 
 def _oracle_correlation(state, projectors, effect, cfg):
@@ -115,6 +116,22 @@ def _case(rng, n_pointers, grid_points, i):
     return state, plist, effect, cfg
 
 
+def _extreme_cases():
+    """Seeded inputs at both ends of the window's range, [6, 1e50] widths, and of the kick's:
+    (g t / sigma)^N within [1e-100, 1e100], one percent inside each end.  The oracle's
+    branch-norm check shows the evolution unitary there too."""
+    rng = np.random.default_rng(24)
+    cases = []
+    for n in (1, 2, 3):
+        for half in (6.0, 1e50):
+            for kick in (1.01e-100 ** (1 / n), 0.99e100 ** (1 / n)):
+                state, plist, effect, cfg = _case(rng, n, 32, len(cases))
+                cfg = replace(cfg, g=kick * cfg.sigma, grid_halfwidth=half)
+                pplab.pointer._kick(cfg, n)  # a simulation accepts this kick
+                cases.append((state, plist, effect, cfg))
+    return cases
+
+
 def _cases():
     rng = np.random.default_rng(20)
     inputs = {4: (0, 1, 2, 3), 2: (0, 3)}
@@ -124,7 +141,7 @@ def _cases():
     cases.append(_case(rng, 3, 64, 2))
     state, _, effect, cfg = _case(rng, 2, 64, 1)
     cases.append((state, (qubit_projector([0, 0, 1]), qubit_projector([0, 0, 1], -1)), effect, cfg))
-    return cases
+    return cases + _extreme_cases()
 
 
 def test_the_kernel_keeps_the_bits_of_the_plain_expression_kernel():

@@ -378,9 +378,11 @@ def test_scheme_keeps_its_own_copy_of_its_entries():
 
 def test_scheme_to_json_refuses_an_entry_written_non_finite_after_the_checks():
     sch = build_scheme(bloch_state([0.6, 0.0, 0.0]), [_obs(0, [0, 0, 1])], "unit")
-    sch.entries[(1,)] = float("nan")
-    with pytest.raises(InvalidInputError, match=r"entry '\+' must be finite, got nan"):
-        scheme_to_json(sch)
+    for value, message in ((float("nan"), r"must be finite, got nan"), ("x", r"must be a real number, got 'x'"),
+                           (None, r"must be a real number, got None")):
+        sch.entries[(1,)] = value
+        with pytest.raises(InvalidInputError, match=r"entry '\+' " + message):
+            scheme_to_json(sch)
     assert type(sch.entries) is dict
 
 
