@@ -29,8 +29,11 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+
+from pplab.cli import parse_and_dispatch
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "corpus"
@@ -42,15 +45,18 @@ WORKLOAD_SEED = 0
 RUNNER_TEMP = "$RUNNER_TEMP"
 # The state file the smoke step writes before `pplab test discord --state`.
 PLUS_MIXED = {"dim": 4, "re": [[0.25, 0, 0.25, 0], [0, 0.25, 0, 0.25]] * 2, "im": [[0] * 4] * 4}
+# The smoke step's command lines, by their first word, and the exit code each expects.
+EXIT_CODES = {"pplab": 0, "expect_one": 1, "expect_two": 2}
 
 
 def smoke_commands() -> list[tuple[str, list[str]]]:
-    """(kind, argv) for each `pplab`, `expect_one` and `expect_two` line of the smoke step."""
+    """(first word, argv) for each command line of the smoke step."""
     commands = []
     for line in WORKFLOW.read_text().splitlines():
-        words = shlex.split(line.strip()) if line.strip().split(" ")[0] in ("pplab", "expect_one", "expect_two") else []
-        if words:
-            commands.append((words[0], words[1:]))
+        words = line.split()
+        if words and words[0] in EXIT_CODES:
+            kind, *argv = shlex.split(line)
+            commands.append((kind, argv))
     return commands
 
 
@@ -70,8 +76,6 @@ def plain(obj: object) -> object:
 
 
 def _run(argv: list[str], work: Path) -> tuple[int, str]:
-    from pplab.cli import parse_and_dispatch
-
     err = io.StringIO()
     with contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -116,13 +120,9 @@ def workload_outputs(work: Path) -> dict:
 
 def outputs() -> dict[str, object]:
     """The live outputs, keyed by corpus file name."""
-    saved = os.environ.pop("PPLAB_TOL", None)
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            return {"smoke.json": smoke_outputs(Path(tmp)), "workloads.json": workload_outputs(Path(tmp))}
-    finally:
-        if saved is not None:
-            os.environ["PPLAB_TOL"] = saved
+    with mock.patch.dict(os.environ), tempfile.TemporaryDirectory() as tmp:
+        os.environ.pop("PPLAB_TOL", None)  # the default verdict tolerance
+        return {"smoke.json": smoke_outputs(Path(tmp)), "workloads.json": workload_outputs(Path(tmp))}
 
 
 def dumps(data: object) -> str:

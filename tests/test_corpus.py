@@ -47,10 +47,9 @@ def test_outputs_match_the_corpus(live: dict[str, object], name: str) -> None:
 
 
 def test_every_smoke_command_exits_as_its_workflow_line_expects(live: dict[str, object]) -> None:
-    expected = {"pplab": 0, "expect_one": 1, "expect_two": 2}
     smoke = live["smoke.json"]
-    assert {c["command"] for c in smoke} == set(expected)
-    assert all(c["exit"] == expected[c["command"]] for c in smoke)
+    assert {c["command"] for c in smoke} == set(make_corpus.EXIT_CODES)
+    assert all(c["exit"] == make_corpus.EXIT_CODES[c["command"]] for c in smoke)
     assert all("report" in c for c in smoke if c["command"] == "pplab")
 
 
