@@ -52,6 +52,8 @@ def as_complex_matrix(m: object, name: str = "matrix") -> Array:
         raise InvalidInputError(f"{name} is not a numeric matrix") from None
     if a.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-dimensional, got ndim={a.ndim}")
+    if 0 in a.shape:
+        raise InvalidInputError(f"{name} must not be empty, got shape {a.shape}")
     if a.shape[0] > MAX_DIM or a.shape[1] > MAX_DIM:
         raise InvalidInputError(f"{name} exceeds the supported dimension {MAX_DIM}")
     if not np.isfinite(a).all():

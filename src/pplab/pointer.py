@@ -1,25 +1,25 @@
-"""Gaussian-pointer weak-measurement simulation.
+"""Gaussian-pointer weak-measurement readout, grid-free.
 
 A qubit couples to N pointers through H = g * sum_j proj_j x P_j, with P_j
-the momentum canonical to pointer position x_j.  H is diagonal in the joint
-momentum representation, so the propagator factorizes into an exact 2x2
-qubit rotation per momentum gridpoint; there is no time-stepping error.
-After evolution the system is post-selected and the product moment
-<x_1 ... x_N> of the surviving pointer state is read out.  At weak coupling
-that moment is proportional to the pseudo-probability of the projector
-family, which is what the proportionality check quantifies.
+the momentum canonical to pointer position x_j.  In the joint momentum
+representation the coupled state is exp(-i s k . proj) chi phi(k), with
+s = g t / sigma the kick in pointer widths.  Expanded in s, the post-selected
+product moment <x_1 ... x_N> and weight are finite sums of traces of ordered
+projector products times Gaussian moments: no grid, window or time step.
+The order-N term of the moment over s^N is the weak value of Aharonov,
+Albert and Vaidman (`perturbative_prediction`'s closed form); at weak
+coupling it tracks the pseudo-probability of the projector family, which is
+what the proportionality check quantifies.
 """
 from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidInputError, PostSelectionImpossibleError, ResourceLimitError
-from .geometry import _pauli_coordinates
 from .operator_core import (
     _ENTRY_LIMIT, STRUCTURAL_TOL, Array, DensityMatrix, Projector, _bounded, _close, _expectations,
     _integer, _real, _real_item, _require_state, _sequence, as_complex_matrix,
@@ -35,32 +35,40 @@ __all__ = [
     "proportionality_check",
 ]
 
-BRANCH_FLOOR = 1e-14
 MAX_ANALYTIC_POINTERS = 6
 
-# Grid points per pointer, by pointer count: the one bound on a simulation.
-# A d-level system on grid^N points holds d * grid^N <= 64 * 64^3 = 2^24
-# amplitudes for every d <= 64.
+# Grid points per pointer, by pointer count.  The readout uses no grid; these
+# caps and the grid fields' checks in PointerConfig bound the public input
+# domain, and a request over a cap is a ResourceLimitError.
 _GRID_CAPS = {1: 4096, 2: 128, 3: 64}
 MAX_SIM_POINTERS = max(_GRID_CAPS)
 
-# A simulation runs in units of the pointer width and scales its results by
-# sigma^N, by 1 / (g t / sigma)^N and, in a fit, by each (g t / sigma)^N; a
-# prediction by (g t / 2)^N.  A result in width units is at most
-# 4 * grid_halfwidth^N / OVERLAP_FLOOR (an effect with entries of modulus at
-# most 2 has operator norm at most 4, and the post-selected weight exceeds
-# OVERLAP_FLOOR), below 1e163 for a window of at most _HALFWIDTH_LIMIT widths.
-# Every factor within [1 / _SCALE_LIMIT, _SCALE_LIMIT] then keeps the scaled
-# results below 1e263, and a fit's sums of squares, finite.  One symmetric
-# window for all factors is chosen over the limit each could take alone (about
-# 1e145 for sigma^N), so that sigma, the kick and a prediction share one rule.
+# A simulation's ratio, in units of the pointer width, is at most
+# 4 * 75 / OVERLAP_FLOOR < 1e15: an effect with entries of modulus at most 2
+# has norm at most 4, the series' terms add up to at most 75 times that at
+# every accepted kick, and the post-selected weight exceeds OVERLAP_FLOOR.
+# The ratio is scaled by (g t / sigma)^N and sigma^N, a fit's points by each
+# (g t / sigma)^N and a prediction by (g t / 2)^N.  One rule for all, each
+# factor within [1 / _SCALE_LIMIT, _SCALE_LIMIT], keeps every result below
+# 1e118 and a fit's sums of squares finite.  grid_halfwidth enters no result.
 _HALFWIDTH_LIMIT = 1e50
 _SCALE_LIMIT = 1e100
+
+# Largest |g t / sigma| by pointer count.  The series adds terms of either sign
+# whose sizes sum to at most (sum_a y_a)^(2N) / 2^N times the effect's norm
+# (`_order`): 73, 72 and 54 at these bounds, so about two digits are lost.  The
+# factor grows as e^(N s^2 / 8); larger kicks are strong measurements.
+_KICK_BOUNDS = {1: 5.0, 2: 3.0, 3: 2.0}
+# No accepted kick needs more than 40 orders; _MAX_ORDER is a backstop.
+_SERIES_TOL = 1e-15
+_MAX_ORDER = 64
 
 
 @dataclass(frozen=True)
 class PointerConfig:
-    """Pointer width, coupling, duration and discretization."""
+    """Pointer width, coupling and duration.  The readout is grid-free: grid_points
+    (a power of two >= 32, at most 4096, 128 or 64 for 1, 2 or 3 pointers) and
+    grid_halfwidth (within [6, 1e50] widths) are still checked but change no result."""
 
     g: float
     t: float
@@ -143,8 +151,14 @@ def _power(x: float, n: int, name: str, low: float) -> float:
 
 
 def _kick(cfg: PointerConfig, n: int, low: float = 1 / _SCALE_LIMIT) -> float:
-    """(g t / sigma)^n, the n pointers' weak-coupling scale in units of the pointer width."""
-    return _power(cfg.g * cfg.t / cfg.sigma, n, "g * t / sigma", low)
+    """(g t / sigma)^n, the n pointers' weak-coupling scale in units of the pointer width,
+    for a kick g t / sigma within the series' bound for n pointers."""
+    s, bound = cfg.g * cfg.t / cfg.sigma, _KICK_BOUNDS[n]
+    if not abs(s) <= bound:
+        raise InvalidInputError(
+            f"g * t / sigma = {s:.6g} is out of range: |g * t / sigma| must be at most {bound:g} for {n} pointers"
+        )
+    return _power(s, n, "g * t / sigma", low)
 
 
 def _pointer_pseudo_probability(
@@ -154,113 +168,82 @@ def _pointer_pseudo_probability(
     return _expectations(state.matrix, effect @ sym) / overlap
 
 
-# Per-thread working arrays for the two most recent grid shapes, a simulation and its
-# refinement: fresh grid-sized temporaries cost more in first-touch page faults than in arithmetic.
-_local = threading.local()
+def _order(s: float, n: int) -> tuple[int, float]:
+    """The last order K of the series of n pointers at the kick s, and its bound over the bounds kept.
+
+    Per pointer, a word sum of degree a has norm at most 1 / (a! 2^a), and a moment entry over
+    a! b! 2^(a+b) is at most y_a y_b, with rho_a = sqrt(E (s k)^(2a)) / (a! 2^a) and
+    y_a = rho_a + rho_(a-1) / 2 (Cauchy-Schwarz).  So the terms of total degree m add up to at
+    most the effect's norm times the m-th coefficient of (sum_a y_a z^a)^N.  K is the first degree
+    above N whose bound is at most _SERIES_TOL of the bounds kept; a K above _MAX_ORDER is refused.
+    """
+    a = np.arange(1, _MAX_ORDER + 1)
+    rho = np.cumprod(np.r_[1.0, np.sqrt((2 * a - 1) * (s * s / 4)) / (2 * a)])
+    y = rho + np.r_[0.0, rho[:-1]] / 2
+    bound = functools.reduce(np.convolve, [y] * n)[: _MAX_ORDER + 1]
+    share = bound / np.cumsum(bound)
+    done = np.flatnonzero(share[n + 1 :] <= _SERIES_TOL)
+    if not done.size:
+        raise ResourceLimitError(
+            f"the series of {n} pointers at g * t / sigma = {s:.6g} needs more than {_MAX_ORDER} orders"
+        )
+    order = n + 1 + int(done[0])
+    return order, float(share[order])
 
 
-@functools.lru_cache(maxsize=4)
-def _grid(n: int, half: float, n_pointers: int) -> tuple[Array, Array, tuple[Array, ...]]:
-    """The read-only x_1 ... x_N products, Gaussian spectrum and open k-grids of an n^N grid on [-half, half)."""
-    xs = np.linspace(-half, half, n, endpoint=False)
-    dx = xs[1] - xs[0]
-    ks = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
-    # Product of identical Gaussians, discretely normalized.
-    psi1 = np.exp(-(xs ** 2) / 4.0).astype(complex)
-    psi1 /= math.sqrt(float(np.sum(np.abs(psi1) ** 2)))
-    phik = np.fft.fftn(functools.reduce(np.multiply.outer, [psi1] * n_pointers))
-    xprod = functools.reduce(np.multiply.outer, [xs] * n_pointers)
-    kgrids = np.meshgrid(*([ks] * n_pointers), indexing="ij", sparse=True)
-    for a in (xprod, phik, *kgrids):
-        a.flags.writeable = False
-    return xprod, phik, kgrids
+def _word_sums(centred: Array, order: int) -> Array:
+    """S_alpha for every degree |alpha| <= order as a (d, (order + 1)^N, d) array, zero above that degree.
+
+    S_0 = 1 and S_alpha = (-i / |alpha|) sum_j Q_j S_(alpha - e_j): the coefficient of
+    s^|alpha| k^alpha in exp(-i s k . Q), built one degree at a time on the box [0, m]^N that
+    holds degree m.  All N left products of a degree are one matmul, whose rows are then
+    shifted along their pointer's axis."""
+    n, d = len(centred), centred.shape[-1]
+    words = np.zeros((d,) + (order + 1,) * n + (d,), complex)
+    term = np.eye(d, dtype=complex).reshape((d,) + (1,) * n + (d,))
+    words[(slice(None),) + (slice(0, 1),) * n] = term
+    for m in range(1, order + 1):
+        products = (centred.reshape(n * d, d) @ term.reshape(d, -1)).reshape(n, *term.shape)
+        term = np.zeros((d,) + (m + 1,) * n + (d,), complex)
+        for j, p in enumerate(products):
+            term[(slice(None),) + (slice(0, m),) * j + (slice(1, None),) + (slice(0, m),) * (n - 1 - j)] += p
+        term *= -1j / m
+        words[(slice(None),) + (slice(0, m + 1),) * n] += term
+    return words
 
 
-def _workspace(shape: tuple[int, ...]) -> Array:
-    """This thread's six complex working arrays of `shape`, as one block."""
-    blocks = _local.__dict__.setdefault("blocks", {})
-    block = blocks.pop(shape, None)
-    if block is None:
-        while len(blocks) > 1:
-            del blocks[next(iter(blocks))]
-        block = np.empty((6, *shape), complex)
-    blocks[shape] = block
-    return block
+def _series(state: DensityMatrix, projectors: tuple[Projector, ...], effect: Array, cfg: PointerConfig) -> tuple[float, float]:
+    """<(x_1 / sigma) ... (x_N / sigma)> / (g t / sigma)^N after post-selection, and the relative
+    bound on the last order kept (`_order`).
 
-
-def _correlation(state: DensityMatrix, projectors: tuple[Projector, ...], effect: Array, cfg: PointerConfig) -> float:
-    """<(x_1 / sigma) ... (x_N / sigma)> after post-selection: the correlation in units of the
-    pointer width, computed on a grid of positions x / sigma with the kick g t / sigma."""
-    xprod, phik, kgrids = _grid(cfg.grid_points, cfg.grid_halfwidth, len(projectors))
-    block = _workspace(phik.shape)
-    k0, k1, p, q, b0, b1 = block
-    phase, v = k0, k1
-    # Real arrays 2i and 2i + 1 share the memory of complex slot i.  Until the
-    # propagator is formed, q's reals hold alpha, then cos(gt b), and sinc, and
-    # b0's and b1's hold the betas and b; then p and q take beta_x -/+ 1j beta_y.
-    reals = block.view(float).reshape(12, *phik.shape)
-    alpha, sinc, beta, bnorm = reals[6], reals[7], reals[8:11], reals[11]
-
-    # Each projector is c I + v . sigma with (c, v) = Tr(P sigma_mu)/2.
-    comps = [_pauli_coordinates(pr.matrix) / 2.0 for pr in projectors]
-    for a, out in enumerate((alpha, *beta)):
-        out[...] = 0.0  # the start of the builtin sum over the dense terms
-        for cv, kg in zip(comps, kgrids):
-            np.add(out, cv[a] * kg, out=out)
-    gt = cfg.g * cfg.t / cfg.sigma
-    np.exp(np.multiply(-1j * gt, alpha, out=phase), out=phase)
-    cosb = alpha
-    np.square(beta[0], out=bnorm)
-    for b in beta[1:]:
-        np.add(bnorm, np.square(b, out=sinc), out=bnorm)
-    np.sqrt(bnorm, out=bnorm)
-    np.cos(np.multiply(gt, bnorm, out=cosb), out=cosb)
-    # sin(gt b)/b with its b -> 0 limit gt.
-    zero = bnorm <= 0.0
-    np.copyto(bnorm, 1.0, where=zero)
-    np.divide(np.sin(np.multiply(gt, bnorm, out=sinc), out=sinc), bnorm, out=sinc)
-    np.copyto(sinc, gt, where=zero)
-    # numpy's complex multiply uses FMA, so it is not bitwise commutative, and
-    # from 256 KiB on numpy elides `phase * <temporary>` into the temporary,
-    # with the operands swapped.  So each propagator product stays
-    # `phase * <fresh temporary>` and every other product keeps the operand
-    # order of the plain expressions, which keeps their bits on every grid.
-    np.multiply(np.multiply(1j, sinc, out=v), beta[2], out=v)
-    u00 = phase * (cosb - v)
-    u11 = phase * (cosb + v)
-    np.multiply(-1j, sinc, out=v)
-    np.multiply(1j, beta[1], out=q)
-    np.subtract(beta[0], q, out=p)
-    np.add(beta[0], q, out=q)
-    u01 = phase * (v * p)
-    u10 = phase * (v * q)
-
-    evals, evecs = np.linalg.eigh(state.matrix)
-    num = 0.0
-    den = 0.0
-    for weight, chi in zip(evals, evecs.T):
-        if weight < BRANCH_FLOOR:
-            continue
-        np.multiply(chi[0], phik, out=k0)
-        np.multiply(chi[1], phik, out=k1)
-        for ua, ub, b in ((u00, u01, b0), (u10, u11, b1)):
-            np.add(np.multiply(ua, k0, out=p), np.multiply(ub, k1, out=q), out=p)
-            np.fft.ifftn(p, out=b)
-        # (b0, b1) has unit norm: the propagator is unitary at every k and the FFT pair keeps the norm.
-        # w = Re(E00 b0 b0* + E11 b1 b1* + E01 b1 b0* + E10 b0 b1*), summed in that order.
-        g0, g1 = np.conjugate(b0, out=k0), np.conjugate(b1, out=k1)
-        np.multiply(np.multiply(effect[0, 0], b0, out=p), g0, out=p)
-        for e, b, g in ((effect[1, 1], b1, g1), (effect[0, 1], b1, g0), (effect[1, 0], b0, g1)):
-            np.add(p, np.multiply(np.multiply(e, b, out=q), g, out=q), out=p)
-        w = p.real
-        num += float(weight) * float(np.sum(np.multiply(w, xprod, out=reals[6])))
-        den += float(weight) * float(np.sum(w))
-
+    With Q_j = proj_j - 1/2, exp(-i s k . proj) is the phase exp(-i s sum_j k_j / 2) times
+    exp(-i s k . Q); the phase turns each x_j = i d/dk_j into s / 2 + i d/dk_j.  Per pointer, with
+    m_j = E (s k)^j for k ~ N(0, 1/4), the weight pairs the k^a and k^b terms through m_(a+b) and
+    the readout over s through m_(a+b) / 2 + i (a - b) m_(a+b-1) / 2, so no power of s divides
+    anything.  Both are sums of Tr(E S_alpha rho S_beta^dagger) prod_j M[alpha_j, beta_j].
+    """
+    s = cfg.g * cfg.t / cfg.sigma
+    n, d = len(projectors), state.dim
+    order, estimate = _order(s, n)
+    words = _word_sums(np.array([p.matrix - np.eye(d) / 2 for p in projectors]), order)
+    # mom[j + 1] = m_j for j = -1 .. 2K; m_-1 only ever meets a factor a - b = 0.
+    mom = np.zeros(2 * order + 2)
+    mom[1::2] = np.cumprod(np.r_[1.0, np.arange(1, 2 * order, 2) * (s * s / 4)])
+    a = np.arange(order + 1)
+    degree = a[:, None] + a[None, :]
+    weight = mom[degree + 1]
+    moments = np.stack([weight / 2 + 0.5j * (a[:, None] - a[None, :]) * mom[degree], weight])[:, None]
+    # Each pass applies both moment matrices to the last pointer axis of conj(S) and moves it to the front.
+    c = np.broadcast_to(words.conj(), (2, *words.shape))
+    for _ in range(n):
+        c = np.moveaxis((moments @ c.reshape(2, -1, order + 1, d)).reshape(c.shape), -2, 2)
+    kept = (effect @ words.reshape(d, -1)).reshape(-1, d) @ state.matrix
+    num, den = (c.reshape(2, -1) @ kept.reshape(-1)).real
     if den <= OVERLAP_FLOOR:
         raise PostSelectionImpossibleError(
             f"post-selection weight {den:.3e} vanished after evolution"
         )
-    return num / den
+    return float(num / den), estimate
 
 
 def simulate_pointers(
@@ -271,27 +254,24 @@ def simulate_pointers(
 ) -> PointerResult:
     """Exact joint evolution, post-selection, and <x_1...x_N> readout.
 
-    The ratio field divides the correlation by (g t)^N, the weak-coupling
-    proportionality constant, so it is directly comparable to the
-    pseudo-probability.  convergence_estimate is the relative change of the
-    correlation under grid refinement: doubled points when that stays within
-    the grid cap, otherwise halved (a grid at its cap has at least 64 points).
-    Both (g t / sigma)^N and sigma^N must lie within [1e-100, 1e100].
+    The readout is the series in s = g t / sigma, summed up to the first order
+    K whose bound is at most 1e-15 of the bounds kept.  The ratio field is the
+    correlation over (g t)^N, the weak-coupling proportionality constant, so it
+    is directly comparable to the pseudo-probability; the series yields it with
+    no division by s, so small kicks leave no rounding floor.
+    convergence_estimate is the bound on order K over the bounds kept (at most
+    1e-15): it bounds the truncation, whose dropped orders are smaller still.
+    |g t / sigma| must be at most 5, 3 or 2 for 1, 2 or 3 pointers, and
+    (g t / sigma)^N and sigma^N must lie within [1e-100, 1e100].
     """
     plist, effect, overlap = _setup(state, projectors, post)
     n = len(plist)
     _check_sim_resources(n, cfg.grid_points)
     width, kick = _power(cfg.sigma, n, "sigma", 1 / _SCALE_LIMIT), _kick(cfg, n)
 
-    correlation = _correlation(state, plist, effect, cfg)
+    ratio, estimate = _series(state, plist, effect, cfg)
     pp = _pointer_pseudo_probability(state, plist, effect, overlap)
-
-    doubled = 2 * cfg.grid_points
-    refined = doubled if doubled <= _GRID_CAPS[n] else cfg.grid_points // 2
-    other = _correlation(state, plist, effect, replace(cfg, grid_points=refined))
-    estimate = abs(correlation - other) / max(abs(correlation), abs(other), 1e-300)
-
-    return PointerResult(correlation * width, pp, correlation / kick, estimate)
+    return PointerResult(ratio * kick * width, pp, ratio, estimate)
 
 
 def perturbative_prediction(
@@ -337,7 +317,8 @@ def proportionality_check(
     Returns the fitted slope, the pseudo-probability it should track, and
     their relative deviation.  A through-origin least-squares fit is enough:
     the correlation is odd in g at order N.  It is made in units of the
-    pointer width, where each (g t / sigma)^N of a nonzero g must lie within
+    pointer width, where each |g t / sigma| must lie within the bound that
+    simulate_pointers takes, and each (g t / sigma)^N of a nonzero g within
     [1e-100, 1e100].
     """
     gs = _sequence(couplings, "couplings", "numbers", _real_item)
@@ -349,7 +330,7 @@ def proportionality_check(
     cfgs = [replace(cfg, g=g) for g in gs]
     # A zero coupling is one point of the fit; a nonzero one must not underflow.
     x = np.array([_kick(c, len(plist), 1 / _SCALE_LIMIT if c.g else 0.0) for c in cfgs])
-    y = np.array([_correlation(state, plist, effect, c) for c in cfgs])
+    y = x * np.array([_series(state, plist, effect, c)[0] for c in cfgs])
     denom = float(x @ x)
     if denom <= 0:
         raise InvalidInputError("couplings give a degenerate fit; use nonzero g values")

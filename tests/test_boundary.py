@@ -36,6 +36,7 @@ from pplab import (
     make_doublet,
     make_entanglement_geometry,
     marginalize,
+    min_eigen_certificate,
     negativity_report,
     nonlinear_ent_test,
     partial_trace,
@@ -525,6 +526,12 @@ REFUSALS = {
         lambda: scheme_from_json({**scheme_to_json(ONE_SCHEME), "entries": {"+": 0.5, "-": 0.3, "−": 0.5}}),
         "entries spell outcome '-' more than once",
     ),
+    # A zero-length side raised numpy's ValueError in the ordered product and IndexError in the eigensolver.
+    "real_weak_product/empty_factor": (
+        lambda: real_weak_product([np.empty((0, 0))], RHO, RHO),
+        "factor must not be empty, got shape (0, 0)",
+    ),
+    "min_eigen_certificate/empty": (lambda: min_eigen_certificate(np.empty((0, 0))), "pp must not be empty, got shape (0, 0)"),
 }
 
 

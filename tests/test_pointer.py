@@ -208,14 +208,14 @@ def test_proportionality_runs_the_kernel_once_per_coupling(monkeypatch):
         simulate_pointers(MIXED, [Z_PLUS, X_PLUS], IDENTITY, PointerConfig(g=g, t=1.0)).correlation
         for g in couplings
     ]
-    kernel = pplab.pointer._correlation
+    kernel = pplab.pointer._series
     calls = []
 
     def counting(*args):
         calls.append(args[-1].g)
         return kernel(*args)
 
-    monkeypatch.setattr(pplab.pointer, "_correlation", counting)
+    monkeypatch.setattr(pplab.pointer, "_series", counting)
     out = proportionality_check(MIXED, [Z_PLUS, X_PLUS], IDENTITY, cfg, couplings=couplings)
     assert calls == couplings
     x = np.array(couplings) ** 2
