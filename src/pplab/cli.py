@@ -52,6 +52,8 @@ __all__ = ["parse_and_dispatch", "load_state", "main"]
 # Largest --alpha-scan grid and --t-steps count; each point is a full report.
 MAX_ALPHA_POINTS = 1000
 MAX_T_STEPS = 10000
+# Largest --json-indent: a report's size grows linearly with it.
+MAX_JSON_INDENT = 16
 
 _NAMED_AXES = {
     "x": (1.0, 0.0, 0.0),
@@ -424,18 +426,146 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# The pieces json.dumps writes a scalar with: encode_basestring_ascii for a
+# string, float.__repr__ and int.__repr__ for numbers, and JavaScript's names
+# for a non-finite float.
+_encode_str = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+# JSON text of a scalar by its exact type.
+_SCALAR_TEXT: dict[type, Callable[[object], str]] = {
+    str: _encode_str,
+    float: _float_text,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _subclass_text(x: object) -> str | None:
+    """The JSON text of a str, int or float subclass (np.float64), or None for anything else."""
+    if isinstance(x, str):
+        return _encode_str(x)
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _float_text(x)
+    return None
+
+
+def _key_text(key: object) -> str:
+    """A dict key as json.dumps writes it: an int, float, bool or None key as the string of its JSON text."""
+    text = key if isinstance(key, str) else _SCALAR_TEXT.get(type(key), _subclass_text)(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return _encode_str(text)
+
+
+def _dumps_indented(payload: object, indent: int) -> str:
+    """json.dumps(payload, indent=indent) for indent > 0, with the same bytes and errors.
+
+    One recursive pass appends to one list, with no generator: a list or tuple of
+    scalars is one join.  The payloads hold no reference cycle, so none is looked for.
+    """
+    step = " " * indent
+    out: list[str] = []
+    text_of = _SCALAR_TEXT.get
+
+    def write(x: object, newline: str) -> None:
+        if isinstance(x, (list, tuple)):
+            if not x:
+                out.append("[]")
+                return
+            inner = newline + step
+            texts = [text_of(type(v), _subclass_text)(v) for v in x]
+            if None not in texts:
+                out.append(f"[{inner}{(',' + inner).join(texts)}{newline}]")  # type: ignore[arg-type]
+                return
+            lead = "[" + inner
+            for v, text in zip(x, texts):
+                out.append(lead)
+                if text is None:
+                    write(v, inner)
+                else:
+                    out.append(text)
+                lead = "," + inner
+            out.append(newline + "]")
+        elif isinstance(x, dict):
+            if not x:
+                out.append("{}")
+                return
+            inner = newline + step
+            lead = "{" + inner
+            for k, v in x.items():
+                out.append(lead + (_encode_str(k) if type(k) is str else _key_text(k)) + ": ")
+                text = text_of(type(v), _subclass_text)(v)
+                if text is None:
+                    write(v, inner)
+                else:
+                    out.append(text)
+                lead = "," + inner
+            out.append(newline + "}")
+        else:
+            text = text_of(type(x), _subclass_text)(x)
+            if text is None:
+                json.JSONEncoder().default(x)  # raises json's TypeError for the type
+            out.append(text)  # type: ignore[arg-type]
+
+    write(payload, "\n")
+    return "".join(out)
+
+
 def _emit(payload: object, args: argparse.Namespace) -> None:
-    indent = args.json_indent if args.json_indent and args.json_indent > 0 else None
-    text = json.dumps(payload, indent=indent)
+    indent = args.json_indent
+    text = _dumps_indented(payload, indent) if indent > 0 else json.dumps(payload)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:
         sys.stdout.write(text + "\n")
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+@functools.cache
+def _leaves() -> dict[tuple[str, str], tuple[_Parser, dict[str, str]]]:
+    """(command, action) -> the tree's leaf parser for them and the dests the tree sets above it."""
+    commands = _subcommands(_build_parser())
+    table = {}
+    for command, parser in commands.choices.items():
+        actions = _subcommands(parser)
+        for action, leaf in actions.choices.items():
+            table[command, action] = (leaf, {commands.dest: command, actions.dest: action})
+    return table
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The tree's namespace for argv, parsed by the leaf parser its first two words name.
+
+    The tree itself parses any argv that names no leaf or leaves words unparsed, so every
+    refusal keeps the tree's text: "unrecognized arguments" comes with the root usage.
+    """
+    leaf = _leaves().get(tuple(argv[:2]))
+    if leaf is not None:
+        parser, dests = leaf
+        args, unparsed = parser.parse_known_args(argv[2:], argparse.Namespace(**dests))
+        if not unparsed:
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def parse_and_dispatch(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if args.json_indent > MAX_JSON_INDENT:
+            raise ResourceLimitError(f"--json-indent {args.json_indent} exceeds the cap of {MAX_JSON_INDENT}")
         # Verdict tolerance from PPLAB_TOL is validated up front so a bad
         # value fails fast with exit 1.
         resolve_tolerance()

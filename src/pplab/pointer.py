@@ -62,6 +62,9 @@ _KICK_BOUNDS = {1: 5.0, 2: 3.0, 3: 2.0}
 # No accepted kick needs more than 40 orders; _MAX_ORDER is a backstop.
 _SERIES_TOL = 1e-15
 _MAX_ORDER = 64
+# Box entries (K + 1)^N of the kicks contracted in one stack: one series of 3 pointers at the
+# largest kick (K = 33) fits, so a long list of strong kicks holds a few series at a time, not all.
+_STACK_ENTRIES = 35 ** 3
 
 
 @dataclass(frozen=True)
@@ -212,38 +215,56 @@ def _word_sums(centred: Array, order: int) -> Array:
     return words
 
 
-def _series(state: DensityMatrix, projectors: tuple[Projector, ...], effect: Array, cfg: PointerConfig) -> tuple[float, float]:
-    """<(x_1 / sigma) ... (x_N / sigma)> / (g t / sigma)^N after post-selection, and the relative
-    bound on the last order kept (`_order`).
+def _series(
+    state: DensityMatrix, projectors: tuple[Projector, ...], effect: Array, kicks: list[float]
+) -> list[tuple[float, float]]:
+    """For each kick s = g t / sigma: <(x_1 / sigma) ... (x_N / sigma)> / s^N after post-selection,
+    and the relative bound on the last order kept (`_order`).
 
     With Q_j = proj_j - 1/2, exp(-i s k . proj) is the phase exp(-i s sum_j k_j / 2) times
     exp(-i s k . Q); the phase turns each x_j = i d/dk_j into s / 2 + i d/dk_j.  Per pointer, with
     m_j = E (s k)^j for k ~ N(0, 1/4), the weight pairs the k^a and k^b terms through m_(a+b) and
     the readout over s through m_(a+b) / 2 + i (a - b) m_(a+b-1) / 2, so no power of s divides
     anything.  Both are sums of Tr(E S_alpha rho S_beta^dagger) prod_j M[alpha_j, beta_j].
+
+    The word sums are built once, at the largest order K among the kicks, and the kicks' moment
+    matrices are applied in one stacked contraction (a long list in stacks of at most
+    _STACK_ENTRIES box entries).  A kick of order k keeps the words of degree at most k and sums
+    over the box [0, k]^N, so its result has the bits of a series built at k alone.
     """
-    s = cfg.g * cfg.t / cfg.sigma
     n, d = len(projectors), state.dim
-    order, estimate = _order(s, n)
-    words = _word_sums(np.array([p.matrix - np.eye(d) / 2 for p in projectors]), order)
-    # mom[j + 1] = m_j for j = -1 .. 2K; m_-1 only ever meets a factor a - b = 0.
-    mom = np.zeros(2 * order + 2)
-    mom[1::2] = np.cumprod(np.r_[1.0, np.arange(1, 2 * order, 2) * (s * s / 4)])
-    a = np.arange(order + 1)
-    degree = a[:, None] + a[None, :]
-    weight = mom[degree + 1]
-    moments = np.stack([weight / 2 + 0.5j * (a[:, None] - a[None, :]) * mom[degree], weight])[:, None]
-    # Each pass applies both moment matrices to the last pointer axis of conj(S) and moves it to the front.
-    c = np.broadcast_to(words.conj(), (2, *words.shape))
-    for _ in range(n):
-        c = np.moveaxis((moments @ c.reshape(2, -1, order + 1, d)).reshape(c.shape), -2, 2)
-    kept = (effect @ words.reshape(d, -1)).reshape(-1, d) @ state.matrix
-    num, den = (c.reshape(2, -1) @ kept.reshape(-1)).real
-    if den <= OVERLAP_FLOOR:
-        raise PostSelectionImpossibleError(
-            f"post-selection weight {den:.3e} vanished after evolution"
-        )
-    return float(num / den), estimate
+    bounds = [_order(s, n) for s in kicks]
+    top = max(order for order, _ in bounds)
+    words = _word_sums(np.array([p.matrix - np.eye(d) / 2 for p in projectors]), top)
+    degree = np.indices((top + 1,) * n).sum(axis=0)
+    a = np.arange(top + 1)
+    results = []
+    stack = max(1, _STACK_ENTRIES // degree.size)
+    for first in range(0, len(kicks), stack):
+        s = np.array(kicks[first : first + stack])[:, None]
+        chunk = bounds[first : first + stack]
+        orders = np.reshape([order for order, _ in chunk], (-1,) + (1,) * n)
+        kept = np.where((degree <= orders)[:, None, ..., None], words, 0)
+        # mom[:, j + 1] = m_j for j = -1 .. 2K; m_-1 only ever meets a factor a - b = 0.
+        mom = np.zeros((len(s), 2 * top + 2))
+        mom[:, 1::2] = np.cumprod(np.c_[np.ones(len(s)), np.arange(1, 2 * top, 2) * (s * s / 4)], axis=1)
+        weight = mom[:, a[:, None] + a[None, :] + 1]
+        readout = weight / 2 + 0.5j * (a[:, None] - a[None, :]) * mom[:, a[:, None] + a[None, :]]
+        moments = np.stack([readout, weight], axis=1)[:, :, None]
+        # Each pass applies both moment matrices to the last pointer axis of conj(S) and moves it to the front.
+        c = np.broadcast_to(kept.conj()[:, None], (len(s), 2, *words.shape))
+        for _ in range(n):
+            c = np.moveaxis((moments @ c.reshape(len(s), 2, -1, top + 1, d)).reshape(c.shape), -2, 3)
+        for i, (order, estimate) in enumerate(chunk):
+            box = (slice(0, order + 1),) * n
+            terms = (effect @ kept[(i, slice(None), *box)].reshape(d, -1)).reshape(-1, d) @ state.matrix
+            num, den = (c[(i, slice(None), slice(None), *box)].reshape(2, -1) @ terms.reshape(-1)).real
+            if den <= OVERLAP_FLOOR:
+                raise PostSelectionImpossibleError(
+                    f"post-selection weight {den:.3e} vanished after evolution"
+                )
+            results.append((float(num / den), estimate))
+    return results
 
 
 def simulate_pointers(
@@ -269,7 +290,7 @@ def simulate_pointers(
     _check_sim_resources(n, cfg.grid_points)
     width, kick = _power(cfg.sigma, n, "sigma", 1 / _SCALE_LIMIT), _kick(cfg, n)
 
-    ratio, estimate = _series(state, plist, effect, cfg)
+    [(ratio, estimate)] = _series(state, plist, effect, [cfg.g * cfg.t / cfg.sigma])
     pp = _pointer_pseudo_probability(state, plist, effect, overlap)
     return PointerResult(ratio * kick * width, pp, ratio, estimate)
 
@@ -330,7 +351,7 @@ def proportionality_check(
     cfgs = [replace(cfg, g=g) for g in gs]
     # A zero coupling is one point of the fit; a nonzero one must not underflow.
     x = np.array([_kick(c, len(plist), 1 / _SCALE_LIMIT if c.g else 0.0) for c in cfgs])
-    y = x * np.array([_series(state, plist, effect, c)[0] for c in cfgs])
+    y = x * np.array([ratio for ratio, _ in _series(state, plist, effect, [c.g * c.t / c.sigma for c in cfgs])])
     denom = float(x @ x)
     if denom <= 0:
         raise InvalidInputError("couplings give a degenerate fit; use nonzero g values")

@@ -552,3 +552,20 @@ def test_state_file_with_text_entries_exits_one(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert f"state file {path}: re and im must be real numeric matrices" in err
+
+
+def test_json_indent_over_cap_is_a_resource_error_before_the_command_runs(capsys, monkeypatch):
+    from pplab.cli import MAX_JSON_INDENT
+
+    def ran(factors):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr("pplab.cli.unit_pp", ran)
+    argv = ["pp", "eig", "--axes", "z+;x+", "--json-indent"]
+    code, out, err = _run(capsys, argv + [str(MAX_JSON_INDENT + 1)])
+    assert code == 2 and out == ""
+    assert err == f"error: --json-indent {MAX_JSON_INDENT + 1} exceeds the cap of {MAX_JSON_INDENT}\n"
+    monkeypatch.undo()
+    code, out, _ = _run(capsys, argv + [str(MAX_JSON_INDENT)])
+    assert code == 0
+    assert out.startswith("{\n" + " " * MAX_JSON_INDENT + '"prescription"')

@@ -208,16 +208,17 @@ def test_proportionality_runs_the_kernel_once_per_coupling(monkeypatch):
         simulate_pointers(MIXED, [Z_PLUS, X_PLUS], IDENTITY, PointerConfig(g=g, t=1.0)).correlation
         for g in couplings
     ]
-    kernel = pplab.pointer._series
+    build = pplab.pointer._word_sums
     calls = []
 
     def counting(*args):
-        calls.append(args[-1].g)
-        return kernel(*args)
+        calls.append(args[-1])
+        return build(*args)
 
-    monkeypatch.setattr(pplab.pointer, "_series", counting)
+    monkeypatch.setattr(pplab.pointer, "_word_sums", counting)
     out = proportionality_check(MIXED, [Z_PLUS, X_PLUS], IDENTITY, cfg, couplings=couplings)
-    assert calls == couplings
+    # One build of the word sums, at the largest coupling's order, serves every coupling.
+    assert calls == [pplab.pointer._order(max(couplings), 2)[0]]
     x = np.array(couplings) ** 2
     assert out["fitted_slope"] == float(x @ np.array(correlations)) / float(x @ x)
 
@@ -260,3 +261,14 @@ def test_post_selection_lost_during_evolution_is_refused():
     post = np.diag([1.8e-12, 0.0])
     with pytest.raises(PostSelectionImpossibleError, match="vanished after evolution"):
         simulate_pointers(bloch_state([0, 0, 1]), [X_PLUS], post, PointerConfig(5.0, 1.0))
+
+
+def test_a_long_coupling_list_is_contracted_in_stacks_with_the_same_bits(monkeypatch):
+    # Three pointers at kicks of different orders; one kick per stack must give the bits of one stack.
+    state = bloch_state([0.3, 0.2, 0.5])
+    projectors = [Z_PLUS, X_PLUS, qubit_projector([0, 1, 0], +1)]
+    couplings = [0.1, -0.5, 1.0, 0.02, 1.5, 0.3, 0.0]
+    cfg = PointerConfig(g=0.1, t=1.0)
+    whole = proportionality_check(state, projectors, IDENTITY, cfg, couplings)
+    monkeypatch.setattr(pplab.pointer, "_STACK_ENTRIES", 1)
+    assert proportionality_check(state, projectors, IDENTITY, cfg, couplings) == whole
