@@ -29,18 +29,18 @@ from .geometry import (
     werner_state,
 )
 from .operator_core import SPECTRAL_TOL, DensityMatrix, _complex_parts, _real_array, resolve_tolerance
-from .pointer import PointerConfig, proportionality_check, simulate_pointers
+from .pointer import PointerConfig, _simulate_and_fit
 from .pseudoprojection import PRESCRIPTIONS, _prescription_weights, convex_pp, min_eigen_certificate, symmetrized_pp, unit_pp
 from .scheme import _SIGN, ObservableSpec, build_scheme, negativity_report, scheme_to_json
 from .weak import weak_value
 from .witnesses import (
     _APERTURE_WINDOWS,
     TestReport,
+    _discord_scan,
     boolean_state_dep_test,
     boolean_state_indep_test,
     chsh_test,
     coherence_test,
-    discord_test,
     distributivity_test,
     linear_ent_test,
     nonlinear_ent_test,
@@ -205,8 +205,9 @@ def _chsh_on_axes(state: DensityMatrix, a1: object, a2: object, b1: object, b2: 
     )
 
 
-def _on_geometry(test: Callable[..., TestReport], variant: str) -> Callable[[DensityMatrix, float], TestReport]:
-    return lambda state, alpha: test(state, make_entanglement_geometry(alpha), variant)
+def _on_geometry(test: Callable[..., TestReport], variant: str) -> Callable[[DensityMatrix, list[float]], list[TestReport]]:
+    """A scan of `test` with one geometry per aperture."""
+    return lambda state, alphas: [test(state, make_entanglement_geometry(alpha), variant) for alpha in alphas]
 
 
 _X, _Y, _Z = _NAMED_AXES["x"], _NAMED_AXES["y"], _NAMED_AXES["z"]
@@ -224,15 +225,16 @@ _AXIS_TESTS: dict[str, tuple[Callable[..., TestReport], dict[str, tuple[float, f
         {"A1": _X, "A2": _Y, "B1": (_DIAGONAL, _DIAGONAL, 0.0), "B2": (_DIAGONAL, -_DIAGONAL, 0.0)},
     ),
 }
-# Test name -> (witness of (state, alpha), default aperture).  The default is
-# the top of the test's validity window; discord has no window.
-_APERTURE_TESTS: dict[str, tuple[Callable[[DensityMatrix, float], TestReport], float]] = {
+# Test name -> (scan of (state, apertures) to one report per aperture, default
+# aperture).  The default is the top of the test's validity window; discord has
+# no window.
+_APERTURE_TESTS: dict[str, tuple[Callable[[DensityMatrix, list[float]], list[TestReport]], float]] = {
     "ent-linear-1": (_on_geometry(linear_ent_test, "I"), _APERTURE_WINDOWS["linear-entanglement-I"]),
     "ent-linear-2": (_on_geometry(linear_ent_test, "II"), _APERTURE_WINDOWS["linear-entanglement-II"]),
     "ent-nl-1": (_on_geometry(nonlinear_ent_test, "I"), _APERTURE_WINDOWS["nonlinear-entanglement-I"]),
     "ent-nl-2": (_on_geometry(nonlinear_ent_test, "II"), _APERTURE_WINDOWS["nonlinear-entanglement-II"]),
     "ent-nl-3": (_on_geometry(nonlinear_ent_test, "III"), _APERTURE_WINDOWS["nonlinear-entanglement-III"]),
-    "discord": (discord_test, 3.0 * math.pi / 4.0),
+    "discord": (_discord_scan, 3.0 * math.pi / 4.0),
 }
 
 
@@ -241,11 +243,11 @@ def _run_axis_test(witness: Callable[..., TestReport], flags: tuple[str, ...], s
     return _report_payload(witness(*state, *(getattr(args, f) for f in flags)))
 
 
-def _run_aperture_test(witness: Callable[[DensityMatrix, float], TestReport], args: argparse.Namespace) -> object:
+def _run_aperture_test(scan: Callable[[DensityMatrix, list[float]], list[TestReport]], args: argparse.Namespace) -> object:
     state = load_state(args)
     if args.alpha_scan is None:
-        return _report_payload(witness(state, args.alpha))
-    return [_report_payload(witness(state, alpha)) for alpha in args.alpha_scan]
+        return _report_payload(scan(state, [args.alpha])[0])
+    return [_report_payload(report) for report in scan(state, args.alpha_scan)]
 
 
 # --observables when not given: two on one qubit, or one on each of two.
@@ -298,9 +300,10 @@ def _run_pointer_sim(args: argparse.Namespace) -> object:
     state = load_state(args)
     post = bloch_state(args.post_bloch)
     cfg = PointerConfig(args.g, args.t, args.sigma, args.grid_points, args.grid_halfwidth)
-    payload = dataclasses.asdict(simulate_pointers(state, args.projectors, post, cfg))
-    if args.couplings is not None:
-        payload["proportionality"] = proportionality_check(state, args.projectors, post, cfg, args.couplings)
+    result, fit = _simulate_and_fit(state, args.projectors, post, cfg, args.couplings)
+    payload = dataclasses.asdict(result)
+    if fit is not None:
+        payload["proportionality"] = fit
     return payload
 
 
@@ -390,13 +393,13 @@ def _build_parser() -> _Parser:
             _add_state_flags(t)
         _add_axis_flags(t, axes)
         t.set_defaults(run=functools.partial(_run_axis_test, witness, tuple(axes), stateful))
-    for name, (witness, default) in _APERTURE_TESTS.items():
+    for name, (scan, default) in _APERTURE_TESTS.items():
         t = test_actions.add_parser(name, parents=[out])
         _add_state_flags(t)
         aperture = t.add_mutually_exclusive_group()
         aperture.add_argument("--alpha", type=_number, default=default, help="doublet aperture in radians")
         aperture.add_argument("--alpha-scan", type=_alpha_grid, help="aperture grid START:STOP:STEP (radians)")
-        t.set_defaults(run=functools.partial(_run_aperture_test, witness))
+        t.set_defaults(run=functools.partial(_run_aperture_test, scan))
 
     pointer = commands.add_parser("pointer", help="Gaussian-pointer simulation")
     pointer_actions = pointer.add_subparsers(dest="action", required=True)

@@ -177,7 +177,8 @@ def _cross(a: Array, b: Array) -> Array:
 
 def _doublets(axes: Array, alpha: float) -> tuple[Array, Array]:
     """The axes n1, n2 of the doublets of aperture `alpha` about each checked unit
-    axis of an (m, 3) stack, as two (m, 3) stacks.
+    axis of an (m, 3) stack, as two (m, 3) stacks; for a (k, 1, 1) array of
+    apertures, two (k, m, 3) stacks, one (m, 3) pair per aperture.
 
     The in-plane direction is fixed deterministically: cross the axis with z
     unless the two are nearly parallel, in which case cross with x.

@@ -65,6 +65,9 @@ _MAX_ORDER = 64
 # Box entries (K + 1)^N of the kicks contracted in one stack: one series of 3 pointers at the
 # largest kick (K = 33) fits, so a long list of strong kicks holds a few series at a time, not all.
 _STACK_ENTRIES = 35 ** 3
+# Most couplings one proportionality fit takes: each is one more series, about 30 ms for
+# 3 pointers at g t / sigma = 2.
+MAX_COUPLINGS = 100
 
 
 @dataclass(frozen=True)
@@ -267,6 +270,58 @@ def _series(
     return results
 
 
+def _couplings(couplings: object) -> list[float]:
+    """A fit's coupling list, of at least 3 and at most MAX_COUPLINGS real numbers."""
+    gs = _sequence(couplings, "couplings", "numbers", _real_item)
+    if len(gs) < 3:
+        raise InvalidInputError(f"need at least 3 coupling values, got {len(gs)}")
+    if len(gs) > MAX_COUPLINGS:
+        raise ResourceLimitError(f"a fit takes at most {MAX_COUPLINGS} coupling values, got {len(gs)}")
+    return gs
+
+
+def _simulate_and_fit(
+    state: DensityMatrix, projectors: object, post: object, cfg: PointerConfig, couplings: object = None, simulate: bool = True,
+) -> tuple[PointerResult | None, dict[str, float] | None]:
+    """`simulate_pointers`' result if `simulate`, and `proportionality_check`'s fit over
+    `couplings` unless they are None, from one set-up, one pseudo-probability and one series
+    over the simulation's kick and then the couplings'.
+
+    Every check comes before the series, in the order of the public calls: a fit alone checks
+    its couplings before the set-up, and a fit after a simulation after the simulation's checks.
+    """
+    gs = None if simulate else _couplings(couplings)
+    plist, effect, overlap = _setup(state, projectors, post)
+    n = len(plist)
+    _check_sim_resources(n, cfg.grid_points)
+    cfgs = []
+    if simulate:
+        width, kick = _power(cfg.sigma, n, "sigma", 1 / _SCALE_LIMIT), _kick(cfg, n)
+        cfgs.append(cfg)
+        if couplings is not None:
+            gs = _couplings(couplings)
+    if gs is not None:
+        fit_cfgs = [replace(cfg, g=g) for g in gs]
+        # A zero coupling is one point of the fit; a nonzero one must not underflow.
+        x = np.array([_kick(c, n, 1 / _SCALE_LIMIT if c.g else 0.0) for c in fit_cfgs])
+        cfgs += fit_cfgs
+
+    series = _series(state, plist, effect, [c.g * c.t / c.sigma for c in cfgs])
+    pp = _pointer_pseudo_probability(state, plist, effect, overlap)
+    result = fit = None
+    if simulate:
+        (ratio, estimate), *series = series
+        result = PointerResult(ratio * kick * width, pp, ratio, estimate)
+    if gs is not None:
+        y = x * np.array([ratio for ratio, _ in series])
+        denom = float(x @ x)
+        if denom <= 0:
+            raise InvalidInputError("couplings give a degenerate fit; use nonzero g values")
+        slope = float(x @ y) / denom
+        fit = {"fitted_slope": slope, "pseudo_probability": pp, "relative_deviation": abs(slope - pp) / max(abs(pp), 1e-12)}
+    return result, fit
+
+
 def simulate_pointers(
     state: DensityMatrix,
     projectors: object,
@@ -285,14 +340,7 @@ def simulate_pointers(
     |g t / sigma| must be at most 5, 3 or 2 for 1, 2 or 3 pointers, and
     (g t / sigma)^N and sigma^N must lie within [1e-100, 1e100].
     """
-    plist, effect, overlap = _setup(state, projectors, post)
-    n = len(plist)
-    _check_sim_resources(n, cfg.grid_points)
-    width, kick = _power(cfg.sigma, n, "sigma", 1 / _SCALE_LIMIT), _kick(cfg, n)
-
-    [(ratio, estimate)] = _series(state, plist, effect, [cfg.g * cfg.t / cfg.sigma])
-    pp = _pointer_pseudo_probability(state, plist, effect, overlap)
-    return PointerResult(ratio * kick * width, pp, ratio, estimate)
+    return _simulate_and_fit(state, projectors, post, cfg)[0]  # type: ignore[return-value]
 
 
 def perturbative_prediction(
@@ -340,27 +388,6 @@ def proportionality_check(
     the correlation is odd in g at order N.  It is made in units of the
     pointer width, where each |g t / sigma| must lie within the bound that
     simulate_pointers takes, and each (g t / sigma)^N of a nonzero g within
-    [1e-100, 1e100].
+    [1e-100, 1e100].  It takes 3 to MAX_COUPLINGS (100) couplings.
     """
-    gs = _sequence(couplings, "couplings", "numbers", _real_item)
-    if len(gs) < 3:
-        raise InvalidInputError(f"need at least 3 coupling values, got {len(gs)}")
-    plist, effect, overlap = _setup(state, projectors, post)
-    _check_sim_resources(len(plist), cfg.grid_points)
-
-    cfgs = [replace(cfg, g=g) for g in gs]
-    # A zero coupling is one point of the fit; a nonzero one must not underflow.
-    x = np.array([_kick(c, len(plist), 1 / _SCALE_LIMIT if c.g else 0.0) for c in cfgs])
-    y = x * np.array([ratio for ratio, _ in _series(state, plist, effect, [c.g * c.t / c.sigma for c in cfgs])])
-    denom = float(x @ x)
-    if denom <= 0:
-        raise InvalidInputError("couplings give a degenerate fit; use nonzero g values")
-    slope = float(x @ y) / denom
-
-    pp = _pointer_pseudo_probability(state, plist, effect, overlap)
-    deviation = abs(slope - pp) / max(abs(pp), 1e-12)
-    return {
-        "fitted_slope": slope,
-        "pseudo_probability": pp,
-        "relative_deviation": deviation,
-    }
+    return _simulate_and_fit(state, projectors, post, cfg, couplings, simulate=False)[1]  # type: ignore[return-value]

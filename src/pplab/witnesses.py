@@ -258,12 +258,16 @@ def _block_terms(blocks: tuple[str, ...], groups: tuple[int, ...]) -> tuple[tupl
 
 def _compile_blocks(P: Array, blocks: tuple[str, ...], groups: tuple[int, ...]) -> _Terms:
     """The terms of `blocks`, block after block, over the axes of the projector
-    stack P; axis i is tagged [i+1] and its terms are in groups[i]."""
-    eye = np.broadcast_to(np.eye(4), (2 * len(groups), 4, 4))
-    leads = np.concatenate([_BLOCKS[b][0](P).reshape(-1, 4, 4) for b in blocks])
-    rests = np.concatenate([eye if _BLOCKS[b][1] is None else _BLOCKS[b][1](P).reshape(-1, 4, 4) for b in blocks])
-    ranks, has_rest, *named = _block_terms(blocks, groups)
-    return _compile_terms(leads, ranks, rests, has_rest, *named)
+    stack P; axis i is tagged [i+1] and its terms are in groups[i].  A P with a
+    leading axis stacks one such stack per aperture: the terms of each are
+    compiled in that order, aperture after aperture, in one call."""
+    k = math.prod(P.shape[:-5])
+    flat = P.reshape(-1, *P.shape[-4:])
+    eye = np.broadcast_to(np.eye(4), (k, 2 * len(groups), 4, 4))
+    leads = np.concatenate([_BLOCKS[b][0](flat).reshape(k, -1, 4, 4) for b in blocks], axis=1)
+    rests = np.concatenate([eye if _BLOCKS[b][1] is None else _BLOCKS[b][1](flat).reshape(k, -1, 4, 4) for b in blocks], axis=1)
+    ranks, has_rest, *named = (x * k for x in _block_terms(blocks, groups))
+    return _compile_terms(leads.reshape(-1, 4, 4), ranks, rests.reshape(-1, 4, 4), has_rest, *named)
 
 
 def _compile_geometry(geom: EntanglementGeometry) -> _Terms:
@@ -544,6 +548,7 @@ _WITNESSES = {
 }
 
 
+@functools.cache
 def _blocks(w: _Witness) -> tuple[str, ...]:
     """The blocks `w` reads, in compile order."""
     read = {*w.entries, *w.summed, *(block for pair in w.products for block, _ in pair[:2])}
@@ -566,26 +571,35 @@ def _names(w: _Witness, i: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 
 def _evaluate(
-    w: _Witness, state: DensityMatrix, terms: _Terms, blocks: tuple[str, ...], axes: list[tuple[Array, Array]], alpha: float,
-) -> tuple[dict[str, float], list[list[WeakTerm]], list[float]]:
-    """The entries, the weak terms of each axis and each axis's closed form of the
-    test `w` on `state`, at `axes`, pairs (a, b) of an a axis and a b-doublet axis;
-    `terms` hold `blocks` compiled over these axes or more."""
-    rows = _rows(w, blocks, len(terms.labels) // (2 * len(blocks)), len(axes))
-    t = dict(zip(rows, _pp_terms(state, terms, rows.values())))
-    table = _pauli_coordinates(state.matrix)
+    w: _Witness, state: DensityMatrix, table: Array, terms: _Terms, blocks: tuple[str, ...],
+    axes: list[tuple[Array, Array]], alphas: list[float],
+) -> list[tuple[dict[str, float], list[list[WeakTerm]], list[float]]]:
+    """For each aperture of `alphas`: the entries, the weak terms of each axis and each
+    axis's closed form of the test `w` on `state`, whose Pauli table is `table`, at `axes`,
+    pairs (a, b) of an a axis and a b-doublet axis.  `terms` hold `blocks` compiled over
+    these axes or more once per aperture, aperture after aperture; one contraction reads them all."""
+    size = len(terms.labels) // len(alphas)
+    rows = _rows(w, blocks, size // (2 * len(blocks)), len(axes))
+    # One aperture reads its rows as they are (the common case, kept free of the offsets); more read
+    # them again at each aperture's offset.
+    starts = range(0, len(terms.labels), size)
+    read = iter(_pp_terms(state, terms, rows.values() if len(starts) == 1 else [i + row for i in starts for row in rows.values()]))
     r, s, T = table[1:, 0], table[0, 1:], table[1:, 1:]
-    c = math.cos(alpha / 2.0)
-    entries: dict[str, float] = {}
-    per_axis, closed = [], []
-    for i, (a, b) in enumerate(axes):
-        names, labels = _names(w, i)
-        entries.update(zip(names, (t[block, i, o].pseudo_probability for block in w.entries for o in (0, 1))))
-        per_axis.append([t[block, i, o] for block in w.summed for o in (0, 1)] + [
-            _product_term(t[x, i, o], t[y, i, p], k, label) for ((x, o), (y, p), k), label in zip(w.products, labels)
-        ])
-        closed.append(w.closed(c, float(a @ T @ b), float(r @ a), float(s @ b)))
-    return entries, per_axis, closed
+    parts = [(float(a @ T @ b), float(r @ a), float(s @ b)) for a, b in axes]
+    results = []
+    for alpha in alphas:
+        t = dict(zip(rows, read))  # the next len(rows) terms: zip stops at the end of rows
+        c = math.cos(alpha / 2.0)
+        entries: dict[str, float] = {}
+        per_axis = []
+        for i in range(len(axes)):
+            names, labels = _names(w, i)
+            entries.update(zip(names, (t[block, i, o].pseudo_probability for block in w.entries for o in (0, 1))))
+            per_axis.append([t[block, i, o] for block in w.summed for o in (0, 1)] + [
+                _product_term(t[x, i, o], t[y, i, p], k, label) for ((x, o), (y, p), k), label in zip(w.products, labels)
+            ])
+        results.append((entries, per_axis, [w.closed(c, *part) for part in parts]))
+    return results
 
 
 def _entanglement_report(
@@ -596,7 +610,9 @@ def _entanglement_report(
     if geom._terms is None:
         object.__setattr__(geom, "_terms", _compile_geometry(geom))
     axes = list(zip(geom.a_axes[:n_axes], geom.b_axes))
-    entries, per_axis, closed = _evaluate(_WITNESSES[name], state, geom._terms, tuple(_BLOCKS), axes, geom.alpha)  # type: ignore[arg-type]
+    [(entries, per_axis, closed)] = _evaluate(
+        _WITNESSES[name], state, _pauli_coordinates(state.matrix), geom._terms, tuple(_BLOCKS), axes, [geom.alpha],  # type: ignore[arg-type]
+    )
     terms = [t for axis_terms in per_axis for t in axis_terms]
     window = (0.0, _APERTURE_WINDOWS[name])
     warnings: tuple[str, ...] = ()
@@ -647,6 +663,52 @@ def nonlinear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant
     return _entanglement_report(f"nonlinear-entanglement-{variant}", state, geom, n_axes)
 
 
+def _discord_scan(state: DensityMatrix, alphas: Iterable[object]) -> list[TestReport]:
+    """`discord_test`'s report at each aperture of `alphas`, each with objects of its own.
+
+    The state and every aperture are checked first.  The branch axes, the state's Pauli
+    table and its digest are read once; every aperture's doublets and outcome projectors
+    are one stack, compiled in one call and read from one contraction."""
+    _require_dim(state, 4, "discord_test")
+    alphas = [_aperture(alpha) for alpha in alphas]
+
+    table = _pauli_coordinates(state.matrix)
+    r = table[1:, 0]
+    norm = _norm(r)
+    degenerate = norm < 1e-8
+    a1_axis = np.array([0.0, 0.0, 1.0]) if degenerate else r / norm
+    a2_axis = mub_partner(a1_axis)
+
+    # Both sides measure along each branch axis: rows of P per aperture and branch are
+    # the axis, then its doublet n1, n2 (a, b1, b2 of `_BLOCKS`).
+    axes = np.stack([a1_axis, a2_axis])
+    vectors = np.empty((len(alphas), 2, 3, 3))
+    vectors[:, :, 0] = axes
+    vectors[:, :, 1], vectors[:, :, 2] = _doublets(axes, np.array(alphas)[:, None, None])
+    P = _outcome_projectors(_sigmas(vectors.reshape(-1, 3))).reshape(len(alphas), 2, 3, 2, 2, 2)
+    w = _WITNESSES["discord"]
+    blocks = _blocks(w)
+    results = _evaluate(w, state, table, _compile_blocks(P, blocks, (1, 2)), blocks, [(x, x) for x in axes], alphas)
+
+    digest = _state_digest(state)
+    warnings = ["reduced state is maximally mixed; branch axis fixed to z"] if degenerate else []
+    reports = []
+    for alpha, (entries, branches, closed) in zip(alphas, results):
+        # Branch g holds the terms of group g, in order: the max-group statistic is the larger branch sum.
+        sums = [statistic_from_terms(b, RULE_SUM) for b in branches]
+        reports.append(_report(
+            "discord",
+            {"state": dict(digest), "alpha": alpha, "branch_axes": [a1_axis.tolist(), a2_axis.tolist()]},
+            {**entries, **{f"branch_{g}": x for g, x in enumerate(sums, start=1)}},
+            [t for branch in branches for t in branch],
+            max(sums),
+            {**{f"branch_{g}_closed_form": x for g, x in enumerate(closed, start=1)}, "degenerate_marginal": degenerate},
+            statistic_rule=RULE_MAX_GROUP,
+            warnings=warnings,
+        ))
+    return reports
+
+
 def discord_test(state: DensityMatrix, alpha: float) -> TestReport:
     """Discord witness from two mutually unbiased measurement branches.
 
@@ -656,35 +718,4 @@ def discord_test(state: DensityMatrix, alpha: float) -> TestReport:
     zero-discord states keep at least one branch non-negative at every
     aperture, so both branches negative witnesses discord.
     """
-    _require_dim(state, 4, "discord_test")
-    alpha = _aperture(alpha)
-
-    r = _pauli_coordinates(state.matrix)[1:, 0]
-    norm = _norm(r)
-    degenerate = norm < 1e-8
-    a1_axis = np.array([0.0, 0.0, 1.0]) if degenerate else r / norm
-    a2_axis = mub_partner(a1_axis)
-
-    warnings: list[str] = []
-    if degenerate:
-        warnings.append("reduced state is maximally mixed; branch axis fixed to z")
-
-    # Both sides measure along each branch axis: rows of P per branch are the
-    # axis, then its doublet n1, n2 (a, b1, b2 of `_BLOCKS`).
-    axes = np.stack([a1_axis, a2_axis])
-    P = _outcome_projectors(_sigmas(np.stack([axes, *_doublets(axes, alpha)], axis=1).reshape(6, 3))).reshape(2, 3, 2, 2, 2)
-    blocks = _blocks(_WITNESSES["discord"])
-    entries, branches, closed = _evaluate(
-        _WITNESSES["discord"], state, _compile_blocks(P, blocks, (1, 2)), blocks, [(x, x) for x in axes], alpha
-    )
-    all_terms = [t for branch in branches for t in branch]
-    return _report(
-        "discord",
-        {"state": _state_digest(state), "alpha": alpha, "branch_axes": [a1_axis.tolist(), a2_axis.tolist()]},
-        {**entries, **{f"branch_{g}": statistic_from_terms(b, RULE_SUM) for g, b in enumerate(branches, start=1)}},
-        all_terms,
-        statistic_from_terms(all_terms, RULE_MAX_GROUP),
-        {**{f"branch_{g}_closed_form": x for g, x in enumerate(closed, start=1)}, "degenerate_marginal": degenerate},
-        statistic_rule=RULE_MAX_GROUP,
-        warnings=warnings,
-    )
+    return _discord_scan(state, [alpha])[0]

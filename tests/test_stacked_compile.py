@@ -4,8 +4,10 @@ The code between the two rules below is a verbatim copy of the per-spec
 `pseudoprojection._ordered_product` and `_ordering_sum`, `weak._compile_terms`,
 `witnesses._BLOCKS`, `_tagged`, `_compile_blocks`, `_product_term`, `_evaluate`
 and `boolean_state_indep_test`, which built one ordered product and one compile
-spec at a time.  Each test computes reports with the library, then again with
-these oracles patched in (the library's stacked `_compile_terms` calls replayed
+spec at a time and evaluated one aperture at a time (`_compile_blocks` and
+`_evaluate` only add a loop over a leading aperture axis around that code).
+Each test computes reports with the library, then again with these oracles
+patched in (the library's stacked `_compile_terms` calls replayed
 one spec at a time through the oracle compile), and compares every number by
 `float.hex` and every other value exactly.  The inputs are seeded states and
 axes, and states whose rank-2 leads fall below the overlap floor.
@@ -86,14 +88,16 @@ def _tagged(template: str, i: int, o: int) -> str:
 
 def _compile_blocks(P: Array, blocks: Sequence[str], groups: Sequence[int]) -> _Terms:
     """The terms of `blocks`, block after block, over the axes of the projector
-    stack P; axis i is tagged [i+1] and its terms are in groups[i]."""
+    stack P; axis i is tagged [i+1] and its terms are in groups[i].  A P with a
+    leading axis holds one such stack per aperture, compiled aperture after aperture."""
     specs = []
-    for block in blocks:
-        leads, rank, rests, label = _BLOCKS[block](P)
-        specs += [
-            (leads[i, o], rank, None if rests is None else rests[i, o], _tagged(label, i, o), 1.0, group)
-            for i, group in enumerate(groups) for o in (0, 1)
-        ]
+    for stack in P.reshape(-1, *P.shape[-5:]):
+        for block in blocks:
+            leads, rank, rests, label = _BLOCKS[block](stack)
+            specs += [
+                (leads[i, o], rank, None if rests is None else rests[i, o], _tagged(label, i, o), 1.0, group)
+                for i, group in enumerate(groups) for o in (0, 1)
+            ]
     return _compile_terms(specs)
 
 
@@ -107,7 +111,24 @@ def _product_term(t1: WeakTerm, t2: WeakTerm, coefficient: float) -> WeakTerm:
     return WeakTerm(label, born, weak, t1.pseudo_probability * t2.pseudo_probability, coefficient, t1.group)
 
 
+def _aperture_terms(terms: _Terms, k: int, size: int) -> _Terms:
+    """The `size` terms of aperture k, of terms compiled aperture after aperture."""
+    n, pick = len(terms.labels), slice(k * size, (k + 1) * size)
+    ops = np.concatenate([terms.ops[:n][pick], terms.ops[n:][pick]])
+    return _Terms(terms.labels[pick], terms.coefficients[pick], terms.groups[pick], terms.weak[pick], terms.floors[pick], ops)
+
+
 def _evaluate(
+    w: _Witness, state: DensityMatrix, table: Array, terms: _Terms, blocks: tuple[str, ...],
+    axes: list[tuple[Array, Array]], alphas: list[float],
+) -> list[tuple[dict[str, float], list[list[WeakTerm]], list[float]]]:
+    """`_evaluate_one` at each aperture of `alphas` in turn, on that aperture's own terms;
+    each computes the Pauli table of `state` itself, so `table` is not read."""
+    size = len(terms.labels) // len(alphas)
+    return [_evaluate_one(w, state, _aperture_terms(terms, k, size), blocks, axes, alpha) for k, alpha in enumerate(alphas)]
+
+
+def _evaluate_one(
     w: _Witness, state: DensityMatrix, terms: _Terms, blocks: tuple[str, ...], axes: list[tuple[Array, Array]], alpha: float,
 ) -> tuple[dict[str, float], list[list[WeakTerm]], list[float]]:
     """The entries, the weak terms of each axis and each axis's closed form of the
