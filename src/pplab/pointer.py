@@ -280,46 +280,39 @@ def _couplings(couplings: object) -> list[float]:
     return gs
 
 
-def _simulate_and_fit(
-    state: DensityMatrix, projectors: object, post: object, cfg: PointerConfig, couplings: object = None, simulate: bool = True,
-) -> tuple[PointerResult | None, dict[str, float] | None]:
-    """`simulate_pointers`' result if `simulate`, and `proportionality_check`'s fit over
-    `couplings` unless they are None, from one set-up, one pseudo-probability and one series
-    over the simulation's kick and then the couplings'.
+def _fit_kicks(cfg: PointerConfig, gs: list[float], n: int) -> tuple[Array, list[float]]:
+    """The fit's abscissae (g t / sigma)^n at each coupling g of `gs`, and their kicks g t / sigma."""
+    cfgs = [replace(cfg, g=g) for g in gs]
+    # A zero coupling is one point of the fit; a nonzero one must not underflow.
+    x = np.array([_kick(c, n, 1 / _SCALE_LIMIT if c.g else 0.0) for c in cfgs])
+    return x, [c.g * c.t / c.sigma for c in cfgs]
 
-    Every check comes before the series, in the order of the public calls: a fit alone checks
-    its couplings before the set-up, and a fit after a simulation after the simulation's checks.
-    """
-    gs = None if simulate else _couplings(couplings)
+
+def _fit(x: Array, series: list[tuple[float, float]], pp: float) -> dict[str, float]:
+    """The through-origin fit of the readouts `series` at abscissae `x`, against `pp`."""
+    y = x * np.array([ratio for ratio, _ in series])
+    denom = float(x @ x)
+    if denom <= 0:
+        raise InvalidInputError("couplings give a degenerate fit; use nonzero g values")
+    slope = float(x @ y) / denom
+    return {"fitted_slope": slope, "pseudo_probability": pp, "relative_deviation": abs(slope - pp) / max(abs(pp), 1e-12)}
+
+
+def _simulate_and_fit(
+    state: DensityMatrix, projectors: object, post: object, cfg: PointerConfig, couplings: object = None,
+) -> tuple[PointerResult, dict[str, float] | None]:
+    """`simulate_pointers`' result, and `proportionality_check`'s fit over `couplings` unless
+    they are None, from one set-up, one pseudo-probability and one series over the simulation's
+    kick and then the couplings'.  The couplings are checked after the simulation's own checks."""
     plist, effect, overlap = _setup(state, projectors, post)
     n = len(plist)
     _check_sim_resources(n, cfg.grid_points)
-    cfgs = []
-    if simulate:
-        width, kick = _power(cfg.sigma, n, "sigma", 1 / _SCALE_LIMIT), _kick(cfg, n)
-        cfgs.append(cfg)
-        if couplings is not None:
-            gs = _couplings(couplings)
-    if gs is not None:
-        fit_cfgs = [replace(cfg, g=g) for g in gs]
-        # A zero coupling is one point of the fit; a nonzero one must not underflow.
-        x = np.array([_kick(c, n, 1 / _SCALE_LIMIT if c.g else 0.0) for c in fit_cfgs])
-        cfgs += fit_cfgs
+    width, kick = _power(cfg.sigma, n, "sigma", 1 / _SCALE_LIMIT), _kick(cfg, n)
+    x, kicks = _fit_kicks(cfg, [] if couplings is None else _couplings(couplings), n)
 
-    series = _series(state, plist, effect, [c.g * c.t / c.sigma for c in cfgs])
+    (ratio, estimate), *series = _series(state, plist, effect, [cfg.g * cfg.t / cfg.sigma, *kicks])
     pp = _pointer_pseudo_probability(state, plist, effect, overlap)
-    result = fit = None
-    if simulate:
-        (ratio, estimate), *series = series
-        result = PointerResult(ratio * kick * width, pp, ratio, estimate)
-    if gs is not None:
-        y = x * np.array([ratio for ratio, _ in series])
-        denom = float(x @ x)
-        if denom <= 0:
-            raise InvalidInputError("couplings give a degenerate fit; use nonzero g values")
-        slope = float(x @ y) / denom
-        fit = {"fitted_slope": slope, "pseudo_probability": pp, "relative_deviation": abs(slope - pp) / max(abs(pp), 1e-12)}
-    return result, fit
+    return PointerResult(ratio * kick * width, pp, ratio, estimate), None if couplings is None else _fit(x, series, pp)
 
 
 def simulate_pointers(
@@ -340,7 +333,7 @@ def simulate_pointers(
     |g t / sigma| must be at most 5, 3 or 2 for 1, 2 or 3 pointers, and
     (g t / sigma)^N and sigma^N must lie within [1e-100, 1e100].
     """
-    return _simulate_and_fit(state, projectors, post, cfg)[0]  # type: ignore[return-value]
+    return _simulate_and_fit(state, projectors, post, cfg)[0]
 
 
 def perturbative_prediction(
@@ -390,4 +383,8 @@ def proportionality_check(
     simulate_pointers takes, and each (g t / sigma)^N of a nonzero g within
     [1e-100, 1e100].  It takes 3 to MAX_COUPLINGS (100) couplings.
     """
-    return _simulate_and_fit(state, projectors, post, cfg, couplings, simulate=False)[1]  # type: ignore[return-value]
+    gs = _couplings(couplings)
+    plist, effect, overlap = _setup(state, projectors, post)
+    _check_sim_resources(len(plist), cfg.grid_points)
+    x, kicks = _fit_kicks(cfg, gs, len(plist))
+    return _fit(x, _series(state, plist, effect, kicks), _pointer_pseudo_probability(state, plist, effect, overlap))

@@ -580,10 +580,7 @@ def _evaluate(
     these axes or more once per aperture, aperture after aperture; one contraction reads them all."""
     size = len(terms.labels) // len(alphas)
     rows = _rows(w, blocks, size // (2 * len(blocks)), len(axes))
-    # One aperture reads its rows as they are (the common case, kept free of the offsets); more read
-    # them again at each aperture's offset.
-    starts = range(0, len(terms.labels), size)
-    read = iter(_pp_terms(state, terms, rows.values() if len(starts) == 1 else [i + row for i in starts for row in rows.values()]))
+    read = iter(_pp_terms(state, terms, [i + row for i in range(0, len(terms.labels), size) for row in rows.values()]))
     r, s, T = table[1:, 0], table[0, 1:], table[1:, 1:]
     parts = [(float(a @ T @ b), float(r @ a), float(s @ b)) for a, b in axes]
     results = []
