@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -315,6 +315,8 @@ def _run_game(args: argparse.Namespace) -> object:
         raise ResourceLimitError(f"--t-steps {steps} exceeds the cap of {MAX_T_STEPS}")
     if args.t_max < 0:
         raise InvalidInputError(f"--t-max must be non-negative, got {args.t_max}")
+    if not math.isfinite(args.t_max):
+        raise InvalidInputError(f"--t-max must be finite, got {args.t_max}")
     t_grid = np.linspace(0.0, args.t_max, steps)
     report = evaluate_strategy(args.bloch, args.axis, args.omega, t_grid, args.theta)
     return {
@@ -451,77 +453,37 @@ _SCALAR_TEXT: dict[type, Callable[[object], str]] = {
 }
 
 
-def _subclass_text(x: object) -> str | None:
-    """The JSON text of a str, int or float subclass (np.float64), or None for anything else."""
-    if isinstance(x, str):
-        return _encode_str(x)
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        return _float_text(x)
-    return None
-
-
-def _key_text(key: object) -> str:
-    """A dict key as json.dumps writes it: an int, float, bool or None key as the string of its JSON text."""
-    text = key if isinstance(key, str) else _SCALAR_TEXT.get(type(key), _subclass_text)(key)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-    return _encode_str(text)
-
-
 def _dumps_indented(payload: object, indent: int) -> str:
     """json.dumps(payload, indent=indent) for indent > 0, with the same bytes and errors.
 
-    One recursive pass appends to one list, with no generator: a list or tuple of
-    scalars is one join.  The payloads hold no reference cycle, so none is looked for.
+    One recursive function spells the exact types reports hold: dicts with str keys,
+    lists, tuples, str, float, int, bool and None.  Any other value (a numpy scalar, a
+    subclass, a key that is not a string) raises TypeError, and the whole payload goes
+    to json.dumps instead.  The payloads hold no reference cycle, so none is looked for.
     """
     step = " " * indent
-    out: list[str] = []
-    text_of = _SCALAR_TEXT.get
+    spelling = _SCALAR_TEXT.get
 
-    def write(x: object, newline: str) -> None:
-        if isinstance(x, (list, tuple)):
-            if not x:
-                out.append("[]")
-                return
-            inner = newline + step
-            texts = [text_of(type(v), _subclass_text)(v) for v in x]
-            if None not in texts:
-                out.append(f"[{inner}{(',' + inner).join(texts)}{newline}]")  # type: ignore[arg-type]
-                return
-            lead = "[" + inner
-            for v, text in zip(x, texts):
-                out.append(lead)
-                if text is None:
-                    write(v, inner)
-                else:
-                    out.append(text)
-                lead = "," + inner
-            out.append(newline + "]")
-        elif isinstance(x, dict):
-            if not x:
-                out.append("{}")
-                return
-            inner = newline + step
-            lead = "{" + inner
-            for k, v in x.items():
-                out.append(lead + (_encode_str(k) if type(k) is str else _key_text(k)) + ": ")
-                text = text_of(type(v), _subclass_text)(v)
-                if text is None:
-                    write(v, inner)
-                else:
-                    out.append(text)
-                lead = "," + inner
-            out.append(newline + "}")
+    def text(x: Any, newline: str) -> str:
+        kind = type(x)
+        spell = spelling(kind)
+        if spell is not None:
+            return spell(x)
+        inner = newline + step
+        if kind is dict:  # _encode_str raises TypeError on a key that is not a string
+            items = [f"{_encode_str(k)}: {text(v, inner)}" for k, v in x.items()]
+            ends = "{}"
+        elif kind is list or kind is tuple:
+            items = [text(v, inner) for v in x]
+            ends = "[]"
         else:
-            text = text_of(type(x), _subclass_text)(x)
-            if text is None:
-                json.JSONEncoder().default(x)  # raises json's TypeError for the type
-            out.append(text)  # type: ignore[arg-type]
+            raise TypeError(f"{kind.__name__} is not a report type")
+        return ends[0] + inner + ("," + inner).join(items) + newline + ends[1] if items else ends
 
-    write(payload, "\n")
-    return "".join(out)
+    try:
+        return text(payload, "\n")
+    except TypeError:
+        return json.dumps(payload, indent=indent)
 
 
 def _emit(payload: object, args: argparse.Namespace) -> None:

@@ -155,7 +155,12 @@ def evaluate_strategy(
     theta = _finite(theta, "theta")
 
     # Rodrigues' rotation of p0 by the angle -omega_L * t of each grid time, one row each.
-    angles = -omega_L * np.array(times)
+    # The angles are Python floats, so an overflow is refused here rather than warned of by numpy.
+    angles = [-omega_L * t for t in times]
+    if not all(map(math.isfinite, angles)):
+        raise InvalidInputError(
+            f"omega_L * t must be finite, got omega_L = {omega_L} with |t| up to {max(map(abs, times))}"
+        )
     c, s = np.cos(angles)[:, None], np.sin(angles)[:, None]
     points = p0 * c + _cross(axis, p0) * s + axis * float(axis @ p0) * (1.0 - c)
     rhos = 0.5 * (IDENTITY_2 + _sigmas(points))

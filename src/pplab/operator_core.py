@@ -330,8 +330,9 @@ class Projector:
     def __post_init__(self) -> None:
         m = as_complex_matrix(self.matrix, "projector")
         rank = _check_projector(_bounded(m, "projector", _ENTRY_LIMIT))
-        if self.rank and self.rank != rank:
-            raise InvalidInputError(f"declared rank {self.rank} != trace rank {rank}")
+        declared = _integer(self.rank, "rank")
+        if declared and declared != rank:
+            raise InvalidInputError(f"declared rank {declared} != trace rank {rank}")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "rank", rank)
 

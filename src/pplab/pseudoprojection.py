@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
-from .operator_core import SPECTRAL_TOL, Array, Projector, _numeric, _sequence, as_complex_matrix, hermitian_eigen
+from .operator_core import SPECTRAL_TOL, Array, Projector, _real_array, _sequence, as_complex_matrix, hermitian_eigen
 
 __all__ = [
     "PseudoProjection",
@@ -101,7 +101,7 @@ def _convex_weights(n: int | None, weights: object | None) -> Array:
     if weights is None:
         return np.full(count, 1.0 / count)
     try:
-        w = np.asarray(_numeric(weights), dtype=float)
+        w = _real_array(weights)
     except (TypeError, ValueError):
         w = None
     if w is None or (count is None and w.ndim != 1):

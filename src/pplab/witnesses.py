@@ -131,16 +131,16 @@ def statistic_from_terms(terms: object, rule: str) -> float:
         return c, p, _integer(t.get("group", 0), "group")  # type: ignore[union-attr]
 
     triples = _sequence(terms, "terms", "weak terms", fields)
+    if not isinstance(rule, str) or rule not in (RULE_SUM, RULE_MAX_GROUP):
+        raise InvalidInputError(f"unknown statistic rule {rule!r}")
     if rule == RULE_SUM:
         return float(sum(c * p for c, p, _ in triples))
-    if rule == RULE_MAX_GROUP:
-        if not triples:
-            raise InvalidInputError("terms must not be empty under the max_group_sum rule")
-        sums: dict[int, float] = {}
-        for c, p, g in triples:
-            sums[g] = sums.get(g, 0.0) + c * p
-        return float(max(sums.values()))
-    raise InvalidInputError(f"unknown statistic rule {rule!r}")
+    if not triples:
+        raise InvalidInputError("terms must not be empty under the max_group_sum rule")
+    sums: dict[int, float] = {}
+    for c, p, g in triples:
+        sums[g] = sums.get(g, 0.0) + c * p
+    return float(max(sums.values()))
 
 
 def _verdict(statistic: float, rule: str) -> tuple[float, bool]:

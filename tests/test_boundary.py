@@ -271,6 +271,22 @@ LEAKS = {
     ),
     # A non-string label was tested for truth: "The truth value of an array ... is ambiguous".
     "ObservableSpec/array_label": (lambda: ObservableSpec(0, axis=AXIS, label=np.array([1, -1, 1])), "label"),
+    # Complex weights were cast to real with a ComplexWarning, dropping the imaginary part.
+    "convex_pp/complex_weight": (lambda: convex_pp(PROJS, [1 + 1j]), "weights"),
+    "build_scheme/complex_weight": (
+        lambda: build_scheme(bloch_state([0.3, 0, 0]), THREE_ON_ONE[:2], "convex", [1 + 0.5j]),
+        "weights",
+    ),
+    # A declared rank was tested for truth: an array raised "The truth value of an array ... is
+    # ambiguous", and True and 1.0 were accepted as rank 1.
+    "Projector/array_rank": (lambda: Projector(Z_PLUS.matrix, rank=np.array([1, 1])), "rank"),
+    "Projector/bool_rank": (lambda: Projector(Z_PLUS.matrix, rank=True), "rank"),
+    "Projector/float_rank": (lambda: Projector(Z_PLUS.matrix, rank=1.0), "rank"),
+    # An array rule was compared with ==: "The truth value of an array ... is ambiguous".
+    "statistic_from_terms/array_rule": (
+        lambda: statistic_from_terms([], np.array(["sum", "x"])),
+        "unknown statistic rule",
+    ),
 }
 
 
@@ -416,6 +432,11 @@ REFUSALS = {
         "omega_L must be finite, got nan",
     ),
     "evaluate_strategy/no_times": (lambda: evaluate_strategy([1, 0, 0], AXIS, 1.0, []), "need at least one time point"),
+    # numpy overflowed omega_L * t with a warning, then refused the scheme entries as not finite.
+    "evaluate_strategy/overflowing_angle": (
+        lambda: evaluate_strategy([1, 0, 0], AXIS, 1e308, [0.0, 2.0]),
+        "omega_L * t must be finite, got omega_L = 1e+308 with |t| up to 2.0",
+    ),
     "evaluate_strategy/nan_time": (
         lambda: evaluate_strategy([1, 0, 0], AXIS, 1.0, [NAN]),
         "time grid entries must be finite",

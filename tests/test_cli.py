@@ -482,6 +482,9 @@ _REFUSALS = {
     "alpha-scan/reversed": (lambda p: ["test", "discord", "--werner", "1", "--alpha-scan", "1:0:0.1"], 1, "--alpha-scan"),
     "t-steps/zero": (lambda p: ["game", "run", "--bloch", "1,0,0", "--t-steps", "0"], 1, "--t-steps"),
     "t-max/negative": (lambda p: ["game", "run", "--bloch", "1,0,0", "--t-max", "-1"], 1, "--t-max"),
+    # np.linspace warned of an infinite end before the library refused the grid.
+    "t-max/inf": (lambda p: ["game", "run", "--bloch", "1,0,0", "--t-max", "inf"], 1, "--t-max"),
+    "omega/overflow": (lambda p: ["game", "run", "--bloch", "1,0,0", "--omega", "1e308"], 1, "omega_L * t"),
     "bloch/two_numbers": (lambda p: ["test", "coherence", "--bloch", "1,0"], 1, "--bloch"),
     "projectors/sign": (lambda p: ["pointer", "sim", "--bloch", "0,0,0", "--projectors", "0,0,1:x"], 1, "--projectors"),
     "observables/subsystem": (lambda p: ["scheme", "build", "--bloch", "0,0,0", "--observables", "a:z"], 1, "--observables"),

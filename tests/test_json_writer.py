@@ -5,6 +5,7 @@ The inputs are every report in the committed corpus and derandomized
 hypothesis trees of JSON values: nested empty containers, tuples, strings
 with non-ASCII and control characters, bools, ints and floats with their
 subclasses (np.float64), NaN and the infinities, and non-string keys.
+Every live CLI report is written by the writer itself, never handed to json.dumps.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import make_corpus
+import pplab.cli
 from pplab.cli import MAX_JSON_INDENT, _dumps_indented
 
 INDENTS = range(1, MAX_JSON_INDENT + 1)
@@ -92,3 +94,26 @@ def test_what_json_cannot_hold_raises_json_dumps_type_error(payload):
     with pytest.raises(TypeError) as got:
         _dumps_indented(payload, 2)
     assert str(got.value) == str(want.value)
+
+
+def test_every_live_report_is_written_without_json_dumps(monkeypatch):
+    # A report that came to hold a numpy scalar would send every command through
+    # json.dumps with the same bytes, so only a count of the fallbacks shows it.
+    writes, fallbacks = [], []
+    write, dumps = pplab.cli._dumps_indented, json.dumps
+
+    def counted_write(payload, indent):
+        writes.append(payload)
+        return write(payload, indent)
+
+    def counted_dumps(obj, **kwargs):
+        if "indent" in kwargs:
+            fallbacks.append(obj)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(pplab.cli, "_dumps_indented", counted_write)
+    monkeypatch.setattr(json, "dumps", counted_dumps)
+    live = make_corpus.outputs()  # every CI smoke command and one seeded cli_session op
+    reports = [c for c in live["smoke.json"] if c["command"] == "pplab"]
+    assert len(writes) == len(reports) + len(live["workloads.json"]["cli_session"]) > 30
+    assert fallbacks == []
