@@ -299,7 +299,7 @@ def _run_weak_value(args: argparse.Namespace) -> object:
 def _run_pointer_sim(args: argparse.Namespace) -> object:
     state = load_state(args)
     post = bloch_state(args.post_bloch)
-    cfg = PointerConfig(args.g, args.t, args.sigma, args.grid_points, args.grid_halfwidth)
+    cfg = PointerConfig(args.g, args.t, args.sigma)
     result, fit = _simulate_and_fit(state, args.projectors, post, cfg, args.couplings)
     payload = dataclasses.asdict(result)
     if fit is not None:
@@ -412,8 +412,6 @@ def _build_parser() -> _Parser:
     pointer_sim.add_argument("--g", type=_number, default="0.1", help="coupling constant")
     pointer_sim.add_argument("--t", type=_number, default="0.5", help="interaction duration")
     pointer_sim.add_argument("--sigma", type=_number, default="1.0", help="pointer width")
-    pointer_sim.add_argument("--grid-points", type=int, default=64)
-    pointer_sim.add_argument("--grid-halfwidth", type=_number, default="7.0")
     pointer_sim.add_argument("--couplings", type=_numbers, help="comma list of g values for a proportionality fit")
     pointer_sim.set_defaults(run=_run_pointer_sim)
 

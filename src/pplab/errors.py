@@ -32,8 +32,8 @@ class FactorizationUndefinedError(PPLabError):
 
 
 class ResourceLimitError(PPLabError):
-    """Requested grid or system size exceeds its configured cap."""
+    """Requested size or count exceeds its configured cap."""
 
 
 class ConvergenceError(PPLabError):
-    """Iterative or grid-based routine failed to reach its tolerance."""
+    """A computed result failed its own consistency check, such as a report's self-check."""

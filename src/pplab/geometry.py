@@ -190,16 +190,13 @@ def _doublets(axes: Array, alpha: float) -> tuple[Array, Array]:
     return np.cos(half) * axes + np.sin(half) * u, np.cos(half) * axes - np.sin(half) * u
 
 
-def make_doublet(axis: object, alpha: float, azimuth_rule: str = "cross-reference") -> Doublet:
+def make_doublet(axis: object, alpha: float) -> Doublet:
     """Two axes at angle alpha to each other with bisector `axis`.
 
-    The in-plane direction follows `_doublets`.  A single rule tag is
-    supported; the tag exists so reports can echo the convention.
+    The in-plane direction follows `_doublets`.
     """
     a = unit_vector(axis, "axis")
     alpha = _aperture(alpha)
-    if not isinstance(azimuth_rule, str) or azimuth_rule != "cross-reference":  # an array would compare per entry
-        raise InvalidInputError(f"unknown azimuth rule {azimuth_rule!r}")
     (n1,), (n2,) = _doublets(a[None], alpha)
     return Doublet(n1=n1, n2=n2, axis=a, alpha=alpha)
 

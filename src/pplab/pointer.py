@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InvalidInputError, PostSelectionImpossibleError, ResourceLimitError
 from .operator_core import (
     _ENTRY_LIMIT, STRUCTURAL_TOL, Array, DensityMatrix, Projector, _bounded, _close, _expectations,
-    _integer, _real, _real_item, _require_state, _sequence, as_complex_matrix,
+    _real, _real_item, _require_state, _sequence, as_complex_matrix,
 )
 from .pseudoprojection import _coerce_factors, _ordered_moments
 from .weak import OVERLAP_FLOOR, _overlap
@@ -37,12 +37,6 @@ __all__ = [
 
 MAX_ANALYTIC_POINTERS = 6
 
-# Grid points per pointer, by pointer count.  The readout uses no grid; these
-# caps and the grid fields' checks in PointerConfig bound the public input
-# domain, and a request over a cap is a ResourceLimitError.
-_GRID_CAPS = {1: 4096, 2: 128, 3: 64}
-MAX_SIM_POINTERS = max(_GRID_CAPS)
-
 # A simulation's ratio, in units of the pointer width, is at most
 # 4 * 75 / OVERLAP_FLOOR < 1e15: an effect with entries of modulus at most 2
 # has norm at most 4, the series' terms add up to at most 75 times that at
@@ -50,15 +44,16 @@ MAX_SIM_POINTERS = max(_GRID_CAPS)
 # The ratio is scaled by (g t / sigma)^N and sigma^N, a fit's points by each
 # (g t / sigma)^N and a prediction by (g t / 2)^N.  One rule for all, each
 # factor within [1 / _SCALE_LIMIT, _SCALE_LIMIT], keeps every result below
-# 1e118 and a fit's sums of squares finite.  grid_halfwidth enters no result.
-_HALFWIDTH_LIMIT = 1e50
+# 1e118 and a fit's sums of squares finite.
 _SCALE_LIMIT = 1e100
 
-# Largest |g t / sigma| by pointer count.  The series adds terms of either sign
-# whose sizes sum to at most (sum_a y_a)^(2N) / 2^N times the effect's norm
-# (`_order`): 73, 72 and 54 at these bounds, so about two digits are lost.  The
-# factor grows as e^(N s^2 / 8); larger kicks are strong measurements.
+# Largest |g t / sigma| for each pointer count the simulation supports.  The
+# series adds terms of either sign whose sizes sum to at most
+# (sum_a y_a)^(2N) / 2^N times the effect's norm (`_order`): 73, 72 and 54 at
+# these bounds, so about two digits are lost.  The factor grows as
+# e^(N s^2 / 8); larger kicks are strong measurements.
 _KICK_BOUNDS = {1: 5.0, 2: 3.0, 3: 2.0}
+MAX_SIM_POINTERS = max(_KICK_BOUNDS)
 # No accepted kick needs more than 40 orders; _MAX_ORDER is a backstop.
 _SERIES_TOL = 1e-15
 _MAX_ORDER = 64
@@ -72,33 +67,21 @@ MAX_COUPLINGS = 100
 
 @dataclass(frozen=True)
 class PointerConfig:
-    """Pointer width, coupling and duration.  The readout is grid-free: grid_points
-    (a power of two >= 32, at most 4096, 128 or 64 for 1, 2 or 3 pointers) and
-    grid_halfwidth (within [6, 1e50] widths) are still checked but change no result."""
+    """Coupling g, duration t and pointer width sigma of the grid-free readout."""
 
     g: float
     t: float
     sigma: float = 1.0
-    grid_points: int = 64
-    grid_halfwidth: float = 7.0
 
     def __post_init__(self) -> None:
-        for name in ("g", "t", "sigma", "grid_halfwidth"):
+        for name in ("g", "t", "sigma"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
-        object.__setattr__(self, "grid_points", _integer(self.grid_points, "grid_points"))
         if not (math.isfinite(self.g) and math.isfinite(self.t)):
             raise InvalidInputError("coupling and duration must be finite")
         if self.t < 0:
             raise InvalidInputError(f"duration must be non-negative, got {self.t}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise InvalidInputError(f"pointer width must be positive, got {self.sigma}")
-        n = self.grid_points
-        if n < 32 or (n & (n - 1)) != 0:
-            raise InvalidInputError(f"grid_points must be a power of two >= 32, got {n}")
-        if not 6 <= self.grid_halfwidth <= _HALFWIDTH_LIMIT:
-            raise InvalidInputError(
-                f"grid_halfwidth must lie within [6, {_HALFWIDTH_LIMIT:.3g}] pointer widths, got {self.grid_halfwidth}"
-            )
 
 
 @dataclass(frozen=True)
@@ -130,16 +113,11 @@ def _setup(state: DensityMatrix, projectors: object, post: object) -> tuple[tupl
     return plist, effect, _overlap(state.matrix, effect)
 
 
-def _check_sim_resources(n_pointers: int, grid_points: int) -> None:
+def _check_sim_resources(n_pointers: int) -> None:
     if n_pointers > MAX_SIM_POINTERS:
         raise ResourceLimitError(
             f"simulation supports at most {MAX_SIM_POINTERS} pointers, got {n_pointers};"
             " use perturbative_prediction for larger families"
-        )
-    cap = _GRID_CAPS[n_pointers]
-    if grid_points > cap:
-        raise ResourceLimitError(
-            f"grid_points {grid_points} exceeds the cap {cap} for {n_pointers} pointers"
         )
 
 
@@ -306,7 +284,7 @@ def _simulate_and_fit(
     kick and then the couplings'.  The couplings are checked after the simulation's own checks."""
     plist, effect, overlap = _setup(state, projectors, post)
     n = len(plist)
-    _check_sim_resources(n, cfg.grid_points)
+    _check_sim_resources(n)
     width, kick = _power(cfg.sigma, n, "sigma", 1 / _SCALE_LIMIT), _kick(cfg, n)
     x, kicks = _fit_kicks(cfg, [] if couplings is None else _couplings(couplings), n)
 
@@ -385,6 +363,6 @@ def proportionality_check(
     """
     gs = _couplings(couplings)
     plist, effect, overlap = _setup(state, projectors, post)
-    _check_sim_resources(len(plist), cfg.grid_points)
+    _check_sim_resources(len(plist))
     x, kicks = _fit_kicks(cfg, gs, len(plist))
     return _fit(x, _series(state, plist, effect, kicks), _pointer_pseudo_probability(state, plist, effect, overlap))

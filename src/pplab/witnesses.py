@@ -625,7 +625,7 @@ def _entanglement_report(
         "b_axes": [b.tolist() for b in geom.b_axes[:n_axes]],
     }
     extras = {"pauli_closed_form": sum(closed), "aperture_cos_half": math.cos(geom.alpha / 2.0), **(notes or {})}
-    statistic = statistic_from_terms(terms, RULE_SUM)
+    statistic = float(sum(t.coefficient * t.pseudo_probability for t in terms))
     return _report(name, inputs, entries, terms, statistic, extras, alpha_valid_range=window, warnings=warnings)
 
 
@@ -692,7 +692,7 @@ def _discord_scan(state: DensityMatrix, alphas: Iterable[object]) -> list[TestRe
     reports = []
     for alpha, (entries, branches, closed) in zip(alphas, results):
         # Branch g holds the terms of group g, in order: the max-group statistic is the larger branch sum.
-        sums = [statistic_from_terms(b, RULE_SUM) for b in branches]
+        sums = [float(sum(t.coefficient * t.pseudo_probability for t in b)) for b in branches]
         reports.append(_report(
             "discord",
             {"state": dict(digest), "alpha": alpha, "branch_axes": [a1_axis.tolist(), a2_axis.tolist()]},

@@ -240,7 +240,7 @@ def test_criterion_12_discord_branches():
 
 
 def test_criterion_13_pointer_weak_limit_and_slope_signs():
-    cfg = PointerConfig(g=0.05, t=1.0, sigma=1.0, grid_points=64)
+    cfg = PointerConfig(g=0.05, t=1.0, sigma=1.0)
     projectors = [qubit_projector([0, 0, 1], +1), qubit_projector([1, 0, 0], +1)]
     result = simulate_pointers(MIXED, projectors, IDENTITY2, cfg)
     pert = perturbative_prediction(MIXED, projectors, IDENTITY2, cfg)

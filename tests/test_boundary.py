@@ -61,7 +61,7 @@ from pplab.pseudoprojection import distinct_orderings
 
 RHO = bloch_state([0.6, 0.0, 0.0])
 POST = bloch_state([0.0, 0.0, 0.0])
-CFG = PointerConfig(g=0.05, t=1.0, grid_points=32)
+CFG = PointerConfig(g=0.05, t=1.0)
 Z_PLUS = qubit_projector([0, 0, 1], +1)
 PROJS = [Z_PLUS, qubit_projector([1, 0, 0], +1)]
 AXIS = [0.0, 0.0, 1.0]
@@ -373,10 +373,6 @@ REFUSALS = {
     ),
     "qubit_projector/axis_shape": (lambda: qubit_projector([1, 0]), "axis must be a real 3-vector, got shape (2,)"),
     "qubit_projector/outcome": (lambda: qubit_projector(AXIS, 0), "outcome must be +1 or -1, got 0"),
-    "PointerConfig/float_grid": (
-        lambda: PointerConfig(g=0.05, t=1.0, grid_points=64.0),
-        "grid_points must be an integer, got 64.0",
-    ),
     "simulate_pointers/3x3_post": (
         lambda: simulate_pointers(RHO, PROJS, np.eye(3) / 3, CFG),
         "post must be 2x2, got (3, 3)",
@@ -460,13 +456,9 @@ REFUSALS = {
         lambda: scheme_from_json({**scheme_to_json(ONE_SCHEME), "prescription": "convex", "weights": [-0.5, 1.5]}),
         "weights must be non-negative and sum to 1",
     ),
-    # bool is an int, so these indices were read as 1 (and the grid size refused only as too small).
+    # bool is an int, so these indices were read as 1.
     "marginalize/bool_index": (lambda: marginalize(PAIR_SCHEME, True), "drop_index must be an integer, got True"),
     "partial_trace/bool_keep": (lambda: partial_trace(WERNER.matrix, (2, 2), True), "keep must be an integer, got True"),
-    "PointerConfig/bool_grid": (
-        lambda: PointerConfig(g=0.05, t=1.0, grid_points=True),
-        "grid_points must be an integer, got True",
-    ),
     # A geometry built directly was never checked against its doublets: these
     # reported one aperture while their statistic came from another.
     "EntanglementGeometry/doublets_of_another_aperture": (

@@ -116,12 +116,23 @@ def test_pointer_resource_limit_exits_two(capsys):
             "--bloch",
             "1,0,0",
             "--projectors",
-            "z+;x+;z-",
-            "--grid-points",
-            "128",
+            "z+;x+;z-;x+",
         ],
     )
     assert code == 2
+
+
+def test_pointer_grid_and_doublet_azimuth_settings_are_removed(capsys):
+    import dataclasses
+    import inspect
+
+    from pplab import PointerConfig, make_doublet
+
+    assert [f.name for f in dataclasses.fields(PointerConfig)] == ["g", "t", "sigma"]
+    assert list(inspect.signature(make_doublet).parameters) == ["axis", "alpha"]
+    code, out, err = _run(capsys, ["pointer", "sim", "--bloch", "0,0,0", "--grid-points", "64"])
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --grid-points 64" in err
 
 
 def test_pointer_sim_two_pointer_example(capsys):
@@ -403,8 +414,6 @@ _FLAG_COMMANDS = {
     "g": ["pointer", "sim", "--bloch", "0,0,0"],
     "t": ["pointer", "sim", "--bloch", "0,0,0"],
     "sigma": ["pointer", "sim", "--bloch", "0,0,0"],
-    "grid-points": ["pointer", "sim", "--bloch", "0,0,0"],
-    "grid-halfwidth": ["pointer", "sim", "--bloch", "0,0,0"],
     "couplings": ["pointer", "sim", "--bloch", "0,0,0"],
     "axis": ["game", "run", "--bloch", "1,0,0"],
     "omega": ["game", "run", "--bloch", "1,0,0"],

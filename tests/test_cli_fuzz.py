@@ -40,8 +40,6 @@ VALUES = {
     "g": ["0.05", "0.02", "0", "-0.03", "1e200", "abc"],
     "t": ["1", "0.5", "0", "-1", "inf"],
     "sigma": ["1", "2", "0", "1e-300", "x"],
-    "grid_points": ["32", "64", "128", "33", "x"],
-    "grid_halfwidth": ["7", "10", "5", "1e60", "x"],
     "couplings": ["0.02,0.04,0.06", "0.01,0.02,0.03,0.04", "0.1", "0,0,0", "0.01,1e200,0.02", "a"],
     "omega": ["1", "0.5", "nan", "x"],
     "t_max": ["1.5708", "0", "-1", "x"],

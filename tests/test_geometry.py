@@ -71,11 +71,6 @@ def test_doublet_rejects_bad_aperture():
         make_doublet([0, 0, 1], math.pi)
 
 
-def test_doublet_rejects_unknown_azimuth_rule():
-    with pytest.raises(InvalidInputError):
-        make_doublet([0, 0, 1], 1.0, azimuth_rule="whatever")
-
-
 def test_mub_partner_is_orthogonal_unit():
     rng = np.random.default_rng(9)
     for _ in range(50):

@@ -76,7 +76,7 @@ CALLS = {
     "pauli_vector": (pauli_vector, (VECTOR,)),
     "bloch_state": (bloch_state, ([0.6, 0.0, 0.0],)),
     "qubit_projector": (qubit_projector, (VECTOR, -1)),
-    "make_doublet": (make_doublet, (VECTOR, 1.2, "cross-reference")),
+    "make_doublet": (make_doublet, (VECTOR, 1.2)),
     "Doublet": (_in_geometry, (D.n1, D.n2, D.axis, D.alpha)),
     "EntanglementGeometry": (
         EntanglementGeometry, (GEOM.alpha, GEOM.a_axes, GEOM.b_axes, GEOM.a_doublets, GEOM.b_doublets),

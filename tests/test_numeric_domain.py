@@ -39,7 +39,7 @@ PROJS = [qubit_projector([0, 0, 1]), qubit_projector([1, 0, 0])]
 
 
 def _sim(**fields):
-    return simulate_pointers(RHO, PROJS, MIXED, PointerConfig(**{"g": 0.05, "t": 1.0, "grid_points": 32, **fields}))
+    return simulate_pointers(RHO, PROJS, MIXED, PointerConfig(**{"g": 0.05, "t": 1.0, **fields}))
 
 
 # Each call used to return NaN, raise a Python OverflowError, or warn; the
@@ -54,12 +54,8 @@ REFUSALS = {
     "simulate_pointers/huge_sigma": (lambda: _sim(sigma=1e300), "sigma = 1e+300 is out of range"),
     "simulate_pointers/tiny_sigma": (lambda: _sim(sigma=1e-300), "sigma = 1e-300 is out of range"),
     "simulate_pointers/huge_post": (
-        lambda: simulate_pointers(RHO, PROJS, np.full((2, 2), 1e308), PointerConfig(g=0.05, t=1.0, grid_points=32)),
+        lambda: simulate_pointers(RHO, PROJS, np.full((2, 2), 1e308), PointerConfig(g=0.05, t=1.0)),
         "post has an entry of modulus above 2",
-    ),
-    "PointerConfig/huge_halfwidth": (
-        lambda: PointerConfig(g=0.05, t=1.0, grid_halfwidth=1e300),
-        "grid_halfwidth must lie within [6, 1e+50] pointer widths",
     ),
     "perturbative_prediction/huge_g": (
         lambda: perturbative_prediction(RHO, PROJS, MIXED, PointerConfig(g=1e200, t=1.0)),
@@ -127,13 +123,11 @@ def test_the_simulation_runs_in_units_of_the_pointer_width():
     assert all(math.isfinite(v) for v in dataclasses.astuple(_sim(sigma=1e40, g=5e38)))
 
 
-def test_a_wide_window_runs_on_the_halved_refinement_grid():
-    # Three pointers at their 64-point cap refine on 32 points, where a 20-width
-    # window is coarser than the pointer; the window is bounded only by overflow.
+def test_three_pointers_at_a_weak_kick_read_one_eighth_with_no_warning():
     projs = [qubit_projector([0, 0, 1]), qubit_projector([1, 0, 0]), qubit_projector([0, 1, 0])]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = simulate_pointers(MIXED, projs, MIXED, PointerConfig(g=0.05, t=1.0, grid_halfwidth=20.0))
+        out = simulate_pointers(MIXED, projs, MIXED, PointerConfig(g=0.05, t=1.0))
     assert out.pseudo_probability == pytest.approx(0.125)
     assert out.ratio == pytest.approx(0.125, rel=1e-3)
 

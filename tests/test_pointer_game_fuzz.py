@@ -44,7 +44,7 @@ SPECIAL = st.sampled_from([*NUMBERS, "", "a", "0.5", True, False, None])
 RHO = bloch_state([0.6, 0.0, 0.0])
 POST = bloch_state([0.0, 0.0, 0.0])
 PROJS = [qubit_projector([0.0, 0.0, 1.0]), qubit_projector([1.0, 0.0, 0.0])]
-FIELDS = (0.05, 1.0, 1.0, 32, 7.0)  # g, t, sigma, grid_points, grid_halfwidth
+FIELDS = (0.05, 1.0, 1.0)  # g, t, sigma
 SCHEME = (0.25, 0.25, 0.25, 0.25)
 AXIS = [0.0, 0.0, 1.0]
 
@@ -58,24 +58,20 @@ BAD = st.one_of(
 )
 
 
-def _config(g, t, sigma, grid_points, grid_halfwidth):
-    return PointerConfig(g, t, sigma, grid_points, grid_halfwidth)
-
-
 # Name: (call, valid arguments); each example replaces one argument by a BAD value.
 CALLS = {
-    "PointerConfig": (_config, FIELDS),
-    "simulate_pointers": (lambda *fields: simulate_pointers(RHO, PROJS, POST, _config(*fields)), FIELDS),
-    "simulate_pointers/inputs": (lambda s, p, e: simulate_pointers(s, p, e, _config(*FIELDS)), (RHO, PROJS, POST)),
-    "perturbative_prediction": (lambda *fields: perturbative_prediction(RHO, PROJS, POST, _config(*fields)), FIELDS),
+    "PointerConfig": (PointerConfig, FIELDS),
+    "simulate_pointers": (lambda *fields: simulate_pointers(RHO, PROJS, POST, PointerConfig(*fields)), FIELDS),
+    "simulate_pointers/inputs": (lambda s, p, e: simulate_pointers(s, p, e, PointerConfig(*FIELDS)), (RHO, PROJS, POST)),
+    "perturbative_prediction": (lambda *fields: perturbative_prediction(RHO, PROJS, POST, PointerConfig(*fields)), FIELDS),
     "perturbative_prediction/inputs": (
-        lambda s, p, e: perturbative_prediction(s, p, e, _config(*FIELDS)), (RHO, PROJS, POST),
+        lambda s, p, e: perturbative_prediction(s, p, e, PointerConfig(*FIELDS)), (RHO, PROJS, POST),
     ),
     "proportionality_check": (
-        lambda *fields: proportionality_check(RHO, PROJS, POST, _config(*fields), [0.02, 0.04, 0.06]), FIELDS,
+        lambda *fields: proportionality_check(RHO, PROJS, POST, PointerConfig(*fields), [0.02, 0.04, 0.06]), FIELDS,
     ),
     "proportionality_check/inputs": (
-        lambda p, e, couplings: proportionality_check(RHO, p, e, _config(*FIELDS), couplings),
+        lambda p, e, couplings: proportionality_check(RHO, p, e, PointerConfig(*FIELDS), couplings),
         (PROJS[:1], POST, [0.02, 0.04, 0.06]),
     ),
     "transition_matrix": (transition_matrix, (0.5,)),

@@ -40,10 +40,9 @@ BRANCH_FLOOR = 1e-14
 KICK_BOUNDS = {1: 5.0, 2: 3.0, 3: 2.0}
 
 
-def _oracle_correlation(state, projectors, effect, cfg):
+def _oracle_correlation(state, projectors, effect, cfg, n, half):
+    """<x_1 ... x_N> on a momentum grid of n points per pointer over [-half, half) widths."""
     n_pointers = len(projectors)
-    n = cfg.grid_points
-    half = cfg.grid_halfwidth
     xs = np.linspace(-half, half, n, endpoint=False)
     dx = xs[1] - xs[0]
     ks = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
@@ -85,7 +84,7 @@ def _oracle_correlation(state, projectors, effect, cfg):
         norm = float(np.sum(np.abs(b0) ** 2 + np.abs(b1) ** 2))
         if abs(norm - 1.0) > SPECTRAL_TOL:
             raise ConvergenceError(
-                f"evolution lost unitarity (branch norm {norm:.12f}); increase grid_halfwidth"
+                f"evolution lost unitarity (branch norm {norm:.12f}); widen the grid"
             )
         w = np.real(
             effect[0, 0] * b0 * b0.conj()
@@ -128,18 +127,18 @@ def _wide_cases():
                 effect = bloch_state(_unit(rng) * rng.uniform(0.3, 1.0)).matrix
             sigma = float(rng.choice([0.5, 1.0, 2.0]))
             kick = float(rng.uniform(0.3, 2.0) * rng.choice([-1, 1]))
-            cfg = PointerConfig(g=kick * sigma, t=1.0, sigma=sigma, grid_points=points, grid_halfwidth=half)
-            cases.append((state, projectors, effect, cfg))
+            cfg = PointerConfig(g=kick * sigma, t=1.0, sigma=sigma)
+            cases.append((state, projectors, effect, cfg, points, half))
     return cases
 
 
 @pytest.mark.parametrize("case", _wide_cases(), ids=lambda case: f"{len(case[1])}-pointers")
 def test_the_series_agrees_with_a_converged_wide_grid(case):
-    state, projectors, effect, cfg = case
+    state, projectors, effect, cfg, points, half = case
     result = simulate_pointers(state, projectors, effect, cfg)
     plist, effect, _ = pplab.pointer._setup(state, projectors, effect)
     kick = cfg.g * cfg.t / cfg.sigma
-    want = _oracle_correlation(state, plist, effect, cfg) / kick ** len(plist)
+    want = _oracle_correlation(state, plist, effect, cfg, points, half) / kick ** len(plist)
     assert abs(result.ratio - want) <= 1e-12
     assert result.convergence_estimate <= 1e-15
 
@@ -167,7 +166,7 @@ def test_small_kicks_keep_the_leading_order_with_no_rounding_floor():
     projectors = [qubit_projector([0, 0, 1]), qubit_projector([1, 0, 0])]
     post = bloch_state([0.2, 0.1, 0.3])
     for g in (1e-6, 1e-8, 1e-10, 1e-12, 1e-15, 1e-20):
-        result = simulate_pointers(state, projectors, post, PointerConfig(g=g, t=1.0, grid_points=32))
+        result = simulate_pointers(state, projectors, post, PointerConfig(g=g, t=1.0))
         assert abs(result.ratio - 0.515625) <= 1e-12, g
 
 

@@ -13,7 +13,6 @@ from pplab import (
     PointerConfig,
     bloch_state,
     evaluate_strategy,
-    make_doublet,
     make_entanglement_geometry,
     proportionality_check,
     qubit_projector,
@@ -61,12 +60,6 @@ def test_a_geometry_field_that_is_not_a_collection_is_invalid_input(value):
         EntanglementGeometry(GEOM.alpha, value, GEOM.b_axes, GEOM.a_doublets, GEOM.b_doublets)
     with pytest.raises(InvalidInputError, match="^b_doublets must be an ordered collection of Doublets$"):
         EntanglementGeometry(GEOM.alpha, GEOM.a_axes, GEOM.b_axes, GEOM.a_doublets, value)
-
-
-def test_an_azimuth_rule_that_is_not_a_string_is_invalid_input():
-    # An array compared with the rule's name per entry and leaked numpy's ValueError.
-    with pytest.raises(InvalidInputError, match="^unknown azimuth rule"):
-        make_doublet([0.0, 0.0, 1.0], 1.2, np.zeros(3))
 
 
 RHO = bloch_state([0.6, 0.0, 0.0])
