@@ -488,7 +488,10 @@ def _emit(payload: object, args: argparse.Namespace) -> None:
     indent = args.json_indent
     text = _dumps_indented(payload, indent) if indent > 0 else json.dumps(payload)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write --out {args.out}: {exc}") from None
     else:
         sys.stdout.write(text + "\n")
 

@@ -44,7 +44,6 @@ _PAULIS = _PAULI_BASIS[1:].reshape(3, 4)
 # Axis nearly parallel to the primary reference flips the azimuth reference.
 AXIS_ALIGNMENT_CUTOFF = 0.9
 
-_X = np.array([1.0, 0.0, 0.0])
 _Y = np.array([0.0, 1.0, 0.0])
 _Z = np.array([0.0, 0.0, 1.0])
 # Largest entry modulus of a 3-vector: its norm then stays finite.  No vector the
@@ -183,9 +182,11 @@ def _doublets(axes: Array, alpha: float) -> tuple[Array, Array]:
     The in-plane direction is fixed deterministically: cross the axis with z
     unless the two are nearly parallel, in which case cross with x.
     """
-    ref = np.where((np.abs(axes @ _Z) < AXIS_ALIGNMENT_CUTOFF)[:, None], _Z, _X)
-    u = _cross(axes, ref)
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    x, y, z = axes.T
+    near = np.abs(z) >= AXIS_ALIGNMENT_CUTOFF
+    # a x z = (a_y, -a_x, 0), or a x x = (0, a_z, -a_y) for an axis nearly parallel to z.
+    u = np.column_stack([np.where(near, 0.0, y), np.where(near, z, -x), np.where(near, -y, 0.0)])
+    u /= np.sqrt((u * u).sum(axis=1, keepdims=True))
     half = 0.5 * alpha
     return np.cos(half) * axes + np.sin(half) * u, np.cos(half) * axes - np.sin(half) * u
 

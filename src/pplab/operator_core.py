@@ -299,14 +299,26 @@ def _outcome_projectors(ops: object) -> Array:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated quantum state: Hermitian, unit trace, PSD within tolerance."""
+    """Validated quantum state: Hermitian, unit trace, PSD within tolerance.
+
+    The matrix is kept as a read-only copy of the one passed in, so a state never
+    changes: assigning into `state.matrix` raises ValueError, and what the library
+    derives from a state (its Pauli table, its report digest, its evaluation of the
+    last compiled term stack it met) is cached in `_derived` and cannot go stale.
+    """
 
     matrix: Array
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = as_complex_matrix(self.matrix, "density matrix")
+        m = np.array(as_complex_matrix(self.matrix, "density matrix"))  # a copy no caller holds
         _check_density(_bounded(m, "density matrix", _ENTRY_LIMIT))
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+    def __reduce__(self) -> tuple:
+        # A copy or an unpickled state is built again from its matrix: read-only, with an empty cache.
+        return DensityMatrix, (self.matrix,)
 
     @property
     def dim(self) -> int:

@@ -172,10 +172,27 @@ def _report(
     )
 
 
+def _pauli_table(state: DensityMatrix) -> Array:
+    """The Pauli table of a qubit or two-qubit `state` (see `geometry._pauli_coordinates`),
+    computed on first use and kept on the state, read-only."""
+    table = state._derived.get("table")
+    if table is None:
+        table = _pauli_coordinates(state.matrix)
+        table.flags.writeable = False
+        state._derived["table"] = table
+    return table
+
+
 def _state_digest(state: DensityMatrix) -> dict[str, object]:
-    digest: dict[str, object] = {"dim": state.dim, "purity": _expectations(state.matrix, state.matrix)}
-    if state.dim == 2:
-        digest["bloch"] = _pauli_coordinates(state.matrix)[1:].tolist()
+    """The report's digest of `state`: its dimension, its purity and, for a qubit, its Bloch
+    vector.  The values are computed once per state; each call hands out a fresh dict and list."""
+    if "digest" not in state._derived:
+        bloch = _pauli_table(state)[1:].tolist() if state.dim == 2 else None
+        state._derived["digest"] = (_expectations(state.matrix, state.matrix), bloch)
+    purity, bloch = state._derived["digest"]
+    digest: dict[str, object] = {"dim": state.dim, "purity": purity}
+    if bloch is not None:
+        digest["bloch"] = list(bloch)
     return digest
 
 
@@ -213,15 +230,25 @@ def _embed(op: Array, side: int) -> Array:
 def _pp_terms(state: DensityMatrix, terms: _Terms, rows: Iterable[int] | None = None) -> list[WeakTerm]:
     """Weak terms of compiled terms (see `weak._compile_terms`), or of their `rows` only:
     the Born factor of each lead times the real weak value of its rest post-selected on
-    lead/rank.  A vanishing Born factor makes the pseudo-probability an exact zero."""
-    born, weak = _born_weak(terms, state.matrix)
-    return [
-        WeakTerm(
-            terms.labels[i], born[i], weak[i], 0.0 if weak[i] is None else born[i] * weak[i],
-            terms.coefficients[i], terms.groups[i],
-        )
-        for i in (range(len(born)) if rows is None else rows)
-    ]
+    lead/rank.  A vanishing Born factor makes the pseudo-probability an exact zero.
+
+    A state keeps its evaluation of the last compiled terms it met, replaced as one tuple
+    (the terms, their Born and weak lists, and each row's WeakTerm once built), so the tests
+    that read one stack, as the entanglement variants read their geometry's, contract it once."""
+    last = state._derived.get("terms")
+    if last is None or last[0] is not terms:
+        born, weak = _born_weak(terms, state.matrix)
+        last = state._derived["terms"] = (terms, born, weak, [None] * len(born))
+    _, born, weak, built = last
+    picked = []
+    for i in range(len(born)) if rows is None else rows:
+        if built[i] is None:
+            built[i] = WeakTerm(
+                terms.labels[i], born[i], weak[i], 0.0 if weak[i] is None else born[i] * weak[i],
+                terms.coefficients[i], terms.groups[i],
+            )
+        picked.append(built[i])
+    return picked
 
 
 # A two-qubit test reads blocks of compiled terms, each with two terms per frame
@@ -309,7 +336,7 @@ def coherence_test(state: DensityMatrix, a1: object, a2: object) -> TestReport:
     terms = _pp_terms(state, _compile_terms(P[0, :1], (1,), P[1, :1], (True,), ("a1+ | a2+",), (1.0,), (0,)))
 
     # Independent route: (1/4)(1 + a1.a2 + p.(a1 + a2)) from the Pauli algebra.
-    bloch = _pauli_coordinates(state.matrix)[1:]
+    bloch = _pauli_table(state)[1:]
     closed = 0.25 * (1.0 + float(v1 @ v2) + float(bloch @ (v1 + v2)))
 
     return _report(
@@ -341,7 +368,7 @@ def boolean_state_dep_test(state: DensityMatrix, a1: object, a2: object) -> Test
         ("a1+ | a2+ a1-", "a1+ | a1- a2+"), (0.5, 0.5), (0, 0)))
 
     k = float(v1 @ v2)
-    bloch = _pauli_coordinates(state.matrix)[1:]
+    bloch = _pauli_table(state)[1:]
     closed = 0.125 * float(bloch @ (v2 - k * v1))
 
     return _report(
@@ -436,7 +463,7 @@ def distributivity_test(state: DensityMatrix, a1: object, a2: object, a3: object
     statistic, chained_value, factored_value = _expectations(state.matrix, [gap, chained, factored]).tolist()
 
     # Independent route: (1/8) p.[(a1.a3) a2 + (a1.a2) a3 - 2 (a2.a3) a1] from the Pauli algebra.
-    bloch = _pauli_coordinates(state.matrix)[1:]
+    bloch = _pauli_table(state)[1:]
     closed = 0.125 * float(bloch @ (float(v1 @ v3) * v2 + float(v1 @ v2) * v3 - 2.0 * float(v2 @ v3) * v1))
 
     terms = _pp_terms(state, _compile_terms(
@@ -490,10 +517,10 @@ def chsh_test(
     terms = _pp_terms(state, _compile_terms(leads, (1,) * 4, rests, (True,) * 4, _CHSH_LABELS, (1.0,) * 4, (0,) * 4))
 
     # Independent route: statistic = (2 + <A1(B1+B2)> + <A2(B1-B2)>)/4.  Each
-    # observable is sigma.n with n = Tr(sigma A)/2: Hermitian, squaring to I and
-    # not +-I (_moments above refuses +-I) makes A traceless with |n| = 1.
-    T = _pauli_coordinates(state.matrix)[1:, 1:]
-    n1, n2, m1, m2 = (_pauli_coordinates(o.matrix)[1:] / 2.0 for o in (A1, A2, B1, B2))
+    # observable is sigma.n, with n its axis or, for a matrix, n = Tr(sigma A)/2: Hermitian,
+    # squaring to I and not +-I (_moments above refuses +-I) makes A traceless with |n| = 1.
+    T = _pauli_table(state)[1:, 1:]
+    n1, n2, m1, m2 = (_pauli_coordinates(o.matrix)[1:] / 2.0 if o.axis is None else o.axis for o in (A1, A2, B1, B2))
     plus, minus = float(n1 @ T @ (m1 + m2)), float(n2 @ T @ (m1 - m2))
     chsh_value = plus + minus
     closed = 0.25 * (2.0 + plus + minus)
@@ -608,7 +635,7 @@ def _entanglement_report(
         object.__setattr__(geom, "_terms", _compile_geometry(geom))
     axes = list(zip(geom.a_axes[:n_axes], geom.b_axes))
     [(entries, per_axis, closed)] = _evaluate(
-        _WITNESSES[name], state, _pauli_coordinates(state.matrix), geom._terms, tuple(_BLOCKS), axes, [geom.alpha],  # type: ignore[arg-type]
+        _WITNESSES[name], state, _pauli_table(state), geom._terms, tuple(_BLOCKS), axes, [geom.alpha],  # type: ignore[arg-type]
     )
     terms = [t for axis_terms in per_axis for t in axis_terms]
     window = (0.0, _APERTURE_WINDOWS[name])
@@ -663,13 +690,13 @@ def nonlinear_ent_test(state: DensityMatrix, geom: EntanglementGeometry, variant
 def _discord_scan(state: DensityMatrix, alphas: Iterable[object]) -> list[TestReport]:
     """`discord_test`'s report at each aperture of `alphas`, each with objects of its own.
 
-    The state and every aperture are checked first.  The branch axes, the state's Pauli
-    table and its digest are read once; every aperture's doublets and outcome projectors
+    The state and every aperture are checked first.  The branch axes are read once from the
+    state's Pauli table; every aperture's doublets and outcome projectors
     are one stack, compiled in one call and read from one contraction."""
     _require_dim(state, 4, "discord_test")
     alphas = [_aperture(alpha) for alpha in alphas]
 
-    table = _pauli_coordinates(state.matrix)
+    table = _pauli_table(state)
     r = table[1:, 0]
     norm = _norm(r)
     degenerate = norm < 1e-8
@@ -687,7 +714,6 @@ def _discord_scan(state: DensityMatrix, alphas: Iterable[object]) -> list[TestRe
     blocks = _blocks(w)
     results = _evaluate(w, state, table, _compile_blocks(P, blocks, (1, 2)), blocks, [(x, x) for x in axes], alphas)
 
-    digest = _state_digest(state)
     warnings = ["reduced state is maximally mixed; branch axis fixed to z"] if degenerate else []
     reports = []
     for alpha, (entries, branches, closed) in zip(alphas, results):
@@ -695,7 +721,7 @@ def _discord_scan(state: DensityMatrix, alphas: Iterable[object]) -> list[TestRe
         sums = [float(sum(t.coefficient * t.pseudo_probability for t in b)) for b in branches]
         reports.append(_report(
             "discord",
-            {"state": dict(digest), "alpha": alpha, "branch_axes": [a1_axis.tolist(), a2_axis.tolist()]},
+            {"state": _state_digest(state), "alpha": alpha, "branch_axes": [a1_axis.tolist(), a2_axis.tolist()]},
             {**entries, **{f"branch_{g}": x for g, x in enumerate(sums, start=1)}},
             [t for branch in branches for t in branch],
             max(sums),

@@ -497,6 +497,9 @@ _REFUSALS = {
     "bloch/two_numbers": (lambda p: ["test", "coherence", "--bloch", "1,0"], 1, "--bloch"),
     "projectors/sign": (lambda p: ["pointer", "sim", "--bloch", "0,0,0", "--projectors", "0,0,1:x"], 1, "--projectors"),
     "observables/subsystem": (lambda p: ["scheme", "build", "--bloch", "0,0,0", "--observables", "a:z"], 1, "--observables"),
+    # An --out path that cannot be written: a missing directory, and a directory.
+    "out/missing_dir": (lambda p: ["test", "coherence", "--bloch", "0,0,1", "--out", str(p / "missing" / "x.json")], 1, "missing/x.json"),
+    "out/is_directory": (lambda p: ["test", "coherence", "--bloch", "0,0,1", "--out", str(p)], 1, "cannot write --out"),
     "help": (lambda p: ["--help"], 0, "usage: pplab"),
 }
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from pplab import (
+    DensityMatrix,
     EntanglementGeometry,
     ObservableSpec,
     bloch_state,
@@ -58,6 +59,15 @@ def _assert_close(x, y, path=()):
         assert x == y, (path, x, y)
 
 
+def _hexed(x):
+    """`x` with every float as float.hex."""
+    if isinstance(x, dict):
+        return {k: _hexed(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_hexed(v) for v in x]
+    return x.hex() if isinstance(x, float) else x
+
+
 def test_geometry_keeps_read_only_copies_of_its_frames():
     f = np.eye(3)
     geom = make_entanglement_geometry(1.0, f, f)
@@ -96,11 +106,19 @@ def test_variants_in_any_order_match_a_fresh_geometry_per_call(seed):
     order = [VARIANTS[i] for i in rng.permutation(len(VARIANTS))]
     if seed == 0:
         order = VARIANTS[::-1]  # nonlinear III first, linear I last
+    states = []
     for _ in range(2):
         state = ginibre_density(rng, 4)
+        states.append(state)
         for test, variant in order:
             fresh = test(state, make_entanglement_geometry(alpha, a_frame, b_frame), variant)
             _assert_close(test(state, shared, variant).to_json_dict(), fresh.to_json_dict())
+    # Two states alternating on the shared geometry, each keeping its own evaluation of its
+    # terms, give the reports of a fresh state on a fresh geometry, bit for bit.
+    for test, variant in order:
+        for state in states:
+            fresh = test(DensityMatrix(state.matrix), make_entanglement_geometry(alpha, a_frame, b_frame), variant)
+            assert _hexed(test(state, shared, variant).to_json_dict()) == _hexed(fresh.to_json_dict())
 
 
 def test_a_geometry_compiles_once(monkeypatch):
