@@ -349,6 +349,17 @@ def _output_parent() -> _Parser:
     return parent
 
 
+# Each command's help and the dest its sub-parsers set.
+_COMMANDS = {
+    "scheme": ("pseudo-probability schemes", "action"),
+    "pp": ("pseudo-projection operators", "action"),
+    "weak": ("weak values", "action"),
+    "test": ("nonclassicality tests", "test_name"),
+    "pointer": ("Gaussian-pointer simulation", "action"),
+    "game": ("pseudo-probability game", "action"),
+}
+
+
 # Built once per process: parse_args keeps no state on the parser, and the
 # tree of 23 subparsers costs more to build than a whole command to parse.
 @functools.cache
@@ -356,56 +367,53 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="pplab", description="pseudo-probability laboratory")
     out = _output_parent()
     commands = parser.add_subparsers(dest="command", required=True)
+    actions = {
+        command: commands.add_parser(command, help=text).add_subparsers(dest=dest, required=True)
+        for command, (text, dest) in _COMMANDS.items()
+    }
+    parser.leaves = {}  # (command, action) -> the leaf parser and the dests the tree sets above it
 
-    scheme = commands.add_parser("scheme", help="pseudo-probability schemes")
-    scheme_actions = scheme.add_subparsers(dest="action", required=True)
-    scheme_build = scheme_actions.add_parser("build", parents=[out], help="build a scheme for a state")
+    def leaf(command: str, action: str, run: Callable[[argparse.Namespace], object], help: str | None = None) -> _Parser:
+        # A choice given help=None is still listed in its command's help, so pass help only when there is some.
+        sub = actions[command].add_parser(action, parents=[out], **({} if help is None else {"help": help}))
+        sub.set_defaults(run=run)
+        parser.leaves[command, action] = (sub, {"command": command, _COMMANDS[command][1]: action})
+        return sub
+
+    scheme_build = leaf("scheme", "build", _run_scheme_build, "build a scheme for a state")
     _add_state_flags(scheme_build)
     scheme_build.add_argument("--observables", type=_observables, help="semicolon list of SUBSYSTEM:AXIS tokens")
     scheme_build.add_argument(
         "--prescription", choices=PRESCRIPTIONS, default="symmetrized"
     )
     scheme_build.add_argument("--weights", type=_numbers, help="comma list of convex weights")
-    scheme_build.set_defaults(run=_run_scheme_build)
 
-    pp = commands.add_parser("pp", help="pseudo-projection operators")
-    pp_actions = pp.add_subparsers(dest="action", required=True)
-    pp_eig = pp_actions.add_parser("eig", parents=[out], help="spectral certificate of a pseudo-projection")
+    pp_eig = leaf("pp", "eig", _run_pp_eig, "spectral certificate of a pseudo-projection")
     pp_eig.add_argument("--axes", type=_projectors, required=True, help="semicolon list of projector tokens, e.g. 'z+;x+'")
     pp_eig.add_argument(
         "--prescription", choices=PRESCRIPTIONS, default="unit"
     )
     pp_eig.add_argument("--weights", type=_numbers, help="comma list of convex weights")
-    pp_eig.set_defaults(run=_run_pp_eig)
 
-    weak = commands.add_parser("weak", help="weak values")
-    weak_actions = weak.add_subparsers(dest="action", required=True)
-    weak_val = weak_actions.add_parser("value", parents=[out], help="weak value of a Pauli-axis observable")
+    weak_val = leaf("weak", "value", _run_weak_value, "weak value of a Pauli-axis observable")
     weak_val.add_argument("--op-axis", type=_vector, required=True, help="observable axis X,Y,Z")
     weak_val.add_argument("--pre-bloch", type=_vector, required=True, help="pre-selection Bloch vector X,Y,Z")
     weak_val.add_argument("--post-bloch", type=_vector, required=True, help="post-selection Bloch vector X,Y,Z")
-    weak_val.set_defaults(run=_run_weak_value)
 
-    test = commands.add_parser("test", help="nonclassicality tests")
-    test_actions = test.add_subparsers(dest="test_name", required=True)
     for name, (witness, axes) in _AXIS_TESTS.items():
-        t = test_actions.add_parser(name, parents=[out])
         stateful = name != "boolean-indep"
+        t = leaf("test", name, functools.partial(_run_axis_test, witness, tuple(axes), stateful))
         if stateful:
             _add_state_flags(t)
         _add_axis_flags(t, axes)
-        t.set_defaults(run=functools.partial(_run_axis_test, witness, tuple(axes), stateful))
     for name, (scan, default) in _APERTURE_TESTS.items():
-        t = test_actions.add_parser(name, parents=[out])
+        t = leaf("test", name, functools.partial(_run_aperture_test, scan))
         _add_state_flags(t)
         aperture = t.add_mutually_exclusive_group()
         aperture.add_argument("--alpha", type=_number, default=default, help="doublet aperture in radians")
         aperture.add_argument("--alpha-scan", type=_alpha_grid, help="aperture grid START:STOP:STEP (radians)")
-        t.set_defaults(run=functools.partial(_run_aperture_test, scan))
 
-    pointer = commands.add_parser("pointer", help="Gaussian-pointer simulation")
-    pointer_actions = pointer.add_subparsers(dest="action", required=True)
-    pointer_sim = pointer_actions.add_parser("sim", parents=[out])
+    pointer_sim = leaf("pointer", "sim", _run_pointer_sim)
     _add_state_flags(pointer_sim)
     pointer_sim.add_argument("--projectors", type=_projectors, default="z+;x+", help="semicolon list of projector tokens")
     pointer_sim.add_argument("--post-bloch", type=_vector, default="0,0,0", help="post-selection Bloch vector")
@@ -413,18 +421,14 @@ def _build_parser() -> _Parser:
     pointer_sim.add_argument("--t", type=_number, default="0.5", help="interaction duration")
     pointer_sim.add_argument("--sigma", type=_number, default="1.0", help="pointer width")
     pointer_sim.add_argument("--couplings", type=_numbers, help="comma list of g values for a proportionality fit")
-    pointer_sim.set_defaults(run=_run_pointer_sim)
 
-    game = commands.add_parser("game", help="pseudo-probability game")
-    game_actions = game.add_subparsers(dest="action", required=True)
-    game_run = game_actions.add_parser("run", parents=[out])
+    game_run = leaf("game", "run", _run_game)
     game_run.add_argument("--bloch", type=_vector, required=True, help="initial Bloch vector X,Y,Z")
     game_run.add_argument("--axis", type=_vector, default="0,0,1", help="Hamiltonian axis X,Y,Z")
     game_run.add_argument("--omega", type=_number, default="1.0", help="Larmor frequency (radians/time)")
     game_run.add_argument("--t-max", type=_number, default=str(2.0 * math.pi), help="end of the time window")
     game_run.add_argument("--t-steps", type=int, default=129, help="number of grid times")
     game_run.add_argument("--theta", type=_number, default="0.0", help="observable-pair rotation angle")
-    game_run.set_defaults(run=_run_game)
 
     return parser
 
@@ -496,20 +500,10 @@ def _emit(payload: object, args: argparse.Namespace) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _subcommands(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
-    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-
-
 @functools.cache
 def _leaves() -> dict[tuple[str, str], tuple[_Parser, dict[str, str]]]:
     """(command, action) -> the tree's leaf parser for them and the dests the tree sets above it."""
-    commands = _subcommands(_build_parser())
-    table = {}
-    for command, parser in commands.choices.items():
-        actions = _subcommands(parser)
-        for action, leaf in actions.choices.items():
-            table[command, action] = (leaf, {commands.dest: command, actions.dest: action})
-    return table
+    return _build_parser().leaves
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:

@@ -159,6 +159,9 @@ class Doublet:
             object.__setattr__(self, name, _frozen(getattr(self, name), name))
         object.__setattr__(self, "alpha", _real(self.alpha, "alpha"))
 
+    def __reduce__(self) -> tuple:
+        return Doublet, (self.n1, self.n2, self.axis, self.alpha)
+
 
 def _aperture(alpha: object) -> float:
     """`alpha` as a float inside (0, pi), the range of a doublet aperture."""
@@ -260,6 +263,10 @@ class EntanglementGeometry:
                 f"is not bisected by {side}_axes[{i}]",
                 f"axis is not {side}_axes[{i}]",
             )[check])
+
+    def __reduce__(self) -> tuple:
+        # A copy or an unpickled geometry is built again: read-only vectors, and terms compiled afresh.
+        return EntanglementGeometry, (self.alpha, self.a_axes, self.b_axes, self.a_doublets, self.b_doublets)
 
 
 def _validated_frame(frame: object, name: str) -> Array:

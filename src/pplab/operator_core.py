@@ -334,19 +334,24 @@ def _require_state(state: object) -> DensityMatrix:
 
 @dataclass(frozen=True)
 class Projector:
-    """Validated orthogonal projector; rank inferred from the trace."""
+    """Validated orthogonal projector; rank inferred from the trace.  The matrix is kept
+    as a read-only copy of the one passed in, so assigning into it raises ValueError."""
 
     matrix: Array
     rank: int = field(default=0)
 
     def __post_init__(self) -> None:
-        m = as_complex_matrix(self.matrix, "projector")
+        m = np.array(as_complex_matrix(self.matrix, "projector"))  # a copy no caller holds
         rank = _check_projector(_bounded(m, "projector", _ENTRY_LIMIT))
         declared = _integer(self.rank, "rank")
         if declared and declared != rank:
             raise InvalidInputError(f"declared rank {declared} != trace rank {rank}")
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "rank", rank)
+
+    def __reduce__(self) -> tuple:
+        return Projector, (self.matrix,)
 
     @property
     def dim(self) -> int:

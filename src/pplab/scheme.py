@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -47,7 +46,6 @@ from .operator_core import (
     _check_projector,
     _close,
     _complex_parts,
-    _finite,
     _integer,
     _outcome_projectors,
     _real,
@@ -83,8 +81,9 @@ _SIGN = {_MARK[0]: +1, _MARK[1]: -1, "−": -1}
 class ObservableSpec:
     """One dichotomic observable attached to a subsystem.
 
-    Provide either a Bloch `axis` (qubit observable sigma.axis), kept as a read-only
-    copy, or a Hermitian `matrix` squaring to I, whose outcome projectors are checked here.
+    Provide either a Bloch `axis` (qubit observable sigma.axis) or a Hermitian `matrix`
+    squaring to I, whose outcome projectors are checked here.  The axis and the matrix
+    are kept as read-only copies, so assigning into either raises ValueError.
     """
 
     subsystem: int
@@ -106,7 +105,7 @@ class ObservableSpec:
             m = (axis @ _PAULIS).reshape(2, 2)
             object.__setattr__(self, "axis", axis)
         else:
-            m = require_square(as_complex_matrix(self.matrix, "matrix"), "matrix")
+            m = np.array(require_square(as_complex_matrix(self.matrix, "matrix"), "matrix"))  # a copy no caller holds
             if not _close(m, m.conj().T, STRUCTURAL_TOL):
                 raise InvalidInputError("observable must be Hermitian")
             # A Hermitian A with A^2 = I has every |A_ij| <= 1: refuse larger ones before squaring.
@@ -114,11 +113,15 @@ class ObservableSpec:
                 raise InvalidInputError("observable must be dichotomic (square to identity)")
             if abs(m.trace().real) <= len(m) - 1:  # A = +-I skips this; build_scheme refuses it
                 _check_projector(_outcome_projectors(m[None]))
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         if not (self.label is None or isinstance(self.label, str)):
             raise InvalidInputError(f"label must be a string, got {self.label!r}")
         if not self.label:
             object.__setattr__(self, "label", f"s{self.subsystem}")
+
+    def __reduce__(self) -> tuple:
+        return ObservableSpec, (self.subsystem, self.axis, None if self.axis is not None else self.matrix, self.label)
 
     @property
     def dim(self) -> int:
@@ -150,10 +153,22 @@ def _observables(observables: object) -> tuple[ObservableSpec, ...]:
     return obs
 
 
+class _Table(dict):
+    """A scheme's entries: a dict whose every write method raises TypeError."""
+
+    def _read_only(self, *args: object, **kwargs: object) -> None:
+        raise TypeError("a scheme's entries are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self) -> tuple:
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class Scheme:
-    """Pseudo-probability table over all joint outcomes, kept as its own copy of `entries` in `_outcomes` order.
-    Readers go by position while that order holds, and by lookup once a caller re-keys or reorders the dict."""
+    """Pseudo-probability table over all joint outcomes.  `entries` is kept as a read-only copy
+    keyed in `_outcomes` order, so every reader goes by position."""
 
     observables: tuple[ObservableSpec, ...]
     entries: dict[tuple[int, ...], float]
@@ -172,8 +187,9 @@ class Scheme:
             raise InvalidInputError(
                 f"expected {2**n} entries for {n} observables, got {len(self.entries)}"
             )
+        keys = _outcomes(n)
         try:
-            entries = self.entries.copy() if _in_order(self.entries, n) else {k: self.entries[k] for k in _outcomes(n)}
+            entries = _Table(zip(keys, map(self.entries.__getitem__, keys)))
         except KeyError:
             raise InvalidInputError(f"entries must be keyed by the {2**n} +1/-1 outcome tuples of length {n}") from None
         object.__setattr__(self, "entries", entries)
@@ -248,11 +264,6 @@ def _outcome_signs(n: int) -> Array:
     signs = np.array(_outcomes(n), dtype=float)
     signs.flags.writeable = False
     return signs
-
-
-def _in_order(entries: object, n: int) -> bool:
-    """Whether `entries` is a dict keyed by the very tuples of `_outcomes(n)`, in order, to be read by position."""
-    return type(entries) is dict and len(entries) == 2**n and all(map(operator.is_, entries, _outcomes(n)))
 
 
 def _joint_moments(rhos: Array, dims: list[int], stacks: list[Array]) -> Array:
@@ -339,12 +350,8 @@ def marginalize(s: Scheme, drop_index: int) -> Scheme:
     if n == 1:
         raise InvalidInputError("cannot marginalize the last remaining observable")
     kept = tuple(o for i, o in enumerate(s.observables) if i != drop_index)
-    # In `_outcomes` order, flipping the dropped outcome from +1 to -1 moves an
-    # entry `step` places on.  A table a caller reordered is read by key.
-    try:
-        v = list(s.entries.values()) if _in_order(s.entries, n) else [s.entries[k] for k in _outcomes(n)]
-    except KeyError:
-        raise InvalidInputError(f"entries must be keyed by the {2**n} +1/-1 outcome tuples of length {n}") from None
+    # In `_outcomes` order, flipping the dropped outcome from +1 to -1 moves an entry `step` places on.
+    v = list(s.entries.values())
     step = 1 << (n - 1 - drop_index)
     entries = dict(zip(_outcomes(n - 1), [v[i] + v[i + step] for i in range(len(v)) if not i & step]))
     weights = _marginal_weights(s, drop_index)
@@ -388,15 +395,13 @@ def _restrictions(k: int, j: int) -> tuple[int, tuple[int, ...]]:
 
 def negativity_report(s: Scheme) -> dict[str, object]:
     """Negative entries, the minimum entry, and the nonclassicality verdict."""
-    table, spell = _require_scheme(s).entries, outcomes_to_string
-    if _in_order(table, s.n_observables):
-        table, spell = dict(zip(_outcome_strings(s.n_observables), table.values())), str
+    table = dict(zip(_outcome_strings(_require_scheme(s).n_observables), s.entries.values()))
     tol = resolve_tolerance()
-    negative = sorted(((spell(k), v) for k, v in table.items() if v < -tol), key=lambda kv: kv[1])
+    negative = sorted(((k, v) for k, v in table.items() if v < -tol), key=lambda kv: kv[1])
     min_key = min(table, key=table.get)  # type: ignore[arg-type]
     return {
         "negative_entries": negative,
-        "min_entry": (spell(min_key), table[min_key]),
+        "min_entry": (min_key, table[min_key]),
         "nonclassical": bool(negative),
         "tolerance": tol,
     }
@@ -437,18 +442,14 @@ def equality_sum(s: Scheme, pattern: str) -> float:
     """
     n = _require_scheme(s).n_observables
     groups = _parse_pattern(pattern, n)
-    if _in_order(s.entries, n):
-        # A group holds where its signed outcomes, each +1 or -1, sum to plus or minus its size.
-        members = np.zeros((n, len(groups)))
-        for g, group in enumerate(groups):
-            for idx, sign in group:
-                members[idx, g] += sign
-        keep = (np.abs(_outcome_signs(n) @ members) == [len(g) for g in groups]).all(axis=1)
-        picked = itertools.compress(s.entries.values(), keep.tolist())
-    else:
-        picked = (v for k, v in s.entries.items() if all(len({k[idx] * sign for idx, sign in g}) == 1 for g in groups))
+    # A group holds where its signed outcomes, each +1 or -1, sum to plus or minus its size.
+    members = np.zeros((n, len(groups)))
+    for g, group in enumerate(groups):
+        for idx, sign in group:
+            members[idx, g] += sign
+    keep = (np.abs(_outcome_signs(n) @ members) == [len(g) for g in groups]).all(axis=1)
     total = 0.0
-    for value in picked:  # left to right, as the entries are listed
+    for value in itertools.compress(s.entries.values(), keep.tolist()):  # left to right, as the entries are listed
         total += value
     return total
 
@@ -466,17 +467,7 @@ def scheme_to_json(s: Scheme) -> dict[str, object]:
                 "im": np.imag(o.matrix).tolist(),
             }
         obs_out.append(d)
-    # `entries` stays a plain dict, so a caller may have written to it after the checks ran.
-    n = s.n_observables
-    spelled = _outcome_strings(n) if _in_order(s.entries, n) else map(outcomes_to_string, s.entries)
-    entries = dict(zip(spelled, s.entries.values()))
-    try:
-        finite = all(map(math.isfinite, entries.values()))
-    except TypeError:
-        finite = False
-    if not finite:
-        for k, v in entries.items():
-            _finite(v, f"entry {k!r}")
+    entries = dict(zip(_outcome_strings(s.n_observables), s.entries.values()))
     payload: dict[str, object] = {"observables": obs_out, "prescription": s.prescription, "entries": entries}
     if s.weights is not None:
         payload["weights"] = list(s.weights)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from pplab import (
     InvalidInputError,
     bloch_state,
+    linear_ent_test,
     make_doublet,
     make_entanglement_geometry,
     mub_partner,
@@ -143,3 +146,35 @@ def test_cross_has_the_bits_of_np_cross():
         got, want = geometry._cross(x, y), np.cross(x, y)
         assert got.shape == want.shape
         assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
+
+
+def _bits(x):
+    """`x` with every float spelled by `float.hex`."""
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    return x.hex() if type(x) is float else x
+
+
+def test_a_copied_or_unpickled_geometry_is_rebuilt_read_only_with_no_terms():
+    geom = make_entanglement_geometry(2.0)
+    state = werner_state(0.9)
+    expected = _bits(linear_ent_test(state, geom, "II").to_json_dict())
+    assert geom._terms is not None
+    for twin in (pickle.loads(pickle.dumps(geom)), copy.copy(geom), copy.deepcopy(geom)):
+        assert twin._terms is None
+        doublets = twin.a_doublets + twin.b_doublets
+        vectors = [*twin.a_axes, *twin.b_axes, *(v for d in doublets for v in (d.n1, d.n2, d.axis))]
+        assert not any(v.flags.writeable for v in vectors)
+        with pytest.raises(ValueError):
+            twin.b_axes[1][:] = [0, 0, 1]
+        assert _bits(linear_ent_test(state, twin, "II").to_json_dict()) == expected
+
+
+def test_a_copied_or_unpickled_doublet_is_read_only():
+    d = make_doublet([0, 0, 1], 1.1)
+    for twin in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+        assert not any(v.flags.writeable for v in (twin.n1, twin.n2, twin.axis))
+        assert [v.tobytes() for v in (twin.n1, twin.n2, twin.axis)] == [v.tobytes() for v in (d.n1, d.n2, d.axis)]
+        assert twin.alpha.hex() == d.alpha.hex()

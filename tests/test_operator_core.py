@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import warnings
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from pplab import (
     expectation,
     partial_trace,
     resolve_tolerance,
+    symmetrized_pp,
     tensor_product,
 )
 from pplab import operator_core
@@ -213,3 +216,21 @@ def test_entries_up_to_the_bound_reach_the_invariant_checks():
     with pytest.raises(InvalidInputError, match="idempotent"):
         Projector(np.diag([2.0, 0.0]))
     assert operator_core._ENTRY_LIMIT > 1 + 64 * operator_core.SPECTRAL_TOL
+
+
+def test_a_projector_keeps_a_read_only_copy_of_its_matrix():
+    P = np.diag([1.0, 0.0]).astype(complex)
+    p = Projector(P)
+    P[1, 1] = 1
+    assert p.rank == 1 and np.trace(p.matrix) == 1
+    with pytest.raises(ValueError):
+        p.matrix[0, 0] = 0
+
+
+def test_a_copied_or_unpickled_projector_is_rebuilt_read_only():
+    p = Projector(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    q = Projector(np.diag([1.0, 0.0]))
+    expected = symmetrized_pp([p, q]).matrix.tobytes()
+    for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert not twin.matrix.flags.writeable and twin.rank == 1
+        assert symmetrized_pp([twin, q]).matrix.tobytes() == expected

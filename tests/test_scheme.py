@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
 import json
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -376,14 +379,33 @@ def test_scheme_keeps_its_own_copy_of_its_entries():
     assert (sch.entries, negativity_report(sch), scheme_to_json(sch)) == before
 
 
-def test_scheme_to_json_refuses_an_entry_written_non_finite_after_the_checks():
-    sch = build_scheme(bloch_state([0.6, 0.0, 0.0]), [_obs(0, [0, 0, 1])], "unit")
-    for value, message in ((float("nan"), r"must be finite, got nan"), ("x", r"must be a real number, got 'x'"),
-                           (None, r"must be a real number, got None")):
-        sch.entries[(1,)] = value
-        with pytest.raises(InvalidInputError, match=r"entry '\+' " + message):
-            scheme_to_json(sch)
-    assert type(sch.entries) is dict
+def test_every_write_to_a_scheme_table_raises_and_changes_nothing():
+    sch = build_scheme(bloch_state([0.6, 0.0, 0.3]), [_obs(0, [0, 0, 1]), _obs(0, [1, 0, 0])], "unit")
+    before = (repr(sch.entries), negativity_report(sch), scheme_to_json(sch))
+    writes = [
+        lambda e: e.__setitem__((1, 1), float("nan")),
+        lambda e: e.__delitem__((1, 1)),
+        lambda e: e.__ior__({(1, 1): -5.0}),
+        lambda e: e.clear(),
+        lambda e: e.pop((1, 1)),
+        lambda e: e.popitem(),
+        lambda e: e.setdefault((2, 2), 0.0),
+        lambda e: e.update({(1, 1): -5.0}),
+    ]
+    for write in writes:
+        with pytest.raises(TypeError, match="read-only"):
+            write(sch.entries)
+        assert (repr(sch.entries), negativity_report(sch), scheme_to_json(sch)) == before
+    assert isinstance(sch.entries, dict) and dict(sch.entries) == sch.entries
+
+
+def test_a_scheme_table_survives_copies_and_pickles():
+    sch = build_scheme(bloch_state([0.6, 0.0, 0.3]), [_obs(0, [0, 0, 1]), _obs(0, [1, 0, 0])], "unit")
+    assert repr(dataclasses.asdict(sch)["entries"]) == repr(sch.entries)
+    for table in (copy.deepcopy(sch).entries, pickle.loads(pickle.dumps(sch)).entries):
+        assert repr(table) == repr(sch.entries)
+        with pytest.raises(TypeError, match="read-only"):
+            table[(1, 1)] = 0.0
 
 
 def test_scheme_from_json_lists_entries_in_outcome_order():
@@ -473,3 +495,24 @@ def test_marginal_weights_keep_their_bits(k):
                 assert (got is None) == (want is None)
                 if want is not None:
                     assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_an_observable_spec_keeps_read_only_copies_of_its_matrix():
+    Z = np.diag([1.0, -1.0]).astype(complex)
+    spec = ObservableSpec(0, matrix=Z)
+    Z[0, 0] = 5
+    assert spec.matrix.tolist() == [[1, 0], [0, -1]]
+    for s in (spec, ObservableSpec(0, axis=[0, 0, 1])):
+        with pytest.raises(ValueError):
+            s.matrix[0, 0] = 0
+
+
+def test_a_copied_or_unpickled_observable_spec_is_rebuilt_read_only():
+    rho = bloch_state([0.4, 0.1, -0.2])
+    specs = [_obs(0, [0, 0, 1]), ObservableSpec(0, matrix=np.array([[0, 1], [1, 0]]), label="x")]
+    expected = json.dumps(scheme_to_json(build_scheme(rho, specs, "unit")))
+    for copier in (lambda o: pickle.loads(pickle.dumps(o)), copy.copy, copy.deepcopy):
+        twins = [copier(o) for o in specs]
+        arrays = [a for o in twins for a in (o.axis, o.matrix) if a is not None]
+        assert len(arrays) == 3 and not any(a.flags.writeable for a in arrays)
+        assert json.dumps(scheme_to_json(build_scheme(rho, twins, "unit"))) == expected

@@ -1,4 +1,4 @@
-"""The two-qubit statistics are invariant under the transformations that leave their physics unchanged.
+"""Results are invariant under the transformations that leave their physics unchanged.
 
 A local unitary U x V on the state, with the frames (or the CHSH axes) rotated
 by the matching SO(3) matrices, leaves the five entanglement statistics and CHSH
@@ -9,6 +9,12 @@ the Pauli closed form share is caught.  The rotations are seeded and drawn with
 numpy alone; the samples hold Werner states, a state with a maximally mixed
 marginal, and frame axes on either side of `AXIS_ALIGNMENT_CUTOFF`, where the
 doublets switch their reference axis.
+
+The rest of the library is held the same way: negating one observable's axis
+maps each `build_scheme` entry onto the entry with that outcome flipped, bit
+for bit; one unitary on every input leaves `simulate_pointers`' ratio and
+`weak_value` unchanged; one rotation of a qubit's Bloch vector and axes leaves
+the coherence, Boolean state-dependent and distributivity statistics unchanged.
 """
 from __future__ import annotations
 
@@ -18,11 +24,13 @@ import numpy as np
 import pytest
 
 from pplab import (
-    DensityMatrix, ObservableSpec, bloch_state, chsh_test, linear_ent_test, make_entanglement_geometry,
-    nonlinear_ent_test, werner_state,
+    DensityMatrix, ObservableSpec, PointerConfig, Projector, bloch_state, boolean_state_dep_test, build_scheme,
+    chsh_test, coherence_test, distributivity_test, linear_ent_test, make_entanglement_geometry, nonlinear_ent_test,
+    simulate_pointers, weak_value, werner_state,
 )
 from pplab.geometry import AXIS_ALIGNMENT_CUTOFF, PAULI_X, PAULI_Y, PAULI_Z
-from support import ginibre_density, random_unit_vector
+from pplab.pseudoprojection import PRESCRIPTIONS
+from support import ginibre_density, haar_projector, random_bloch_vector, random_unit_vector
 
 VARIANTS = [
     (linear_ent_test, "I"), (linear_ent_test, "II"),
@@ -132,3 +140,77 @@ def test_swapping_the_parties_leaves_chsh_linear_i_and_nonlinear_iii_unchanged(c
     for test, variant in ((linear_ent_test, "I"), (nonlinear_ent_test, "III")):
         before, after = test(state, geom, variant).statistic, test(swapped, geom, variant).statistic
         assert abs(before - after) <= TOL, (test.__name__, variant, before, after)
+
+
+def _unitary(rng: np.random.Generator, d: int) -> np.ndarray:
+    """A Haar-random d x d unitary: the Q of a complex Ginibre matrix, with the phases of R's diagonal."""
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _turned(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    return u @ m @ u.conj().T
+
+
+def test_negating_an_axis_flips_that_outcome_of_every_scheme_entry_exactly():
+    rng = np.random.default_rng(3141)
+    for k, split in enumerate([(1,), (2,), (3,), (4,), (2, 1), (1, 2), (2, 2), (3, 1)] * 3):
+        subsystems = [sub for sub, size in enumerate(split) for _ in range(size)]
+        axes = [random_unit_vector(rng) for _ in subsystems]
+        state = ginibre_density(rng, 2 ** len(split))
+        prescription = PRESCRIPTIONS[k % len(PRESCRIPTIONS)]
+        j = int(rng.integers(len(axes)))
+        signs = [-1.0 if i == j else 1.0 for i in range(len(axes))]
+        scheme = build_scheme(state, [ObservableSpec(sub, axis=n) for sub, n in zip(subsystems, axes)], prescription)
+        negated = build_scheme(
+            state, [ObservableSpec(sub, axis=s * n) for sub, s, n in zip(subsystems, signs, axes)], prescription
+        )
+        flipped = {tuple(o * int(s) for o, s in zip(key, signs)): v for key, v in scheme.entries.items()}
+        assert [v.hex() for v in negated.entries.values()] == [flipped[key].hex() for key in negated.entries], (
+            split, prescription, j)
+
+
+def test_one_unitary_on_state_projectors_and_post_selection_leaves_the_pointer_ratio_unchanged():
+    rng = np.random.default_rng(2718)
+    for k in range(12):
+        state = DensityMatrix(np.eye(2) / 2) if k == 0 else ginibre_density(rng, 2)
+        projectors = [haar_projector(rng, 2) for _ in range(1 + k % 3)]
+        post = ginibre_density(rng, 2)
+        cfg = PointerConfig(g=float(rng.uniform(0.2, 1.0)), t=0.5)
+        u = _unitary(rng, 2)
+        before = simulate_pointers(state, projectors, post, cfg).ratio
+        after = simulate_pointers(
+            DensityMatrix(_turned(u, state.matrix)),
+            [Projector(_turned(u, p.matrix)) for p in projectors],
+            DensityMatrix(_turned(u, post.matrix)),
+            cfg,
+        ).ratio
+        assert abs(after - before) <= TOL * max(1.0, abs(before)), (k, before, after)
+
+
+def test_one_rotation_of_bloch_vector_and_axes_leaves_the_single_qubit_statistics_unchanged():
+    rng = np.random.default_rng(1618)
+    tests = [(coherence_test, 2), (boolean_state_dep_test, 2), (distributivity_test, 3)]
+    for k in range(20):
+        r = np.zeros(3) if k == 0 else random_unit_vector(rng) if k % 5 == 1 else random_bloch_vector(rng)
+        axes = [random_unit_vector(rng) for _ in range(3)]
+        q = rng.normal(size=4)
+        rot = _rotation(_su2(q / np.linalg.norm(q)))
+        for test, count in tests:
+            before = test(bloch_state(r), *axes[:count]).statistic
+            after = test(bloch_state(rot @ r), *(rot @ n for n in axes[:count])).statistic
+            assert abs(after - before) <= TOL, (test.__name__, k, before, after)
+
+
+def test_one_unitary_on_operator_pre_and_post_selection_leaves_the_weak_value_unchanged():
+    rng = np.random.default_rng(1414)
+    for k in range(30):
+        d = 2 + k % 3
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        a = g + g.conj().T if k % 2 else g
+        pre, post = ginibre_density(rng, d), haar_projector(rng, d) if k % 4 < 2 else ginibre_density(rng, d)
+        u = _unitary(rng, d)
+        moved = type(post)(_turned(u, post.matrix))
+        before = weak_value(a, pre, post).value
+        after = weak_value(_turned(u, a), DensityMatrix(_turned(u, pre.matrix)), moved).value
+        assert abs(after - before) <= TOL * abs(before), (k, before, after)
