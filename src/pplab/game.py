@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import IDENTITY_2, _cross, _sigmas, bloch_state, unit_vector
+from .geometry import IDENTITY_2, _sigmas, bloch_state, unit_vector
 from .operator_core import SPECTRAL_TOL, Array, _finite, _real, _real_array, _real_item, _sequence
 from .pseudoprojection import _ordered_moments
 from .scheme import _outcomes, _scheme_rows
@@ -162,7 +162,7 @@ def evaluate_strategy(
             f"omega_L * t must be finite, got omega_L = {omega_L} with |t| up to {max(map(abs, times))}"
         )
     c, s = np.cos(angles)[:, None], np.sin(angles)[:, None]
-    points = p0 * c + _cross(axis, p0) * s + axis * float(axis @ p0) * (1.0 - c)
+    points = p0 * c + np.cross(axis, p0) * s + axis * float(axis @ p0) * (1.0 - c)
     rhos = 0.5 * (IDENTITY_2 + _sigmas(points))
     context = {"omega_L": omega_L, "bloch": tuple(p0.tolist()), "hamiltonian_axis": tuple(axis.tolist())}
     trajectory = tuple(GameState(scheme4=s4, time=t, **context) for s4, t in zip(_schemes(rhos, theta), times))

@@ -10,8 +10,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .operator_core import (
-    Array, DensityMatrix, Projector, SPECTRAL_TOL, STRUCTURAL_TOL, _bounded, _close, _expectations, _outcome_projectors, _real,
-    _real_array, _sequence, _sign,
+    Array, DensityMatrix, Projector, SPECTRAL_TOL, STRUCTURAL_TOL, _bounded, _expectations, _real, _real_array,
+    _sequence, _sign,
 )
 
 __all__ = [
@@ -119,16 +119,6 @@ def qubit_projector(n: object, outcome: int = +1) -> Projector:
     return Projector(m)
 
 
-def _qubit_projectors(axes: object) -> Array:
-    """Projectors onto the +1 and -1 eigenspaces of sigma . n for each unit axis
-    n, as an (m, 2, 2, 2) stack indexed [axis, (+, -)].  Only the axes are
-    checked: one that is not finite or not unit length fails as in `unit_vector`."""
-    a = np.asarray(axes, dtype=float)
-    for v in a[~(np.abs(np.linalg.norm(a, axis=1) - 1.0) <= SPECTRAL_TOL)]:
-        unit_vector(v, "axis")
-    return _outcome_projectors(_sigmas(a))
-
-
 def _frozen(v: object, name: str) -> Array:
     """A read-only float copy of the real 3-vector `v`, so no caller can change it afterwards."""
     try:
@@ -141,7 +131,7 @@ def _frozen(v: object, name: str) -> Array:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Doublet:
     """Pair of unit axes separated by aperture alpha, symmetric about `axis`.
 
@@ -169,12 +159,6 @@ def _aperture(alpha: object) -> float:
     if not (0.0 < alpha < np.pi):
         raise InvalidInputError(f"alpha must lie in (0, pi), got {alpha}")
     return alpha
-
-
-def _cross(a: Array, b: Array) -> Array:
-    """a x b for real 3-vectors, or for each pair of broadcast (..., 3) stacks: np.cross's
-    products and subtractions, bit for bit, without its generic set-up."""
-    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
 
 
 def _doublets(axes: Array, alpha: float) -> tuple[Array, Array]:
@@ -205,12 +189,13 @@ def make_doublet(axis: object, alpha: float) -> Doublet:
     return Doublet(n1=n1, n2=n2, axis=a, alpha=alpha)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntanglementGeometry:
     """Per-axis measurement layout for the two-qubit inequality tests.
 
-    Each side carries an orthonormal axis frame; around every axis sits a
-    doublet of aperture alpha.  Tests use the first two or all three axes.
+    Each side carries an orthonormal axis frame (a reflection too): each axis of unit length as
+    `unit_vector` checks it, no two with a dot product above SPECTRAL_TOL.  Around every axis
+    sits a doublet of aperture alpha.  Tests use the first two or all three axes.
     The axes are kept as read-only copies and doublets are immutable, so a
     geometry never changes; the entanglement tests compile its witness
     operators on first use and keep them in `_terms`.  Each doublet must have
@@ -224,7 +209,7 @@ class EntanglementGeometry:
     b_axes: tuple[Array, Array, Array]
     a_doublets: tuple[Doublet, Doublet, Doublet]
     b_doublets: tuple[Doublet, Doublet, Doublet]
-    _terms: object = field(default=None, init=False, repr=False, compare=False)
+    _terms: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _aperture(self.alpha))
@@ -263,6 +248,11 @@ class EntanglementGeometry:
                 f"is not bisected by {side}_axes[{i}]",
                 f"axis is not {side}_axes[{i}]",
             )[check])
+        for k, v in enumerate(frame):
+            unit_vector(v, f"{'ab'[k // 3]}_axes[{k % 3}]")
+        for side, axes in (("a", frame[:3]), ("b", frame[3:])):
+            if (np.abs((axes @ axes.T)[[0, 0, 1], [1, 2, 2]]) > SPECTRAL_TOL).any():
+                raise InvalidInputError(f"{side}_axes must be orthonormal")
 
     def __reduce__(self) -> tuple:
         # A copy or an unpickled geometry is built again: read-only vectors, and terms compiled afresh.
@@ -270,14 +260,11 @@ class EntanglementGeometry:
 
 
 def _validated_frame(frame: object, name: str) -> Array:
-    """`frame` as a (3, 3) stack of orthonormal unit axes, one per row."""
+    """`frame` as a (3, 3) stack of unit axes, one per row; `EntanglementGeometry` checks that they are orthogonal."""
     axes = [unit_vector(v, f"{name}[{i}]") for i, v in enumerate(_sequence(frame, name, "3-vectors"))]
     if len(axes) != 3:
         raise InvalidInputError(f"{name} must contain exactly 3 axes")
-    M = np.stack(axes)
-    if not _close(M @ M.T, np.eye(3), SPECTRAL_TOL):
-        raise InvalidInputError(f"{name} must be orthonormal")
-    return M
+    return np.stack(axes)
 
 
 def make_entanglement_geometry(
@@ -320,5 +307,5 @@ def mub_partner(n: object) -> Array:
     """
     a = unit_vector(n, "axis")
     ref = _Y if abs(float(a @ _Y)) < AXIS_ALIGNMENT_CUTOFF else _Z
-    u = _cross(ref, a)
+    u = np.cross(ref, a)
     return u / _norm(u)

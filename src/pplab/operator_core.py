@@ -42,6 +42,10 @@ MAX_DIM = 64
 # Entry modulus above which a state or projector is refused before any check can overflow; an
 # accepted one has |m_ij| <= its largest eigenvalue < 1 + 64 SPECTRAL_TOL, far below it.
 _ENTRY_LIMIT = 2.0
+# Entry modulus above which an operand of the public operator functions is refused before any arithmetic:
+# a product of two entries is below 2e300 per complex part, and a sum of MAX_DIM**2 of them (Tr(rho op), the
+# largest sum formed) or an eigenvalue (below MAX_DIM * 1e150) stays far inside the float range.
+_OPERAND_LIMIT = 1e150
 
 
 def as_complex_matrix(m: object, name: str = "matrix") -> Array:
@@ -170,8 +174,8 @@ def _kron(a: Array, b: Array) -> Array:
 
 def tensor_product(a: Array, b: Array) -> Array:
     """Kronecker product with the first argument as the slow (outer) factor."""
-    a = as_complex_matrix(a, "a")
-    b = as_complex_matrix(b, "b")
+    a = _bounded(as_complex_matrix(a, "a"), "a", _OPERAND_LIMIT)
+    b = _bounded(as_complex_matrix(b, "b"), "b", _OPERAND_LIMIT)
     if a.shape[0] * b.shape[0] > MAX_DIM or a.shape[1] * b.shape[1] > MAX_DIM:
         raise InvalidInputError(f"tensor product exceeds dimension {MAX_DIM}")
     return _kron(a, b)
@@ -179,8 +183,8 @@ def tensor_product(a: Array, b: Array) -> Array:
 
 def anticommutator(a: Array, b: Array) -> Array:
     """ab + ba (no 1/2 factor)."""
-    a = require_square(as_complex_matrix(a, "a"), "a")
-    b = require_square(as_complex_matrix(b, "b"), "b")
+    a = _bounded(require_square(as_complex_matrix(a, "a"), "a"), "a", _OPERAND_LIMIT)
+    b = _bounded(require_square(as_complex_matrix(b, "b"), "b"), "b", _OPERAND_LIMIT)
     if a.shape != b.shape:
         raise InvalidInputError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a @ b + b @ a
@@ -193,7 +197,7 @@ def hermitian_eigen(m: Array) -> tuple[Array, Array]:
     and eigenvectors as orthonormal columns, so that
     m == V @ diag(w) @ V.conj().T within SPECTRAL_TOL.
     """
-    m = require_square(as_complex_matrix(m, "m"), "m")
+    m = _bounded(require_square(as_complex_matrix(m, "m"), "m"), "m", _OPERAND_LIMIT)
     if not _close(m, m.conj().T, STRUCTURAL_TOL):
         raise InvalidInputError("hermitian_eigen requires a Hermitian matrix")
     w, v = np.linalg.eigh(m)
@@ -203,7 +207,7 @@ def hermitian_eigen(m: Array) -> tuple[Array, Array]:
 def expectation(state: "DensityMatrix | Array", op: Array) -> complex:
     """Tr(rho op), returned as a complex number."""
     rho = state.matrix if isinstance(state, DensityMatrix) else as_complex_matrix(state, "state")
-    op = as_complex_matrix(op, "op")
+    rho, op = _bounded(rho, "state", _OPERAND_LIMIT), _bounded(as_complex_matrix(op, "op"), "op", _OPERAND_LIMIT)
     if rho.shape != op.shape:
         raise InvalidInputError(f"dimension mismatch: {rho.shape} vs {op.shape}")
     return complex(np.trace(rho @ op))
@@ -218,7 +222,7 @@ def _expectations(rho: Array, ops: object) -> float | Array:
 
 def partial_trace(m: Array, dims: tuple[int, ...], keep: int) -> Array:
     """Trace out all tensor slots except `keep` (slot 0 is the outer factor)."""
-    m = require_square(as_complex_matrix(m, "m"), "m")
+    m = _bounded(require_square(as_complex_matrix(m, "m"), "m"), "m", _OPERAND_LIMIT)
     dims = tuple(_sequence(dims, "dims", "positive integers"))
     try:
         positive = all(_integer(d, "dims") > 0 for d in dims)
@@ -297,7 +301,7 @@ def _outcome_projectors(ops: object) -> Array:
     return 0.5 * (np.eye(a.shape[-1]) + np.stack([a, -a], axis=1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated quantum state: Hermitian, unit trace, PSD within tolerance.
 
@@ -308,7 +312,7 @@ class DensityMatrix:
     """
 
     matrix: Array
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = np.array(as_complex_matrix(self.matrix, "density matrix"))  # a copy no caller holds
@@ -332,7 +336,7 @@ def _require_state(state: object) -> DensityMatrix:
     return state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Projector:
     """Validated orthogonal projector; rank inferred from the trace.  The matrix is kept
     as a read-only copy of the one passed in, so assigning into it raises ValueError."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
-from .operator_core import SPECTRAL_TOL, Array, Projector, _real_array, _sequence, as_complex_matrix, hermitian_eigen
+from .operator_core import SPECTRAL_TOL, Array, Projector, _integer, _real_array, _sequence, as_complex_matrix, hermitian_eigen
 
 __all__ = [
     "PseudoProjection",
@@ -40,7 +40,7 @@ MAX_OBSERVABLES = 8
 _UNEQUAL_GROUPS = "convex weights require all multi-observable groups to share one size"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PseudoProjection:
     """Hermitian joint-event operator with its factor list and prescription."""
 
@@ -87,6 +87,7 @@ def distinct_orderings(n: int) -> list[tuple[int, ...]]:
     deduplicated by requiring first index < last index; n!/2 survive for
     2 <= n <= MAX_OBSERVABLES.
     """
+    n = _integer(n, "n")
     if n < 2:
         raise InvalidInputError(f"orderings need n >= 2, got {n}")
     _ordering_count(n)

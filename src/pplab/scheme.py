@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -77,7 +78,7 @@ _MARK = "+-"
 _SIGN = {_MARK[0]: +1, _MARK[1]: -1, "−": -1}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservableSpec:
     """One dichotomic observable attached to a subsystem.
 
@@ -188,8 +189,9 @@ class Scheme:
                 f"expected {2**n} entries for {n} observables, got {len(self.entries)}"
             )
         keys = _outcomes(n)
+        in_order = all(map(operator.is_, self.entries, keys))  # keyed by `_outcomes(n)`'s own tuples: copied as is
         try:
-            entries = _Table(zip(keys, map(self.entries.__getitem__, keys)))
+            entries = _Table(self.entries if in_order else zip(keys, map(self.entries.__getitem__, keys)))
         except KeyError:
             raise InvalidInputError(f"entries must be keyed by the {2**n} +1/-1 outcome tuples of length {n}") from None
         object.__setattr__(self, "entries", entries)

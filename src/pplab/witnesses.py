@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import (
-    IDENTITY_2, PAULI_X, PAULI_Z, EntanglementGeometry, _aperture, _doublets, _norm, _pauli_coordinates,
-    _qubit_projectors, _sigmas, mub_partner, unit_vector,
+    IDENTITY_2, PAULI_X, PAULI_Z, EntanglementGeometry, _aperture, _doublets, _norm, _pauli_coordinates, _sigmas,
+    mub_partner, unit_vector,
 )
 from .operator_core import (
     Array, DensityMatrix, STRUCTURAL_TOL, _expectations, _finite, _integer, _kron, _outcome_projectors, _require_state,
@@ -51,6 +51,7 @@ RULE_SUM = "sum"
 RULE_MAX_GROUP = "max_group_sum"
 VERDICT_NEGATIVE = "negative"
 VERDICT_MAGNITUDE = "magnitude"
+_NO_STATE = object()  # the state `_qubit_axes` gets from a single-qubit test that reads none
 
 # Upper ends of the aperture windows (0, hi] inside which separable states
 # keep each entanglement statistic non-negative, by report name.
@@ -201,13 +202,13 @@ def _require_dim(state: DensityMatrix, dim: int, test: str) -> None:
         raise InvalidInputError(f"{test} needs a {dim}x{dim} state, got {state.dim}x{state.dim}")
 
 
-def _qubit_axes(state: DensityMatrix | None, test: str, axes: dict[str, object]) -> tuple[list[Array], Array, dict[str, object]]:
-    """Checks a single-qubit test's state (None for a test that reads none), then each named axis: the
+def _qubit_axes(state: object, test: str, axes: dict[str, object]) -> tuple[list[Array], Array, dict[str, object]]:
+    """Checks a single-qubit test's state (_NO_STATE for a test that reads none), then each named axis: the
     unit axes, the projector stack of their sigma . n indexed [axis, (+, -)] and the report's inputs."""
-    if state is not None:
+    if state is not _NO_STATE:
         _require_dim(state, 2, test)
     vs = [unit_vector(v, name) for name, v in axes.items()]
-    inputs: dict[str, object] = {} if state is None else {"state": _state_digest(state)}
+    inputs: dict[str, object] = {} if state is _NO_STATE else {"state": _state_digest(state)}
     inputs.update((name, v.tolist()) for name, v in zip(axes, vs))
     return vs, _outcome_projectors(_sigmas(vs)), inputs
 
@@ -217,7 +218,7 @@ def _entanglement_axes(state: DensityMatrix, geom: object, variant: object, test
     _require_dim(state, 4, test)
     if not isinstance(geom, EntanglementGeometry):
         raise InvalidInputError(f"geom must be an EntanglementGeometry, got {type(geom).__name__}")
-    if variant not in variants:
+    if not isinstance(variant, str) or variant not in variants:
         raise InvalidInputError(f"variant must be {', '.join(map(repr, variants[:-1]))} or {variants[-1]!r}, got {variant!r}")
     return 2 if variant == "I" else 3
 
@@ -301,7 +302,7 @@ def _compile_geometry(geom: EntanglementGeometry) -> _Terms:
     """Every block of terms at the three frame axes of `geom`, compiled as one stack
     from one projector stack; each entanglement test reads its blocks of it."""
     axes = [[a, b.n1, b.n2, d.n1, d.n2, bx] for a, bx, d, b in zip(geom.a_axes, geom.b_axes, geom.a_doublets, geom.b_doublets)]
-    P = _qubit_projectors(np.reshape(axes, (18, 3))).reshape(3, 6, 2, 2, 2)
+    P = _outcome_projectors(_sigmas(np.reshape(axes, (18, 3)))).reshape(3, 6, 2, 2, 2)
     return _compile_blocks(P, tuple(_BLOCKS), (0, 0, 0))
 
 
@@ -403,7 +404,7 @@ def boolean_state_indep_test(a1: object, a2: object) -> TestReport:
     constructive value only at k = 0; the constructive value is
     authoritative.
     """
-    (v1, v2), P, inputs = _qubit_axes(None, "boolean_state_indep_test", {"a1": a1, "a2": a2})
+    (v1, v2), P, inputs = _qubit_axes(_NO_STATE, "boolean_state_indep_test", {"a1": a1, "a2": a2})
     mats = P.transpose(1, 0, 2, 3).reshape(4, 2, 2)  # P[0, 0], P[1, 0], P[0, 1], P[1, 1]
     orders = _ordering_array(4)
     pp = _ordering_sum(mats, orders, _convex_weights(4, None))

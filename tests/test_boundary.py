@@ -6,6 +6,8 @@ collection, a non-numeric matrix or 3-vector).
 """
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -21,12 +23,14 @@ from pplab import (
     Scheme,
     anticommutator,
     bloch_state,
+    boolean_state_dep_test,
     build_scheme,
     chsh_test,
     coherence_test,
     conjunction_pp,
     convex_pp,
     discord_test,
+    distributivity_test,
     equality_sum,
     evaluate_strategy,
     evolve_scheme,
@@ -54,6 +58,7 @@ from pplab import (
     tensor_product,
     transition_matrix,
     unit_pp,
+    weak_value,
     werner_state,
 )
 from pplab.operator_core import hermitian_eigen
@@ -141,6 +146,7 @@ def _ndarray_state_simulation():
 
 
 NAN = float("nan")
+HUGE = np.full((2, 2), 1e308)
 WERNER = werner_state(0.9)
 OBS = [
     ObservableSpec(sub, axis=axis, label=label)
@@ -287,6 +293,24 @@ LEAKS = {
         lambda: statistic_from_terms([], np.array(["sum", "x"])),
         "unknown statistic rule",
     ),
+    "linear_ent_test/array_variant": (lambda: linear_ent_test(WERNER, GEOM, np.array(["I", "II"])), "variant"),
+    "nonlinear_ent_test/array_variant": (lambda: nonlinear_ent_test(WERNER, GEOM, np.array(["I"])), "variant"),
+    # numpy warned "overflow encountered" on finite entries of 1e308.
+    "tensor_product/huge_a": (lambda: tensor_product(HUGE, 2.0 * np.eye(2)), "a"),
+    "tensor_product/huge_b": (lambda: tensor_product(2.0 * np.eye(2), HUGE), "b"),
+    "anticommutator/huge_a": (lambda: anticommutator(HUGE, np.eye(2)), "a"),
+    "anticommutator/huge_b": (lambda: anticommutator(np.eye(2), HUGE), "b"),
+    "expectation/huge_state": (lambda: expectation(HUGE, 2.0 * np.eye(2)), "state"),
+    "expectation/huge_op": (lambda: expectation(np.eye(2), HUGE), "op"),
+    "partial_trace/huge": (lambda: partial_trace(np.full((4, 4), 1e308), (2, 2), 0), "m"),
+    # n was compared with 2 before it was read as an integer.
+    "distinct_orderings/float": (lambda: distinct_orderings(2.0), "n"),
+    "distinct_orderings/string": (lambda: distinct_orderings("3"), "n"),
+    "distinct_orderings/none": (lambda: distinct_orderings(None), "n"),
+    # None was read as "this test takes no state": AttributeError on None.matrix.
+    "coherence_test/none_state": (lambda: coherence_test(None, AXIS, [1, 0, 0]), "state"),
+    "boolean_state_dep_test/none_state": (lambda: boolean_state_dep_test(None, AXIS, [1, 0, 0]), "state"),
+    "distributivity_test/none_state": (lambda: distributivity_test(None, AXIS, [1, 0, 0], [0, 1, 0]), "state"),
 }
 
 
@@ -300,6 +324,7 @@ ONE_SCHEME = build_scheme(RHO, ONE)
 GEOM = make_entanglement_geometry(1.2)
 WIDE = make_entanglement_geometry(2.8)
 C, S = np.cos(0.6), np.sin(0.6)
+X = [1.0, 0.0, 0.0]
 
 
 def _geometry_with(side: str, index: int, **fields) -> EntanglementGeometry:
@@ -308,6 +333,18 @@ def _geometry_with(side: str, index: int, **fields) -> EntanglementGeometry:
     d = doublets[side][index]
     doublets[side][index] = Doublet(**{"n1": d.n1, "n2": d.n2, "axis": d.axis, "alpha": d.alpha, **fields})
     return EntanglementGeometry(GEOM.alpha, GEOM.a_axes, GEOM.b_axes, doublets["a"], doublets["b"])
+
+
+def _off_unit_geometry() -> EntanglementGeometry:
+    """The default geometry at alpha = 3.1 with a_axes[0] 5.2e-8 off unit length: the bisector of n1, n2 about x
+    with n1.n2 = cos(alpha) + 0.9e-10, which passes every doublet check."""
+    alpha = 3.1
+    half = np.arccos(np.cos(alpha) + 0.9e-10) / 2.0
+    n1, n2 = np.array([np.cos(half), 0.0, np.sin(half)]), np.array([np.cos(half), 0.0, -np.sin(half)])
+    row = (n1 + n2) / (2.0 * np.cos(alpha / 2.0))
+    geom = make_entanglement_geometry(alpha)
+    a_doublets = (Doublet(n1, n2, row, alpha), *geom.a_doublets[1:])
+    return EntanglementGeometry(alpha, (row, *geom.a_axes[1:]), geom.b_axes, a_doublets, geom.b_doublets)
 
 
 # A 4x4 dichotomic observable (Z x Z) and a qutrit projector.
@@ -526,6 +563,21 @@ REFUSALS = {
         lambda: EntanglementGeometry(1.2, GEOM.a_axes, GEOM.b_axes, (5, *GEOM.a_doublets[1:]), GEOM.b_doublets),
         "a_doublets[0] must be a Doublet, got int",
     ),
+    # A frame built directly was not checked: with frames (x, x, x), linear I and II read the product
+    # state |+x>|-x> as entangled at alpha = 1.5 (-0.1963 and -0.2945), and a frame row off unit
+    # length that passes every doublet check failed only at the first test call.
+    "EntanglementGeometry/repeated_frame_axis": (
+        lambda: EntanglementGeometry(1.5, [X] * 3, [X] * 3, [make_doublet(X, 1.5)] * 3, [make_doublet(X, 1.5)] * 3),
+        "a_axes must be orthonormal",
+    ),
+    "EntanglementGeometry/frame_axis_off_unit": (
+        _off_unit_geometry,
+        "a_axes[0] must be unit length, |a_axes[0]| = 1.000000052032",
+    ),
+    "make_entanglement_geometry/non_orthogonal_b_frame": (
+        lambda: make_entanglement_geometry(1.5, b_frame=[X, X, AXIS]),
+        "b_axes must be orthonormal",
+    ),
     # str.isdigit accepts superscript digits, which int() refuses.
     "equality_sum/superscript_index": (lambda: equality_sum(PAIR_SCHEME, "0=¹"), "malformed pattern token '¹'"),
     "equality_sum/superscript_singleton": (lambda: equality_sum(PAIR_SCHEME, "²"), "malformed pattern token '²'"),
@@ -616,3 +668,25 @@ def test_text_entries_are_refused(call, message):
         call()
     assert type(info.value) is InvalidInputError
     assert str(info.value) == message
+
+
+# Each used to raise numpy's "The truth value of an array ... is ambiguous" ValueError when
+# compared with an equal but distinct copy.  A type that holds arrays compares by identity;
+# WeakValueReport and Scheme compare their fields, which are such objects.
+EQUALITY = {
+    "DensityMatrix": lambda: RHO,
+    "Projector": lambda: Z_PLUS,
+    "ObservableSpec": lambda: ObservableSpec(0, axis=AXIS),
+    "Doublet": lambda: make_doublet(AXIS, 1.0),
+    "EntanglementGeometry": lambda: GEOM,
+    "PseudoProjection": lambda: unit_pp(PROJS),
+    "WeakValueReport": lambda: weak_value(np.diag([1.0, -1.0]), RHO, bloch_state([0.0, 0.0, 0.8])),
+    "Scheme": lambda: PAIR_SCHEME,
+}
+
+
+@pytest.mark.parametrize("build", list(EQUALITY.values()), ids=list(EQUALITY))
+def test_equality_gives_a_bool(build):
+    x = build()
+    assert isinstance(x == copy.deepcopy(x), bool)
+    assert x == x

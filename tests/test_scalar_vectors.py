@@ -14,7 +14,7 @@ import pytest
 
 from pplab import DensityMatrix, InvalidInputError, ObservableSpec, bloch_state
 from pplab.geometry import (
-    AXIS_ALIGNMENT_CUTOFF, IDENTITY_2, _VECTOR_LIMIT, _Y, _Z, _cross, _norm, _shown, _sigmas, _vector3, mub_partner,
+    AXIS_ALIGNMENT_CUTOFF, IDENTITY_2, _VECTOR_LIMIT, _Y, _Z, _norm, _shown, _sigmas, _vector3, mub_partner,
     unit_vector,
 )
 from pplab.operator_core import SPECTRAL_TOL, STRUCTURAL_TOL, _bounded, _real_array
@@ -53,7 +53,7 @@ def old_bloch_state(p: object) -> DensityMatrix:
 def old_mub_partner(n: object) -> np.ndarray:
     a = old_unit_vector(n, "axis")
     ref = _Y if abs(float(a @ _Y)) < AXIS_ALIGNMENT_CUTOFF else _Z
-    u = _cross(ref, a)
+    u = np.cross(ref, a)
     return u / np.linalg.norm(u)
 
 

@@ -31,8 +31,8 @@ from pplab.pseudoprojection import _convex_weights, _herm, distinct_orderings
 from pplab.scheme import _MARK
 from pplab.weak import OVERLAP_FLOOR, _Terms
 from pplab.witnesses import (
-    _CANONICAL_QUBITS, _ENTRY_NAMES, _MAXIMALLY_MIXED, VERDICT_MAGNITUDE, WeakTerm, _axis_angle, _embed, _pp_terms,
-    _qubit_axes, _report, _rows,
+    _CANONICAL_QUBITS, _ENTRY_NAMES, _MAXIMALLY_MIXED, _NO_STATE, VERDICT_MAGNITUDE, WeakTerm, _axis_angle, _embed,
+    _pp_terms, _qubit_axes, _report, _rows,
 )
 
 from support import ginibre_density, haar_projector, random_unit_vector
@@ -161,7 +161,7 @@ def boolean_state_indep_test(a1: object, a2: object) -> TestReport:
     constructive value only at k = 0; the constructive value is
     authoritative.
     """
-    (v1, v2), P, inputs = _qubit_axes(None, "boolean_state_indep_test", {"a1": a1, "a2": a2})
+    (v1, v2), P, inputs = _qubit_axes(_NO_STATE, "boolean_state_indep_test", {"a1": a1, "a2": a2})
     mats = (P[0, 0], P[1, 0], P[0, 1], P[1, 1])
     orders = distinct_orderings(4)
     pp = _ordering_sum(mats, orders, _convex_weights(4, None))

@@ -15,6 +15,8 @@ maps each `build_scheme` entry onto the entry with that outcome flipped, bit
 for bit; one unitary on every input leaves `simulate_pointers`' ratio and
 `weak_value` unchanged; one rotation of a qubit's Bloch vector and axes leaves
 the coherence, Boolean state-dependent and distributivity statistics unchanged.
+`discord_test` is the exception: lab axes fix its measurements, and its move
+under a local unitary is pinned.
 """
 from __future__ import annotations
 
@@ -25,8 +27,8 @@ import pytest
 
 from pplab import (
     DensityMatrix, ObservableSpec, PointerConfig, Projector, bloch_state, boolean_state_dep_test, build_scheme,
-    chsh_test, coherence_test, distributivity_test, linear_ent_test, make_entanglement_geometry, nonlinear_ent_test,
-    simulate_pointers, weak_value, werner_state,
+    chsh_test, coherence_test, discord_test, distributivity_test, linear_ent_test, make_entanglement_geometry,
+    nonlinear_ent_test, simulate_pointers, weak_value, werner_state,
 )
 from pplab.geometry import AXIS_ALIGNMENT_CUTOFF, PAULI_X, PAULI_Y, PAULI_Z
 from pplab.pseudoprojection import PRESCRIPTIONS
@@ -115,6 +117,20 @@ def test_local_unitaries_with_rotated_frames_leave_the_entanglement_statistics_u
     for test, variant in VARIANTS:
         before, after = test(state, geom, variant).statistic, test(moved, turned, variant).statistic
         assert abs(before - after) <= TOL, (test.__name__, variant, before, after)
+
+
+def test_discord_depends_on_the_lab_frame_by_the_pinned_amount():
+    """`discord_test` is not covariant; both statistics are pinned so that a change of convention is
+    made on purpose.  Lab axes fix its measurements: the second branch axis is `mub_partner` of the
+    first, crossed with y (z near y), each doublet lies in the plane of its axis and z (x near z), as
+    `_doublets` builds it, and side b measures along side a's branch axes in its own frame.  So a
+    local unitary U x V on one seeded state moves the statistic at alpha = 2 by 0.12."""
+    rng = np.random.default_rng(1713)
+    state = ginibre_density(rng, 4)
+    u, v = (_su2(x / np.linalg.norm(x)) for x in rng.normal(size=(2, 4)))
+    before, after = discord_test(state, 2.0).statistic, discord_test(_moved(state, u, v), 2.0).statistic
+    assert abs(before - 0.235644336147045) <= TOL
+    assert abs(after - 0.35431513911857665) <= TOL
 
 
 @pytest.mark.parametrize("case", range(len(CASES)))
