@@ -143,8 +143,10 @@ def _sign(outcome: object) -> int:
 
 
 def require_square(m: Array, name: str = "matrix") -> Array:
-    """`m` if its last two axes are equal: one square matrix or a stack of them."""
-    if m.shape[-1] != m.shape[-2]:
+    """`m` if it is an array whose last two axes are equal: one square matrix or a stack of them."""
+    if not isinstance(m, np.ndarray):
+        raise InvalidInputError(f"{name} must be a numpy array, got {type(m).__name__}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvalidInputError(f"{name} must be square, got shape {m.shape}")
     return m
 

@@ -20,8 +20,8 @@ Hermitized orderings for convex).  This is the Hermitized-product quasiprobabili
 Hill (Prog. Theor. Phys. 26, 722, 1961).  Cost per call, for a group of k
 observables: 2^k matrix products for unit, k 2^(k-1) for symmetrized and
 for uniform convex, and 2^k for each of the k!/2 orderings for weighted
-convex.  Then one contraction per subsystem with a stack of states (one here, a
-trajectory in `game`) and an N 2^N transform.  Outcome projectors are checked once,
+convex.  Then one contraction per subsystem with a stack of states (one here, a trajectory in
+`game`) and, per state, one 4^N product with the cached +-1 sign table.  Outcome projectors are checked once,
 when an ObservableSpec takes a matrix; a call only refuses A = +-I, by its trace.
 """
 from __future__ import annotations
@@ -260,14 +260,6 @@ def _outcome_strings(n: int) -> tuple[str, ...]:
     return tuple(map(outcomes_to_string, _outcomes(n)))
 
 
-@functools.lru_cache(maxsize=None)
-def _outcome_signs(n: int) -> Array:
-    """`_outcomes(n)` as a read-only (2^n, n) float array."""
-    signs = np.array(_outcomes(n), dtype=float)
-    signs.flags.writeable = False
-    return signs
-
-
 def _joint_moments(rhos: Array, dims: list[int], stacks: list[Array]) -> Array:
     """Re Tr(rho (M_0[t_0] x M_1[t_1] x ...)) for each state rho of the stack `rhos` and every
     index tuple, as an array with the stack axis and then one axis per subsystem."""
@@ -276,20 +268,23 @@ def _joint_moments(rhos: Array, dims: list[int], stacks: list[Array]) -> Array:
     # indices of rho so that one contraction per subsystem does the trace.
     interleave = [0, *(1 + axis for sub in range(g) for axis in (g + sub, sub))]
     t = rhos.reshape([len(rhos)] + dims + dims).transpose(interleave).reshape([len(rhos)] + [d * d for d in dims])
-    for stack in stacks:
-        t = np.tensordot(t, stack.reshape(len(stack), -1), axes=([1], [1]))
+    for stack in stacks:  # np.tensordot(t, stack, axes=([1], [1])) without its set-up, with the same bits
+        rest = np.moveaxis(t, 1, -1)
+        t = (rest.reshape(-1, rest.shape[-1]) @ stack.reshape(len(stack), -1).T).reshape(rest.shape[:-1] + (len(stack),))
     return t.real
 
 
+@functools.lru_cache(maxsize=None)
+def _hadamard(size: int) -> Array:
+    """The read-only (size, size) Sylvester table of +-1: entry (T, s) is (-1)^popcount(T & s)."""
+    table = 1.0 - 2.0 * (np.bitwise_count(np.arange(size)[:, None] & np.arange(size)) & 1)
+    table.flags.writeable = False
+    return table
+
+
 def _walsh_hadamard(v: Array) -> Array:
-    """Unnormalized fast Walsh-Hadamard transform of each row of a (T, 2^n) array."""
-    rows, size = v.shape
-    h = 1
-    while h < size:
-        pairs = v.reshape(-1, 2, h)  # blocks of 2h never straddle two rows
-        v = np.concatenate((pairs[:, :1] + pairs[:, 1:], pairs[:, :1] - pairs[:, 1:]), axis=1)
-        h *= 2
-    return v.reshape(rows, size)
+    """Unnormalized Walsh-Hadamard transform of each row of a (T, 2^n) array, one product per row."""
+    return (v[:, None] @ _hadamard(v.shape[1]))[:, 0]  # one row per product: a row's bits do not depend on T
 
 
 def _scheme_rows(rhos: Array, stacks: list[Array], groups: list[list[int]]) -> Array:
@@ -306,9 +301,10 @@ def _scheme_rows(rhos: Array, stacks: list[Array], groups: list[list[int]]) -> A
 def _moments(obs: list[ObservableSpec], prescription: str, weights: tuple[float, ...] | None = None) -> Array:
     """`_ordered_moments` of the matrices of the observables `obs` of one subsystem.  ObservableSpec
     checked the outcome projectors of every A but +-I, the A with |Tr A| > d - 1: refuse those here."""
-    if any(abs(o.matrix.trace().real) > o.dim - 1 for o in obs):
+    mats = np.stack([o.matrix for o in obs])
+    if (np.abs(mats.trace(axis1=1, axis2=2).real) > len(mats[0]) - 1).any():
         raise InvalidInputError("projector invariant violated: rank >= 1")
-    return _ordered_moments([o.matrix for o in obs], prescription, weights)
+    return _ordered_moments(mats, prescription, weights)
 
 
 def build_scheme(
@@ -444,12 +440,13 @@ def equality_sum(s: Scheme, pattern: str) -> float:
     """
     n = _require_scheme(s).n_observables
     groups = _parse_pattern(pattern, n)
-    # A group holds where its signed outcomes, each +1 or -1, sum to plus or minus its size.
-    members = np.zeros((n, len(groups)))
+    # A group holds where its signed outcomes, each +1 or -1, sum to plus or minus its size.  In
+    # `_outcomes` order, column 1 << (n - 1 - i) of the sign table is observable i's outcome.
+    members = np.zeros((1 << n, len(groups)))
     for g, group in enumerate(groups):
         for idx, sign in group:
-            members[idx, g] += sign
-    keep = (np.abs(_outcome_signs(n) @ members) == [len(g) for g in groups]).all(axis=1)
+            members[1 << (n - 1 - idx), g] += sign
+    keep = (np.abs(_hadamard(1 << n) @ members) == [len(g) for g in groups]).all(axis=1)
     total = 0.0
     for value in itertools.compress(s.entries.values(), keep.tolist()):  # left to right, as the entries are listed
         total += value
@@ -478,7 +475,7 @@ def scheme_to_json(s: Scheme) -> dict[str, object]:
 
 def _spec_from_json(d: dict) -> ObservableSpec:
     m = None if "axis" in d else _complex_parts(d["matrix"]["re"], d["matrix"]["im"])
-    return ObservableSpec(d["subsystem"], axis=d.get("axis"), matrix=m, label=str(d.get("label", "")))
+    return ObservableSpec(d["subsystem"], axis=d.get("axis"), matrix=m, label=d.get("label", ""))
 
 
 def scheme_from_json(data: dict[str, object]) -> Scheme:

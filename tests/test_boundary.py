@@ -61,7 +61,7 @@ from pplab import (
     weak_value,
     werner_state,
 )
-from pplab.operator_core import hermitian_eigen
+from pplab.operator_core import hermitian_eigen, require_square
 from pplab.pseudoprojection import distinct_orderings
 
 RHO = bloch_state([0.6, 0.0, 0.0])
@@ -311,6 +311,10 @@ LEAKS = {
     "coherence_test/none_state": (lambda: coherence_test(None, AXIS, [1, 0, 0]), "state"),
     "boolean_state_dep_test/none_state": (lambda: boolean_state_dep_test(None, AXIS, [1, 0, 0]), "state"),
     "distributivity_test/none_state": (lambda: distributivity_test(None, AXIS, [1, 0, 0], [0, 1, 0]), "state"),
+    # The shape was read as an ndarray's: AttributeError for a list, IndexError below two axes.
+    "require_square/list": (lambda: require_square([[1.0, 0.0], [0.0, 1.0]]), "matrix"),
+    "require_square/vector": (lambda: require_square(np.zeros(2), "m"), "m"),
+    "require_square/scalar": (lambda: require_square(np.array(1.0), "m"), "m"),
 }
 
 
@@ -483,6 +487,11 @@ REFUSALS = {
     "scheme_from_json/bool_subsystem": (
         lambda: scheme_from_json({**scheme_to_json(ONE_SCHEME), "observables": [{"subsystem": True, "axis": AXIS}]}),
         "subsystem must be an integer, got True",
+    ),
+    # A label was read through str(), so 5 became "5" and null became "None".
+    "scheme_from_json/numeric_label": (
+        lambda: scheme_from_json({**scheme_to_json(ONE_SCHEME), "observables": [{"subsystem": 0, "axis": AXIS, "label": 5}]}),
+        "label must be a string, got 5",
     ),
     # With no multi-observable group no factors are ordered; the weights were kept unchecked.
     "build_scheme/convex_weights_without_orderings": (

@@ -181,6 +181,14 @@ def test_scheme_json_round_trip_of_a_matrix_observable():
     _json_round_trip(sch)
 
 
+def test_scheme_json_null_label_reads_as_the_default_label():
+    record = scheme_to_json(build_scheme(bloch_state([0.4, 0.1, -0.2]), [_obs(0, [0, 0, 1], "z")], "unit"))
+    record["observables"][0]["label"] = None
+    back = scheme_from_json(record)
+    assert back.observables[0].label == _obs(0, [0, 0, 1]).label == "s0"
+    assert scheme_to_json(back) == {**record, "observables": [{**record["observables"][0], "label": "s0"}]}
+
+
 def test_scheme_json_of_a_numpy_integer_subsystem_is_plain_json():
     rho = bloch_state([0.4, 0.1, -0.2])
     sch = build_scheme(rho, [ObservableSpec(np.int64(0), axis=[0, 0, 1])], "unit")
