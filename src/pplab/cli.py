@@ -500,19 +500,13 @@ def _emit(payload: object, args: argparse.Namespace) -> None:
         sys.stdout.write(text + "\n")
 
 
-@functools.cache
-def _leaves() -> dict[tuple[str, str], tuple[_Parser, dict[str, str]]]:
-    """(command, action) -> the tree's leaf parser for them and the dests the tree sets above it."""
-    return _build_parser().leaves
-
-
 def _parse(argv: list[str]) -> argparse.Namespace:
     """The tree's namespace for argv, parsed by the leaf parser its first two words name.
 
     The tree itself parses any argv that names no leaf or leaves words unparsed, so every
     refusal keeps the tree's text: "unrecognized arguments" comes with the root usage.
     """
-    leaf = _leaves().get(tuple(argv[:2]))
+    leaf = _build_parser().leaves.get(tuple(argv[:2]))
     if leaf is not None:
         parser, dests = leaf
         args, unparsed = parser.parse_known_args(argv[2:], argparse.Namespace(**dests))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import IDENTITY_2, _sigmas, bloch_state, unit_vector
+from .geometry import IDENTITY_2, _bloch_vector, _sigmas, bloch_state, unit_vector
 from .operator_core import SPECTRAL_TOL, Array, _finite, _real, _real_array, _real_item, _sequence
 from .pseudoprojection import _ordered_moments
 from .scheme import _outcomes, _scheme_rows
@@ -143,8 +143,7 @@ def evaluate_strategy(
     the best scoring grid time is reported.  The inputs are checked once; the
     states at all grid times form one stack for one scheme contraction.
     """
-    bloch_state(bloch)  # shape, finiteness and |p| <= 1, once for the whole trajectory
-    p0 = np.asarray(bloch, dtype=float)
+    p0 = _bloch_vector(bloch)
     axis = unit_vector(hamiltonian_axis, "hamiltonian_axis")
     omega_L = _finite(omega_L, "omega_L")
     times = _sequence(t_grid, "t_grid", "numbers", _real_item)

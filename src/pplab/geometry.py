@@ -103,14 +103,18 @@ def pauli_vector(n: object) -> Array:
     return _sigmas(unit_vector(n, "axis"))[0]
 
 
-def bloch_state(p: object) -> DensityMatrix:
-    """Qubit state (1/2)(I + sigma . p); |p| <= 1 up to tolerance."""
+def _bloch_vector(p: object) -> Array:
+    """`p` as a float array if it is a finite real 3-vector with |p| <= 1 up to tolerance."""
     a = _vector3(p, "Bloch vector")
     n = _norm(a)
     if n > 1.0 + STRUCTURAL_TOL:
         raise InvalidInputError(f"Bloch vector must satisfy |p| <= 1, got {_shown(n)}")
-    m = 0.5 * (IDENTITY_2 + _sigmas(a)[0])
-    return DensityMatrix(m)
+    return a
+
+
+def bloch_state(p: object) -> DensityMatrix:
+    """Qubit state (1/2)(I + sigma . p); |p| <= 1 up to tolerance."""
+    return DensityMatrix(0.5 * (IDENTITY_2 + _sigmas(_bloch_vector(p))[0]))
 
 
 def qubit_projector(n: object, outcome: int = +1) -> Projector:

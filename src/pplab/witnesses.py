@@ -228,28 +228,22 @@ def _embed(op: Array, side: int) -> Array:
     return _kron(op, IDENTITY_2) if side == 0 else _kron(IDENTITY_2, op)
 
 
-def _pp_terms(state: DensityMatrix, terms: _Terms, rows: Iterable[int] | None = None) -> list[WeakTerm]:
-    """Weak terms of compiled terms (see `weak._compile_terms`), or of their `rows` only:
-    the Born factor of each lead times the real weak value of its rest post-selected on
-    lead/rank.  A vanishing Born factor makes the pseudo-probability an exact zero.
+def _pp_terms(state: DensityMatrix, terms: _Terms) -> tuple[WeakTerm, ...]:
+    """The weak term of each row of compiled terms (see `weak._compile_terms`): the Born
+    factor of its lead times the real weak value of its rest post-selected on lead/rank.
+    A vanishing Born factor makes the pseudo-probability an exact zero.
 
     A state keeps its evaluation of the last compiled terms it met, replaced as one tuple
-    (the terms, their Born and weak lists, and each row's WeakTerm once built), so the tests
-    that read one stack, as the entanglement variants read their geometry's, contract it once."""
+    (the terms and their weak terms), so the tests that read one stack, as the entanglement
+    variants read their geometry's, contract it once."""
     last = state._derived.get("terms")
     if last is None or last[0] is not terms:
         born, weak = _born_weak(terms, state.matrix)
-        last = state._derived["terms"] = (terms, born, weak, [None] * len(born))
-    _, born, weak, built = last
-    picked = []
-    for i in range(len(born)) if rows is None else rows:
-        if built[i] is None:
-            built[i] = WeakTerm(
-                terms.labels[i], born[i], weak[i], 0.0 if weak[i] is None else born[i] * weak[i],
-                terms.coefficients[i], terms.groups[i],
-            )
-        picked.append(built[i])
-    return picked
+        last = state._derived["terms"] = (terms, tuple(
+            WeakTerm(label, b, w, 0.0 if w is None else b * w, c, g)
+            for label, b, w, c, g in zip(terms.labels, born, weak, terms.coefficients, terms.groups)
+        ))
+    return last[1]
 
 
 # A two-qubit test reads blocks of compiled terms, each with two terms per frame
@@ -608,12 +602,12 @@ def _evaluate(
     these axes or more once per aperture, aperture after aperture; one contraction reads them all."""
     size = len(terms.labels) // len(alphas)
     rows = _rows(w, blocks, size // (2 * len(blocks)), len(axes))
-    read = iter(_pp_terms(state, terms, [i + row for i in range(0, len(terms.labels), size) for row in rows.values()]))
+    weak_terms = _pp_terms(state, terms)
     r, s, T = table[1:, 0], table[0, 1:], table[1:, 1:]
     parts = [(float(a @ T @ b), float(r @ a), float(s @ b)) for a, b in axes]
     results = []
-    for alpha in alphas:
-        t = dict(zip(rows, read))  # the next len(rows) terms: zip stops at the end of rows
+    for k, alpha in enumerate(alphas):
+        t = {key: weak_terms[k * size + row] for key, row in rows.items()}
         c = math.cos(alpha / 2.0)
         entries: dict[str, float] = {}
         per_axis = []

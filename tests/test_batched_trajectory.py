@@ -103,11 +103,24 @@ def test_a_trajectory_checks_its_inputs_once_and_builds_no_scheme(monkeypatch):
     report = evaluate_strategy([0.2, 0.7, -0.1], [0.6, 0.0, 0.8], 1.3, np.linspace(0.0, 2.0 * math.pi, 129), 0.4)
     scores = [g.score for g in report.trajectory]
     assert len(report.trajectory) == 129
-    assert len(states) <= 1
+    assert states == []
     assert schemes == []
     # One check per GameState as it is built; reading a score re-checks nothing.
     assert len(checks) == 129
     assert scores == [1.0 - min(g.scheme4) for g in report.trajectory]
     # The counters reach the functions they wrap.
     pplab.build_scheme(bloch_state([0.0, 0.0, 0.5]), [ObservableSpec(0, axis=[0.0, 0.0, 1.0])], "unit")
-    assert len(schemes) == 1 and len(states) == 2
+    assert len(schemes) == 1 and len(states) == 1
+
+
+@pytest.mark.parametrize("bad", [
+    [0.0, 1.0], [[0.0, 0.0, 1.0]], [float("nan"), 0.0, 0.0], [0.5j, 0.0, 0.0], "abc", ["0", "0", "1"],
+    [0.0, 0.0, 1.0 + 1e-9], [0.8, 0.8, 0.0], [1e200, 0.0, 0.0],
+])
+def test_a_bad_bloch_vector_fails_the_trajectory_as_it_fails_bloch_state(bad):
+    with pytest.raises(pplab.PPLabError) as expected:
+        bloch_state(bad)
+    with pytest.raises(pplab.PPLabError) as got:
+        evaluate_strategy(bad, [0.0, 0.0, 1.0], 1.0, [0.0, 1.0])
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pplab.cli
-from pplab.cli import _build_parser, _leaves, parse_and_dispatch
+from pplab.cli import _build_parser, parse_and_dispatch
 
 VECTORS = ["0,0,1", "1,0,0", "0.6,0.8,0", "0,0,-1", "0,0,0", "−0.6,0,0", "1,0", "nan,0,0", "2,0,0", "abc", ""]
 # Values by flag dest, the first two valid; a dest not named here draws from VECTORS.
@@ -49,7 +49,7 @@ VALUES = {
     "alpha_scan": ["1.0:1.2:0.1", "2.4:2.6:0.1", "1:0:0.1", "0:1:0", "0:inf:1", "0:1", "x"],
     "json_indent": ["0", "1", "2", "4", "-1", str(pplab.cli.MAX_JSON_INDENT + 1), "x"],
 }
-LEAVES = sorted(_leaves())
+LEAVES = sorted(_build_parser().leaves)
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +88,7 @@ def _pieces(leaf_flags: list[tuple[str, str]], root: Path) -> st.SearchStrategy[
 @st.composite
 def argvs(draw: st.DrawFn, root: Path) -> list[str]:
     command, action = draw(st.sampled_from(LEAVES))
-    leaf = _leaves()[command, action][0]
+    leaf = _build_parser().leaves[command, action][0]
     actions = [a for a in leaf._actions if a.option_strings and a.dest != "help"]
     leaf_flags = [(a.option_strings[-1], a.dest) for a in actions]
     # A base that often runs: each required flag with the first (valid) value of its

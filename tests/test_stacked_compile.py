@@ -135,7 +135,8 @@ def _evaluate_one(
     test `w` on `state`, at `axes`, pairs (a, b) of an a axis and a b-doublet axis;
     `terms` hold `blocks` compiled over these axes or more."""
     rows = _rows(w, blocks, len(terms.labels) // (2 * len(blocks)), len(axes))
-    t = dict(zip(rows, _pp_terms(state, terms, rows.values())))
+    weak_terms = _pp_terms(state, terms)
+    t = {key: weak_terms[row] for key, row in rows.items()}
     table = _pauli_coordinates(state.matrix)
     r, s, T = table[1:, 0], table[0, 1:], table[1:, 1:]
     c = math.cos(alpha / 2.0)

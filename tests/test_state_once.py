@@ -94,6 +94,31 @@ def test_the_five_variants_on_one_state_and_geometry_contract_its_stack_once(mon
         assert contractions[-1][0] is geom._terms
 
 
+def test_a_stack_builds_each_rows_weak_term_once_per_state_and_the_variants_share_them(monkeypatch):
+    rng = np.random.default_rng(3105)
+    state = ginibre_density(rng, 4)
+    geoms = [make_entanglement_geometry(alpha, _frame(rng), _frame(rng)) for alpha in (1.3, 1.9)]
+    built = _count(monkeypatch, witnesses, "WeakTerm")
+
+    def run(geom):
+        """The five variants' weak terms, and the stack rows built for them (a product term is labelled "(l1)*(l2)")."""
+        start = len(built)
+        terms = [t for test, variant in VARIANTS for t in test(state, geom, variant).weak_terms]
+        products = sum(t.label.startswith("(") for t in terms)
+        return [t for t in terms if not t.label.startswith("(")], len(built) - start - products
+
+    rows, n_built = run(geoms[0])
+    assert n_built == len(geoms[0]._terms.labels) == 36
+    by_label = {t.label: t for t in rows}
+    assert len(by_label) < len(rows)  # some rows are read by more than one variant
+    assert all(t is by_label[t.label] for t in rows)
+    # A second stack on the same state builds its own rows, and so does the first stack again after it.
+    other, n_built = run(geoms[1])
+    assert n_built == 36 and not {id(t) for t in other} & {id(t) for t in rows}
+    again, n_built = run(geoms[0])
+    assert n_built == 36 and all(t == by_label[t.label] and t is not by_label[t.label] for t in again)
+
+
 def test_editing_a_reports_state_digest_leaves_the_next_report_unchanged():
     rng = np.random.default_rng(3103)
     qubit = bloch_state([0.3, -0.2, 0.5])
