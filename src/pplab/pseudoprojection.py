@@ -113,7 +113,8 @@ def _convex_weights(n: int | None, weights: object | None) -> Array:
         )
     if not np.isfinite(w).all():
         raise InvalidInputError(f"weights are not finite: {w.tolist()}")
-    if (w < -1e-14).any() or abs(w.sum() - 1.0) > SPECTRAL_TOL:
+    # No entry exceeds 2 while the rest are >= -1e-14 and the sum is 1: refusing one first keeps w.sum() finite.
+    if (w < -1e-14).any() or (w > 2.0).any() or abs(w.sum() - 1.0) > SPECTRAL_TOL:
         raise InvalidInputError("weights must be non-negative and sum to 1")
     return w
 
@@ -141,27 +142,28 @@ def _herm(stack: Array) -> Array:
 
 
 def _ordered_products(mats: object, orders: object) -> Array:
-    """The product of the square `mats` in each row of the (m, k) index array `orders`, left to right, as one stack."""
+    """The product of the square `mats` (..., k, d, d) in each row of the (m, k) `orders`, left to right, as one stack."""
     a, o = np.asarray(mats), np.asarray(orders).T
     if o.shape[1] == 1:  # one ordering: numpy multiplies plain matrices faster than a stack of one
         o = o[:, 0]
-    prod = a[o[0]]
+    prod = a[..., o[0], :, :]
     for j in o[1:]:
-        prod = prod @ a[j]
-    return prod.reshape(-1, *a.shape[1:])
+        prod = prod @ a[..., j, :, :]
+    return prod.reshape(*a.shape[:-3], -1, *a.shape[-2:])
 
 
 def _ordering_sum(mats: object, orders: object, weights: object) -> Array:
-    """sum_k w_k Herm(P_k), P_k the product of the square `mats` in orders[k]: every
-    prescription below.  The products are built in batches of orderings and the terms
-    summed in ordering order from zero (a running sum: `add.reduce` is pairwise for 1x1 `mats`)."""
+    """sum_k w_k Herm(P_k), P_k the product of the square `mats` in orders[k]: every prescription below.  Leading
+    axes of `mats` and `weights` are a batch, each entry with the bits of its own call.  The products are built in
+    batches of orderings and the terms summed in ordering order from zero (a running sum: `add.reduce` is pairwise
+    for 1x1 `mats`)."""
     a, o, w = np.asarray(mats), np.asarray(orders), np.asarray(weights, dtype=float)
-    step = max(1, _CONVEX_CHUNK_ENTRIES // a[0].size)
+    step = max(1, _CONVEX_CHUNK_ENTRIES // a[..., 0, :, :].size)
     acc = 0.0
     for lo in range(0, len(o), step):
-        terms = w[lo : lo + step, None, None] * _herm(_ordered_products(a, o[lo : lo + step]))
-        terms[0] += acc
-        acc = np.add.accumulate(terms, axis=0)[-1]
+        terms = w[..., lo : lo + step, None, None] * _herm(_ordered_products(a, o[lo : lo + step]))
+        terms[..., 0, :, :] += acc
+        acc = np.add.accumulate(terms, axis=-3)[..., -1, :, :]
     return acc
 
 
@@ -212,6 +214,21 @@ def _ordering_array(k: int) -> Array:
     return np.array(distinct_orderings(k))
 
 
+@functools.cache
+def _restrictions(k: int, j: int) -> Array:
+    """For each of `distinct_orderings(k)`, the index among `distinct_orderings(k - 1)` of its
+    restriction without factor j, up to reversal."""
+    index = {order: i for i, order in enumerate(distinct_orderings(k - 1))}
+    rests = [tuple(i - (i > j) for i in order if i != j) for order in distinct_orderings(k)]
+    return np.array([index[min(rest, rest[::-1])] for rest in rests])
+
+
+def _restricted_weights(w: object, k: int, j: int) -> Array:
+    """The weights that `w`, over `distinct_orderings(k)`, induce on the orderings without factor j: the weights
+    of orderings whose restrictions agree up to reversal add up, in ordering order from zero."""
+    return np.bincount(_restrictions(k, j), weights=w)
+
+
 def _ordered_moments(mats: object, prescription: str, weights: object | None = None) -> Array:
     """Moments M_T of every subset T of the k >= 1 square `mats`, as a
     (2^k, d, d) stack; callers bound k.
@@ -219,13 +236,13 @@ def _ordered_moments(mats: object, prescription: str, weights: object | None = N
     unit: Herm(A_t1 ... A_tm) with t ascending, one right-multiplication per
     subset.  symmetrized: the average over all orderings of T, by the
     recursion M_T = (1/|T|) sum_{i in T} A_i M_{T - {i}}, which is O(k 2^k)
-    products.  convex: sum over the orderings of all k operators of
-    w_order Herm(product of T in that order), from per-ordering prefix
-    products, with `weights` from `_prescription_weights`.  Uniform convex
-    (`weights` None) is the symmetrized recursion, as a product of Hermitian
-    operators and its reverse share their Hermitian part.  A single operator
-    has no orderings: every prescription gives (I, Herm A) and `weights` is
-    not read.
+    products.  convex (`weights` from `_prescription_weights`, Hermitian
+    `mats`): the mixture over T's own orderings, weighted by the restriction
+    of its superset's weights (`_restricted_weights`), one `_ordering_sum`
+    over all subsets of a size; a product and its reverse share their
+    Hermitian part.  Uniform convex (`weights` None) is the symmetrized
+    recursion.  A single operator has no orderings: every prescription gives
+    (I, Herm A) and `weights` is not read.
     """
     a = np.asarray(mats, dtype=complex)
     k, d = a.shape[0], a.shape[-1]
@@ -239,22 +256,16 @@ def _ordered_moments(mats: object, prescription: str, weights: object | None = N
         for r, (targets, members, rests) in enumerate(_symmetrization_plan(k), start=1):
             out[targets] = (a[members] @ out[rests]).sum(axis=1) / r
         return out
-    w = np.asarray(weights)
-    orders = _ordering_array(k)
-    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-    out[:] = 0.0
-    chunk = max(1, _CONVEX_CHUNK_ENTRIES // (d * d << k))
-    for lo in range(0, len(orders), chunk):
-        block = orders[lo : lo + chunk]
-        # Prefix stack per ordering: slot bit p stands for operator block[:, p].
-        prefix = np.empty((len(block), 1 << k, d, d), dtype=complex)
-        prefix[:, 0] = np.eye(d)
-        for p in range(k):
-            prefix[:, 1 << p : 2 << p] = prefix[:, : 1 << p] @ a[block[:, p]][:, None]
-        slots = (1 << np.argsort(block, axis=1)) @ bits.T
-        by_subset = prefix[np.arange(len(block))[:, None], slots]
-        out += np.einsum("s,s...->...", w[lo : lo + chunk], by_subset)
-    return _herm(out)
+    induced = {(1 << k) - 1: np.asarray(weights, dtype=float)}
+    for targets, members, _ in reversed(_symmetrization_plan(k)[1:]):
+        r = members.shape[1]
+        for t in targets.tolist():
+            if t not in induced:
+                low = ~t & (t + 1)  # T's lowest missing factor f: all below it are in T, so it is factor f of T + {f}
+                induced[t] = _restricted_weights(induced[t | low], r + 1, (low - 1).bit_count())
+        out[targets] = _ordering_sum(a[members], _ordering_array(r), [induced[t] for t in targets.tolist()])
+    out[1 << np.arange(k)] = _herm(a)
+    return out
 
 
 def conjunction_pp(factors: object) -> PseudoProjection:

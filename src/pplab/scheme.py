@@ -57,7 +57,7 @@ from .operator_core import (
     require_square,
     resolve_tolerance,
 )
-from .pseudoprojection import MAX_OBSERVABLES, PRESCRIPTIONS, _ordered_moments, _prescription_weights, distinct_orderings
+from .pseudoprojection import MAX_OBSERVABLES, PRESCRIPTIONS, _ordered_moments, _prescription_weights, _restricted_weights
 
 __all__ = [
     "ObservableSpec",
@@ -360,8 +360,8 @@ def _marginal_weights(s: Scheme, drop_index: int) -> tuple[float, ...] | None:
     """Convex weights of the scheme left after dropping one observable.
 
     An ordering of the dropped observable's group restricts to an ordering of
-    the rest; the weights of orderings whose restrictions agree up to
-    reversal add up; a group cut down to one observable needs none.  Other
+    the rest, which takes its weight (`_restricted_weights`); a group cut
+    down to one observable needs none.  Other
     groups keep the parent's weights, so a marginal that needs both kinds has
     no single weight vector, and `Scheme` refuses its unequal groups.
     """
@@ -375,20 +375,8 @@ def _marginal_weights(s: Scheme, drop_index: int) -> tuple[float, ...] | None:
         return s.weights
     if k == 2:
         return None
-    count, restrictions = _restrictions(k, sum(o.subsystem == sub for o in s.observables[:drop_index]))
-    induced = [0.0] * count
-    for w, r in zip(s.weights, restrictions):  # in ordering order, from zero
-        induced[r] += w
-    return tuple(induced)
-
-
-@functools.cache
-def _restrictions(k: int, j: int) -> tuple[int, tuple[int, ...]]:
-    """The number of distinct orderings of k - 1 factors and, for each of `distinct_orderings(k)`,
-    the index among those of its restriction without factor j, up to reversal."""
-    index = {order: i for i, order in enumerate(distinct_orderings(k - 1))}
-    rests = [tuple(i - (i > j) for i in order if i != j) for order in distinct_orderings(k)]
-    return len(index), tuple(index[min(rest, rest[::-1])] for rest in rests)
+    j = sum(o.subsystem == sub for o in s.observables[:drop_index])
+    return tuple(_restricted_weights(s.weights, k, j).tolist())
 
 
 def negativity_report(s: Scheme) -> dict[str, object]:

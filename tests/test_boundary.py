@@ -175,6 +175,12 @@ LEAKS = {
     "convex_pp/nan_weight": (lambda: convex_pp(PROJS, [NAN]), "weights"),
     "convex_pp/string_weights": (lambda: convex_pp(PROJS, "a"), "weights"),
     "build_scheme/nan_weight": (lambda: build_scheme(RHO, THREE_ON_ONE, "convex", [NAN, 0.5, 0.5]), "weights"),
+    # Finite weights whose sum overflows are refused before any sum is taken.
+    "convex_pp/huge_weights": (
+        lambda: convex_pp([*PROJS, qubit_projector([0, 1, 0], +1)], [1e308, 1e308, 0.0]),
+        "weights",
+    ),
+    "build_scheme/huge_weights": (lambda: build_scheme(RHO, THREE_ON_ONE, "convex", [1e308, 1e308, 0.0]), "weights"),
     "scheme_from_json/nan_entry": (
         lambda: scheme_from_json(
             {"observables": [{"subsystem": 0, "axis": AXIS}], "prescription": "unit", "entries": {"+": NAN, "-": 1.0}}

@@ -391,6 +391,17 @@ def test_nan_convex_weights_exit_one(capsys):
     assert "weights are not finite" in err
 
 
+def test_convex_weights_whose_sum_overflows_exit_one_with_one_error_line(capsys):
+    # Outside the tests an overflow warning would print on stderr before the error; here it would raise.
+    argv = ["pp", "eig", "--axes", "z+;x+;z-", "--prescription", "convex", "--weights", "1e308,1e308,0"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: weights must be non-negative and sum to 1\n"
+
+
 # Every flag whose value is converted; the base command is valid without it.
 _FLAG_COMMANDS = {
     "werner": ["test", "chsh"],
